@@ -4,7 +4,7 @@ with a variable diffusion coefficient, plus its verification harness."""
 from .coefficient import Coefficient, CoefficientError, make_preset, validate_derivatives
 from .geometry import (BoundaryCurve, DomainGrid, DomainSpec, GeometryError,
                        PolarRule, build_curve, build_domain_grid,
-                       geometry_queries, polar_rule_for_target)
+                       polar_rule_for_target)
 from .laplace import QuadratureError, laplace_kernel
 from .potentials import (BoundaryDensity, DomainField, conormal_derivative,
                          delta_near, double_layer_direct,
@@ -25,8 +25,8 @@ __all__ = [
     "assemble_system", "build_curve", "build_domain_grid",
     "compare_families", "conormal_derivative", "convergence_study",
     "delta_near", "double_layer_direct", "evaluate_solution", "fd_oracle",
-    "geometry_queries", "identity_suite", "laplace_kernel",
-    "layer_eval_offboundary", "make_preset", "manufactured_case",
+    "identity_suite", "laplace_kernel", "layer_eval_offboundary",
+    "make_preset", "manufactured_case",
     "polar_rule_for_target", "remainder_potential", "single_layer_direct",
     "solve_bvp", "solve_dirichlet", "third_green_residual",
     "validate_derivatives", "volume_potential", "wprime_direct",

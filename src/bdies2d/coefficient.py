@@ -24,9 +24,8 @@ class Coefficient:
     grad_a: Callable[[np.ndarray], np.ndarray]
     grad_ln_a: Callable[[np.ndarray], np.ndarray]
     laplacian_ln_a: Callable[[np.ndarray], np.ndarray]
-
-    def is_constant(self) -> bool:
-        return self.name.startswith("constant")
+    #: a is constant, so the remainder operator vanishes and is skipped
+    constant: bool = False
 
 
 def make_preset(name: str, *, value: float = 1.0, direction=(1.0, 1.0)) -> Coefficient:
@@ -46,6 +45,7 @@ def make_preset(name: str, *, value: float = 1.0, direction=(1.0, 1.0)) -> Coeff
             grad_a=lambda p: np.zeros_like(np.atleast_2d(np.asarray(p, float))),
             grad_ln_a=lambda p: np.zeros_like(np.atleast_2d(np.asarray(p, float))),
             laplacian_ln_a=lambda p: np.zeros(np.atleast_2d(p).shape[0]),
+            constant=True,
         )
     if name == "exponential":
         d = np.asarray(direction, dtype=float)

@@ -95,15 +95,33 @@ class DomainSpec:
     def contains(self, point) -> bool:
         return bool(self.level(np.asarray(point, dtype=float)[None, :])[0] < 1.0)
 
+    def _memo(self, name: str, compute):
+        """Value of ``compute()`` computed once per (immutable) spec."""
+        if name not in self.__dict__:
+            object.__setattr__(self, name, compute())
+        return self.__dict__[name]
+
     def diameter(self) -> float:
         if self.kind == "disk":
             return 2.0 * self.radius
+        return self._memo("_diameter", self._sampled_diameter)
+
+    def _sampled_diameter(self) -> float:
         th = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
         pts = self.center + self.rho(th)[:, None] * np.stack(
             [np.cos(th), np.sin(th)], axis=1
         )
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        return float(np.sqrt(d2.max()))
+        # pairwise distances in row blocks keep the temporary at 128 x 2048
+        d2max = 0.0
+        for i in range(0, len(pts), 128):
+            d2 = ((pts[i:i + 128, None, :] - pts[None, :, :]) ** 2).sum(-1)
+            d2max = max(d2max, float(d2.max()))
+        return float(np.sqrt(d2max))
+
+    def max_rho(self) -> float:
+        """Largest radial profile value, sampled at 2048 angles."""
+        return self._memo("_max_rho", lambda: float(self.rho(
+            np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)).max()))
 
     def area(self) -> float:
         if self.kind == "disk":
@@ -139,27 +157,6 @@ class DomainSpec:
         t = np.asarray(t, dtype=float)
         r, dr, ddr = self.rho(t), self.drho(t), self.ddrho(t)
         return (r * r + 2 * dr * dr - r * ddr) / (r * r + dr * dr) ** 1.5
-
-
-def geometry_queries(spec: DomainSpec):
-    """Bundle of point membership, diameter and area for a domain."""
-    return GeometryQueries(spec)
-
-
-@dataclass(frozen=True)
-class GeometryQueries:
-    spec: DomainSpec
-
-    def contains(self, point) -> bool:
-        return self.spec.contains(point)
-
-    @property
-    def diameter(self) -> float:
-        return self.spec.diameter()
-
-    @property
-    def area(self) -> float:
-        return self.spec.area()
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +335,22 @@ class DomainGrid:
     points: np.ndarray           # (n_t*n_s, 2), index = j_t*n_s + k_s
     weights: np.ndarray
     _bary_w: np.ndarray
+    _targets: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
         return self.n_t * self.n_s
+
+    def target_memo(self, y) -> dict:
+        """Store for geometry-only data about target y, kept with the grid.
+
+        Keyed by the target's coordinates; the volume operators keep each
+        target's polar rule and log-kernel row here, so they are built once
+        per grid however many coefficients, families and right-hand sides
+        use them.
+        """
+        return self._targets.setdefault(
+            np.asarray(y, dtype=float).tobytes(), {})
 
     def cardinal_matrices(self, points):
         """Angular and radial cardinal matrices (A, S) at arbitrary points.
@@ -488,29 +497,15 @@ def inside_segments(spec: DomainSpec, y, dirs: np.ndarray, rmax: float):
     return segments
 
 
-def radial_extents(spec: DomainSpec, y: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """First boundary crossing along each unit direction from y.
-
-    Closed form for disks; bracketed bisection on the level function for
-    star profiles (tolerance ~1e-12 relative).
-    """
-    y = _as_point(y)
-    if spec.kind == "disk":
-        d = y - spec.center
-        de = dirs @ d
-        disc = spec.radius**2 - d @ d + de**2
-        if (disc < -1e-14).any():
-            raise GeometryError("target outside the disk")
-        return np.maximum(-de + np.sqrt(np.maximum(disc, 0.0)), 0.0)
-
-    rmax = 2.1 * spec.rho(np.linspace(0, 2 * np.pi, 2048, endpoint=False)).max() \
-        + float(np.linalg.norm(y - spec.center))
-    segs = inside_segments(spec, y, dirs, rmax)
-    L = np.zeros(len(dirs))
-    for k, s in enumerate(segs):
-        if s and s[0][0] == 0.0:
-            L[k] = s[0][1]
-    return L
+def _disk_extents(spec: DomainSpec, y: np.ndarray,
+                  dirs: np.ndarray) -> np.ndarray:
+    """First boundary crossing along each unit direction from y (disk)."""
+    d = y - spec.center
+    de = dirs @ d
+    disc = spec.radius**2 - d @ d + de**2
+    if (disc < -1e-14).any():
+        raise GeometryError("target outside the disk")
+    return np.maximum(-de + np.sqrt(np.maximum(disc, 0.0)), 0.0)
 
 
 def _smoothstep(v):
@@ -522,19 +517,51 @@ def _smoothstep(v):
 class PolarRule:
     """Quadrature for integrals over the domain, centered at a target point.
 
-    Weights include the polar Jacobian r, which cancels 1/r kernel
+    Held in ray form: per angular node a direction, an angular weight and
+    the extent of the inside segment that starts at the target, plus the
+    inside segments of star profiles that start away from it (ray index,
+    start, end).  ``nodes()`` expands this into points and weights.  The
+    weights include the polar Jacobian r, which cancels 1/r kernel
     singularities at the target; log(r) factors are handled by the graded
     radial panels.
     """
 
     target: np.ndarray
-    points: np.ndarray
-    weights: np.ndarray
     theta: np.ndarray
+    wtheta: np.ndarray
+    dirs: np.ndarray
     extents: np.ndarray
+    seg_ray: np.ndarray          # (m,) ray index of each off-target segment
+    seg_ends: np.ndarray         # (m, 2) its start and end radius
+    n_r: int
+
+    def nodes(self):
+        """Quadrature points (N, 2) and weights (N,)."""
+        y = self.target
+        pts, wts = _first_segment_rule(y, self.dirs, self.extents,
+                                       self.wtheta, self.n_r)
+        if not len(self.seg_ray):
+            return pts, wts
+        xg, wg = _gauss_01_cached(self.n_r)
+        k = self.seg_ray
+        a, b = self.seg_ends[:, :1], self.seg_ends[:, 1:]
+        r = a + (b - a) * xg
+        w = (b - a) * wg * r * self.wtheta[k][:, None]
+        extra = y + r[:, :, None] * self.dirs[k][:, None, :]
+        return (np.concatenate([pts, extra.reshape(-1, 2)]),
+                np.concatenate([wts, w.ravel()]))
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.nodes()[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.nodes()[1]
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(self.weights @ f(self.points))
+        pts, wts = self.nodes()
+        return float(wts @ f(pts))
 
 
 def adaptive_theta_count(spec: DomainSpec, y, base: int = 48,
@@ -610,35 +637,22 @@ def polar_rule_for_target(spec: DomainSpec, y, n_theta: int = 48,
 
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
+    off_target = []
     if spec.kind == "disk":
-        L = radial_extents(spec, y, dirs)
-        if not (L > 0.0).any():
-            raise GeometryError("polar rule is empty: no ray enters the domain")
-        pts, wts = _first_segment_rule(y, dirs, L, wtheta, n_r)
-        return PolarRule(target=y, points=pts, weights=wts,
-                         theta=theta, extents=L)
-
-    rmax = 2.1 * spec.rho(np.linspace(0, 2 * np.pi, 2048, endpoint=False)).max() \
-        + float(np.linalg.norm(y - spec.center))
-    segs = inside_segments(spec, y, dirs, rmax)
-    tiny = 1e-11 * rmax
-    L = np.zeros(len(dirs))
-    extra_pts, extra_wts = [], []
-    xg, wg = gauss_01(n_r)
-    for k, slist in enumerate(segs):
-        for (a, b) in slist:
-            if a <= tiny:
-                L[k] = b
-            else:
-                r = a + (b - a) * xg
-                w = (b - a) * wg * r * wtheta[k]
-                extra_pts.append(y + r[:, None] * dirs[k])
-                extra_wts.append(w)
-    if not (L > 0.0).any() and not extra_pts:
+        L = _disk_extents(spec, y, dirs)
+    else:
+        rmax = 2.1 * spec.max_rho() + float(np.linalg.norm(y - spec.center))
+        tiny = 1e-11 * rmax
+        L = np.zeros(len(dirs))
+        for k, slist in enumerate(inside_segments(spec, y, dirs, rmax)):
+            for (a, b) in slist:
+                if a <= tiny:
+                    L[k] = b
+                else:
+                    off_target.append((k, a, b))
+    if not (L > 0.0).any() and not off_target:
         raise GeometryError("polar rule is empty: no ray enters the domain")
-    pts, wts = _first_segment_rule(y, dirs, L, wtheta, n_r)
-    if extra_pts:
-        pts = np.concatenate([pts] + extra_pts)
-        wts = np.concatenate([wts] + extra_wts)
-    return PolarRule(target=y, points=pts, weights=wts,
-                     theta=theta, extents=L)
+    segs = np.array(off_target, dtype=float).reshape(-1, 3)
+    return PolarRule(target=y, theta=theta, wtheta=wtheta, dirs=dirs,
+                     extents=L, seg_ray=segs[:, 0].astype(int),
+                     seg_ends=segs[:, 1:], n_r=n_r)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import laplace
 from .coefficient import Coefficient
-from .geometry import (BoundaryCurve, DomainGrid, PolarRule,
-                       adaptive_theta_count, polar_rule_for_target)
+from .geometry import (BoundaryCurve, DomainGrid, adaptive_theta_count,
+                       polar_rule_for_target)
 
 FAMILIES = ("x", "y")
 TWO_PI = 2.0 * np.pi
@@ -255,10 +255,14 @@ def _rule_params(grid: DomainGrid):
     return base, p
 
 
-def _rule_for(grid: DomainGrid, y) -> PolarRule:
-    base, p = _rule_params(grid)
-    nth = adaptive_theta_count(grid.spec, y, base=base)
-    return polar_rule_for_target(grid.spec, y, n_theta=nth, n_r=p)
+def _target(grid: DomainGrid, y) -> dict:
+    """The grid's memo for target y, with the target's polar rule filled in."""
+    memo = grid.target_memo(y)
+    if "rule" not in memo:
+        base, p = _rule_params(grid)
+        nth = adaptive_theta_count(grid.spec, y, base=base)
+        memo["rule"] = polar_rule_for_target(grid.spec, y, n_theta=nth, n_r=p)
+    return memo
 
 
 def _log_kernel(pts, y):
@@ -290,8 +294,8 @@ def volume_potential(grid: DomainGrid, coeff: Coefficient, family: str,
     _check_family(family)
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
     if family == "x":
-        return _plain_log_potential(grid, field.values / coeff.a(grid.points), tg)
-    return _plain_log_potential(grid, field.values, tg) / coeff.a(tg)
+        return _log_potential(grid, field.values / coeff.a(grid.points), tg)
+    return _log_potential(grid, field.values, tg) / coeff.a(tg)
 
 
 def volume_potential_direct(grid: DomainGrid, coeff: Coefficient, family: str,
@@ -305,13 +309,13 @@ def volume_potential_direct(grid: DomainGrid, coeff: Coefficient, family: str,
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
     out = np.empty(len(tg))
     for i, y in enumerate(tg):
-        rule = _rule_for(grid, y)
-        ker = _log_kernel(rule.points, y)
+        pts, w = _target(grid, y)["rule"].nodes()
+        ker = _log_kernel(pts, y)
         if family == "x":
-            ker = ker / coeff.a(rule.points)
+            ker = ker / coeff.a(pts)
         else:
             ker = ker / float(coeff.a(y[None, :])[0])
-        out[i] = rule.weights @ (ker * field.at(rule.points))
+        out[i] = w @ (ker * field.at(pts))
     return out
 
 
@@ -321,22 +325,27 @@ def remainder_rows(grid: DomainGrid, coeff: Coefficient, family: str,
 
     Each row integrates the explicit remainder kernel against the grid
     interpolant; boundary targets are allowed (trace of the operator).
+    The same pass stores each target's log-kernel row on the grid.
     """
     _check_family(family)
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
     rows = np.empty((len(tg), grid.n_nodes))
     for i, y in enumerate(tg):
-        rule = _rule_for(grid, y)
-        kv = rule.weights * _remainder_kernel(rule.points, y, coeff, family)
-        A, S = grid.cardinal_matrices(rule.points)
+        memo = _target(grid, y)
+        pts, w = memo["rule"].nodes()
+        A, S = grid.cardinal_matrices(pts)
+        kv = w * _remainder_kernel(pts, y, coeff, family)
         rows[i] = grid.interpolation_row(kv, A, S)
+        if "log_row" not in memo:
+            memo["log_row"] = grid.interpolation_row(w * _log_kernel(pts, y),
+                                                     A, S)
     return rows
 
 
 def remainder_potential(grid: DomainGrid, coeff: Coefficient, family: str,
                         field: DomainField, targets) -> np.ndarray:
     """Remainder volume potential of a gridded density at targets."""
-    if coeff.is_constant():
+    if coeff.constant:
         return np.zeros(len(np.atleast_2d(np.asarray(targets, float))))
     return remainder_rows(grid, coeff, family, targets) @ field.values
 
@@ -355,8 +364,8 @@ def remainder_via_relation(grid: DomainGrid, coeff: Coefficient, family: str,
     if family == "x":
         gl = coeff.grad_ln_a(grid.points)
         comp = [field.values * gl[:, 0], field.values * gl[:, 1]]
-        lap_term = _plain_log_potential(grid, field.values
-                                        * coeff.laplacian_ln_a(grid.points), tg)
+        lap_term = _log_potential(grid, field.values
+                                  * coeff.laplacian_ln_a(grid.points), tg)
     else:
         ga = coeff.grad_a(grid.points)
         comp = [field.values * ga[:, 0], field.values * ga[:, 1]]
@@ -366,23 +375,27 @@ def remainder_via_relation(grid: DomainGrid, coeff: Coefficient, family: str,
     for axis in range(2):
         e = np.zeros(2)
         e[axis] = step
-        plus = _plain_log_potential(grid, comp[axis], tg + e)
-        minus = _plain_log_potential(grid, comp[axis], tg - e)
+        plus = _log_potential(grid, comp[axis], tg + e)
+        minus = _log_potential(grid, comp[axis], tg - e)
         div += (plus - minus) / (2 * step)
     if family == "x":
         return div - lap_term
     return -div / coeff.a(tg)
 
 
-def _plain_log_potential(grid, dens_values, targets):
-    U = np.asarray(dens_values, dtype=float).reshape(grid.n_t, grid.n_s)
-    out = np.empty(len(targets))
-    for i, y in enumerate(targets):
-        rule = _rule_for(grid, y)
-        kv = rule.weights * _log_kernel(rule.points, y)
-        A, S = grid.cardinal_matrices(rule.points)
-        out[i] = np.einsum("mj,jk,mk->", A * kv[:, None], U, S)
-    return out
+def _log_row(grid: DomainGrid, y) -> np.ndarray:
+    """Row r with r . v = (1/2pi) int log|x - y| v(x) dx, v's interpolant."""
+    memo = _target(grid, y)
+    if "log_row" not in memo:
+        pts, w = memo["rule"].nodes()
+        A, S = grid.cardinal_matrices(pts)
+        memo["log_row"] = grid.interpolation_row(w * _log_kernel(pts, y), A, S)
+    return memo["log_row"]
+
+
+def _log_potential(grid: DomainGrid, dens_values, targets) -> np.ndarray:
+    v = np.asarray(dens_values, dtype=float)
+    return np.array([_log_row(grid, y) @ v for y in targets], dtype=float)
 
 
 # ---------------------------------------------------------------------------

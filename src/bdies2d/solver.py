@@ -111,7 +111,7 @@ def assemble_system(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     V_bb = potentials.single_layer_direct_matrix(curve, coeff, family)
     V_hb = potentials.single_layer_matrix_at_targets(curve, coeff, family,
                                                      grid.points)
-    if coeff.is_constant():
+    if coeff.constant:
         R_hh = np.zeros((n_h, n_h))
         R_bh = np.zeros((n_b, n_h))
     else:
@@ -188,13 +188,14 @@ class DirichletSolution:
                     f"evaluation point at distance {d.min():.3e} from the "
                     f"boundary (nearer than {dn:.3e}); interpolate the nodal "
                     "field or evaluate farther inside")
+        # the remainder pass also stores the log rows the volume term uses
+        ru = potentials.remainder_potential(sys.grid, sys.coeff, sys.family,
+                                            self.u, tg)
         if np.any(sys.f.values != 0.0):
             pf = potentials.volume_potential(sys.grid, sys.coeff, sys.family,
                                              sys.f, tg)
         else:
             pf = np.zeros(len(tg))
-        ru = potentials.remainder_potential(sys.grid, sys.coeff, sys.family,
-                                            self.u, tg)
         v = potentials.layer_eval_near(sys.curve, sys.coeff, sys.family, "V",
                                        self.psi, tg)
         w = potentials.layer_eval_near(sys.curve, sys.coeff, sys.family, "W",

@@ -576,7 +576,7 @@ def remainder_spectrum_decay(grid: DomainGrid, coeff: Coefficient,
     A rapidly decaying spectrum is the finite-dimensional face of the
     operator's compactness; reported qualitatively, no threshold.
     """
-    if coeff.is_constant():
+    if coeff.constant:
         return {"sigma": [0.0], "decay_ratio": 0.0}
     R = potentials.remainder_rows(grid, coeff, family, grid.points)
     s = scipy.linalg.svdvals(R)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bdies2d.geometry import (DomainSpec, GeometryError, build_curve,
-                              build_domain_grid, gauss_01, geometry_queries,
+                              build_domain_grid, gauss_01,
                               polar_rule_for_target, trig_cardinal_rows)
 
 DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
@@ -156,20 +156,30 @@ class TestPolarRule:
 
 class TestQueries:
     def test_disk_queries(self):
-        q = geometry_queries(DISK)
-        assert abs(q.diameter - 0.8) < 1e-15
-        assert abs(q.area - np.pi * 0.16) < 1e-15
-        assert q.contains((0.39, 0.0))
-        assert not q.contains((0.41, 0.0))
+        assert abs(DISK.diameter() - 0.8) < 1e-15
+        assert abs(DISK.area() - np.pi * 0.16) < 1e-15
+        assert DISK.contains((0.39, 0.0))
+        assert not DISK.contains((0.41, 0.0))
 
     def test_star_diameter_below_bound(self):
-        q = geometry_queries(STAR)
         # dense-sampling oracle with a finer sweep than the implementation
         tt = np.linspace(0, 2 * np.pi, 8192, endpoint=False)
         pts = STAR.boundary_point(tt)
         d2 = ((pts[::8, None, :] - pts[None, ::8, :]) ** 2).sum(-1)
-        assert abs(q.diameter - np.sqrt(d2.max())) < 1e-3
-        assert q.diameter < 0.72
+        assert abs(STAR.diameter() - np.sqrt(d2.max())) < 1e-3
+        assert STAR.diameter() < 0.72
+
+    @pytest.mark.parametrize("coeffs", [(0.3, 0.0, 0.03),
+                                        (0.3, 0.0, 0.0, 0.06),
+                                        (0.25, 0.04, 0.02, 0.0, 0.03)])
+    def test_blocked_star_diameter_matches_brute_force(self, coeffs):
+        spec = DomainSpec("star", center=(0.1, -0.2), cos_coeffs=coeffs)
+        th = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
+        pts = spec.center + spec.rho(th)[:, None] * np.stack(
+            [np.cos(th), np.sin(th)], axis=1)
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+        assert spec.diameter() == float(np.sqrt(d2.max()))
+        assert spec.diameter() == spec.diameter()
 
 
 class TestCardinals:

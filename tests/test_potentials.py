@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from bdies2d import laplace, potentials
-from bdies2d.coefficient import make_preset
-from bdies2d.geometry import DomainSpec, build_curve, build_domain_grid
+from bdies2d.coefficient import Coefficient, make_preset
+from bdies2d.geometry import (DomainSpec, adaptive_theta_count, build_curve,
+                              build_domain_grid, polar_rule_for_target)
 from bdies2d.potentials import (BoundaryDensity, DomainField,
                                 conormal_derivative, double_layer_direct,
                                 layer_eval_offboundary, remainder_potential,
@@ -13,6 +14,7 @@ from bdies2d.potentials import (BoundaryDensity, DomainField,
                                 wprime_direct)
 
 DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
+STAR = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.0, 0.06))
 A_ONE = make_preset("constant", value=1.0)
 A_EXP = make_preset("exponential", direction=(1.0, 1.0))
 A_QUAD = make_preset("quadratic")
@@ -167,12 +169,81 @@ class TestVolumePotential:
         assert abs(lap - 16.0 * (y**2).sum()) < 1e-4
 
 
+class TestTargetCache:
+    @pytest.mark.parametrize("spec,y", [
+        (DISK, (0.1, -0.05)), (DISK, tuple(DISK.boundary_point(1.0))),
+        (STAR, (0.05, 0.12)), (STAR, tuple(STAR.boundary_point(2.0)))],
+        ids=["disk-interior", "disk-boundary", "star-interior",
+             "star-boundary"])
+    def test_cached_rule_equals_fresh_rule(self, spec, y):
+        grid = build_domain_grid(spec, 16, 8)
+        y = np.array(y)
+        cached = potentials._target(grid, y)["rule"]
+        assert potentials._target(grid, y)["rule"] is cached
+        base, n_r = potentials._rule_params(grid)
+        fresh = polar_rule_for_target(
+            spec, y, n_theta=adaptive_theta_count(spec, y, base=base), n_r=n_r)
+        assert np.array_equal(cached.points, fresh.points)
+        assert np.array_equal(cached.weights, fresh.weights)
+
+
+def _einsum_log_potential(grid, values, targets):
+    """Reference: contract each rule's cardinals with the nodal data."""
+    U = np.asarray(values, dtype=float).reshape(grid.n_t, grid.n_s)
+    out = []
+    for y in targets:
+        pts, w = potentials._target(grid, y)["rule"].nodes()
+        r2 = ((pts - y) ** 2).sum(1)
+        kv = w * 0.5 * np.log(r2) / (2 * np.pi)
+        A, S = grid.cardinal_matrices(pts)
+        out.append(np.einsum("mj,jk,mk->", A * kv[:, None], U, S))
+    return np.array(out)
+
+
+class TestVolumeRows:
+    @pytest.mark.parametrize("spec", [DISK, STAR], ids=["disk", "star"])
+    @pytest.mark.parametrize("family", ["x", "y"])
+    def test_rows_match_einsum_reference(self, spec, family):
+        grid = build_domain_grid(spec, 16, 8)
+        curve = build_curve(spec, 32)
+        f = DomainField(grid, np.cos(grid.points[:, 0] + 0.3)
+                        * (1.0 + grid.points[:, 1]))
+        tg = np.concatenate([grid.points[::7], curve.points[::5],
+                             [[0.02, -0.1]]])
+        got = volume_potential(grid, A_QUAD, family, f, tg)
+        if family == "x":
+            ref = _einsum_log_potential(grid, f.values / A_QUAD.a(grid.points),
+                                        tg)
+        else:
+            ref = _einsum_log_potential(grid, f.values, tg) / A_QUAD.a(tg)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_remainder_pass_stores_log_rows(self):
+        grid = build_domain_grid(DISK, 16, 8)
+        tg = grid.points[:5]
+        potentials.remainder_rows(grid, A_QUAD, "x", tg)
+        for y in tg:
+            memo = grid.target_memo(y)
+            assert set(memo) == {"rule", "log_row"}
+            assert memo["log_row"].shape == (grid.n_nodes,)
+
+
 class TestRemainder:
     def test_constant_coefficient_vanishes(self, grid):
         f = DomainField(grid, np.cos(grid.points[:, 0]))
         got = remainder_potential(grid, make_preset("constant", value=2.0),
                                   "x", f, [[0.1, 0.0], [0.0, 0.0]])
         assert np.abs(got).max() < 1e-12
+
+    def test_constant_name_does_not_drop_remainder(self, grid):
+        lie = Coefficient(name="constant-lie", a=A_QUAD.a,
+                          grad_a=A_QUAD.grad_a, grad_ln_a=A_QUAD.grad_ln_a,
+                          laplacian_ln_a=A_QUAD.laplacian_ln_a)
+        assert not lie.constant
+        tg = [[0.1, 0.0], [0.0, 0.2]]
+        assert np.abs(potentials.remainder_rows(grid, lie, "x", tg)).max() > 0
+        f = DomainField(grid, np.ones(grid.n_nodes))
+        assert np.abs(remainder_potential(grid, lie, "x", f, tg)).max() > 1e-3
 
     @pytest.mark.parametrize("coeff", [A_EXP, A_QUAD],
                              ids=["exponential", "quadratic"])

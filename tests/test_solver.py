@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bdies2d import solver
+from bdies2d import potentials, solver
 from bdies2d.coefficient import make_preset
 from bdies2d.geometry import DomainSpec, GeometryError, build_curve, build_domain_grid
 from bdies2d.potentials import BoundaryDensity, DomainField, delta_near
@@ -126,6 +126,28 @@ def unit_sol(geo_fine):
     f = DomainField(grid, np.zeros(grid.n_nodes))
     phi0 = BoundaryDensity(curve, np.ones(curve.n))
     return solve_bvp(curve, grid, A_EXP, "x", f, phi0)
+
+
+class TestSharedGeometry:
+    def test_second_family_builds_no_rules(self, monkeypatch):
+        # the rules and log rows of family x serve family y on the same grid
+        from bdies2d.verification import manufactured_case
+        spec = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.03))
+        curve, grid = build_curve(spec, 32), build_domain_grid(spec, 8, 4)
+        case = manufactured_case("exp_saddle")
+        f, phi0 = case.f_field_on(grid), case.phi0_on(curve)
+        calls = []
+        build = potentials.polar_rule_for_target
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(potentials, "polar_rule_for_target", counted)
+        solve_bvp(curve, grid, case.coeff, "x", f, phi0)
+        assert len(calls) == grid.n_nodes + curve.n
+        solve_bvp(curve, grid, case.coeff, "y", f, phi0)
+        assert len(calls) == grid.n_nodes + curve.n
 
 
 class TestEvaluator:
