@@ -127,8 +127,7 @@ def load_config(path) -> RunConfig:
                     coefficient=coefficient, resolutions=parsed,
                     output_dir=raw.get("output_dir"),
                     allow_large_domain=bool(raw.get("allow_large_domain", False)))
-    _build_domain(cfg)            # validates geometry parameters
-    _check_diameter(cfg)
+    _check_diameter(cfg)          # also validates geometry parameters
     return cfg
 
 
@@ -202,6 +201,10 @@ def write_results(out_dir: Path, payload: dict):
 
 
 def write_errors_csv(out_dir: Path, rows):
+    write_errors_csv_named(out_dir, rows, "errors.csv")
+
+
+def write_errors_csv_named(out_dir: Path, rows, name: str):
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [CSV_HEADER]
     for r in rows:
@@ -209,7 +212,7 @@ def write_errors_csv(out_dir: Path, rows):
             str(r.n_boundary), str(r.n_t), str(r.n_s),
             fmt17(r.err_u_max), fmt17(r.err_u_l2), fmt17(r.err_psi_max),
             fmt17(r.order), fmt17(r.cond), fmt17(r.seconds)]))
-    (out_dir / "errors.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / name).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +365,6 @@ def _run_compare(cfg: RunConfig, out: Path) -> int:
     write_errors_csv(out, reports["x"].rows)
     write_errors_csv_named(out, reports["y"].rows, "errors_family_y.csv")
     return 0 if checks.passed else 1
-
-
-def write_errors_csv_named(out_dir: Path, rows, name: str):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            str(r.n_boundary), str(r.n_t), str(r.n_s),
-            fmt17(r.err_u_max), fmt17(r.err_u_l2), fmt17(r.err_psi_max),
-            fmt17(r.order), fmt17(r.cond), fmt17(r.seconds)]))
-    (out_dir / name).write_text("\n".join(lines) + "\n")
 
 
 def _echo(cfg: RunConfig) -> dict:

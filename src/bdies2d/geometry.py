@@ -270,25 +270,12 @@ def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     return w / np.abs(w).max()
 
 
-def trig_cardinal(delta, n: int):
-    """Trigonometric cardinal function for n equispaced nodes (n even).
-
-    Evaluates sin(n*d/2) * cot(d/2) / n with the removable singularity at
-    multiples of 2pi handled explicitly.
-    """
-    d = np.asarray(delta, dtype=float)
-    red = np.remainder(d + np.pi, 2 * np.pi) - np.pi
-    on_node = np.abs(red) < 1e-13
-    safe = np.where(on_node, 1.0, d)
-    vals = np.sin(n * safe / 2) / np.tan(safe / 2) / n
-    return np.where(on_node, 1.0, vals)
-
-
 def trig_cardinal_rows(theta, n: int) -> np.ndarray:
     """Cardinal matrix A[m, j] = cardinal_j(theta_m) for n equispaced nodes.
 
-    Uses the barycentric cotangent form, equivalent to ``trig_cardinal``:
-    A is the row-normalized array of (-1)^j cot((theta_m - t_j)/2).  The
+    The cardinal of node t_j is sin(n d/2) cot(d/2) / n with d = theta - t_j
+    (n even).  This uses its barycentric cotangent form: A is the
+    row-normalized array of (-1)^j cot((theta_m - t_j)/2).  The
     cotangent difference is expanded through the addition formula so the
     only transcendental work is one tangent per evaluation point.
     """

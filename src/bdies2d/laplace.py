@@ -10,13 +10,17 @@ so the unit double-layer density integrates to -1 inside, -1/2 on and 0
 outside the boundary.  Direct values on the curve use the spectrally
 accurate product quadrature for the periodic log singularity; the smooth
 double-layer diagonal is curvature/2.
+
+Off the curve, every layer value is a row of ``layer_matrix_at_targets``
+applied to the nodal density.  Near the curve that row is the trapezoid
+rule on enough upsampled nodes, folded back onto the curve nodes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import BoundaryCurve, trig_cardinal
+from .geometry import BoundaryCurve
 
 TWO_PI = 2.0 * np.pi
 
@@ -54,14 +58,15 @@ def kress_log_weights(n: int) -> np.ndarray:
     """Product-rule weights R[i, j] for the periodic log kernel.
 
     Integrates f(tau) * log(4 sin^2((t_i - tau)/2)) over [0, 2pi) exactly
-    for trigonometric polynomials of degree < n/2.
+    for trigonometric polynomials of degree < n/2.  The weights depend
+    only on i - j, so they are built from one row.
     """
     i = np.arange(n)
-    d = (TWO_PI / n) * (i[:, None] - i[None, :])
+    d = (TWO_PI / n) * i
     m = np.arange(1, n // 2)
-    R = -(4 * np.pi / n) * (np.cos(d[..., None] * m) / m).sum(axis=-1)
-    R -= (4 * np.pi / (n * n)) * np.cos((n // 2) * d)
-    return R
+    r = -(4 * np.pi / n) * (np.cos(np.outer(d, m)) / m).sum(axis=1)
+    r -= (4 * np.pi / (n * n)) * np.cos((n // 2) * d)
+    return r[(i[:, None] - i[None, :]) % n]
 
 
 def single_layer_matrix(curve: BoundaryCurve) -> np.ndarray:
@@ -131,24 +136,6 @@ def _upsample_counts(curve: BoundaryCurve, dists: np.ndarray) -> np.ndarray:
     return curve.n * (1 << k)
 
 
-def _refined_nodes(curve: BoundaryCurve, N: int):
-    t = TWO_PI * np.arange(N) / N
-    x = curve.spec.boundary_point(t)
-    speeds = curve.spec.boundary_speed(t)
-    normals = curve.spec.boundary_normal(t)
-    return t, x, speeds, normals
-
-
-def resample_density(curve: BoundaryCurve, values: np.ndarray, N: int) -> np.ndarray:
-    """Trigonometric interpolation of nodal values onto N uniform nodes."""
-    n = curve.n
-    if N == n:
-        return np.asarray(values, dtype=float)
-    spec = np.fft.rfft(np.asarray(values, dtype=float))
-    spec[n // 2] *= 0.5          # split the Nyquist mode when upsampling
-    return np.fft.irfft(spec, N) * (N / n)
-
-
 def layer_kernel_values(kind, y, x, normals):
     """Weighted kernel factor for a layer of the given kind at target y.
 
@@ -169,62 +156,43 @@ def layer_eval(curve: BoundaryCurve, kind: str, density: np.ndarray,
                targets, near: bool = True):
     """Layer potential of a nodal density at off-boundary targets.
 
-    With ``near=True``, targets close to the curve are handled by
-    trigonometric upsampling of the density and kernel; with ``near=False``
-    the plain trapezoid rule on the curve nodes is used unconditionally.
-    Gradient kind "gs" returns an (m, 2) array.
+    The rows of ``layer_matrix_at_targets`` applied to the density; the
+    ``near`` flag selects the rule there.  Gradient kind "gs" returns an
+    (m, 2) array.
     """
-    tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    rho = np.asarray(density, dtype=float)
-    vec = kind == "gs"
-    out = np.zeros((len(tg), 2)) if vec else np.zeros(len(tg))
-
-    if not near:
-        w = curve.weights
-        for i, y in enumerate(tg):
-            K = layer_kernel_values(kind, y, curve.points, curve.normals)
-            out[i] = (K * (rho * w)[:, None]).sum(0) if vec else K @ (rho * w)
-        return out
-
-    dists = curve.distance_to(tg)
-    counts = _upsample_counts(curve, dists)
-    for N in np.unique(counts):
-        idx = np.nonzero(counts == N)[0]
-        t, x, speeds, normals = _refined_nodes(curve, int(N))
-        rho_N = resample_density(curve, rho, int(N))
-        w = speeds * (TWO_PI / N) * rho_N
-        for i in idx:
-            K = layer_kernel_values(kind, tg[i], x, normals)
-            out[i] = (K * w[:, None]).sum(0) if vec else K @ w
-    return out
+    rows = layer_matrix_at_targets(curve, kind, targets, near)
+    return np.moveaxis(rows, 1, -1) @ np.asarray(density, dtype=float)
 
 
-def layer_matrix_at_targets(curve: BoundaryCurve, kind: str, targets) -> np.ndarray:
+def layer_matrix_at_targets(curve: BoundaryCurve, kind: str, targets,
+                            near: bool = True) -> np.ndarray:
     """Matrix mapping nodal density values to layer values at targets.
 
-    Near targets are handled by upsampling: the kernel row on the fine
-    nodes is folded back onto the coarse nodes through the closed-form
-    trigonometric cardinal, evaluated as a circular correlation via FFT.
+    With ``near=True``, a target close to the curve gets its kernel row on
+    N = n * 2^k nodes, enough for the trapezoid rule to converge at its
+    distance.  Applying that row to the trigonometric interpolant of the
+    density equals applying its fold onto the n nodes: the fine row's
+    modes |k| <= n/2, the Nyquist mode split.  With ``near=False`` the
+    plain trapezoid rule on the curve nodes is used unconditionally.
+    Gradient kind "gs" returns an (m, n, 2) array.
     """
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
     n = curve.n
-    out = np.empty((len(tg), n))
-    dists = curve.distance_to(tg)
-    counts = _upsample_counts(curve, dists)
+    if near:
+        counts = _upsample_counts(curve, curve.distance_to(tg))
+    else:
+        counts = np.full(len(tg), n)
+    out = np.empty((len(tg), n, 2) if kind == "gs" else (len(tg), n))
     for N in np.unique(counts):
-        idx = np.nonzero(counts == N)[0]
         N = int(N)
-        t, x, speeds, normals = _refined_nodes(curve, N)
-        w = speeds * (TWO_PI / N)
-        if N == n:
-            for i in idx:
-                out[i] = layer_kernel_values(kind, tg[i], x, normals) * w
-            continue
-        q = N // n
-        kappa = trig_cardinal(TWO_PI * np.arange(N) / N, n)
-        fk = np.conj(np.fft.rfft(kappa))
-        for i in idx:
+        T = TWO_PI * np.arange(N) / N
+        x, normals = curve.spec.boundary_point(T), curve.spec.boundary_normal(T)
+        w = curve.spec.boundary_speed(T) * (TWO_PI / N)
+        if kind == "gs":
+            w = w[:, None]
+        for i in np.nonzero(counts == N)[0]:
             g = layer_kernel_values(kind, tg[i], x, normals) * w
-            corr = np.fft.irfft(np.fft.rfft(g) * fk, N)
-            out[i] = corr[::q]
+            if N > n:
+                g = np.fft.irfft(np.fft.rfft(g, axis=0)[:n // 2 + 1], n, axis=0)
+            out[i] = g
     return out

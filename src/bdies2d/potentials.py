@@ -151,20 +151,22 @@ def wprime_direct(curve: BoundaryCurve, coeff: Coefficient, family: str,
 # Layer potentials away from the boundary
 # ---------------------------------------------------------------------------
 
-def _layer_values(curve, coeff, family, kind, values, targets, near):
-    a_nodes = coeff.a(curve.points)
+def _layer_rows(curve, coeff, family, kind, targets, near):
+    """Rows mapping nodal density values to "V" or "W" values at targets."""
+    def rows(laplace_kind):
+        return laplace.layer_matrix_at_targets(curve, laplace_kind, targets,
+                                               near)
+
     if kind == "V":
         if family == "x":
-            return laplace.layer_eval(curve, "s", values / a_nodes, targets, near)
-        a_t = coeff.a(np.atleast_2d(targets))
-        return laplace.layer_eval(curve, "s", values, targets, near) / a_t
+            return rows("s") / coeff.a(curve.points)[None, :]
+        return rows("s") / coeff.a(targets)[:, None]
     if kind == "W":
         if family == "x":
             dlnadn = (coeff.grad_ln_a(curve.points) * curve.normals).sum(1)
-            return (laplace.layer_eval(curve, "d", values, targets, near)
-                    - laplace.layer_eval(curve, "s", values * dlnadn, targets, near))
-        a_t = coeff.a(np.atleast_2d(targets))
-        return laplace.layer_eval(curve, "d", values * a_nodes, targets, near) / a_t
+            return rows("d") - rows("s") * dlnadn[None, :]
+        return (rows("d") * coeff.a(curve.points)[None, :]
+                / coeff.a(targets)[:, None])
     raise ValueError(f"layer kind must be 'V' or 'W', got {kind!r}")
 
 
@@ -186,7 +188,7 @@ def layer_eval_offboundary(curve: BoundaryCurve, coeff: Coefficient,
             f"target at distance {d.min():.3e} from the boundary; the plain "
             f"rule requires at least {dn:.3e} - use direct values and jump "
             "relations instead")
-    return _layer_values(curve, coeff, family, kind, density.values, tg, near=False)
+    return _layer_rows(curve, coeff, family, kind, tg, near=False) @ density.values
 
 
 def layer_eval_near(curve: BoundaryCurve, coeff: Coefficient, family: str,
@@ -194,20 +196,16 @@ def layer_eval_near(curve: BoundaryCurve, coeff: Coefficient, family: str,
     """Layer potential with automatic upsampling near the boundary."""
     _check_family(family)
     _match(curve, density)
-    return _layer_values(curve, coeff, family, kind, density.values,
-                         np.atleast_2d(np.asarray(targets, dtype=float)), near=True)
+    tg = np.atleast_2d(np.asarray(targets, dtype=float))
+    return _layer_rows(curve, coeff, family, kind, tg, near=True) @ density.values
 
 
 def single_layer_matrix_at_targets(curve: BoundaryCurve, coeff: Coefficient,
                                    family: str, targets) -> np.ndarray:
     """Matrix sending nodal density values to single-layer values at targets."""
     _check_family(family)
-    M = laplace.layer_matrix_at_targets(curve, "s", targets)
-    a = coeff.a(curve.points)
-    if family == "x":
-        return M / a[None, :]
-    a_t = coeff.a(np.atleast_2d(targets))
-    return M / a_t[:, None]
+    tg = np.atleast_2d(np.asarray(targets, dtype=float))
+    return _layer_rows(curve, coeff, family, "V", tg, near=True)
 
 
 def conormal_gradient_eval(curve: BoundaryCurve, coeff: Coefficient,
@@ -293,6 +291,8 @@ def volume_potential(grid: DomainGrid, coeff: Coefficient, family: str,
     """
     _check_family(family)
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
+    if not np.any(field.values != 0.0):
+        return np.zeros(len(tg))
     if family == "x":
         return _log_potential(grid, field.values / coeff.a(grid.points), tg)
     return _log_potential(grid, field.values, tg) / coeff.a(tg)

@@ -148,13 +148,9 @@ def assemble_rhs(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     """
     potentials._check_family(family)
     tg = grid.points
-    if np.any(f.values != 0.0):
-        pf_grid = potentials.volume_potential(grid, coeff, family, f, tg)
-        pf_trace = potentials.volume_potential(grid, coeff, family, f,
-                                               curve.points)
-    else:
-        pf_grid = np.zeros(grid.n_nodes)
-        pf_trace = np.zeros(curve.n)
+    pf_grid = potentials.volume_potential(grid, coeff, family, f, tg)
+    pf_trace = potentials.volume_potential(grid, coeff, family, f,
+                                           curve.points)
     w_grid = potentials.layer_eval_near(curve, coeff, family, "W", phi0, tg)
     W_dir = potentials.double_layer_direct_matrix(curve, coeff, family)
     # trace(W tau) = -tau/2 + W_dir tau from the interior jump relation
@@ -191,11 +187,8 @@ class DirichletSolution:
         # the remainder pass also stores the log rows the volume term uses
         ru = potentials.remainder_potential(sys.grid, sys.coeff, sys.family,
                                             self.u, tg)
-        if np.any(sys.f.values != 0.0):
-            pf = potentials.volume_potential(sys.grid, sys.coeff, sys.family,
-                                             sys.f, tg)
-        else:
-            pf = np.zeros(len(tg))
+        pf = potentials.volume_potential(sys.grid, sys.coeff, sys.family,
+                                         sys.f, tg)
         v = potentials.layer_eval_near(sys.curve, sys.coeff, sys.family, "V",
                                        self.psi, tg)
         w = potentials.layer_eval_near(sys.curve, sys.coeff, sys.family, "W",
@@ -253,10 +246,7 @@ def third_green_residual(u: DomainField, psi: BoundaryDensity, f: DomainField,
     potentials._check_family(family)
     if on_boundary:
         tg = curve.points
-        if np.any(f.values != 0.0):
-            pf = potentials.volume_potential(grid, coeff, family, f, tg)
-        else:
-            pf = np.zeros(curve.n)
+        pf = potentials.volume_potential(grid, coeff, family, f, tg)
         ru = potentials.remainder_potential(grid, coeff, family, u, tg)
         V_dir = potentials.single_layer_direct_matrix(curve, coeff, family)
         W_dir = potentials.double_layer_direct_matrix(curve, coeff, family)
@@ -264,10 +254,7 @@ def third_green_residual(u: DomainField, psi: BoundaryDensity, f: DomainField,
                 + W_dir @ phi0.values - pf)
 
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    if np.any(f.values != 0.0):
-        pf = potentials.volume_potential(grid, coeff, family, f, tg)
-    else:
-        pf = np.zeros(len(tg))
+    pf = potentials.volume_potential(grid, coeff, family, f, tg)
     ru = potentials.remainder_potential(grid, coeff, family, u, tg)
     v = potentials.layer_eval_near(curve, coeff, family, "V", psi, tg)
     w = potentials.layer_eval_near(curve, coeff, family, "W", phi0, tg)

@@ -21,6 +21,18 @@ def circle64():
     return build_curve(DISK, 64)
 
 
+@pytest.fixture(scope="module")
+def fine_disk():
+    return build_curve(DISK, 1 << 16)
+
+
+def plain_reference(fine_curve, kind, density, targets):
+    """Plain trapezoid rule on a 2^16-node curve: an independent reference
+    that is converged at every target these tests use."""
+    return laplace.layer_eval(fine_curve, kind, density(fine_curve.t),
+                              targets, near=False)
+
+
 class TestKernel:
     def test_value_zero_at_unit_distance(self):
         v, _ = laplace.laplace_kernel([1.0, 0.0], [0.0, 0.0])
@@ -131,29 +143,64 @@ class TestNearEvaluation:
         good = laplace.layer_eval(curve, "s", rho, y, near=True)
         assert abs(plain[0] - good[0]) > 1e-6
 
-    def test_matrix_rows_match_eval(self):
+    def test_matrix_rows_match_eval(self, fine_disk):
         curve = build_curve(DISK, 64)
-        rho = np.sin(2 * curve.t) + 0.3
+        rho = lambda t: np.sin(2 * t) + 0.3
         targets = np.array([[0.0, 0.1], [0.39, 0.0], [0.399, 0.0]])
         M = laplace.layer_matrix_at_targets(curve, "s", targets)
-        direct = laplace.layer_eval(curve, "s", rho, targets)
-        np.testing.assert_allclose(M @ rho, direct, atol=1e-13)
+        ref = plain_reference(fine_disk, "s", rho, targets)
+        np.testing.assert_allclose(M @ rho(curve.t), ref, atol=1e-13)
 
-    def test_matrix_rows_double_layer(self):
+    def test_matrix_rows_double_layer(self, fine_disk):
         curve = build_curve(DISK, 64)
-        tau = np.cos(3 * curve.t) - 1.0
+        tau = lambda t: np.cos(3 * t) - 1.0
         targets = np.array([[0.2, 0.0], [0.395, 0.01]])
         M = laplace.layer_matrix_at_targets(curve, "d", targets)
-        direct = laplace.layer_eval(curve, "d", tau, targets)
-        np.testing.assert_allclose(M @ tau, direct, atol=1e-13)
+        ref = plain_reference(fine_disk, "d", tau, targets)
+        np.testing.assert_allclose(M @ tau(curve.t), ref, atol=1e-13)
+
+    @pytest.mark.parametrize("spec", [DISK, STAR], ids=["disk", "star"])
+    def test_gradient_near_boundary(self, spec):
+        curve = build_curve(spec, 64)
+        fine = build_curve(spec, 1 << 16)
+        rho = lambda t: np.exp(np.sin(t)) + np.cos(2 * t)
+        idx = [0, 20, 41]
+        targets = (curve.points[idx]
+                   - np.array([1e-2, 1e-3, 5e-4])[:, None] * curve.normals[idx])
+        got = laplace.layer_eval(curve, "gs", rho(curve.t), targets)
+        ref = plain_reference(fine, "gs", rho, targets)
+        assert got.shape == (3, 2)
+        np.testing.assert_allclose(got, ref, atol=1e-12)
+        plain = laplace.layer_eval(curve, "gs", rho(curve.t), targets,
+                                   near=False)
+        assert np.abs(plain - ref).max() > 1e-3
 
 
 class TestResample:
-    def test_band_limited_exact_including_nyquist(self):
+    """The near rule applies its fine row to the trigonometric interpolant
+    of the nodal density, so band-limited densities are integrated
+    exactly, including the split cos(n t / 2) Nyquist mode."""
+
+    def test_band_limited_exact_including_nyquist(self, fine_disk):
         curve = build_curve(DISK, 16)
-        t = curve.t
-        g = 1 + np.cos(3 * t) - 2 * np.sin(5 * t) + 0.5 * np.cos(8 * t)
-        up = laplace.resample_density(curve, g, 64)
-        T = 2 * np.pi * np.arange(64) / 64
-        exact = 1 + np.cos(3 * T) - 2 * np.sin(5 * T) + 0.5 * np.cos(8 * T)
-        assert np.abs(up - exact).max() < 1e-13
+        g = lambda t: (1 + np.cos(3 * t) - 2 * np.sin(5 * t)
+                       + 0.5 * np.cos(8 * t))
+        targets = np.array([[0.0, 0.1], [0.3, 0.1], [0.399, 0.0],
+                            [0.0, -0.3995], [0.2, 0.3]])
+        for kind in ("s", "d", "gs"):
+            got = laplace.layer_eval(curve, kind, g(curve.t), targets)
+            ref = plain_reference(fine_disk, kind, g, targets)
+            np.testing.assert_allclose(got, ref, atol=1e-13)
+
+
+def test_kress_weights_match_cubic_form():
+    def cubic(n):
+        i = np.arange(n)
+        d = (2 * np.pi / n) * (i[:, None] - i[None, :])
+        m = np.arange(1, n // 2)
+        R = -(4 * np.pi / n) * (np.cos(d[..., None] * m) / m).sum(axis=-1)
+        return R - (4 * np.pi / (n * n)) * np.cos((n // 2) * d)
+
+    for n in (8, 64, 96):
+        np.testing.assert_allclose(laplace.kress_log_weights(n), cubic(n),
+                                   rtol=0, atol=1e-14)
