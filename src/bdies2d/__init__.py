@@ -7,9 +7,7 @@ from .geometry import (BoundaryCurve, DomainGrid, DomainSpec, GeometryError,
                        polar_rule_for_target)
 from .laplace import QuadratureError, laplace_kernel
 from .potentials import (BoundaryDensity, DomainField, conormal_derivative,
-                         delta_near, double_layer_direct,
-                         layer_eval_offboundary, remainder_potential,
-                         single_layer_direct, volume_potential, wprime_direct)
+                         delta_near, remainder_potential, volume_potential)
 from .solver import (BdieSystem, DiameterError, DirichletSolution,
                      assemble_rhs, assemble_system, evaluate_solution,
                      solve_bvp, solve_dirichlet, third_green_residual)
@@ -24,12 +22,12 @@ __all__ = [
     "PolarRule", "QuadratureError", "StudyReport", "assemble_rhs",
     "assemble_system", "build_curve", "build_domain_grid",
     "compare_families", "conormal_derivative", "convergence_study",
-    "delta_near", "double_layer_direct", "evaluate_solution", "fd_oracle",
-    "identity_suite", "laplace_kernel", "layer_eval_offboundary",
+    "delta_near", "evaluate_solution", "fd_oracle",
+    "identity_suite", "laplace_kernel",
     "make_preset", "manufactured_case",
-    "polar_rule_for_target", "remainder_potential", "single_layer_direct",
+    "polar_rule_for_target", "remainder_potential",
     "solve_bvp", "solve_dirichlet", "third_green_residual",
-    "validate_derivatives", "volume_potential", "wprime_direct",
+    "validate_derivatives", "volume_potential",
 ]
 
 __version__ = "0.1.0"

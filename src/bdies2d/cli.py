@@ -91,6 +91,8 @@ def load_config(path) -> RunConfig:
                               f"{MANUFACTURED_NAMES}")
     coefficient = raw.get("coefficient")
     if coefficient is not None:
+        if not isinstance(coefficient, dict):
+            raise ConfigError("coefficient must be a JSON object")
         _reject_unknown(coefficient, _COEFF_KEYS, "coefficient")
         if coefficient.get("preset") not in ("constant", "exponential",
                                              "quadratic"):
@@ -106,6 +108,9 @@ def load_config(path) -> RunConfig:
     resolutions = raw.get("resolutions", [])
     if isinstance(resolutions, dict):
         resolutions = [resolutions]
+    if not (isinstance(resolutions, list)
+            and all(isinstance(r, dict) for r in resolutions)):
+        raise ConfigError("resolutions must be an object or a list of objects")
     if command != "validate" and not resolutions:
         raise ConfigError(f"command {command!r} needs 'resolutions'")
     if command == "study" and len(resolutions) < 3:
@@ -113,26 +118,31 @@ def load_config(path) -> RunConfig:
     parsed = []
     for r in resolutions:
         _reject_unknown(r, _RES_KEYS, "resolutions entry")
-        try:
-            nb, nt, ns = int(r["n_boundary"]), int(r["n_t"]), int(r["n_s"])
-        except KeyError as exc:
-            raise ConfigError(f"resolution entry missing {exc}") from exc
-        if nb <= 0 or nt <= 0 or ns <= 0:
-            raise ConfigError("resolution counts must be positive")
-        if nb % 2:
+        counts = tuple(r.get(k) for k in ("n_boundary", "n_t", "n_s"))
+        if not all(type(c) is int and c > 0 for c in counts):
+            raise ConfigError("resolution entries need positive integer "
+                              f"n_boundary, n_t and n_s, got {r}")
+        if counts[0] % 2:
             raise ConfigError("n_boundary must be even")
-        parsed.append((nb, nt, ns))
+        parsed.append(counts)
+
+    output_dir = raw.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError("output_dir must be a string")
+    allow_large_domain = raw.get("allow_large_domain", False)
+    if not isinstance(allow_large_domain, bool):
+        raise ConfigError("allow_large_domain must be true or false")
 
     cfg = RunConfig(command=command, domain=domain, family=family, case=case,
                     coefficient=coefficient, resolutions=parsed,
-                    output_dir=raw.get("output_dir"),
-                    allow_large_domain=bool(raw.get("allow_large_domain", False)))
+                    output_dir=output_dir,
+                    allow_large_domain=allow_large_domain)
     _check_diameter(cfg)          # also validates geometry parameters
     return cfg
 
 
 def _build_domain(cfg: RunConfig):
-    from .geometry import DomainSpec, GeometryError
+    from .geometry import DomainSpec
     d = cfg.domain
     try:
         if d["kind"] == "disk":
@@ -140,7 +150,7 @@ def _build_domain(cfg: RunConfig):
                               radius=float(d.get("radius", 0.0)))
         return DomainSpec("star", center=d.get("center", (0.0, 0.0)),
                           cos_coeffs=d.get("cos_coeffs", ()))
-    except (GeometryError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid domain: {exc}") from exc
 
 
@@ -234,7 +244,8 @@ def _run_solve(cfg: RunConfig, out: Path) -> int:
     case = manufactured_case(cfg.case)
     nb, nt, ns = cfg.resolutions[0]
     t0 = time.perf_counter()
-    sol, row = solve_case(case, spec, cfg.family, nb, nt, ns)
+    sol, row = solve_case(case, spec, cfg.family, nb, nt, ns,
+                          allow_large_domain=cfg.allow_large_domain)
     elapsed = time.perf_counter() - t0
 
     checks = verification.SuiteReport()
@@ -314,8 +325,9 @@ def _run_study(cfg: RunConfig, out: Path) -> int:
     spec = _build_domain(cfg)
     case = verification.manufactured_case(cfg.case)
     t0 = time.perf_counter()
-    report = verification.convergence_study(case, spec, cfg.family,
-                                            cfg.resolutions)
+    report = verification.convergence_study(
+        case, spec, cfg.family, cfg.resolutions,
+        allow_large_domain=cfg.allow_large_domain)
     elapsed = time.perf_counter() - t0
 
     checks = verification.SuiteReport()
@@ -342,7 +354,9 @@ def _run_compare(cfg: RunConfig, out: Path) -> int:
     spec = _build_domain(cfg)
     case = verification.manufactured_case(cfg.case)
     t0 = time.perf_counter()
-    reports = verification.compare_families(case, spec, cfg.resolutions)
+    reports = verification.compare_families(
+        case, spec, cfg.resolutions,
+        allow_large_domain=cfg.allow_large_domain)
     elapsed = time.perf_counter() - t0
 
     checks = verification.SuiteReport()

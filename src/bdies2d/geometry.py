@@ -48,13 +48,16 @@ class DomainSpec:
         if self.kind not in ("disk", "star"):
             raise GeometryError(f"unknown domain kind {self.kind!r}")
         object.__setattr__(self, "center", _as_point(self.center))
+        if not np.isfinite(self.center).all():
+            raise GeometryError("domain center must be finite")
         if self.kind == "disk":
-            if self.radius <= 0:
-                raise GeometryError("disk radius must be positive")
+            if not (np.isfinite(self.radius) and self.radius > 0):
+                raise GeometryError("disk radius must be positive and finite")
         else:
             c = np.asarray(self.cos_coeffs, dtype=float)
-            if c.ndim != 1 or c.size == 0:
-                raise GeometryError("star domain needs a 1d cos_coeffs array")
+            if c.ndim != 1 or c.size == 0 or not np.isfinite(c).all():
+                raise GeometryError(
+                    "star domain needs a finite 1d cos_coeffs array")
             object.__setattr__(self, "cos_coeffs", c)
             th = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
             if self.rho(th).min() <= 0:
@@ -174,6 +177,20 @@ class BoundaryCurve:
     speeds: np.ndarray
     normals: np.ndarray
     curvatures: np.ndarray
+    _blocks: dict = field(default_factory=dict, init=False, repr=False)
+
+    def block_memo(self, key, build) -> np.ndarray:
+        """Geometry-only array ``build()``, built once per curve and kept.
+
+        The layer operators keep their Laplace blocks here, keyed by block
+        kind and, off the curve, by the target coordinates, so each block
+        is built once however many coefficients, families and right-hand
+        sides use it.  Stored arrays are read-only.
+        """
+        if key not in self._blocks:
+            self._blocks[key] = build()
+            self._blocks[key].flags.writeable = False
+        return self._blocks[key]
 
     @property
     def weights(self) -> np.ndarray:

@@ -2,11 +2,16 @@
 
 Two kernel families are supported, distinguished by where the coefficient
 is evaluated: family "x" divides the Laplace fundamental solution by a at
-the integration point, family "y" by a at the target point.  Family "x"
-operators reduce to combinations of Laplace-kernel operators applied to
-coefficient-rescaled densities; those relations are what the default
-("relation") code paths implement.  Independent direct-kernel paths exist
-for cross-validation.
+the integration point, family "y" by a at the target point.
+
+The surface operators V, W and W' are Laplace blocks (``laplace``) with
+the coefficient attached at the source or at the target; ``_family_rows``
+holds that rule for every boundary operator, on the curve and off it.
+The blocks depend only on the geometry, so each is built once per curve
+and kept with it (``BoundaryCurve.block_memo``), as each volume target's
+polar rule and log-kernel row are kept with the grid
+(``DomainGrid.target_memo``).  ``volume_potential_direct`` and
+``remainder_via_relation`` are independent paths for cross-validation.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ def _check_family(family: str):
 
 
 def delta_near(curve: BoundaryCurve) -> float:
-    """Closest approach allowed for plain off-boundary evaluation."""
+    """Distance from the boundary within which evaluation counts as near."""
     return 2.0 * curve.spacing()
 
 
@@ -80,158 +85,116 @@ class DomainField:
         return self.grid.interpolate(self.values, points)
 
 
-def _match(curve: BoundaryCurve, rho: BoundaryDensity):
-    if rho.curve.n != curve.n:
-        raise ValueError("density and curve node counts do not match")
+# ---------------------------------------------------------------------------
+# Boundary operators: Laplace blocks scaled per kernel family
+# ---------------------------------------------------------------------------
+
+def _family_rows(curve: BoundaryCurve, coeff: Coefficient, family: str,
+                 kind: str, targets, normals, lap) -> np.ndarray:
+    """Rows mapping nodal densities to "V", "W" or "Wp" values at targets.
+
+    ``lap(k)`` gives the Laplace block "s" (S), "d" (D) or "dp" (D', the
+    single layer's derivative along ``normals``) at the same targets.
+    Family "x" attaches the coefficient at the source, "y" at the target:
+
+        V_x  = S / a(x)                  V_y  = S / a(y)
+        W_x  = D - S dln a/dn(x)         W_y  = D a(x) / a(y)
+        Wp_x = a(y) D' / a(x)            Wp_y = D' - dln a/dn(y) S
+    """
+    _check_family(family)
+    src = curve.points
+    if kind == "V":
+        if family == "x":
+            return lap("s") / coeff.a(src)[None, :]
+        return lap("s") / coeff.a(targets)[:, None]
+    if kind == "W":
+        if family == "x":
+            dlnadn = (coeff.grad_ln_a(src) * curve.normals).sum(1)
+            return lap("d") - lap("s") * dlnadn[None, :]
+        return lap("d") * coeff.a(src)[None, :] / coeff.a(targets)[:, None]
+    if kind == "Wp":
+        if family == "x":
+            return coeff.a(targets)[:, None] * lap("dp") / coeff.a(src)[None, :]
+        dlnadn = (coeff.grad_ln_a(targets) * normals).sum(1)
+        return lap("dp") - dlnadn[:, None] * lap("s")
+    raise ValueError(f"operator kind must be 'V', 'W' or 'Wp', got {kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# Direct-value boundary operators
-# ---------------------------------------------------------------------------
+def _laplace_blocks(curve: BoundaryCurve, targets=None, normals=None):
+    """The ``lap`` of ``_family_rows``; each block is built once per curve.
+
+    Without targets the blocks are the direct-value matrices on the curve;
+    at targets they are ``layer_matrix_at_targets`` rows, and "dp" is the
+    "gs" rows dotted with ``normals``.
+    """
+    def lap(kind):
+        if targets is None:
+            build = {"s": laplace.single_layer_matrix,
+                     "d": laplace.double_layer_matrix,
+                     "dp": laplace.adjoint_double_layer_matrix}[kind]
+            return curve.block_memo(kind, lambda: build(curve))
+        if kind == "dp":
+            return (lap("gs") * normals[:, None, :]).sum(-1)
+        return curve.block_memo(
+            (kind, targets.tobytes()),
+            lambda: laplace.layer_matrix_at_targets(curve, kind, targets))
+    return lap
+
 
 def single_layer_direct_matrix(curve: BoundaryCurve, coeff: Coefficient,
                                family: str) -> np.ndarray:
-    _check_family(family)
-    S = laplace.single_layer_matrix(curve)
-    a = coeff.a(curve.points)
-    if family == "x":
-        return S / a[None, :]
-    return S / a[:, None]
-
-
-def single_layer_direct(curve: BoundaryCurve, coeff: Coefficient, family: str,
-                        rho: BoundaryDensity) -> BoundaryDensity:
-    """Direct values of the single-layer operator at the curve nodes."""
-    _match(curve, rho)
-    M = single_layer_direct_matrix(curve, coeff, family)
-    return BoundaryDensity(curve, M @ rho.values)
+    """Direct values of the single-layer operator V at the curve nodes."""
+    return _family_rows(curve, coeff, family, "V", curve.points,
+                        curve.normals, _laplace_blocks(curve))
 
 
 def double_layer_direct_matrix(curve: BoundaryCurve, coeff: Coefficient,
                                family: str) -> np.ndarray:
-    _check_family(family)
-    D = laplace.double_layer_matrix(curve)
-    a = coeff.a(curve.points)
-    if family == "x":
-        S = laplace.single_layer_matrix(curve)
-        dlnadn = (coeff.grad_ln_a(curve.points) * curve.normals).sum(1)
-        return D - S * dlnadn[None, :]
-    return (D * a[None, :]) / a[:, None]
-
-
-def double_layer_direct(curve: BoundaryCurve, coeff: Coefficient, family: str,
-                        tau: BoundaryDensity) -> BoundaryDensity:
-    """Direct values of the double-layer operator at the curve nodes."""
-    _match(curve, tau)
-    M = double_layer_direct_matrix(curve, coeff, family)
-    return BoundaryDensity(curve, M @ tau.values)
+    """Direct values of the double-layer operator W at the curve nodes."""
+    return _family_rows(curve, coeff, family, "W", curve.points,
+                        curve.normals, _laplace_blocks(curve))
 
 
 def wprime_direct_matrix(curve: BoundaryCurve, coeff: Coefficient,
                          family: str) -> np.ndarray:
-    _check_family(family)
-    Wp = laplace.adjoint_double_layer_matrix(curve)
-    a = coeff.a(curve.points)
-    if family == "x":
-        return (a[:, None] * Wp) / a[None, :]
-    S = laplace.single_layer_matrix(curve)
-    dlnadn = (coeff.grad_ln_a(curve.points) * curve.normals).sum(1)
-    return Wp - dlnadn[:, None] * S
-
-
-def wprime_direct(curve: BoundaryCurve, coeff: Coefficient, family: str,
-                  rho: BoundaryDensity) -> BoundaryDensity:
     """Direct values of the conormal derivative of the single layer."""
-    _match(curve, rho)
-    M = wprime_direct_matrix(curve, coeff, family)
-    return BoundaryDensity(curve, M @ rho.values)
-
-
-# ---------------------------------------------------------------------------
-# Layer potentials away from the boundary
-# ---------------------------------------------------------------------------
-
-def _layer_rows(curve, coeff, family, kind, targets, near):
-    """Rows mapping nodal density values to "V" or "W" values at targets."""
-    def rows(laplace_kind):
-        return laplace.layer_matrix_at_targets(curve, laplace_kind, targets,
-                                               near)
-
-    if kind == "V":
-        if family == "x":
-            return rows("s") / coeff.a(curve.points)[None, :]
-        return rows("s") / coeff.a(targets)[:, None]
-    if kind == "W":
-        if family == "x":
-            dlnadn = (coeff.grad_ln_a(curve.points) * curve.normals).sum(1)
-            return rows("d") - rows("s") * dlnadn[None, :]
-        return (rows("d") * coeff.a(curve.points)[None, :]
-                / coeff.a(targets)[:, None])
-    raise ValueError(f"layer kind must be 'V' or 'W', got {kind!r}")
-
-
-def layer_eval_offboundary(curve: BoundaryCurve, coeff: Coefficient,
-                           family: str, kind: str, density: BoundaryDensity,
-                           targets) -> np.ndarray:
-    """Single ("V") or double ("W") layer potential at off-boundary targets.
-
-    Plain periodic-trapezoid evaluation; every target must keep a distance
-    of at least delta_near(curve) from the boundary.
-    """
-    _check_family(family)
-    _match(curve, density)
-    tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    d = curve.distance_to(tg)
-    dn = delta_near(curve)
-    if (d < dn).any():
-        raise laplace.QuadratureError(
-            f"target at distance {d.min():.3e} from the boundary; the plain "
-            f"rule requires at least {dn:.3e} - use direct values and jump "
-            "relations instead")
-    return _layer_rows(curve, coeff, family, kind, tg, near=False) @ density.values
+    return _family_rows(curve, coeff, family, "Wp", curve.points,
+                        curve.normals, _laplace_blocks(curve))
 
 
 def layer_eval_near(curve: BoundaryCurve, coeff: Coefficient, family: str,
                     kind: str, density: BoundaryDensity, targets) -> np.ndarray:
-    """Layer potential with automatic upsampling near the boundary."""
-    _check_family(family)
-    _match(curve, density)
+    """Single ("V") or double ("W") layer potential at off-boundary targets.
+
+    Targets near the curve get upsampled rows (``layer_matrix_at_targets``).
+    """
+    if kind not in ("V", "W"):
+        raise ValueError(f"layer kind must be 'V' or 'W', got {kind!r}")
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    return _layer_rows(curve, coeff, family, kind, tg, near=True) @ density.values
+    return _family_rows(curve, coeff, family, kind, tg, None,
+                        _laplace_blocks(curve, tg)) @ density.values
 
 
 def single_layer_matrix_at_targets(curve: BoundaryCurve, coeff: Coefficient,
                                    family: str, targets) -> np.ndarray:
     """Matrix sending nodal density values to single-layer values at targets."""
-    _check_family(family)
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    return _layer_rows(curve, coeff, family, "V", tg, near=True)
+    return _family_rows(curve, coeff, family, "V", tg, None,
+                        _laplace_blocks(curve, tg))
 
 
 def conormal_gradient_eval(curve: BoundaryCurve, coeff: Coefficient,
-                           family: str, kind: str, density: BoundaryDensity,
+                           family: str, density: BoundaryDensity,
                            targets, normals) -> np.ndarray:
-    """Conormal derivative a(y) grad . n of a layer potential at targets.
+    """Conormal derivative a(y) grad V rho . n at off-boundary targets.
 
     The normal is held fixed per target (the boundary normal of the point
     the targets approach); used by the jump-relation diagnostics.
     """
-    _check_family(family)
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
     nrm = np.atleast_2d(np.asarray(normals, dtype=float))
-    a_nodes = coeff.a(curve.points)
-    a_t = coeff.a(tg)
-    if kind != "V":
-        raise NotImplementedError("conormal evaluation is provided for V only")
-    if family == "x":
-        g = laplace.layer_eval(curve, "gs", density.values / a_nodes, tg, True)
-    else:
-        # a(y) * grad(S rho / a) . n = grad(S rho) . n - S rho * dln a/dn
-        g = laplace.layer_eval(curve, "gs", density.values, tg, True)
-        s = laplace.layer_eval(curve, "s", density.values, tg, True)
-        gl = coeff.grad_ln_a(tg)
-        return (g * nrm).sum(1) - s * (gl * nrm).sum(1)
-    return a_t * (g * nrm).sum(1)
+    return _family_rows(curve, coeff, family, "Wp", tg, nrm,
+                        _laplace_blocks(curve, tg, nrm)) @ density.values
 
 
 # ---------------------------------------------------------------------------

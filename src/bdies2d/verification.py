@@ -351,14 +351,14 @@ def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     h0 = 0.02 * diam
     for name, kind in (("jump_V", "V"), ("jump_W", "W"), ("jump_TV", "TV")):
         if kind == "V":
-            lim = potentials.single_layer_direct(curve, coeff, family,
-                                                 rho).values
+            lim = potentials.single_layer_direct_matrix(
+                curve, coeff, family) @ rho.values
         elif kind == "W":
-            lim = -0.5 * tau.values + potentials.double_layer_direct(
-                curve, coeff, family, tau).values
+            lim = -0.5 * tau.values + potentials.double_layer_direct_matrix(
+                curve, coeff, family) @ tau.values
         else:
-            lim = 0.5 * rho.values + potentials.wprime_direct(
-                curve, coeff, family, rho).values
+            lim = 0.5 * rho.values + potentials.wprime_direct_matrix(
+                curve, coeff, family) @ rho.values
         defect = 0.0
         for i in nodes:
             x0, nrm = curve.points[i], curve.normals[i]
@@ -371,7 +371,7 @@ def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
                                                   tau, targets)
             else:
                 vals = potentials.conormal_gradient_eval(
-                    curve, coeff, family, "V", rho, targets,
+                    curve, coeff, family, rho, targets,
                     np.broadcast_to(nrm, (3, 2)))
             extrap = (8 * vals[2] - 6 * vals[1] + vals[0]) / 3.0
             defect = max(defect, abs(extrap - lim[i]))
@@ -411,10 +411,10 @@ def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     check_nodes = [1, curve.n // 4]
     probe = c + np.array([[0.21, -0.08], [-0.05, 0.17]]) * diam
     for fam in potentials.FAMILIES:
-        for kind, op in (("V", potentials.single_layer_direct),
-                         ("W", potentials.double_layer_direct),
-                         ("Wp", potentials.wprime_direct)):
-            got = op(curve, coeff, fam, dens).values
+        for kind, op in (("V", potentials.single_layer_direct_matrix),
+                         ("W", potentials.double_layer_direct_matrix),
+                         ("Wp", potentials.wprime_direct_matrix)):
+            got = op(curve, coeff, fam) @ dens.values
             defect = max(abs(got[i] - direct_boundary_value(
                 curve, coeff, fam, kind, dens_fn, i)) for i in check_nodes)
             rep.add(f"relation_{kind}_direct_{fam}", defect, 1e-8)
@@ -479,14 +479,15 @@ class StudyReport:
 
 def solve_case(case: ManufacturedCase, spec: DomainSpec, family: str,
                n_boundary: int, n_t: int, n_s: int,
-               with_cond: bool = True):
+               with_cond: bool = True, allow_large_domain: bool = False):
     """Solve one manufactured problem; return (solution, StudyRow)."""
     t0 = time.perf_counter()
     curve = build_curve(spec, n_boundary)
     grid = build_domain_grid(spec, n_t, n_s)
     f = case.f_field_on(grid)
     phi0 = case.phi0_on(curve)
-    sol = solver.solve_bvp(curve, grid, case.coeff, family, f, phi0)
+    sol = solver.solve_bvp(curve, grid, case.coeff, family, f, phi0,
+                           allow_large_domain)
     seconds = time.perf_counter() - t0
 
     u_ex = case.u(grid.points)
@@ -506,13 +507,15 @@ def solve_case(case: ManufacturedCase, spec: DomainSpec, family: str,
 
 
 def convergence_study(case: ManufacturedCase, spec: DomainSpec, family: str,
-                      resolutions: Sequence[tuple], with_cond: bool = True) -> StudyReport:
+                      resolutions: Sequence[tuple], with_cond: bool = True,
+                      allow_large_domain: bool = False) -> StudyReport:
     """Errors against the exact solution across a resolution ladder."""
     if len(resolutions) < 1:
         raise ValueError("at least one resolution is required")
     report = StudyReport(case=case.name, family=family)
     for nb, nt, ns in resolutions:
-        _, row = solve_case(case, spec, family, nb, nt, ns, with_cond)
+        _, row = solve_case(case, spec, family, nb, nt, ns, with_cond,
+                            allow_large_domain)
         report.rows.append(row)
     for k in range(1, len(report.rows)):
         r0, r1 = report.rows[k - 1], report.rows[k]
@@ -524,14 +527,16 @@ def convergence_study(case: ManufacturedCase, spec: DomainSpec, family: str,
 
 
 def compare_families(case: ManufacturedCase, spec: DomainSpec,
-                     resolutions: Sequence[tuple]) -> dict:
+                     resolutions: Sequence[tuple],
+                     allow_large_domain: bool = False) -> dict:
     """Side-by-side studies for both parametrix families.
 
     The family-"y" system mirrors the solved one with the other kernel
     family; its report is emitted for comparison without acceptance
     thresholds.
     """
-    return {fam: convergence_study(case, spec, fam, resolutions)
+    return {fam: convergence_study(case, spec, fam, resolutions,
+                                   allow_large_domain=allow_large_domain)
             for fam in potentials.FAMILIES}
 
 

@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bdies2d.cli import CSV_HEADER, ConfigError, fmt17, load_config, main, run
 
@@ -85,6 +87,57 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
+
+
+STAR_VALIDATE = {
+    "command": "validate",
+    "domain": {"kind": "star", "center": [0.0, 0.0],
+               "cos_coeffs": [0.3, 0.0, 0.03]},
+    "coefficient": {"preset": "exponential", "direction": [1.0, 1.0]},
+    "resolutions": [{"n_boundary": 32, "n_t": 8, "n_s": 4}],
+    "output_dir": "out",
+    "allow_large_domain": False,
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8)
+
+
+def _field_paths(cfg):
+    """Every top-level key and every key of a nested object or list entry."""
+    for key, value in cfg.items():
+        yield (key,)
+        entries = value if isinstance(value, list) else [value]
+        for i, entry in enumerate(entries):
+            if isinstance(entry, dict):
+                index = (i,) if isinstance(value, list) else ()
+                yield from ((key, *index, k) for k in entry)
+
+
+FIELD_PATHS = ([(MINIMAL_SOLVE, p) for p in _field_paths(MINIMAL_SOLVE)]
+               + [(STAR_VALIDATE, p) for p in _field_paths(STAR_VALIDATE)])
+
+
+class TestConfigProperty:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
+    def test_any_field_value_loads_or_is_config_error(self, tmp_path, field,
+                                                      value):
+        base, path = field
+        cfg = json.loads(json.dumps(base))
+        owner = cfg
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        try:
+            loaded = load_config(write_config(tmp_path, cfg))
+        except ConfigError:
+            return
+        assert loaded.command == cfg["command"]
 
 
 class TestRunCommands:
@@ -195,6 +248,34 @@ class TestMain:
     def test_command_mismatch_exit_2(self, tmp_path):
         p = write_config(tmp_path, MINIMAL_SOLVE)
         assert main(["validate", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("change", [
+        {"domain": {"kind": "disk", "center": "ab", "radius": 0.4}},
+        {"domain": {"kind": "star", "cos_coeffs": "x"}},
+        {"domain": {"kind": "disk", "radius": float("nan")}},
+        {"domain": {"kind": "disk", "center": [float("inf"), 0.0],
+                    "radius": 0.4}},
+        {"domain": {"kind": "star", "cos_coeffs": [0.3, float("nan")]}},
+        {"resolutions": [5]},
+        {"resolutions": "abc"},
+        {"resolutions": {"n_boundary": 64, "n_t": 8.7, "n_s": 8}},
+        {"allow_large_domain": "no"},
+    ], ids=["center-string", "coeffs-string", "radius-nan", "center-inf",
+            "coeffs-nan", "resolution-int", "resolutions-string",
+            "count-float", "flag-string"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, change):
+        p = write_config(tmp_path, dict(MINIMAL_SOLVE, **change))
+        assert main(["solve", "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_large_domain_flag_solves(self, tmp_path):
+        p = write_config(tmp_path, dict(
+            MINIMAL_SOLVE, case="harmonic_linear", allow_large_domain=True,
+            domain={"kind": "disk", "center": [0.0, 0.0], "radius": 0.6},
+            resolutions={"n_boundary": 64, "n_t": 16, "n_s": 8}))
+        assert main(["solve", "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 class TestFormatting:

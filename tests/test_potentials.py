@@ -8,10 +8,11 @@ from bdies2d.coefficient import Coefficient, make_preset
 from bdies2d.geometry import (DomainSpec, adaptive_theta_count, build_curve,
                               build_domain_grid, polar_rule_for_target)
 from bdies2d.potentials import (BoundaryDensity, DomainField,
-                                conormal_derivative, double_layer_direct,
-                                layer_eval_offboundary, remainder_potential,
-                                single_layer_direct, volume_potential,
-                                wprime_direct)
+                                conormal_derivative,
+                                double_layer_direct_matrix, layer_eval_near,
+                                remainder_potential,
+                                single_layer_direct_matrix, volume_potential,
+                                wprime_direct_matrix)
 
 DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
 STAR = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.0, 0.06))
@@ -50,90 +51,90 @@ class TestDensities:
 class TestSingleLayer:
     def test_unit_density_circle(self, curve):
         rho = BoundaryDensity(curve, np.ones(64))
-        got = single_layer_direct(curve, A_ONE, "x", rho)
-        np.testing.assert_allclose(got.values, -0.4 * np.log(0.4), atol=1e-13)
+        got = single_layer_direct_matrix(curve, A_ONE, "x") @ rho.values
+        np.testing.assert_allclose(got, -0.4 * np.log(0.4), atol=1e-13)
 
     def test_constant_coefficient_scales(self, curve):
         rho = BoundaryDensity(curve, np.ones(64))
         a2 = make_preset("constant", value=2.0)
-        got = single_layer_direct(curve, a2, "x", rho)
-        np.testing.assert_allclose(got.values, -0.2 * np.log(0.4), atol=1e-13)
+        got = single_layer_direct_matrix(curve, a2, "x") @ rho.values
+        np.testing.assert_allclose(got, -0.2 * np.log(0.4), atol=1e-13)
 
     def test_cos_eigenrelation(self, curve):
         rho = BoundaryDensity(curve, np.cos(curve.t))
-        got = single_layer_direct(curve, A_ONE, "x", rho)
-        np.testing.assert_allclose(got.values, 0.2 * np.cos(curve.t),
+        got = single_layer_direct_matrix(curve, A_ONE, "x") @ rho.values
+        np.testing.assert_allclose(got, 0.2 * np.cos(curve.t),
                                    atol=1e-13)
 
     def test_families_coincide_for_constant(self, curve):
         rho = BoundaryDensity(curve, np.sin(2 * curve.t) + 0.5)
         a3 = make_preset("constant", value=3.0)
-        gx = single_layer_direct(curve, a3, "x", rho)
-        gy = single_layer_direct(curve, a3, "y", rho)
-        np.testing.assert_allclose(gx.values, gy.values, atol=1e-15)
+        gx = single_layer_direct_matrix(curve, a3, "x") @ rho.values
+        gy = single_layer_direct_matrix(curve, a3, "y") @ rho.values
+        np.testing.assert_allclose(gx, gy, atol=1e-15)
 
 
 class TestDoubleLayer:
     def test_unit_density_direct_value(self, curve):
         tau = BoundaryDensity(curve, np.ones(64))
-        got = double_layer_direct(curve, A_ONE, "x", tau)
-        np.testing.assert_allclose(got.values, -0.5, atol=1e-12)
+        got = double_layer_direct_matrix(curve, A_ONE, "x") @ tau.values
+        np.testing.assert_allclose(got, -0.5, atol=1e-12)
 
     def test_cos_mode_circle(self, curve):
         tau = BoundaryDensity(curve, np.cos(curve.t))
-        got = double_layer_direct(curve, A_ONE, "x", tau)
-        assert np.abs(got.values).max() < 1e-10
+        got = double_layer_direct_matrix(curve, A_ONE, "x") @ tau.values
+        assert np.abs(got).max() < 1e-10
 
     def test_variable_coefficient_relation(self, curve):
         # W tau = W_Delta tau - V_Delta(tau dln a/dn), checked cross-operator
         tau = BoundaryDensity(curve, np.ones(64))
-        got = double_layer_direct(curve, A_EXP, "x", tau)
+        got = double_layer_direct_matrix(curve, A_EXP, "x") @ tau.values
         dlnadn = (A_EXP.grad_ln_a(curve.points) * curve.normals).sum(1)
         wd = laplace.double_layer_matrix(curve) @ tau.values
         vd = laplace.single_layer_matrix(curve) @ dlnadn
-        np.testing.assert_allclose(got.values, wd - vd, atol=1e-10)
+        np.testing.assert_allclose(got, wd - vd, atol=1e-10)
 
 
 class TestWPrime:
     def test_unit_density_circle(self, curve):
         rho = BoundaryDensity(curve, np.ones(64))
-        got = wprime_direct(curve, A_ONE, "x", rho)
-        np.testing.assert_allclose(got.values, -0.5, atol=1e-12)
+        got = wprime_direct_matrix(curve, A_ONE, "x") @ rho.values
+        np.testing.assert_allclose(got, -0.5, atol=1e-12)
 
     def test_constant_coefficient_cancels(self, curve):
         rho = BoundaryDensity(curve, np.cos(2 * curve.t) + 0.1)
         a3 = make_preset("constant", value=3.0)
-        got = wprime_direct(curve, a3, "x", rho)
+        got = wprime_direct_matrix(curve, a3, "x") @ rho.values
         ref = laplace.adjoint_double_layer_matrix(curve) @ rho.values
-        np.testing.assert_allclose(got.values, ref, atol=1e-14)
+        np.testing.assert_allclose(got, ref, atol=1e-14)
 
     def test_cos_mode_circle(self, curve):
         rho = BoundaryDensity(curve, np.cos(curve.t))
-        got = wprime_direct(curve, A_ONE, "x", rho)
-        assert np.abs(got.values).max() < 1e-10
+        got = wprime_direct_matrix(curve, A_ONE, "x") @ rho.values
+        assert np.abs(got).max() < 1e-10
 
 
 class TestLayerEvalGuard:
-    def test_near_target_rejected(self, curve):
-        rho = BoundaryDensity(curve, np.ones(64))
-        near = [[0.4 - 0.1 * potentials.delta_near(curve), 0.0]]
-        with pytest.raises(laplace.QuadratureError):
-            layer_eval_offboundary(curve, A_ONE, "x", "V", rho, near)
-
-    def test_on_boundary_rejected(self, curve):
-        rho = BoundaryDensity(curve, np.ones(64))
-        with pytest.raises(laplace.QuadratureError):
-            layer_eval_offboundary(curve, A_ONE, "x", "V", rho, [[0.4, 0.0]])
-
     def test_interior_values(self, curve):
         rho = BoundaryDensity(curve, np.ones(64))
-        v = layer_eval_offboundary(curve, A_ONE, "x", "V", rho, [[0.0, 0.0]])
+        v = layer_eval_near(curve, A_ONE, "x", "V", rho, [[0.0, 0.0]])
         assert abs(v[0] - (-0.4 * np.log(0.4))) < 1e-13
-        w = layer_eval_offboundary(curve, A_ONE, "x", "W", rho, [[0.1, 0.0]])
+        w = layer_eval_near(curve, A_ONE, "x", "W", rho, [[0.1, 0.0]])
         assert abs(w[0] + 1.0) < 1e-12
-        w_out = layer_eval_offboundary(curve, A_ONE, "x", "W", rho,
-                                       [[1.0, 0.3]])
+        w_out = layer_eval_near(curve, A_ONE, "x", "W", rho, [[1.0, 0.3]])
         assert abs(w_out[0]) < 1e-12
+
+
+class TestLaplaceBlocks:
+    def test_blocks_built_once_and_read_only(self):
+        curve = build_curve(DISK, 32)
+        tg = np.array([[0.1, 0.0], [0.0, 0.39]])
+        for lap in (potentials._laplace_blocks(curve),
+                    potentials._laplace_blocks(curve, tg)):
+            block = lap("s")
+            assert lap("s") is block
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
 
 
 class TestVolumePotential:
@@ -300,4 +301,4 @@ class TestFamilyValidation:
     def test_unknown_family_rejected(self, curve):
         rho = BoundaryDensity(curve, np.ones(64))
         with pytest.raises(ValueError):
-            single_layer_direct(curve, A_ONE, "z", rho)
+            single_layer_direct_matrix(curve, A_ONE, "z") @ rho.values

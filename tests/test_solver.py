@@ -149,6 +149,26 @@ class TestSharedGeometry:
         solve_bvp(curve, grid, case.coeff, "y", f, phi0)
         assert len(calls) == grid.n_nodes + curve.n
 
+    def test_second_family_builds_no_laplace_blocks(self, monkeypatch):
+        # the Laplace blocks of family x serve family y on the same curve
+        from bdies2d import laplace
+        from bdies2d.verification import manufactured_case
+        curve, grid = build_curve(DISK, 32), build_domain_grid(DISK, 8, 4)
+        case = manufactured_case("exp_saddle")
+        f, phi0 = case.f_field_on(grid), case.phi0_on(curve)
+        calls = []
+        for name in ("single_layer_matrix", "layer_matrix_at_targets"):
+            def counted(*args, _build=getattr(laplace, name), _name=name,
+                        **kwargs):
+                calls.append(_name)
+                return _build(*args, **kwargs)
+            monkeypatch.setattr(laplace, name, counted)
+        solve_bvp(curve, grid, case.coeff, "x", f, phi0)
+        assert sorted(calls) == ["layer_matrix_at_targets"] * 2 + [
+            "single_layer_matrix"]
+        solve_bvp(curve, grid, case.coeff, "y", f, phi0)
+        assert len(calls) == 3
+
 
 class TestEvaluator:
     def test_unit_case_interior_value(self, unit_sol):
