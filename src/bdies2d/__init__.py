@@ -5,12 +5,12 @@ from .coefficient import Coefficient, CoefficientError, make_preset, validate_de
 from .geometry import (BoundaryCurve, DomainGrid, DomainSpec, GeometryError,
                        PolarRule, build_curve, build_domain_grid,
                        polar_rule_for_target)
-from .laplace import QuadratureError, laplace_kernel
-from .potentials import (BoundaryDensity, DomainField, conormal_derivative,
-                         delta_near, remainder_potential, volume_potential)
+from .laplace import QuadratureError
+from .potentials import (BoundaryDensity, DomainField, delta_near,
+                         remainder_potential, volume_potential)
 from .solver import (BdieSystem, DiameterError, DirichletSolution,
-                     assemble_rhs, assemble_system, evaluate_solution,
-                     solve_bvp, solve_dirichlet, third_green_residual)
+                     assemble_rhs, assemble_system, solve_bvp,
+                     solve_dirichlet, third_green_residual)
 from .verification import (ManufacturedCase, StudyReport, compare_families,
                            convergence_study, fd_oracle, identity_suite,
                            manufactured_case)
@@ -21,10 +21,8 @@ __all__ = [
     "DomainGrid", "DomainSpec", "GeometryError", "ManufacturedCase",
     "PolarRule", "QuadratureError", "StudyReport", "assemble_rhs",
     "assemble_system", "build_curve", "build_domain_grid",
-    "compare_families", "conormal_derivative", "convergence_study",
-    "delta_near", "evaluate_solution", "fd_oracle",
-    "identity_suite", "laplace_kernel",
-    "make_preset", "manufactured_case",
+    "compare_families", "convergence_study", "delta_near", "fd_oracle",
+    "identity_suite", "make_preset", "manufactured_case",
     "polar_rule_for_target", "remainder_potential",
     "solve_bvp", "solve_dirichlet", "third_green_residual",
     "validate_derivatives", "volume_potential",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -98,6 +97,7 @@ def load_config(path) -> RunConfig:
                                              "quadratic"):
             raise ConfigError("coefficient.preset must be constant, "
                               "exponential or quadratic")
+        _coefficient(coefficient)
     if command in ("solve", "study", "compare"):
         if case is None:
             raise ConfigError(f"command {command!r} needs a manufactured 'case' "
@@ -164,15 +164,17 @@ def _check_diameter(cfg: RunConfig):
             "projected system")
 
 
-def _coefficient(cfg: RunConfig):
+def _coefficient(c: dict):
     from .coefficient import make_preset
-    c = cfg.coefficient
-    kwargs = {}
-    if "value" in c:
-        kwargs["value"] = float(c["value"])
-    if "direction" in c:
-        kwargs["direction"] = tuple(c["direction"])
-    return make_preset(c["preset"], **kwargs)
+    try:
+        kwargs = {}
+        if "value" in c:
+            kwargs["value"] = float(c["value"])
+        if "direction" in c:
+            kwargs["direction"] = tuple(c["direction"])
+        return make_preset(c["preset"], **kwargs)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"invalid coefficient: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +286,7 @@ def _run_validate(cfg: RunConfig, out: Path) -> int:
 
     spec = _build_domain(cfg)
     if cfg.coefficient is not None:
-        coeff = _coefficient(cfg)
+        coeff = _coefficient(cfg.coefficient)
     else:
         coeff = verification.manufactured_case(cfg.case).coeff
     nb, nt, ns = cfg.resolutions[0] if cfg.resolutions else (128, 32, 12)
@@ -402,12 +404,6 @@ def run(cfg: RunConfig, out_dir=None) -> int:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("BDIES2D_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     parser = argparse.ArgumentParser(
         prog="bdies2d",
         description="Boundary-domain integral equation solver for the 2D "

@@ -35,8 +35,11 @@ def make_preset(name: str, *, value: float = 1.0, direction=(1.0, 1.0)) -> Coeff
     exponential a = exp(d . x) for direction d
     quadratic   a = 1 + x1^2
     """
+    c = float(value)
+    d = np.asarray(direction, dtype=float)
+    if not (np.isfinite(c) and np.isfinite(d).all()):
+        raise CoefficientError("coefficient value and direction must be finite")
     if name == "constant":
-        c = float(value)
         if c <= 0:
             raise CoefficientError("constant coefficient must be positive")
         return Coefficient(
@@ -48,7 +51,6 @@ def make_preset(name: str, *, value: float = 1.0, direction=(1.0, 1.0)) -> Coeff
             constant=True,
         )
     if name == "exponential":
-        d = np.asarray(direction, dtype=float)
         if d.shape != (2,):
             raise CoefficientError("exponential direction must be a 2-vector")
 

@@ -4,6 +4,9 @@ The domains handled here are star-shaped with respect to a center point:
 disks, and regions bounded by a smooth positive radial profile given as a
 cosine series.  Everything downstream (layer operators, volume potentials)
 consumes the objects built in this module and treats them as immutable.
+
+Domains, curves and grids each keep a private ``_cache`` of values that
+depend only on their geometry; ``cached`` is the one way to fill it.
 """
 
 from __future__ import annotations
@@ -17,6 +20,23 @@ import numpy as np
 
 class GeometryError(ValueError):
     """Invalid geometric input or a violated geometric precondition."""
+
+
+def cached(owner, key, build):
+    """Value ``build()`` kept in ``owner._cache`` under ``key``.
+
+    The owner (a domain, curve or grid) is immutable, so a value that
+    depends only on its geometry is built on first use and shared by every
+    coefficient, family and right-hand side after that.  Stored arrays are
+    read-only.
+    """
+    store = owner._cache
+    if key not in store:
+        value = build()
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        store[key] = value
+    return store[key]
 
 
 def _as_point(p) -> np.ndarray:
@@ -43,6 +63,7 @@ class DomainSpec:
     center: np.ndarray
     radius: float = 0.0
     cos_coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("disk", "star"):
@@ -98,16 +119,10 @@ class DomainSpec:
     def contains(self, point) -> bool:
         return bool(self.level(np.asarray(point, dtype=float)[None, :])[0] < 1.0)
 
-    def _memo(self, name: str, compute):
-        """Value of ``compute()`` computed once per (immutable) spec."""
-        if name not in self.__dict__:
-            object.__setattr__(self, name, compute())
-        return self.__dict__[name]
-
     def diameter(self) -> float:
         if self.kind == "disk":
             return 2.0 * self.radius
-        return self._memo("_diameter", self._sampled_diameter)
+        return cached(self, "diameter", self._sampled_diameter)
 
     def _sampled_diameter(self) -> float:
         th = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
@@ -123,7 +138,7 @@ class DomainSpec:
 
     def max_rho(self) -> float:
         """Largest radial profile value, sampled at 2048 angles."""
-        return self._memo("_max_rho", lambda: float(self.rho(
+        return cached(self, "max_rho", lambda: float(self.rho(
             np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)).max()))
 
     def area(self) -> float:
@@ -177,20 +192,7 @@ class BoundaryCurve:
     speeds: np.ndarray
     normals: np.ndarray
     curvatures: np.ndarray
-    _blocks: dict = field(default_factory=dict, init=False, repr=False)
-
-    def block_memo(self, key, build) -> np.ndarray:
-        """Geometry-only array ``build()``, built once per curve and kept.
-
-        The layer operators keep their Laplace blocks here, keyed by block
-        kind and, off the curve, by the target coordinates, so each block
-        is built once however many coefficients, families and right-hand
-        sides use it.  Stored arrays are read-only.
-        """
-        if key not in self._blocks:
-            self._blocks[key] = build()
-            self._blocks[key].flags.writeable = False
-        return self._blocks[key]
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def weights(self) -> np.ndarray:
@@ -339,22 +341,11 @@ class DomainGrid:
     points: np.ndarray           # (n_t*n_s, 2), index = j_t*n_s + k_s
     weights: np.ndarray
     _bary_w: np.ndarray
-    _targets: dict = field(default_factory=dict, init=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
         return self.n_t * self.n_s
-
-    def target_memo(self, y) -> dict:
-        """Store for geometry-only data about target y, kept with the grid.
-
-        Keyed by the target's coordinates; the volume operators keep each
-        target's polar rule and log-kernel row here, so they are built once
-        per grid however many coefficients, families and right-hand sides
-        use them.
-        """
-        return self._targets.setdefault(
-            np.asarray(y, dtype=float).tobytes(), {})
 
     def cardinal_matrices(self, points):
         """Angular and radial cardinal matrices (A, S) at arbitrary points.
@@ -431,7 +422,8 @@ BOUNDARY_LEVEL_TOL = 1e-9
 
 
 @lru_cache(maxsize=32)
-def _graded_radial_unit(panels: int, ratio: float, p: int):
+def _graded_unit_rule(panels: int, ratio: float, p: int):
+    """Nodes/weights for int_0^1 f(r) r dr with panels graded toward 0."""
     xg, wg = _gauss_01_cached(p)
     edges = np.empty(panels + 1)
     edges[panels] = 1.0
@@ -444,12 +436,6 @@ def _graded_radial_unit(panels: int, ratio: float, p: int):
     return r, w * r
 
 
-def _graded_radial(L: float, panels: int, ratio: float, p: int):
-    """Nodes/weights for int_0^L f(r) r dr with panels graded toward 0."""
-    r, w = _graded_radial_unit(panels, ratio, p)
-    return L * r, L * L * w
-
-
 def _scan_ladder(rmax: float) -> np.ndarray:
     """Radial sample ladder: log-spaced near 0 to catch short segments."""
     return np.concatenate([
@@ -459,10 +445,11 @@ def _scan_ladder(rmax: float) -> np.ndarray:
 
 
 def inside_segments(spec: DomainSpec, y, dirs: np.ndarray, rmax: float):
-    """Per direction, the r-intervals where y + r*dir lies inside.
+    """The r-intervals where y + r*dir lies inside, for every direction.
 
-    Returns a list (one entry per direction) of (a, b) pairs with
-    0 <= a < b.  Segment ends are located by bisection on the level
+    Returns arrays (ray, start, end): segment k covers [start[k], end[k]]
+    along direction ray[k], with 0 <= start < end, sorted by ray and then
+    by radius.  Segment ends are located by bisection on the level
     function; segments shorter than the scan resolution near rmax can be
     missed, but the ladder is logarithmic near 0 where short entering
     segments matter.
@@ -484,21 +471,19 @@ def inside_segments(spec: DomainSpec, y, dirs: np.ndarray, rmax: float):
         mid = 0.5 * (lo + hi)
         mid_inside = spec.level(y[None, :] + mid[:, None] * dirs[di]) < 1.0
         take_hi = mid_inside == entering
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
+        new_hi = np.where(take_hi, mid, hi)
+        new_lo = np.where(take_hi, lo, mid)
+        if np.array_equal(new_hi, hi) and np.array_equal(new_lo, lo):
+            break                       # every bracket has stopped moving
+        lo, hi = new_lo, new_hi
     cross = 0.5 * (lo + hi)
 
-    segments = [[] for _ in range(m)]
-    for k in range(m):
-        cs = cross[di == k]
-        start = 0.0 if inside[k, 0] else None
-        for c in cs:
-            if start is None:
-                start = c
-            else:
-                segments[k].append((start, float(c)))
-                start = None
-    return segments
+    # crossings alternate along a ray, and every ray ends outside, so each
+    # exit closes the segment opened by the previous crossing on its ray,
+    # or by the target itself when the ray starts inside
+    exits = np.nonzero(~entering)[0]
+    opened = (exits > 0) & (di[exits - 1] == di[exits])
+    return di[exits], np.where(opened, cross[exits - 1], 0.0), cross[exits]
 
 
 def _disk_extents(spec: DomainSpec, y: np.ndarray,
@@ -599,7 +584,7 @@ def _window_angles(alpha: float, n_theta: int):
 def _first_segment_rule(y, dirs, L, wtheta, n_r):
     """Graded rules on [0, L] per direction; r = L*r1, w = L^2*w1."""
     keep = L > 0.0
-    r1, w1 = _graded_radial(1.0, RADIAL_PANELS, RADIAL_RATIO, n_r)
+    r1, w1 = _graded_unit_rule(RADIAL_PANELS, RADIAL_RATIO, n_r)
     Lk = L[keep]
     pts = y[None, None, :] + (Lk[:, None] * r1[None, :])[:, :, None] \
         * dirs[keep][:, None, :]
@@ -641,22 +626,18 @@ def polar_rule_for_target(spec: DomainSpec, y, n_theta: int = 48,
 
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
-    off_target = []
     if spec.kind == "disk":
         L = _disk_extents(spec, y, dirs)
+        ray, a, b = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
     else:
         rmax = 2.1 * spec.max_rho() + float(np.linalg.norm(y - spec.center))
-        tiny = 1e-11 * rmax
+        ray, a, b = inside_segments(spec, y, dirs, rmax)
+        first = a <= 1e-11 * rmax       # segments that start at the target
         L = np.zeros(len(dirs))
-        for k, slist in enumerate(inside_segments(spec, y, dirs, rmax)):
-            for (a, b) in slist:
-                if a <= tiny:
-                    L[k] = b
-                else:
-                    off_target.append((k, a, b))
-    if not (L > 0.0).any() and not off_target:
+        L[ray[first]] = b[first]
+        ray, a, b = ray[~first], a[~first], b[~first]
+    if not (L > 0.0).any() and not len(ray):
         raise GeometryError("polar rule is empty: no ray enters the domain")
-    segs = np.array(off_target, dtype=float).reshape(-1, 3)
     return PolarRule(target=y, theta=theta, wtheta=wtheta, dirs=dirs,
-                     extents=L, seg_ray=segs[:, 0].astype(int),
-                     seg_ends=segs[:, 1:], n_r=n_r)
+                     extents=L, seg_ray=ray,
+                     seg_ends=np.stack([a, b], axis=1), n_r=n_r)

@@ -34,22 +34,6 @@ class QuadratureError(RuntimeError):
     """A quadrature rule was used outside its validity region."""
 
 
-def laplace_kernel(x, y):
-    """Fundamental-solution value and x-gradient at distinct points.
-
-    Returns (log|x-y|/2pi, (x-y)/(2pi |x-y|^2)).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = x - y
-    r2 = (d * d).sum(axis=-1)
-    if np.any(r2 == 0.0):
-        raise QuadratureError("laplace_kernel called with coincident points")
-    value = 0.5 * np.log(r2) / TWO_PI
-    grad_x = d / (TWO_PI * r2[..., None])
-    return value, grad_x
-
-
 # ---------------------------------------------------------------------------
 # Direct values on the curve
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ the integration point, family "y" by a at the target point.
 The surface operators V, W and W' are Laplace blocks (``laplace``) with
 the coefficient attached at the source or at the target; ``_family_rows``
 holds that rule for every boundary operator, on the curve and off it.
-The blocks depend only on the geometry, so each is built once per curve
-and kept with it (``BoundaryCurve.block_memo``), as each volume target's
-polar rule and log-kernel row are kept with the grid
-(``DomainGrid.target_memo``).  ``volume_potential_direct`` and
-``remainder_via_relation`` are independent paths for cross-validation.
+The volume operators integrate against the grid interpolant with each
+target's polar rule.  The Laplace blocks, the polar rules and the
+log-kernel rows depend only on the geometry, so ``geometry.cached`` keeps
+each with its curve or grid, built once and read-only.
+``volume_potential_direct`` and ``remainder_via_relation`` are independent
+paths for cross-validation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import laplace
 from .coefficient import Coefficient
 from .geometry import (BoundaryCurve, DomainGrid, adaptive_theta_count,
-                       polar_rule_for_target)
+                       cached, polar_rule_for_target)
 
 FAMILIES = ("x", "y")
 TWO_PI = 2.0 * np.pi
@@ -45,11 +46,10 @@ def delta_near(curve: BoundaryCurve) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryDensity:
-    """Nodal values on a boundary curve, optionally flagged zero-mean."""
+    """Nodal values on a boundary curve."""
 
     curve: BoundaryCurve
     values: np.ndarray
-    zero_mean: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -57,14 +57,6 @@ class BoundaryDensity:
             raise ValueError(
                 f"density has {v.shape} values for a curve with {self.curve.n} nodes")
         object.__setattr__(self, "values", v)
-        if self.zero_mean:
-            m = float(self.curve.weights @ v)
-            scale = max(float(np.abs(v).max()) * self.curve.length(), 1.0)
-            if abs(m) > 1e-12 * scale:
-                raise ValueError(f"zero-mean flag violated: weighted sum {m:.3e}")
-
-    def mean_against_one(self) -> float:
-        return float(self.curve.weights @ self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +124,11 @@ def _laplace_blocks(curve: BoundaryCurve, targets=None, normals=None):
             build = {"s": laplace.single_layer_matrix,
                      "d": laplace.double_layer_matrix,
                      "dp": laplace.adjoint_double_layer_matrix}[kind]
-            return curve.block_memo(kind, lambda: build(curve))
+            return cached(curve, kind, lambda: build(curve))
         if kind == "dp":
             return (lap("gs") * normals[:, None, :]).sum(-1)
-        return curve.block_memo(
-            (kind, targets.tobytes()),
+        return cached(
+            curve, (kind, targets.tobytes()),
             lambda: laplace.layer_matrix_at_targets(curve, kind, targets))
     return lap
 
@@ -216,14 +208,13 @@ def _rule_params(grid: DomainGrid):
     return base, p
 
 
-def _target(grid: DomainGrid, y) -> dict:
-    """The grid's memo for target y, with the target's polar rule filled in."""
-    memo = grid.target_memo(y)
-    if "rule" not in memo:
+def _rule(grid: DomainGrid, y):
+    """Target y's polar rule, built once per grid."""
+    def build():
         base, p = _rule_params(grid)
         nth = adaptive_theta_count(grid.spec, y, base=base)
-        memo["rule"] = polar_rule_for_target(grid.spec, y, n_theta=nth, n_r=p)
-    return memo
+        return polar_rule_for_target(grid.spec, y, n_theta=nth, n_r=p)
+    return cached(grid, ("rule", np.asarray(y, dtype=float).tobytes()), build)
 
 
 def _log_kernel(pts, y):
@@ -272,7 +263,7 @@ def volume_potential_direct(grid: DomainGrid, coeff: Coefficient, family: str,
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
     out = np.empty(len(tg))
     for i, y in enumerate(tg):
-        pts, w = _target(grid, y)["rule"].nodes()
+        pts, w = _rule(grid, y).nodes()
         ker = _log_kernel(pts, y)
         if family == "x":
             ker = ker / coeff.a(pts)
@@ -294,14 +285,11 @@ def remainder_rows(grid: DomainGrid, coeff: Coefficient, family: str,
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
     rows = np.empty((len(tg), grid.n_nodes))
     for i, y in enumerate(tg):
-        memo = _target(grid, y)
-        pts, w = memo["rule"].nodes()
+        pts, w = _rule(grid, y).nodes()
         A, S = grid.cardinal_matrices(pts)
         kv = w * _remainder_kernel(pts, y, coeff, family)
         rows[i] = grid.interpolation_row(kv, A, S)
-        if "log_row" not in memo:
-            memo["log_row"] = grid.interpolation_row(w * _log_kernel(pts, y),
-                                                     A, S)
+        _log_row(grid, y, (pts, w, A, S))
     return rows
 
 
@@ -346,32 +334,23 @@ def remainder_via_relation(grid: DomainGrid, coeff: Coefficient, family: str,
     return -div / coeff.a(tg)
 
 
-def _log_row(grid: DomainGrid, y) -> np.ndarray:
-    """Row r with r . v = (1/2pi) int log|x - y| v(x) dx, v's interpolant."""
-    memo = _target(grid, y)
-    if "log_row" not in memo:
-        pts, w = memo["rule"].nodes()
-        A, S = grid.cardinal_matrices(pts)
-        memo["log_row"] = grid.interpolation_row(w * _log_kernel(pts, y), A, S)
-    return memo["log_row"]
+def _log_row(grid: DomainGrid, y, quad=None) -> np.ndarray:
+    """Row r with r . v = (1/2pi) int log|x - y| v(x) dx, v's interpolant.
+
+    Built once per grid and target.  ``quad`` is the rule's nodes, weights
+    and cardinal matrices (pts, w, A, S) when the caller already has them.
+    """
+    def build():
+        if quad is None:
+            pts, w = _rule(grid, y).nodes()
+            A, S = grid.cardinal_matrices(pts)
+        else:
+            pts, w, A, S = quad
+        return grid.interpolation_row(w * _log_kernel(pts, y), A, S)
+    return cached(grid, ("log_row", np.asarray(y, dtype=float).tobytes()),
+                  build)
 
 
 def _log_potential(grid: DomainGrid, dens_values, targets) -> np.ndarray:
     v = np.asarray(dens_values, dtype=float)
     return np.array([_log_row(grid, y) @ v for y in targets], dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# Conormal derivative of a field
-# ---------------------------------------------------------------------------
-
-def conormal_derivative(coeff: Coefficient, point, gradient, normal) -> float:
-    """Flux a(x) (grad u . n) of a field with the given boundary gradient."""
-    p = np.asarray(point, dtype=float)
-    g = np.asarray(gradient, dtype=float)
-    n = np.asarray(normal, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gradient must be finite")
-    if abs(np.linalg.norm(n) - 1.0) > 1e-10:
-        raise ValueError("normal must be a unit vector")
-    return float(coeff.a(p[None, :])[0] * (g @ n))

@@ -44,8 +44,6 @@ class BdieSystem:
     rhs: Optional[np.ndarray] = None
     f: Optional[DomainField] = None
     phi0: Optional[BoundaryDensity] = None
-    f0_grid: Optional[np.ndarray] = None
-    f0_trace: Optional[np.ndarray] = None
     _svals: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -76,15 +74,14 @@ class BdieSystem:
 
     def with_data(self, f: DomainField, phi0: BoundaryDensity) -> "BdieSystem":
         """Attach Dirichlet data and source, building the right-hand side."""
-        f0_grid, f0_trace = assemble_rhs(self.curve, self.grid, self.coeff,
-                                         self.family, f, phi0)
-        rhs = np.concatenate([f0_grid, f0_trace - phi0.values])
+        rhs_grid, rhs_trace = assemble_rhs(self.curve, self.grid, self.coeff,
+                                           self.family, f, phi0)
+        rhs = np.concatenate([rhs_grid, rhs_trace - phi0.values])
         if self.projected:
             rhs = np.concatenate([rhs, [0.0]])
         new = BdieSystem(curve=self.curve, grid=self.grid, coeff=self.coeff,
                          family=self.family, matrix=self.matrix,
-                         projected=self.projected, rhs=rhs, f=f, phi0=phi0,
-                         f0_grid=f0_grid, f0_trace=f0_trace)
+                         projected=self.projected, rhs=rhs, f=f, phi0=phi0)
         new._svals = self._svals
         return new
 
@@ -154,9 +151,9 @@ def assemble_rhs(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     w_grid = potentials.layer_eval_near(curve, coeff, family, "W", phi0, tg)
     W_dir = potentials.double_layer_direct_matrix(curve, coeff, family)
     # trace(W tau) = -tau/2 + W_dir tau from the interior jump relation
-    f0_grid = pf_grid - w_grid
-    f0_trace = pf_trace + 0.5 * phi0.values - W_dir @ phi0.values
-    return f0_grid, f0_trace
+    rhs_grid = pf_grid - w_grid
+    rhs_trace = pf_trace + 0.5 * phi0.values - W_dir @ phi0.values
+    return rhs_grid, rhs_trace
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,11 +223,6 @@ def solve_bvp(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     """Assemble and solve in one step."""
     system = assemble_system(curve, grid, coeff, family, allow_large_domain)
     return solve_dirichlet(system.with_data(f, phi0))
-
-
-def evaluate_solution(sol: DirichletSolution, y) -> float:
-    """Value of the solved field at one interior point."""
-    return float(sol.evaluate(np.asarray(y, dtype=float)[None, :])[0])
 
 
 def third_green_residual(u: DomainField, psi: BoundaryDensity, f: DomainField,

@@ -335,7 +335,7 @@ def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
         vol_grid = grid
 
     # (i) Gauss identity triple for the constant-coefficient double layer
-    Wd = laplace.double_layer_matrix(curve)
+    Wd = potentials._laplace_blocks(curve)("d")
     rep.add("gauss_direct_value", np.abs(Wd.sum(1) + 0.5).max(), 1e-10)
     probe_in = c + np.array([[0.1, 0.05], [-0.12, 0.03], [0.0, -0.15]]) * diam
     probe_out = c + np.array([[1.5, 0.2], [-1.1, -1.2]]) * diam

@@ -260,12 +260,27 @@ class TestMain:
         {"resolutions": "abc"},
         {"resolutions": {"n_boundary": 64, "n_t": 8.7, "n_s": 8}},
         {"allow_large_domain": "no"},
+        {"command": "validate",
+         "coefficient": {"preset": "constant", "value": "x"}},
+        {"command": "validate",
+         "coefficient": {"preset": "constant", "value": -1}},
+        {"command": "validate",
+         "coefficient": {"preset": "constant", "value": float("nan")}},
+        {"command": "validate",
+         "coefficient": {"preset": "exponential", "direction": [1]}},
+        {"command": "validate",
+         "coefficient": {"preset": "exponential", "direction": "ab"}},
+        {"command": "validate",
+         "coefficient": {"preset": "exponential", "direction": [1e400, 0]}},
     ], ids=["center-string", "coeffs-string", "radius-nan", "center-inf",
             "coeffs-nan", "resolution-int", "resolutions-string",
-            "count-float", "flag-string"])
+            "count-float", "flag-string", "value-string", "value-negative",
+            "value-nan", "direction-short", "direction-string",
+            "direction-inf"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, change):
-        p = write_config(tmp_path, dict(MINIMAL_SOLVE, **change))
-        assert main(["solve", "--config", str(p),
+        cfg = dict(MINIMAL_SOLVE, **change)
+        p = write_config(tmp_path, cfg)
+        assert main([cfg["command"], "--config", str(p),
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bdies2d.geometry import (DomainSpec, GeometryError, build_curve,
-                              build_domain_grid, gauss_01,
+                              build_domain_grid, gauss_01, inside_segments,
                               polar_rule_for_target, trig_cardinal_rows)
 
 DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
@@ -142,6 +142,32 @@ class TestPolarRule:
     def test_exterior_target_rejected(self):
         with pytest.raises(GeometryError):
             polar_rule_for_target(DISK, [0.5, 0.0], 32, 8)
+
+    def test_inside_segments_on_nonconvex_star(self):
+        spec = DomainSpec("star", center=(0.0, 0.0),
+                          cos_coeffs=(0.3, 0.05, 0.0, 0.0, 0.0, 0.08))
+        th = 2 * np.pi * np.arange(96) / 96
+        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+        targets = np.concatenate([build_domain_grid(spec, 8, 4).points,
+                                  spec.boundary_point(th[::12])])
+        rays_with_gaps = 0
+        for y in targets:
+            rmax = 2.1 * spec.max_rho() + np.linalg.norm(y)
+            ray, a, b = inside_segments(spec, y, dirs, rmax)
+            assert np.all((0.0 <= a) & (a < b))
+
+            def level(r, k):
+                return spec.level(y + r[:, None] * dirs[k])
+
+            assert np.all(level(0.5 * (a + b), ray) < 1.0)
+            gap = ray[1:] == ray[:-1]
+            assert np.all(level(0.5 * (b[:-1] + a[1:])[gap],
+                                ray[1:][gap]) > 1.0)
+            ends = np.concatenate([a[a > 0], b])
+            on = np.concatenate([ray[a > 0], ray])
+            assert np.all(np.abs(level(ends, on) - 1.0) <= 1e-12)
+            rays_with_gaps += gap.sum()
+        assert rays_with_gaps > 0
 
     def test_agrees_with_grid_rule_on_cubics(self):
         grid = build_domain_grid(DISK, 32, 12)

@@ -33,21 +33,6 @@ def plain_reference(fine_curve, kind, density, targets):
                               targets, near=False)
 
 
-class TestKernel:
-    def test_value_zero_at_unit_distance(self):
-        v, _ = laplace.laplace_kernel([1.0, 0.0], [0.0, 0.0])
-        assert v == 0.0
-
-    def test_frozen_values(self):
-        v, g = laplace.laplace_kernel([0.5, 0.0], [0.0, 0.0])
-        assert abs(v - np.log(0.5) / (2 * np.pi)) < 1e-16
-        np.testing.assert_allclose(g, [1.0 / np.pi, 0.0], rtol=1e-15)
-
-    def test_coincident_points_raise(self):
-        with pytest.raises(laplace.QuadratureError):
-            laplace.laplace_kernel([0.1, 0.2], [0.1, 0.2])
-
-
 class TestDirectValues:
     def test_single_layer_unit_density(self, circle64):
         S = laplace.single_layer_matrix(circle64)

@@ -8,7 +8,6 @@ from bdies2d.coefficient import Coefficient, make_preset
 from bdies2d.geometry import (DomainSpec, adaptive_theta_count, build_curve,
                               build_domain_grid, polar_rule_for_target)
 from bdies2d.potentials import (BoundaryDensity, DomainField,
-                                conormal_derivative,
                                 double_layer_direct_matrix, layer_eval_near,
                                 remainder_potential,
                                 single_layer_direct_matrix, volume_potential,
@@ -32,12 +31,6 @@ def grid():
 
 
 class TestDensities:
-    def test_zero_mean_flag_validated(self, curve):
-        ok = BoundaryDensity(curve, np.cos(curve.t), zero_mean=True)
-        assert abs(ok.mean_against_one()) < 1e-12
-        with pytest.raises(ValueError):
-            BoundaryDensity(curve, np.cos(curve.t) + 1.0, zero_mean=True)
-
     def test_node_count_mismatch(self, curve):
         with pytest.raises(ValueError):
             BoundaryDensity(curve, np.ones(17))
@@ -129,12 +122,13 @@ class TestLaplaceBlocks:
     def test_blocks_built_once_and_read_only(self):
         curve = build_curve(DISK, 32)
         tg = np.array([[0.1, 0.0], [0.0, 0.39]])
-        for lap in (potentials._laplace_blocks(curve),
-                    potentials._laplace_blocks(curve, tg)):
-            block = lap("s")
-            assert lap("s") is block
-            with pytest.raises(ValueError):
-                block[0, 0] = 1.0
+        for lap, kinds in ((potentials._laplace_blocks(curve), "s d dp"),
+                           (potentials._laplace_blocks(curve, tg), "s d gs")):
+            for kind in kinds.split():
+                block = lap(kind)
+                assert lap(kind) is block
+                with pytest.raises(ValueError):
+                    block[0, 0] = 1.0
 
 
 class TestVolumePotential:
@@ -179,8 +173,8 @@ class TestTargetCache:
     def test_cached_rule_equals_fresh_rule(self, spec, y):
         grid = build_domain_grid(spec, 16, 8)
         y = np.array(y)
-        cached = potentials._target(grid, y)["rule"]
-        assert potentials._target(grid, y)["rule"] is cached
+        cached = potentials._rule(grid, y)
+        assert potentials._rule(grid, y) is cached
         base, n_r = potentials._rule_params(grid)
         fresh = polar_rule_for_target(
             spec, y, n_theta=adaptive_theta_count(spec, y, base=base), n_r=n_r)
@@ -193,7 +187,7 @@ def _einsum_log_potential(grid, values, targets):
     U = np.asarray(values, dtype=float).reshape(grid.n_t, grid.n_s)
     out = []
     for y in targets:
-        pts, w = potentials._target(grid, y)["rule"].nodes()
+        pts, w = potentials._rule(grid, y).nodes()
         r2 = ((pts - y) ** 2).sum(1)
         kv = w * 0.5 * np.log(r2) / (2 * np.pi)
         A, S = grid.cardinal_matrices(pts)
@@ -223,10 +217,14 @@ class TestVolumeRows:
         grid = build_domain_grid(DISK, 16, 8)
         tg = grid.points[:5]
         potentials.remainder_rows(grid, A_QUAD, "x", tg)
+        assert set(grid._cache) == {(kind, y.tobytes()) for y in tg
+                                    for kind in ("rule", "log_row")}
         for y in tg:
-            memo = grid.target_memo(y)
-            assert set(memo) == {"rule", "log_row"}
-            assert memo["log_row"].shape == (grid.n_nodes,)
+            row = grid._cache[("log_row", y.tobytes())]
+            assert row.shape == (grid.n_nodes,)
+            assert potentials._log_row(grid, y) is row
+            with pytest.raises(ValueError):
+                row[0] = 1.0
 
 
 class TestRemainder:
@@ -272,29 +270,6 @@ class TestRemainder:
             a = remainder_potential(grid, A_QUAD, fam, f, tg)
             b = potentials.remainder_via_relation(grid, A_QUAD, fam, f, tg)
             assert np.abs(a - b).max() < 1e-6
-
-
-class TestConormal:
-    def test_harmonic_linear_on_circle(self):
-        got = conormal_derivative(A_ONE, [0.4, 0.0], [1.0, 0.0], [1.0, 0.0])
-        assert got == 1.0
-
-    def test_constant_field(self):
-        got = conormal_derivative(A_EXP, [0.4, 0.0], [0.0, 0.0], [1.0, 0.0])
-        assert got == 0.0
-
-    def test_exponential_saddle(self):
-        # a = e^(x1+x2), u = x1^2 - x2^2 at (0.4, 0): e^0.4 * 0.8
-        got = conormal_derivative(A_EXP, [0.4, 0.0], [0.8, 0.0], [1.0, 0.0])
-        assert abs(got - np.exp(0.4) * 0.8) < 1e-14
-
-    def test_bad_normal_rejected(self):
-        with pytest.raises(ValueError):
-            conormal_derivative(A_ONE, [0.4, 0.0], [1.0, 0.0], [1.0, 1.0])
-
-    def test_nonfinite_gradient_rejected(self):
-        with pytest.raises(ValueError):
-            conormal_derivative(A_ONE, [0.4, 0.0], [np.nan, 0.0], [1.0, 0.0])
 
 
 class TestFamilyValidation:

@@ -8,8 +8,7 @@ from bdies2d.coefficient import make_preset
 from bdies2d.geometry import DomainSpec, GeometryError, build_curve, build_domain_grid
 from bdies2d.potentials import BoundaryDensity, DomainField, delta_near
 from bdies2d.solver import (DiameterError, assemble_rhs, assemble_system,
-                            evaluate_solution, solve_bvp, solve_dirichlet,
-                            third_green_residual)
+                            solve_bvp, solve_dirichlet, third_green_residual)
 
 DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
 A_ONE = make_preset("constant", value=1.0)
@@ -57,7 +56,7 @@ class TestAssembly:
         sol = solve_bvp(curve, grid, A_ONE, "x", f, phi0,
                         allow_large_domain=True)
         assert np.abs(sol.u.values - case_u(grid.points)).max() < 1e-6
-        assert abs(sol.psi.mean_against_one()) < 1e-10
+        assert abs(curve.weights @ sol.psi.values) < 1e-10
 
     def test_condition_diagnostics(self, geo):
         curve, grid = geo
@@ -72,15 +71,15 @@ class TestRhs:
         curve, grid = geo_fine
         f = DomainField(grid, np.zeros(grid.n_nodes))
         phi0 = BoundaryDensity(curve, np.ones(curve.n))
-        f0_grid, f0_trace = assemble_rhs(curve, grid, A_ONE, "x", f, phi0)
-        np.testing.assert_allclose(f0_grid, 1.0, atol=1e-10)
-        np.testing.assert_allclose(f0_trace, 1.0, atol=1e-10)
+        rhs_grid, rhs_trace = assemble_rhs(curve, grid, A_ONE, "x", f, phi0)
+        np.testing.assert_allclose(rhs_grid, 1.0, atol=1e-10)
+        np.testing.assert_allclose(rhs_trace, 1.0, atol=1e-10)
 
     def test_zero_data_zero_rhs(self, geo):
         curve, grid = geo
         f, phi0 = _zero_data(curve, grid)
-        f0_grid, f0_trace = assemble_rhs(curve, grid, A_EXP, "x", f, phi0)
-        assert np.all(f0_grid == 0.0) and np.all(f0_trace == 0.0)
+        rhs_grid, rhs_trace = assemble_rhs(curve, grid, A_EXP, "x", f, phi0)
+        assert np.all(rhs_grid == 0.0) and np.all(rhs_trace == 0.0)
 
 
 class TestSolve:
@@ -172,7 +171,7 @@ class TestSharedGeometry:
 
 class TestEvaluator:
     def test_unit_case_interior_value(self, unit_sol):
-        assert abs(evaluate_solution(unit_sol, [0.1, 0.05]) - 1.0) < 1e-6
+        assert abs(unit_sol.evaluate([[0.1, 0.05]])[0] - 1.0) < 1e-6
 
     def test_reproduces_nodal_values(self, unit_sol):
         grid = unit_sol.system.grid
@@ -183,11 +182,11 @@ class TestEvaluator:
         curve = unit_sol.system.curve
         y = [0.4 - 0.1 * delta_near(curve), 0.0]
         with pytest.raises(GeometryError, match="distance"):
-            evaluate_solution(unit_sol, y)
+            unit_sol.evaluate([y])[0]
 
     def test_exterior_target_rejected(self, unit_sol):
         with pytest.raises(GeometryError, match="outside"):
-            evaluate_solution(unit_sol, [0.5, 0.0])
+            unit_sol.evaluate([[0.5, 0.0]])[0]
 
 
 @pytest.fixture(scope="module")
@@ -208,12 +207,12 @@ class TestManufacturedEvaluation:
 
     def test_center_value_by_symmetry(self, exp_sol):
         _, sol = exp_sol
-        assert abs(evaluate_solution(sol, [0.0, 0.0])) < 1e-5
+        assert abs(sol.evaluate([[0.0, 0.0]])[0]) < 1e-5
 
     def test_interior_point_closed_form(self, exp_sol):
         # u(0.2, 0.1) = 0.04 - 0.01 = 0.03
         _, sol = exp_sol
-        assert abs(evaluate_solution(sol, [0.2, 0.1]) - 0.03) < 1e-4
+        assert abs(sol.evaluate([[0.2, 0.1]])[0] - 0.03) < 1e-4
 
 
 class TestThirdGreenIdentity:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bdies2d import laplace
 from bdies2d import verification as V
 from bdies2d.coefficient import make_preset
 from bdies2d.geometry import DomainSpec, build_curve, build_domain_grid
@@ -96,6 +97,30 @@ class TestIdentitySuite:
             for op in ("V", "W", "Wp", "P", "R"):
                 assert any(n.startswith(f"relation_{op}_")
                            and n.endswith(f"_{fam}") for n in names), (op, fam)
+
+    def test_geometry_built_once_per_curve_and_spec(self, monkeypatch):
+        # the Gauss check reads the curve's stored double layer, and the
+        # star's sampled diameter is kept with its spec
+        calls = []
+
+        def counting(owner, name):
+            build = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return build(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(laplace, "double_layer_matrix")
+        counting(DomainSpec, "_sampled_diameter")
+        spec = DomainSpec("star", center=(0.0, 0.0),
+                          cos_coeffs=(0.3, 0.0, 0.03))
+        curve = build_curve(spec, 32)
+        grid = build_domain_grid(spec, 8, 4)
+        coeff = make_preset("quadratic")
+        assemble_system(curve, grid, coeff, "x")
+        V.identity_suite(curve, grid, coeff, "x")
+        assert sorted(calls) == ["_sampled_diameter", "double_layer_matrix"]
 
     def test_constant_coefficient_reduction(self):
         curve = build_curve(DISK, 64)
