@@ -289,6 +289,10 @@ def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     return w / np.abs(w).max()
 
 
+#: Angular distance from a node below which a point counts as on the node.
+ON_NODE_TOL = 1e-14
+
+
 def trig_cardinal_rows(theta, n: int) -> np.ndarray:
     """Cardinal matrix A[m, j] = cardinal_j(theta_m) for n equispaced nodes.
 
@@ -296,9 +300,12 @@ def trig_cardinal_rows(theta, n: int) -> np.ndarray:
     (n even).  This uses its barycentric cotangent form: A is the
     row-normalized array of (-1)^j cot((theta_m - t_j)/2).  The
     cotangent difference is expanded through the addition formula so the
-    only transcendental work is one tangent per evaluation point.
+    only transcendental work is one tangent per evaluation point.  A point
+    within ON_NODE_TOL of a node gets that node's unit row.
     """
     th = np.asarray(theta, dtype=float)
+    k = np.rint(th * (n / (2 * np.pi)))
+    on_node = np.abs(th - (2 * np.pi / n) * k) <= ON_NODE_TOL
     half = 0.5 * th
     with np.errstate(divide="ignore", invalid="ignore"):
         cu = 1.0 / np.tan(half)                      # cot(theta_m / 2)
@@ -309,18 +316,10 @@ def trig_cardinal_rows(theta, n: int) -> np.ndarray:
         num[:, 0] = cu
         den[:, 0] = 1.0
         c = num / den
-    c *= 1.0 - 2.0 * (np.arange(n) % 2)[None, :]
-    bad = ~np.isfinite(c)
-    if bad.any():
-        rows = bad.any(axis=1)
-        c[rows] = 0.0
-        c[bad] = 1e300
-    big = np.abs(c) > 1e13
-    A = c / c.sum(axis=1, keepdims=True)
-    hit = big.any(axis=1)
-    if hit.any():
-        A[hit] = 0.0
-        A[hit, np.argmax(big[hit], axis=1)] = 1.0
+        c *= 1.0 - 2.0 * (np.arange(n) % 2)[None, :]
+        A = c / c.sum(axis=1, keepdims=True)
+    A[on_node] = 0.0
+    A[on_node, k[on_node].astype(int) % n] = 1.0
     return A
 
 
@@ -351,7 +350,9 @@ class DomainGrid:
         """Angular and radial cardinal matrices (A, S) at arbitrary points.
 
         The interpolated value at point m of nodal data U (shape n_t x n_s)
-        is ``einsum('mj,jk,mk->m', A, U, S)``.
+        is ``((A @ U) * S).sum(1)[m]``.  A rotation of the points by whole
+        grid angular steps that maps the domain onto itself rolls the
+        columns of A and leaves S unchanged.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float)) - self.spec.center
         th = np.arctan2(pts[:, 1], pts[:, 0])
@@ -376,15 +377,22 @@ class DomainGrid:
         """Evaluate the grid interpolant of nodal values at points."""
         A, S = self.cardinal_matrices(points)
         U = np.asarray(values, dtype=float).reshape(self.n_t, self.n_s)
-        return np.einsum("mj,jk,mk->m", A, U, S)
+        return ((A @ U) * S).sum(1)
 
     def interpolation_row(self, weighted_values, A, S) -> np.ndarray:
         """Contract quadrature data against cardinal matrices.
 
         Returns the length-n_nodes row r with r . u = sum_m weighted_values_m
-        * interp(u)(point_m), for the points behind (A, S).
+        * interp(u)(point_m), for the points behind (A, S).  Weighted values
+        of shape (k, m) give k rows, contracted in one GEMM
+        ``A.T @ (w * S)`` whose temporary has k * n_s columns.
         """
-        return ((A * weighted_values[:, None]).T @ S).ravel()
+        kv = np.atleast_2d(weighted_values)
+        k, n_s = len(kv), S.shape[1]
+        B = (kv.T[:, :, None] * S[:, None, :]).reshape(len(S), k * n_s)
+        rows = (A.T @ B).reshape(self.n_t, k, n_s).transpose(1, 0, 2)
+        rows = rows.reshape(k, self.n_nodes)
+        return rows[0] if np.ndim(weighted_values) == 1 else rows
 
 
 def build_domain_grid(spec: DomainSpec, n_t: int, n_s: int) -> DomainGrid:
@@ -597,9 +605,12 @@ def polar_rule_for_target(spec: DomainSpec, y, n_theta: int = 48,
     """Polar quadrature rule centered at y (interior or on the boundary).
 
     ``n_theta`` is the angular node count; ``n_r`` the Gauss count per
-    radial panel (RADIAL_PANELS panels graded toward the target).  Boundary
-    targets get width-pi angular windows about the interior normal with a
-    smoothstep substitution clustered at the tangential directions.  On
+    radial panel (RADIAL_PANELS panels graded toward the target).  Interior
+    targets get equispaced angles anchored at y's polar angle about the
+    center, and boundary targets get width-pi angular windows about the
+    interior normal with a smoothstep substitution clustered at the
+    tangential directions.  Either way, a rotation about the center that
+    maps the domain onto itself maps y's rule onto its image's rule.  On
     star profiles every ray is integrated over all of its inside segments,
     so regions not visible from the target along a first crossing are
     still covered.
@@ -610,10 +621,10 @@ def polar_rule_for_target(spec: DomainSpec, y, n_theta: int = 48,
         raise GeometryError("polar rule target lies outside the domain")
     on_boundary = lev >= 1.0 - BOUNDARY_LEVEL_TOL
 
+    d = y - spec.center
+    phi = float(np.arctan2(d[1], d[0]))
     if on_boundary:
-        d = y - spec.center
-        tb = np.arctan2(d[1], d[0])
-        nin = -spec.boundary_normal(tb)
+        nin = -spec.boundary_normal(phi)
         alpha = float(np.arctan2(nin[1], nin[0]))
         theta, wtheta = _window_angles(alpha, n_theta)
         if spec.kind == "star":
@@ -621,7 +632,7 @@ def polar_rule_for_target(spec: DomainSpec, y, n_theta: int = 48,
             theta = np.concatenate([theta, th2])
             wtheta = np.concatenate([wtheta, wt2])
     else:
-        theta = 2 * np.pi * np.arange(n_theta) / n_theta
+        theta = phi + 2 * np.pi * np.arange(n_theta) / n_theta
         wtheta = np.full(n_theta, 2 * np.pi / n_theta)
 
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)

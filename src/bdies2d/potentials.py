@@ -7,16 +7,21 @@ the integration point, family "y" by a at the target point.
 The surface operators V, W and W' are Laplace blocks (``laplace``) with
 the coefficient attached at the source or at the target; ``_family_rows``
 holds that rule for every boundary operator, on the curve and off it.
-The volume operators integrate against the grid interpolant with each
-target's polar rule.  The Laplace blocks, the polar rules and the
-log-kernel rows depend only on the geometry, so ``geometry.cached`` keeps
-each with its curve or grid, built once and read-only.
+The volume operators integrate against the grid interpolant with polar
+rules.  Targets are grouped into orbits of the rotations that map the
+domain onto itself; one polar rule and one cardinal pair serve a whole
+orbit, and every other member's row is the representative's contraction
+rolled along the grid's angular axis.  The Laplace blocks, the polar
+rules and the log-kernel rows depend only on the geometry, so
+``geometry.cached`` keeps each with its curve or grid, built once and
+read-only.
 ``volume_potential_direct`` and ``remainder_via_relation`` are independent
 paths for cross-validation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,13 +213,121 @@ def _rule_params(grid: DomainGrid):
     return base, p
 
 
+def _key(kind: str, y):
+    return (kind, np.asarray(y, dtype=float).tobytes())
+
+
 def _rule(grid: DomainGrid, y):
     """Target y's polar rule, built once per grid."""
     def build():
         base, p = _rule_params(grid)
         nth = adaptive_theta_count(grid.spec, y, base=base)
         return polar_rule_for_target(grid.spec, y, n_theta=nth, n_r=p)
-    return cached(grid, ("rule", np.asarray(y, dtype=float).tobytes()), build)
+    return cached(grid, _key("rule", y), build)
+
+
+#: Distance, relative to the domain's largest radius, within which a target
+#: counts as the rotation of its orbit's representative.
+ORBIT_TOL = 1e-13
+#: Sector edges of the orbit sort, as a fraction of the rotation angle past
+#: each multiple of it; irrational, so no grid or curve angle lies on one.
+_SECTOR_EDGE = 1.0 - 1.0 / np.pi
+
+
+def _rotation_step(grid: DomainGrid) -> int:
+    """Grid angular steps in the smallest rotation mapping the domain onto
+    itself: one on a disk, n_t / gcd(n_t, g) on a star whose nonzero
+    cosine modes k > 0 have greatest common divisor g."""
+    modes = np.flatnonzero(grid.spec.cos_coeffs[1:]) + 1
+    return grid.n_t // math.gcd(grid.n_t, int(np.gcd.reduce(modes)))
+
+
+def _rotate(v, shift, n_t):
+    """Points v (..., 2) about the origin, by ``shift`` grid angular steps
+    (broadcast against v's leading axes)."""
+    ang = (2 * np.pi / n_t) * np.asarray(shift)
+    c, s = np.cos(ang), np.sin(ang)
+    return np.stack([c * v[..., 0] - s * v[..., 1],
+                     s * v[..., 0] + c * v[..., 1]], axis=-1)
+
+
+def _orbits(grid: DomainGrid, tg: np.ndarray):
+    """Rotation orbits of the targets about the domain's center.
+
+    Yields (rep, members, shifts): target ``members[i]`` is target ``rep``
+    rotated by ``shifts[i]`` grid angular steps, to ORBIT_TOL.  A target
+    that matches no earlier one is its own representative.
+    """
+    if not len(tg):
+        return
+    step = _rotation_step(grid)
+    order = grid.n_t // step
+    v = tg - grid.spec.center
+    phi = np.arctan2(v[:, 1], v[:, 0])
+    sector = np.floor(phi * (order / (2 * np.pi)) + _SECTOR_EDGE)
+    shift = (sector.astype(int) % order) * step
+    # targets whose rotations back into sector 0 agree to 1e3 * tol share
+    # a key; the first of them represents the rest if it matches exactly
+    tol = ORBIT_TOL * grid.spec.max_rho()
+    canon = np.round(_rotate(v, -shift, grid.n_t) / (1e3 * tol))
+    _, first, label = np.unique(canon, axis=0, return_index=True,
+                                return_inverse=True)
+    rep = first[label.ravel()]
+    rel = (shift - shift[rep]) % grid.n_t
+    exact = (np.abs(_rotate(v[rep], rel, grid.n_t) - v) <= tol).all(1)
+    rep = np.where(exact, rep, np.arange(len(tg)))
+    rel = np.where(exact, rel, 0)
+    by_rep = np.argsort(rep, kind="stable")
+    cuts = np.flatnonzero(np.diff(rep[by_rep])) + 1
+    for members in np.split(by_rep, cuts):
+        yield rep[members[0]], members, rel[members]
+
+
+def _roll(grid: DomainGrid, rows, shifts):
+    """Rows (k, n_nodes) rolled by shifts[i] steps along the angular axis."""
+    rows = rows.reshape(len(rows), grid.n_t, grid.n_s)
+    j = (np.arange(grid.n_t)[None, :] - np.asarray(shifts)[:, None]) % grid.n_t
+    return rows[np.arange(len(rows))[:, None], j].reshape(len(rows), -1)
+
+
+def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None):
+    """One pass over the rotation orbits of the targets.
+
+    Per orbit, the representative's polar rule and cardinals (A, S) are
+    built once.  Every target's log-kernel row is stored on the grid: the
+    representative's contraction, rolled for each other member, since the
+    log kernel is rotation invariant.  Given ``kernel(y, d)`` (targets
+    (k, 2), node offsets (k, m, 2)), the pass also returns the matrix of
+    its rows at the targets: the kernel is evaluated at each member's
+    rotated nodes, and members are contracted against the representative's
+    (A, S) in chunks whose GEMM temporary is no larger than (A, S).
+    """
+    rows = None if kernel is None else np.empty((len(tg), grid.n_nodes))
+    chunk = max(1, (grid.n_t + grid.n_s) // grid.n_s)
+    for rep, members, shifts in _orbits(grid, tg):
+        missing = np.array([_key("log_row", tg[i]) not in grid._cache
+                            for i in members])
+        if kernel is None and not missing.any():
+            continue
+        y0 = tg[rep]
+        pts, w = _rule(grid, y0).nodes()
+        A, S = grid.cardinal_matrices(pts)
+        if missing.any():
+            row0 = cached(grid, _key("log_row", y0),
+                          lambda: grid.interpolation_row(
+                              w * _log_kernel(pts, y0), A, S))
+            k = shifts[missing]
+            rolled = _roll(grid, np.broadcast_to(row0, (len(k), len(row0))), k)
+            for i, row in zip(members[missing], rolled):
+                cached(grid, _key("log_row", tg[i]), lambda row=row: row)
+        if kernel is None:
+            continue
+        d0 = pts - y0
+        for b in range(0, len(members), chunk):
+            idx, k = members[b:b + chunk], shifts[b:b + chunk]
+            kv = w * kernel(tg[idx], _rotate(d0, k[:, None], grid.n_t))
+            rows[idx] = _roll(grid, grid.interpolation_row(kv, A, S), k)
+    return rows
 
 
 def _log_kernel(pts, y):
@@ -222,17 +335,17 @@ def _log_kernel(pts, y):
     return 0.5 * np.log(np.maximum(r2, 1e-300)) / TWO_PI
 
 
-def _remainder_kernel(pts, y, coeff: Coefficient, family: str):
-    d = pts - y
-    r2 = np.maximum((d * d).sum(1), 1e-300)
+def _remainder_kernel(y, d, coeff: Coefficient, family: str):
+    """Remainder kernel at nodes y[i] + d[i] (d of shape (k, m, 2))."""
+    pts = (y[:, None, :] + d).reshape(-1, 2)
+    r2 = np.maximum((d * d).sum(-1), 1e-300)
     if family == "x":
-        lap = coeff.laplacian_ln_a(pts)
-        gl = coeff.grad_ln_a(pts)
+        lap = coeff.laplacian_ln_a(pts).reshape(r2.shape)
+        gl = coeff.grad_ln_a(pts).reshape(d.shape)
         return (-lap * 0.5 * np.log(r2) / TWO_PI
-                - (gl * d).sum(1) / (TWO_PI * r2))
-    ga = coeff.grad_a(pts)
-    ay = float(coeff.a(np.asarray(y, float)[None, :])[0])
-    return (ga * d).sum(1) / (TWO_PI * r2) / ay
+                - (gl * d).sum(-1) / (TWO_PI * r2))
+    ga = coeff.grad_a(pts).reshape(d.shape)
+    return (ga * d).sum(-1) / (TWO_PI * r2) / coeff.a(y)[:, None]
 
 
 def volume_potential(grid: DomainGrid, coeff: Coefficient, family: str,
@@ -283,14 +396,8 @@ def remainder_rows(grid: DomainGrid, coeff: Coefficient, family: str,
     """
     _check_family(family)
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    rows = np.empty((len(tg), grid.n_nodes))
-    for i, y in enumerate(tg):
-        pts, w = _rule(grid, y).nodes()
-        A, S = grid.cardinal_matrices(pts)
-        kv = w * _remainder_kernel(pts, y, coeff, family)
-        rows[i] = grid.interpolation_row(kv, A, S)
-        _log_row(grid, y, (pts, w, A, S))
-    return rows
+    return _volume_pass(grid, tg, lambda y, d: _remainder_kernel(
+        y, d, coeff, family))
 
 
 def remainder_potential(grid: DomainGrid, coeff: Coefficient, family: str,
@@ -334,23 +441,19 @@ def remainder_via_relation(grid: DomainGrid, coeff: Coefficient, family: str,
     return -div / coeff.a(tg)
 
 
-def _log_row(grid: DomainGrid, y, quad=None) -> np.ndarray:
+def _log_row(grid: DomainGrid, y) -> np.ndarray:
     """Row r with r . v = (1/2pi) int log|x - y| v(x) dx, v's interpolant.
 
-    Built once per grid and target.  ``quad`` is the rule's nodes, weights
-    and cardinal matrices (pts, w, A, S) when the caller already has them.
+    Built once per grid and target, by the orbit pass.
     """
-    def build():
-        if quad is None:
-            pts, w = _rule(grid, y).nodes()
-            A, S = grid.cardinal_matrices(pts)
-        else:
-            pts, w, A, S = quad
-        return grid.interpolation_row(w * _log_kernel(pts, y), A, S)
-    return cached(grid, ("log_row", np.asarray(y, dtype=float).tobytes()),
-                  build)
+    key = _key("log_row", y)
+    if key not in grid._cache:
+        _volume_pass(grid, np.atleast_2d(np.asarray(y, dtype=float)))
+    return grid._cache[key]
 
 
 def _log_potential(grid: DomainGrid, dens_values, targets) -> np.ndarray:
     v = np.asarray(dens_values, dtype=float)
-    return np.array([_log_row(grid, y) @ v for y in targets], dtype=float)
+    tg = np.atleast_2d(np.asarray(targets, dtype=float))
+    _volume_pass(grid, tg)
+    return np.array([_log_row(grid, y) @ v for y in tg], dtype=float)

@@ -19,7 +19,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from . import laplace, potentials, solver
+from . import potentials, solver
 from .coefficient import Coefficient, make_preset
 from .geometry import BoundaryCurve, DomainGrid, DomainSpec, build_curve, build_domain_grid
 from .potentials import BoundaryDensity, DomainField
@@ -339,8 +339,8 @@ def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     rep.add("gauss_direct_value", np.abs(Wd.sum(1) + 0.5).max(), 1e-10)
     probe_in = c + np.array([[0.1, 0.05], [-0.12, 0.03], [0.0, -0.15]]) * diam
     probe_out = c + np.array([[1.5, 0.2], [-1.1, -1.2]]) * diam
-    w_in = laplace.layer_eval(curve, "d", np.ones(curve.n), probe_in)
-    w_out = laplace.layer_eval(curve, "d", np.ones(curve.n), probe_out)
+    w_in = potentials._laplace_blocks(curve, probe_in)("d").sum(1)
+    w_out = potentials._laplace_blocks(curve, probe_out)("d").sum(1)
     rep.add("gauss_interior", np.abs(w_in + 1.0).max(), 1e-10)
     rep.add("gauss_exterior", np.abs(w_out).max(), 1e-10)
 

@@ -90,6 +90,17 @@ class TestDomainGrid:
         got = grid.interpolate(vals, grid.points)
         np.testing.assert_allclose(got, vals, atol=1e-12)
 
+    def test_interpolate_matches_three_operand_einsum(self):
+        grid = build_domain_grid(STAR, 16, 8)
+        rng = np.random.default_rng(3)
+        vals = rng.standard_normal(grid.n_nodes)
+        pts = np.concatenate([grid.points[::5],
+                              0.1 * rng.standard_normal((9, 2))])
+        A, S = grid.cardinal_matrices(pts)
+        ref = np.einsum("mj,jk,mk->m", A, vals.reshape(16, 8), S)
+        got = grid.interpolate(vals, pts)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_star_grid_nodes_inside_by_winding_oracle(self):
         grid = build_domain_grid(STAR, 32, 12)
         tt = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
@@ -224,6 +235,30 @@ class TestCardinals:
         t = 2 * np.pi * np.arange(n) / n
         A = trig_cardinal_rows(t, n)
         np.testing.assert_allclose(A, np.eye(n), atol=1e-12)
+
+    def test_trig_cardinal_rows_on_node_mask(self):
+        # anchored rules put points on grid angles up to rounding: those
+        # get unit rows; every other row is the closed-form cardinal
+        n = 32
+        t = 2 * np.pi * np.arange(n) / n
+        on = np.concatenate([t, t + 4e-16, t - 4e-16,
+                             [0.0, 2 * np.pi - 1e-16]])
+        A = trig_cardinal_rows(on, n)
+        want = np.concatenate([np.arange(n)] * 3 + [[0, 0]])
+        np.testing.assert_array_equal(A, np.eye(n)[want])
+        rng = np.random.default_rng(7)
+        j = rng.integers(0, n, 40)
+        off = np.concatenate([
+            rng.uniform(-np.pi, 3 * np.pi, 200),
+            t[j] + rng.choice([-1, 1], 40) * 10.0 ** rng.uniform(-13, -1, 40),
+            2 * np.pi * np.arange(24) / 24 + 1e-9])
+        A = trig_cardinal_rows(off, n)
+        d = (off[:, None] - t[None, :] + np.pi) % (2 * np.pi) - np.pi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = np.sin(n * d / 2) / np.tan(d / 2) / n
+        ref[d == 0] = 1.0
+        np.testing.assert_allclose(A.sum(1), 1.0, rtol=0, atol=1e-13)
+        assert np.abs(A - ref).max() <= 1e-13
 
     def test_gauss01_integrates_polynomials(self):
         x, w = gauss_01(6)

@@ -7,7 +7,7 @@ from bdies2d import laplace, potentials
 from bdies2d.coefficient import Coefficient, make_preset
 from bdies2d.geometry import (DomainSpec, adaptive_theta_count, build_curve,
                               build_domain_grid, polar_rule_for_target)
-from bdies2d.potentials import (BoundaryDensity, DomainField,
+from bdies2d.potentials import (FAMILIES, BoundaryDensity, DomainField,
                                 double_layer_direct_matrix, layer_eval_near,
                                 remainder_potential,
                                 single_layer_direct_matrix, volume_potential,
@@ -225,6 +225,103 @@ class TestVolumeRows:
             assert potentials._log_row(grid, y) is row
             with pytest.raises(ValueError):
                 row[0] = 1.0
+
+
+def _anchored_reference(grid, coeff, family, targets):
+    """Per-target R and log rows: each target's own anchored rule and
+    cardinals, contracted by ``interpolation_row``."""
+    base, n_r = potentials._rule_params(grid)
+    rows, logs = [], []
+    for y in targets:
+        n_theta = adaptive_theta_count(grid.spec, y, base=base)
+        pts, w = polar_rule_for_target(grid.spec, y, n_theta=n_theta,
+                                       n_r=n_r).nodes()
+        A, S = grid.cardinal_matrices(pts)
+        ker = potentials._remainder_kernel(y[None], (pts - y)[None], coeff,
+                                           family)[0]
+        rows.append(grid.interpolation_row(w * ker, A, S))
+        logs.append(grid.interpolation_row(w * potentials._log_kernel(pts, y),
+                                           A, S))
+    return np.array(rows), np.array(logs)
+
+
+ORBIT_SPECS = {
+    "disk": DomainSpec("disk", center=(0.1, -0.2), radius=0.4),
+    "star-2fold": DomainSpec("star", center=(0.0, 0.0),
+                             cos_coeffs=(0.3, 0.0, 0.03)),
+    "star-asymmetric": DomainSpec("star", center=(0.05, 0.0),
+                                  cos_coeffs=(0.3, 0.02, 0.03)),
+}
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("name", list(ORBIT_SPECS))
+    def test_orbit_rows_match_per_target_reference(self, name):
+        spec = ORBIT_SPECS[name]
+        grid, curve = build_domain_grid(spec, 16, 8), build_curve(spec, 32)
+        tg = np.concatenate([grid.points, curve.points])
+        orbits = list(potentials._orbits(grid, tg))
+        # a disk has one orbit per radius and per curve node in a grid
+        # step; the 2-fold star pairs targets; the asymmetric star none
+        n_orbits = {"disk": grid.n_s + curve.n // grid.n_t,
+                    "star-2fold": len(tg) // 2,
+                    "star-asymmetric": len(tg)}[name]
+        assert len(orbits) == n_orbits
+        for family in FAMILIES:
+            got = potentials.remainder_rows(grid, A_QUAD, family, tg)
+            ref, ref_log = _anchored_reference(grid, A_QUAD, family, tg)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        logs = np.array([potentials._log_row(grid, y) for y in tg])
+        assert np.abs(logs - ref_log).max() <= 1e-12 * np.abs(ref_log).max()
+        assert sum(k[0] == "rule" for k in grid._cache) == n_orbits
+
+    @pytest.mark.parametrize("name", ["disk", "star-2fold"])
+    def test_member_rule_is_rotated_representative_rule(self, name):
+        # interior targets only: a boundary target's own rule depends, at
+        # rounding level, on how far off the curve its coordinates lie
+        spec = ORBIT_SPECS[name]
+        grid = build_domain_grid(spec, 16, 8)
+        step = potentials._rotation_step(grid)
+        turns = np.arange(0, grid.n_t, step)
+        y = potentials._rotate(np.array([0.13, 0.05]), turns, grid.n_t)
+        tg = np.concatenate([grid.points[5::8], spec.center + y])
+        orbits = list(potentials._orbits(grid, tg))
+        assert [len(m) for _, m, _ in orbits] == [len(turns)] * (
+            len(tg) // len(turns))
+        base, n_r = potentials._rule_params(grid)
+        for rep, members, shifts in orbits:
+            y0 = tg[rep]
+            n_theta = adaptive_theta_count(spec, y0, base=base)
+            p0 = potentials._rule(grid, y0).points - spec.center
+            for i, k in zip(members, shifts):
+                own = polar_rule_for_target(spec, tg[i], n_theta=n_theta,
+                                            n_r=n_r).points
+                rotated = spec.center + potentials._rotate(p0, k, grid.n_t)
+                assert np.abs(own - rotated).max() <= 1e-14
+
+    def test_no_targets_give_no_rows(self):
+        grid = build_domain_grid(DISK, 8, 4)
+        none = np.zeros((0, 2))
+        assert potentials.remainder_rows(grid, A_QUAD, "x", none).shape == (
+            0, grid.n_nodes)
+        assert volume_potential(grid, A_ONE, "x", DomainField(
+            grid, np.ones(grid.n_nodes)), none).shape == (0,)
+
+    def test_log_potential_fills_rows_through_orbits(self, monkeypatch):
+        grid = build_domain_grid(DISK, 16, 8)
+        calls = []
+        build = potentials.polar_rule_for_target
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(potentials, "polar_rule_for_target", counted)
+        f = DomainField(grid, np.cos(grid.points[:, 0]))
+        got = volume_potential(grid, A_ONE, "x", f, grid.points)
+        assert len(calls) == grid.n_s
+        ref = _einsum_log_potential(grid, f.values, grid.points)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestRemainder:

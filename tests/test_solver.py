@@ -129,7 +129,9 @@ def unit_sol(geo_fine):
 
 class TestSharedGeometry:
     def test_second_family_builds_no_rules(self, monkeypatch):
-        # the rules and log rows of family x serve family y on the same grid
+        # one rule per rotation orbit: the star is 2-fold symmetric, so
+        # each orbit pairs a target with its image under a half turn; the
+        # rules and log rows of family x serve family y on the same grid
         from bdies2d.verification import manufactured_case
         spec = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.03))
         curve, grid = build_curve(spec, 32), build_domain_grid(spec, 8, 4)
@@ -144,9 +146,9 @@ class TestSharedGeometry:
 
         monkeypatch.setattr(potentials, "polar_rule_for_target", counted)
         solve_bvp(curve, grid, case.coeff, "x", f, phi0)
-        assert len(calls) == grid.n_nodes + curve.n
+        assert len(calls) == grid.n_nodes // 2 + curve.n // 2
         solve_bvp(curve, grid, case.coeff, "y", f, phi0)
-        assert len(calls) == grid.n_nodes + curve.n
+        assert len(calls) == grid.n_nodes // 2 + curve.n // 2
 
     def test_second_family_builds_no_laplace_blocks(self, monkeypatch):
         # the Laplace blocks of family x serve family y on the same curve
