@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 class GeometryError(ValueError):
@@ -132,7 +133,7 @@ class DomainSpec:
         # pairwise distances in row blocks keep the temporary at 128 x 2048
         d2max = 0.0
         for i in range(0, len(pts), 128):
-            d2 = ((pts[i:i + 128, None, :] - pts[None, :, :]) ** 2).sum(-1)
+            d2 = cdist(pts[i:i + 128], pts, "sqeuclidean")
             d2max = max(d2max, float(d2.max()))
         return float(np.sqrt(d2max))
 

@@ -14,9 +14,9 @@ orbit, and every other member's row is the representative's contraction
 rolled along the grid's angular axis.  The Laplace blocks, the polar
 rules and the log-kernel rows depend only on the geometry, so
 ``geometry.cached`` keeps each with its curve or grid, built once and
-read-only.
-``volume_potential_direct`` and ``remainder_via_relation`` are independent
-paths for cross-validation.
+read-only: log rows as one block per target set.
+The independent oracles for the volume operators live only in
+``verification``; nothing here serves them.
 """
 
 from __future__ import annotations
@@ -213,17 +213,13 @@ def _rule_params(grid: DomainGrid):
     return base, p
 
 
-def _key(kind: str, y):
-    return (kind, np.asarray(y, dtype=float).tobytes())
-
-
 def _rule(grid: DomainGrid, y):
     """Target y's polar rule, built once per grid."""
     def build():
         base, p = _rule_params(grid)
         nth = adaptive_theta_count(grid.spec, y, base=base)
         return polar_rule_for_target(grid.spec, y, n_theta=nth, n_r=p)
-    return cached(grid, _key("rule", y), build)
+    return cached(grid, ("rule", np.asarray(y, dtype=float).tobytes()), build)
 
 
 #: Distance, relative to the domain's largest radius, within which a target
@@ -294,32 +290,24 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None):
     """One pass over the rotation orbits of the targets.
 
     Per orbit, the representative's polar rule and cardinals (A, S) are
-    built once.  Every target's log-kernel row is stored on the grid: the
-    representative's contraction, rolled for each other member, since the
-    log kernel is rotation invariant.  Given ``kernel(y, d)`` (targets
-    (k, 2), node offsets (k, m, 2)), the pass also returns the matrix of
-    its rows at the targets: the kernel is evaluated at each member's
-    rotated nodes, and members are contracted against the representative's
-    (A, S) in chunks whose GEMM temporary is no larger than (A, S).
+    built once.  Returns the log-kernel rows of the targets, the
+    representative's contraction rolled for each other member since the
+    log kernel is rotation invariant, and, given ``kernel(y, d)`` (targets
+    (k, 2), node offsets (k, m, 2)), the matrix of its rows at the targets
+    (else None): the kernel is evaluated at each member's rotated nodes,
+    and members are contracted against the representative's (A, S) in
+    chunks whose GEMM temporary is no larger than (A, S).
     """
+    logs = np.empty((len(tg), grid.n_nodes))
     rows = None if kernel is None else np.empty((len(tg), grid.n_nodes))
     chunk = max(1, (grid.n_t + grid.n_s) // grid.n_s)
     for rep, members, shifts in _orbits(grid, tg):
-        missing = np.array([_key("log_row", tg[i]) not in grid._cache
-                            for i in members])
-        if kernel is None and not missing.any():
-            continue
         y0 = tg[rep]
         pts, w = _rule(grid, y0).nodes()
         A, S = grid.cardinal_matrices(pts)
-        if missing.any():
-            row0 = cached(grid, _key("log_row", y0),
-                          lambda: grid.interpolation_row(
-                              w * _log_kernel(pts, y0), A, S))
-            k = shifts[missing]
-            rolled = _roll(grid, np.broadcast_to(row0, (len(k), len(row0))), k)
-            for i, row in zip(members[missing], rolled):
-                cached(grid, _key("log_row", tg[i]), lambda row=row: row)
+        row0 = grid.interpolation_row(w * _log_kernel(pts, y0), A, S)
+        logs[members] = _roll(grid, np.broadcast_to(
+            row0, (len(members), len(row0))), shifts)
         if kernel is None:
             continue
         d0 = pts - y0
@@ -327,7 +315,7 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None):
             idx, k = members[b:b + chunk], shifts[b:b + chunk]
             kv = w * kernel(tg[idx], _rotate(d0, k[:, None], grid.n_t))
             rows[idx] = _roll(grid, grid.interpolation_row(kv, A, S), k)
-    return rows
+    return logs, rows
 
 
 def _log_kernel(pts, y):
@@ -352,7 +340,9 @@ def volume_potential(grid: DomainGrid, coeff: Coefficient, family: str,
                      field: DomainField, targets) -> np.ndarray:
     """Newtonian-type volume potential of a gridded density at targets.
 
-    Family "x" applies the log kernel to the density divided by the
+    The log-kernel rows of the targets (r . v = (1/2pi) int log|x - y|
+    v(x) dx for v the interpolant of nodal values) are one block per
+    target set.  Family "x" applies them to the density divided by the
     coefficient at the grid nodes; family "y" divides the plain log
     potential by the coefficient at the target.
     """
@@ -360,30 +350,11 @@ def volume_potential(grid: DomainGrid, coeff: Coefficient, family: str,
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
     if not np.any(field.values != 0.0):
         return np.zeros(len(tg))
+    logs = cached(grid, ("log", tg.tobytes()),
+                  lambda: _volume_pass(grid, tg)[0])
     if family == "x":
-        return _log_potential(grid, field.values / coeff.a(grid.points), tg)
-    return _log_potential(grid, field.values, tg) / coeff.a(tg)
-
-
-def volume_potential_direct(grid: DomainGrid, coeff: Coefficient, family: str,
-                            field: DomainField, targets) -> np.ndarray:
-    """Cross-check path: integrate the full parametrix kernel directly.
-
-    The coefficient factor is evaluated analytically at the quadrature
-    nodes instead of being folded into the gridded density.
-    """
-    _check_family(family)
-    tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    out = np.empty(len(tg))
-    for i, y in enumerate(tg):
-        pts, w = _rule(grid, y).nodes()
-        ker = _log_kernel(pts, y)
-        if family == "x":
-            ker = ker / coeff.a(pts)
-        else:
-            ker = ker / float(coeff.a(y[None, :])[0])
-        out[i] = w @ (ker * field.at(pts))
-    return out
+        return logs @ (field.values / coeff.a(grid.points))
+    return logs @ field.values / coeff.a(tg)
 
 
 def remainder_rows(grid: DomainGrid, coeff: Coefficient, family: str,
@@ -391,69 +362,21 @@ def remainder_rows(grid: DomainGrid, coeff: Coefficient, family: str,
     """Remainder-operator matrix rows at the given targets.
 
     Each row integrates the explicit remainder kernel against the grid
-    interpolant; boundary targets are allowed (trace of the operator).
-    The same pass stores each target's log-kernel row on the grid.
+    interpolant; boundary targets are allowed (trace of the operator).  A
+    constant coefficient has no remainder: its rows are zero.  The same
+    pass stores the targets' log-kernel rows on the grid.
     """
     _check_family(family)
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    return _volume_pass(grid, tg, lambda y, d: _remainder_kernel(
+    if coeff.constant:
+        return np.zeros((len(tg), grid.n_nodes))
+    logs, rows = _volume_pass(grid, tg, lambda y, d: _remainder_kernel(
         y, d, coeff, family))
+    cached(grid, ("log", tg.tobytes()), lambda: logs)
+    return rows
 
 
 def remainder_potential(grid: DomainGrid, coeff: Coefficient, family: str,
                         field: DomainField, targets) -> np.ndarray:
     """Remainder volume potential of a gridded density at targets."""
-    if coeff.constant:
-        return np.zeros(len(np.atleast_2d(np.asarray(targets, float))))
     return remainder_rows(grid, coeff, family, targets) @ field.values
-
-
-def remainder_via_relation(grid: DomainGrid, coeff: Coefficient, family: str,
-                           field: DomainField, targets,
-                           step: float = 1e-4) -> np.ndarray:
-    """Cross-check path: divergence form of the remainder potential.
-
-    Differentiates computed log potentials of coefficient-weighted
-    densities by central differences at the target; kept independent of
-    the explicit-kernel path.
-    """
-    _check_family(family)
-    tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    if family == "x":
-        gl = coeff.grad_ln_a(grid.points)
-        comp = [field.values * gl[:, 0], field.values * gl[:, 1]]
-        lap_term = _log_potential(grid, field.values
-                                  * coeff.laplacian_ln_a(grid.points), tg)
-    else:
-        ga = coeff.grad_a(grid.points)
-        comp = [field.values * ga[:, 0], field.values * ga[:, 1]]
-        lap_term = 0.0
-
-    div = np.zeros(len(tg))
-    for axis in range(2):
-        e = np.zeros(2)
-        e[axis] = step
-        plus = _log_potential(grid, comp[axis], tg + e)
-        minus = _log_potential(grid, comp[axis], tg - e)
-        div += (plus - minus) / (2 * step)
-    if family == "x":
-        return div - lap_term
-    return -div / coeff.a(tg)
-
-
-def _log_row(grid: DomainGrid, y) -> np.ndarray:
-    """Row r with r . v = (1/2pi) int log|x - y| v(x) dx, v's interpolant.
-
-    Built once per grid and target, by the orbit pass.
-    """
-    key = _key("log_row", y)
-    if key not in grid._cache:
-        _volume_pass(grid, np.atleast_2d(np.asarray(y, dtype=float)))
-    return grid._cache[key]
-
-
-def _log_potential(grid: DomainGrid, dens_values, targets) -> np.ndarray:
-    v = np.asarray(dens_values, dtype=float)
-    tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    _volume_pass(grid, tg)
-    return np.array([_log_row(grid, y) @ v for y in tg], dtype=float)

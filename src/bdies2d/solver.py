@@ -108,12 +108,8 @@ def assemble_system(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     V_bb = potentials.single_layer_direct_matrix(curve, coeff, family)
     V_hb = potentials.single_layer_matrix_at_targets(curve, coeff, family,
                                                      grid.points)
-    if coeff.constant:
-        R_hh = np.zeros((n_h, n_h))
-        R_bh = np.zeros((n_b, n_h))
-    else:
-        R_hh = potentials.remainder_rows(grid, coeff, family, grid.points)
-        R_bh = potentials.remainder_rows(grid, coeff, family, curve.points)
+    R_hh = potentials.remainder_rows(grid, coeff, family, grid.points)
+    R_bh = potentials.remainder_rows(grid, coeff, family, curve.points)
 
     A = np.zeros((n_h + n_b, n_h + n_b))
     A[:n_h, :n_h] = np.eye(n_h) + R_hh
@@ -181,16 +177,21 @@ class DirichletSolution:
                     f"evaluation point at distance {d.min():.3e} from the "
                     f"boundary (nearer than {dn:.3e}); interpolate the nodal "
                     "field or evaluate farther inside")
-        # the remainder pass also stores the log rows the volume term uses
-        ru = potentials.remainder_potential(sys.grid, sys.coeff, sys.family,
-                                            self.u, tg)
-        pf = potentials.volume_potential(sys.grid, sys.coeff, sys.family,
-                                         sys.f, tg)
-        v = potentials.layer_eval_near(sys.curve, sys.coeff, sys.family, "V",
-                                       self.psi, tg)
-        w = potentials.layer_eval_near(sys.curve, sys.coeff, sys.family, "W",
-                                       sys.phi0, tg)
-        return pf - ru + v - w
+        return _representation(sys.curve, sys.grid, sys.coeff, sys.family,
+                               self.u, self.psi, sys.f, sys.phi0, tg)
+
+
+def _representation(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
+                    family: str, u: DomainField, psi: BoundaryDensity,
+                    f: DomainField, phi0: BoundaryDensity, tg) -> np.ndarray:
+    """P f - R u + V psi - W g at interior targets: the representation
+    formula for u there, given the solved or exact (u, psi) and data."""
+    # the remainder pass also stores the log rows the volume term reads
+    ru = potentials.remainder_potential(grid, coeff, family, u, tg)
+    pf = potentials.volume_potential(grid, coeff, family, f, tg)
+    v = potentials.layer_eval_near(curve, coeff, family, "V", psi, tg)
+    w = potentials.layer_eval_near(curve, coeff, family, "W", phi0, tg)
+    return pf - ru + v - w
 
 
 def solve_dirichlet(system: BdieSystem) -> DirichletSolution:
@@ -238,16 +239,13 @@ def third_green_residual(u: DomainField, psi: BoundaryDensity, f: DomainField,
     potentials._check_family(family)
     if on_boundary:
         tg = curve.points
-        pf = potentials.volume_potential(grid, coeff, family, f, tg)
         ru = potentials.remainder_potential(grid, coeff, family, u, tg)
+        pf = potentials.volume_potential(grid, coeff, family, f, tg)
         V_dir = potentials.single_layer_direct_matrix(curve, coeff, family)
         W_dir = potentials.double_layer_direct_matrix(curve, coeff, family)
         return (0.5 * phi0.values + ru - V_dir @ psi.values
                 + W_dir @ phi0.values - pf)
 
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    pf = potentials.volume_potential(grid, coeff, family, f, tg)
-    ru = potentials.remainder_potential(grid, coeff, family, u, tg)
-    v = potentials.layer_eval_near(curve, coeff, family, "V", psi, tg)
-    w = potentials.layer_eval_near(curve, coeff, family, "W", phi0, tg)
-    return u.at(tg) + ru - v + w - pf
+    return u.at(tg) - _representation(curve, grid, coeff, family, u, psi, f,
+                                      phi0, tg)

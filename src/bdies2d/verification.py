@@ -2,8 +2,11 @@
 
 Everything here exists to check the solver against quantities computed by
 an unrelated route: closed-form manufactured data, adaptive reference
-quadrature of raw kernels, a polar finite-difference solve on disks, and
-extrapolated boundary limits for the jump relations.
+quadrature of raw kernels, polar-rule quadrature of the volume kernels on
+rules of its own, a polar finite-difference solve on disks, and
+extrapolated boundary limits for the jump relations.  These oracles live
+only here; the production path in ``potentials`` does not call them, and
+they read none of its cached rules or rows.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ import scipy.sparse.linalg
 
 from . import potentials, solver
 from .coefficient import Coefficient, make_preset
-from .geometry import BoundaryCurve, DomainGrid, DomainSpec, build_curve, build_domain_grid
+from .geometry import (BoundaryCurve, DomainGrid, DomainSpec,
+                       adaptive_theta_count, build_curve, build_domain_grid,
+                       polar_rule_for_target)
 from .potentials import BoundaryDensity, DomainField
 
 TWO_PI = 2.0 * np.pi
@@ -314,6 +319,66 @@ def direct_boundary_value(curve: BoundaryCurve, coeff: Coefficient,
     return val
 
 
+def _log_integrals(grid: DomainGrid, targets, density) -> np.ndarray:
+    """(1/2pi) int log|x - y| density(x) dx at each target y.
+
+    Each target gets a polar rule of its own, with 1.25 times the angular
+    count of the volume pipeline's rules, so the result shares no rule,
+    cardinal matrix or row with the production path.
+    """
+    base, n_r = potentials._rule_params(grid)
+    out = np.empty(len(targets))
+    for i, y in enumerate(targets):
+        n_theta = adaptive_theta_count(grid.spec, y, base=5 * base // 4)
+        pts, w = polar_rule_for_target(grid.spec, y, n_theta=n_theta,
+                                       n_r=n_r).nodes()
+        g = 0.5 * np.log(((pts - y) ** 2).sum(1)) / TWO_PI
+        out[i] = w @ (g * density(pts))
+    return out
+
+
+def volume_potential_direct(grid: DomainGrid, coeff: Coefficient, family: str,
+                            field: DomainField, targets) -> np.ndarray:
+    """Oracle for ``potentials.volume_potential``.
+
+    The coefficient factor is evaluated analytically at the quadrature
+    nodes instead of being folded into the gridded density.
+    """
+    potentials._check_family(family)
+    tg = _pts(targets)
+    if family == "x":
+        return _log_integrals(grid, tg, lambda p: field.at(p) / coeff.a(p))
+    return _log_integrals(grid, tg, field.at) / coeff.a(tg)
+
+
+def remainder_via_relation(grid: DomainGrid, coeff: Coefficient, family: str,
+                           field: DomainField, targets,
+                           step: float = 1e-4) -> np.ndarray:
+    """Oracle for ``potentials.remainder_potential``: its divergence form.
+
+    Differentiates log potentials of coefficient-weighted densities by
+    central differences at the target, instead of integrating the explicit
+    remainder kernel.
+    """
+    potentials._check_family(family)
+    tg = _pts(targets)
+
+    def log_potential(values, at):
+        return _log_integrals(grid, at,
+                              lambda p: grid.interpolate(values, p))
+
+    grad = coeff.grad_ln_a if family == "x" else coeff.grad_a
+    comp = field.values[:, None] * grad(grid.points)
+    div = np.zeros(len(tg))
+    for axis, e in enumerate(np.eye(2) * step):
+        div += (log_potential(comp[:, axis], tg + e)
+                - log_potential(comp[:, axis], tg - e)) / (2 * step)
+    if family == "x":
+        return div - log_potential(
+            field.values * coeff.laplacian_ln_a(grid.points), tg)
+    return -div / coeff.a(tg)
+
+
 def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
                    family: str, seed: int = 7) -> SuiteReport:
     """Run the potential-theory identity checks and report defects.
@@ -427,11 +492,12 @@ def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
 
         fld = DomainField(vol_grid, np.cos(vol_grid.points[:, 0] + 0.3)
                           * (1.0 + vol_grid.points[:, 1]))
-        pv = potentials.volume_potential(vol_grid, coeff, fam, fld, probe)
-        pd = potentials.volume_potential_direct(vol_grid, coeff, fam, fld, probe)
-        rep.add(f"relation_P_{fam}", np.abs(pv - pd).max(), 1e-6)
+        # the remainder pass also stores the log rows the volume term reads
         rv = potentials.remainder_potential(vol_grid, coeff, fam, fld, probe)
-        rr = potentials.remainder_via_relation(vol_grid, coeff, fam, fld, probe)
+        pv = potentials.volume_potential(vol_grid, coeff, fam, fld, probe)
+        pd = volume_potential_direct(vol_grid, coeff, fam, fld, probe)
+        rep.add(f"relation_P_{fam}", np.abs(pv - pd).max(), 1e-6)
+        rr = remainder_via_relation(vol_grid, coeff, fam, fld, probe)
         rep.add(f"relation_R_{fam}", np.abs(rv - rr).max(), 1e-6)
 
     return rep

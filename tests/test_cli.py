@@ -192,7 +192,8 @@ class TestRunCommands:
         assert len(rows) == 3
         errs = [float(r["err_u_max"]) for r in rows]
         assert errs[0] > errs[1] > errs[2]
-        assert open(tmp_path / "out" / "errors.csv").readline().strip() == CSV_HEADER
+        header = (tmp_path / "out" / "errors.csv").read_text().splitlines()[0]
+        assert header == CSV_HEADER
 
     def test_compare_emits_both_tables(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bdies2d import laplace, potentials
+from bdies2d import laplace, potentials, verification
 from bdies2d.coefficient import Coefficient, make_preset
 from bdies2d.geometry import (DomainSpec, adaptive_theta_count, build_curve,
                               build_domain_grid, polar_rule_for_target)
@@ -213,18 +213,28 @@ class TestVolumeRows:
             ref = _einsum_log_potential(grid, f.values, tg) / A_QUAD.a(tg)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    def test_remainder_pass_stores_log_rows(self):
+    def test_remainder_pass_stores_log_rows(self, monkeypatch):
         grid = build_domain_grid(DISK, 16, 8)
         tg = grid.points[:5]
         potentials.remainder_rows(grid, A_QUAD, "x", tg)
-        assert set(grid._cache) == {(kind, y.tobytes()) for y in tg
-                                    for kind in ("rule", "log_row")}
-        for y in tg:
-            row = grid._cache[("log_row", y.tobytes())]
-            assert row.shape == (grid.n_nodes,)
-            assert potentials._log_row(grid, y) is row
-            with pytest.raises(ValueError):
-                row[0] = 1.0
+        key = ("log", tg.tobytes())
+        assert set(grid._cache) == {("rule", y.tobytes()) for y in tg} | {key}
+        block = grid._cache[key]
+        assert block.shape == (len(tg), grid.n_nodes)
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+        # the other family keeps the stored block, and the volume term
+        # reads it without another pass
+        potentials.remainder_rows(grid, A_QUAD, "y", tg)
+        assert grid._cache[key] is block
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("log rows rebuilt")
+
+        monkeypatch.setattr(potentials, "_volume_pass", refuse)
+        f = DomainField(grid, np.cos(grid.points[:, 0]))
+        np.testing.assert_array_equal(
+            volume_potential(grid, A_ONE, "x", f, tg), block @ f.values)
 
 
 def _anchored_reference(grid, coeff, family, targets):
@@ -271,9 +281,10 @@ class TestOrbits:
             got = potentials.remainder_rows(grid, A_QUAD, family, tg)
             ref, ref_log = _anchored_reference(grid, A_QUAD, family, tg)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        logs = np.array([potentials._log_row(grid, y) for y in tg])
+        logs = grid._cache[("log", tg.tobytes())]
         assert np.abs(logs - ref_log).max() <= 1e-12 * np.abs(ref_log).max()
-        assert sum(k[0] == "rule" for k in grid._cache) == n_orbits
+        kinds = sorted(k[0] for k in grid._cache)
+        assert kinds == ["log"] + ["rule"] * n_orbits
 
     @pytest.mark.parametrize("name", ["disk", "star-2fold"])
     def test_member_rule_is_rotated_representative_rule(self, name):
@@ -365,7 +376,7 @@ class TestRemainder:
         tg = np.array([[0.1, 0.05], [-0.12, 0.2]])
         for fam in ("x", "y"):
             a = remainder_potential(grid, A_QUAD, fam, f, tg)
-            b = potentials.remainder_via_relation(grid, A_QUAD, fam, f, tg)
+            b = verification.remainder_via_relation(grid, A_QUAD, fam, f, tg)
             assert np.abs(a - b).max() < 1e-6
 
 

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bdies2d import laplace
+from bdies2d import laplace, potentials
 from bdies2d import verification as V
 from bdies2d.coefficient import make_preset
 from bdies2d.geometry import DomainSpec, build_curve, build_domain_grid
+from bdies2d.potentials import FAMILIES, DomainField
 from bdies2d.solver import assemble_system
 
 DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
+A_EXP = make_preset("exponential", direction=(1.0, 1.0))
 RNG = np.random.default_rng(9)
 SAMPLES = 0.35 * (RNG.random((60, 2)) - 0.5)
 
@@ -72,6 +76,68 @@ class TestFdOracle:
         star = DomainSpec("star", center=(0, 0), cos_coeffs=(0.3,))
         with pytest.raises(ValueError, match="disk"):
             V.fd_oracle(V.manufactured_case("const_one"), star, 16, 16)
+
+
+@st.composite
+def convex_domains(draw):
+    """Disks and convex stars of diameter below 1."""
+    center = (draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2)))
+    r0 = draw(st.floats(0.2, 0.35))
+    if draw(st.booleans()):
+        return DomainSpec("disk", center=center, radius=r0)
+    # rho = r0 (1 + eps cos k t) with |eps| (1 + k^2) < 1 keeps
+    # rho - rho'' > 0, so the star is convex; max rho < 0.49
+    k = draw(st.integers(1, 5))
+    coeffs = np.zeros(k + 1)
+    coeffs[0] = r0
+    coeffs[k] = r0 * draw(st.floats(-0.8, 0.8)) / (1 + k * k)
+    return DomainSpec("star", center=center, cos_coeffs=coeffs)
+
+
+def _smooth_field(grid):
+    return DomainField(grid, np.cos(grid.points[:, 0] + 0.3)
+                       * (1.0 + grid.points[:, 1]))
+
+
+class TestVolumeOracles:
+    @settings(max_examples=20, deadline=None)
+    @given(spec=convex_domains(), family=st.sampled_from(FAMILIES),
+           polar=st.lists(st.tuples(st.floats(0.0, 0.8),
+                                    st.floats(0.0, 2 * np.pi)),
+                          min_size=1, max_size=2))
+    def test_orbit_pass_matches_oracles(self, spec, family, polar):
+        # targets at level s <= 0.8; the tolerance is identity_suite's
+        assert spec.diameter() < 1.0
+        s, th = np.array(polar).T
+        tg = spec.center + (s * spec.rho(th))[:, None] * np.stack(
+            [np.cos(th), np.sin(th)], axis=1)
+        grid = build_domain_grid(spec, 32, 12)
+        f = _smooth_field(grid)
+        pv = potentials.volume_potential(grid, A_EXP, family, f, tg)
+        pd = V.volume_potential_direct(grid, A_EXP, family, f, tg)
+        assert np.abs(pv - pd).max() <= 1e-6
+        rv = potentials.remainder_potential(grid, A_EXP, family, f, tg)
+        rr = V.remainder_via_relation(grid, A_EXP, family, f, tg)
+        assert np.abs(rv - rr).max() <= 1e-6
+
+    def test_oracles_share_nothing_with_the_production_path(self,
+                                                            monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle entered the production path")
+
+        monkeypatch.setattr(potentials, "_volume_pass", refuse)
+        monkeypatch.setattr(potentials, "_rule", refuse)
+        spec = DomainSpec("star", center=(0.0, 0.0),
+                          cos_coeffs=(0.3, 0.0, 0.03))
+        grid = build_domain_grid(spec, 16, 8)
+        f = _smooth_field(grid)
+        tg = np.array([[0.05, 0.1], [-0.1, 0.0]])
+        for fam in FAMILIES:
+            assert np.isfinite(
+                V.volume_potential_direct(grid, A_EXP, fam, f, tg)).all()
+            assert np.isfinite(
+                V.remainder_via_relation(grid, A_EXP, fam, f, tg)).all()
+        assert grid._cache == {}
 
 
 @pytest.fixture(scope="module")
