@@ -11,9 +11,8 @@ from .potentials import (BoundaryDensity, DomainField, delta_near,
 from .solver import (BdieSystem, DiameterError, DirichletSolution,
                      assemble_rhs, assemble_system, solve_bvp,
                      solve_dirichlet, third_green_residual)
-from .verification import (ManufacturedCase, StudyReport, compare_families,
-                           convergence_study, fd_oracle, identity_suite,
-                           manufactured_case)
+from .verification import (ManufacturedCase, StudyReport, convergence_study,
+                           fd_oracle, identity_suite, manufactured_case)
 
 __all__ = [
     "BdieSystem", "BoundaryCurve", "BoundaryDensity", "Coefficient",
@@ -21,7 +20,7 @@ __all__ = [
     "DomainGrid", "DomainSpec", "GeometryError", "ManufacturedCase",
     "PolarRule", "QuadratureError", "StudyReport", "assemble_rhs",
     "assemble_system", "build_curve", "build_domain_grid",
-    "compare_families", "convergence_study", "delta_near", "fd_oracle",
+    "convergence_study", "delta_near", "fd_oracle",
     "identity_suite", "make_preset", "manufactured_case",
     "polar_rule_for_target", "remainder_potential",
     "solve_bvp", "solve_dirichlet", "third_green_residual",

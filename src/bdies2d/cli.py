@@ -122,8 +122,10 @@ def load_config(path) -> RunConfig:
         if not all(type(c) is int and c > 0 for c in counts):
             raise ConfigError("resolution entries need positive integer "
                               f"n_boundary, n_t and n_s, got {r}")
-        if counts[0] % 2:
-            raise ConfigError("n_boundary must be even")
+        nb, nt, ns = counts
+        if nb % 2 or nb < 8 or nt % 2 or nt < 8 or ns < 4:
+            raise ConfigError("n_boundary and n_t must be even and at least "
+                              f"8, and n_s at least 4, got {r}")
         parsed.append(counts)
 
     output_dir = raw.get("output_dir")
@@ -240,23 +242,24 @@ def _checks_payload(checks):
 def _run_solve(cfg: RunConfig, out: Path) -> int:
     import numpy as np
     from . import verification
-    from .verification import manufactured_case, solve_case
+    from .geometry import build_curve, build_domain_grid
 
     spec = _build_domain(cfg)
-    case = manufactured_case(cfg.case)
+    case = verification.manufactured_case(cfg.case)
     nb, nt, ns = cfg.resolutions[0]
     t0 = time.perf_counter()
-    sol, row = solve_case(case, spec, cfg.family, nb, nt, ns,
-                          allow_large_domain=cfg.allow_large_domain)
+    curve = build_curve(spec, nb)
+    grid = build_domain_grid(spec, nt, ns)
+    sol, row = verification.solve_case(
+        case, curve, grid, cfg.family,
+        allow_large_domain=cfg.allow_large_domain)
     elapsed = time.perf_counter() - t0
 
     checks = verification.SuiteReport()
     checks.add("linear_solve_residual", sol.residual, 1e-12)
     checks.add("err_u_max_rel", row.err_u_max, 1e-3)
     checks.add("err_psi_max", row.err_psi_max, 1e-2)
-    phi0 = case.phi0_on(sol.system.curve)
-    trace = sol.u.at(sol.system.curve.points)
-    checks.add("trace_defect", float(np.abs(trace - phi0.values).max()), 1e-5)
+    checks.add("trace_defect", row.trace_defect, 1e-5)
 
     diag = verification.fredholm_diagnostic(sol)
     payload = {
@@ -281,7 +284,7 @@ def _run_solve(cfg: RunConfig, out: Path) -> int:
 def _run_validate(cfg: RunConfig, out: Path) -> int:
     import numpy as np
     from . import verification
-    from .coefficient import validate_derivatives
+    from .coefficient import DERIVATIVE_TOL, validate_derivatives
     from .geometry import build_curve, build_domain_grid
 
     spec = _build_domain(cfg)
@@ -301,7 +304,8 @@ def _run_validate(cfg: RunConfig, out: Path) -> int:
 
     report = verification.identity_suite(curve, grid, coeff, cfg.family)
     report.add("coefficient_derivative_dev",
-               max(deriv.max_rel_grad_dev, deriv.max_rel_lap_dev), 1e-6)
+               max(deriv.max_rel_grad_dev, deriv.max_rel_lap_dev),
+               DERIVATIVE_TOL)
     inv = verification.invertibility_report(curve, grid, coeff, cfg.family)
     report.add("sigma_min_single_layer_above_floor",
                1e-8 - inv["sigma_min_single_layer"], 0.0)
@@ -328,8 +332,8 @@ def _run_study(cfg: RunConfig, out: Path) -> int:
     case = verification.manufactured_case(cfg.case)
     t0 = time.perf_counter()
     report = verification.convergence_study(
-        case, spec, cfg.family, cfg.resolutions,
-        allow_large_domain=cfg.allow_large_domain)
+        case, spec, (cfg.family,), cfg.resolutions,
+        allow_large_domain=cfg.allow_large_domain)[cfg.family]
     elapsed = time.perf_counter() - t0
 
     checks = verification.SuiteReport()
@@ -356,8 +360,8 @@ def _run_compare(cfg: RunConfig, out: Path) -> int:
     spec = _build_domain(cfg)
     case = verification.manufactured_case(cfg.case)
     t0 = time.perf_counter()
-    reports = verification.compare_families(
-        case, spec, cfg.resolutions,
+    reports = verification.convergence_study(
+        case, spec, ("x", "y"), cfg.resolutions,
         allow_large_domain=cfg.allow_large_domain)
     elapsed = time.perf_counter() - t0
 

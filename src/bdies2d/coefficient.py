@@ -92,6 +92,11 @@ def make_preset(name: str, *, value: float = 1.0, direction=(1.0, 1.0)) -> Coeff
     raise CoefficientError(f"unknown coefficient preset {name!r}")
 
 
+#: Largest relative deviation from finite differences that
+#: ``validate_derivatives`` passes.
+DERIVATIVE_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class DerivativeReport:
     max_rel_grad_dev: float
@@ -101,8 +106,7 @@ class DerivativeReport:
     passed: bool
 
 
-def validate_derivatives(coeff: Coefficient, samples,
-                         tol: float = 1e-6) -> DerivativeReport:
+def validate_derivatives(coeff: Coefficient, samples) -> DerivativeReport:
     """Check the evaluator bundle against central finite differences.
 
     Compares grad a against differences of a, laplacian ln a against second
@@ -136,7 +140,8 @@ def validate_derivatives(coeff: Coefficient, samples,
     gl = coeff.grad_ln_a(pts)
     mismatch = float(np.abs(gl - ga / a0[:, None]).max())
 
-    passed = grad_dev <= tol and lap_dev <= tol and mismatch <= 1e-12
+    passed = (grad_dev <= DERIVATIVE_TOL and lap_dev <= DERIVATIVE_TOL
+              and mismatch <= 1e-12)
     return DerivativeReport(max_rel_grad_dev=grad_dev, max_rel_lap_dev=lap_dev,
                             max_grad_ln_mismatch=mismatch,
                             min_a=float(a0.min()), passed=passed)

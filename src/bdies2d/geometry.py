@@ -55,9 +55,9 @@ def _as_point(p) -> np.ndarray:
 class DomainSpec:
     """A disk or a star-shaped region with radial profile rho(theta).
 
-    For ``kind == "star"`` the profile is the cosine series
+    The profile is the cosine series
     ``rho(theta) = cos_coeffs[0] + sum_k cos_coeffs[k] * cos(k*theta)``,
-    which must stay strictly positive.
+    which must stay strictly positive; a disk's is ``[radius]``.
     """
 
     kind: str
@@ -75,6 +75,8 @@ class DomainSpec:
         if self.kind == "disk":
             if not (np.isfinite(self.radius) and self.radius > 0):
                 raise GeometryError("disk radius must be positive and finite")
+            object.__setattr__(self, "cos_coeffs",
+                               np.array([float(self.radius)]))
         else:
             c = np.asarray(self.cos_coeffs, dtype=float)
             if c.ndim != 1 or c.size == 0 or not np.isfinite(c).all():
@@ -89,22 +91,16 @@ class DomainSpec:
 
     def rho(self, theta):
         theta = np.asarray(theta, dtype=float)
-        if self.kind == "disk":
-            return np.full_like(theta, self.radius)
         k = np.arange(self.cos_coeffs.size)
         return np.cos(theta[..., None] * k) @ self.cos_coeffs
 
     def drho(self, theta):
         theta = np.asarray(theta, dtype=float)
-        if self.kind == "disk":
-            return np.zeros_like(theta)
         k = np.arange(self.cos_coeffs.size)
         return -np.sin(theta[..., None] * k) @ (k * self.cos_coeffs)
 
     def ddrho(self, theta):
         theta = np.asarray(theta, dtype=float)
-        if self.kind == "disk":
-            return np.zeros_like(theta)
         k = np.arange(self.cos_coeffs.size)
         return -np.cos(theta[..., None] * k) @ (k * k * self.cos_coeffs)
 
@@ -143,8 +139,6 @@ class DomainSpec:
             np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)).max()))
 
     def area(self) -> float:
-        if self.kind == "disk":
-            return float(np.pi * self.radius**2)
         # exact for a cosine series: pi*(c0^2 + sum_{k>=1} ck^2 / 2)
         c = self.cos_coeffs
         return float(np.pi * (c[0] ** 2 + 0.5 * (c[1:] ** 2).sum()))
@@ -272,15 +266,12 @@ def build_curve(spec: DomainSpec, n_boundary: int) -> BoundaryCurve:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _gauss_01_cached(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def gauss_01(n: int):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = _gauss_01_cached(n)
-    return x.copy(), w.copy()
+    """Gauss-Legendre nodes and weights on [0, 1], shared and read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
@@ -302,13 +293,14 @@ def trig_cardinal_rows(theta, n: int) -> np.ndarray:
     row-normalized array of (-1)^j cot((theta_m - t_j)/2).  The
     cotangent difference is expanded through the addition formula so the
     only transcendental work is one tangent per evaluation point.  A point
-    within ON_NODE_TOL of a node gets that node's unit row.
+    within ON_NODE_TOL of a node gets that node's unit row; only such
+    points can overflow or divide by zero below.
     """
     th = np.asarray(theta, dtype=float)
     k = np.rint(th * (n / (2 * np.pi)))
     on_node = np.abs(th - (2 * np.pi / n) * k) <= ON_NODE_TOL
     half = 0.5 * th
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cu = 1.0 / np.tan(half)                      # cot(theta_m / 2)
         cv = 1.0 / np.tan(np.pi * np.arange(n) / n)  # cot(t_j / 2); j=0 -> inf
         # cot(u - v) = (cu*cv + 1) / (cv - cu); the j = 0 column is cot(u)
@@ -428,21 +420,27 @@ def build_domain_grid(spec: DomainSpec, n_t: int, n_s: int) -> DomainGrid:
 RADIAL_PANELS = 5
 RADIAL_RATIO = 0.15
 BOUNDARY_LEVEL_TOL = 1e-9
+#: An interior target at level l gets THETA_COUNT_COEFF / sqrt(1 - l)
+#: angular nodes, at most THETA_COUNT_CAP.
+THETA_COUNT_COEFF = 14.0
+THETA_COUNT_CAP = 768
 
 
 @lru_cache(maxsize=32)
-def _graded_unit_rule(panels: int, ratio: float, p: int):
-    """Nodes/weights for int_0^1 f(r) r dr with panels graded toward 0."""
-    xg, wg = _gauss_01_cached(p)
-    edges = np.empty(panels + 1)
-    edges[panels] = 1.0
-    for k in range(panels - 1, 0, -1):
-        edges[k] = edges[k + 1] * ratio
+def _graded_unit_rule(p: int):
+    """Nodes/weights on [0, 1]: RADIAL_PANELS Gauss panels of p points,
+    graded toward 0 by RADIAL_RATIO; shared and read-only."""
+    xg, wg = gauss_01(p)
+    edges = np.empty(RADIAL_PANELS + 1)
+    edges[RADIAL_PANELS] = 1.0
+    for k in range(RADIAL_PANELS - 1, 0, -1):
+        edges[k] = edges[k + 1] * RADIAL_RATIO
     edges[0] = 0.0
     widths = np.diff(edges)
     r = (edges[:-1, None] + widths[:, None] * xg[None, :]).ravel()
     w = (widths[:, None] * wg[None, :]).ravel()
-    return r, w * r
+    r.flags.writeable = w.flags.writeable = False
+    return r, w
 
 
 def _scan_ladder(rmax: float) -> np.ndarray:
@@ -515,10 +513,11 @@ def _smoothstep(v):
 class PolarRule:
     """Quadrature for integrals over the domain, centered at a target point.
 
-    Held in ray form: per angular node a direction, an angular weight and
-    the extent of the inside segment that starts at the target, plus the
-    inside segments of star profiles that start away from it (ray index,
-    start, end).  ``nodes()`` expands this into points and weights.  The
+    Held as a segment table: per angular node a direction and an angular
+    weight, and per inside segment its ray index and its start and end
+    radius, sorted by ray and then by radius.  ``nodes()`` expands a
+    segment that starts at the target (start 0) with the radial panels
+    graded toward it, and every other segment with Gauss-Legendre.  The
     weights include the polar Jacobian r, which cancels 1/r kernel
     singularities at the target; log(r) factors are handled by the graded
     radial panels.
@@ -528,26 +527,30 @@ class PolarRule:
     theta: np.ndarray
     wtheta: np.ndarray
     dirs: np.ndarray
-    extents: np.ndarray
-    seg_ray: np.ndarray          # (m,) ray index of each off-target segment
+    seg_ray: np.ndarray          # (m,) ray index of each segment
     seg_ends: np.ndarray         # (m, 2) its start and end radius
     n_r: int
 
     def nodes(self):
-        """Quadrature points (N, 2) and weights (N,)."""
-        y = self.target
-        pts, wts = _first_segment_rule(y, self.dirs, self.extents,
-                                       self.wtheta, self.n_r)
-        if not len(self.seg_ray):
-            return pts, wts
-        xg, wg = _gauss_01_cached(self.n_r)
-        k = self.seg_ray
-        a, b = self.seg_ends[:, :1], self.seg_ends[:, 1:]
-        r = a + (b - a) * xg
-        w = (b - a) * wg * r * self.wtheta[k][:, None]
-        extra = y + r[:, :, None] * self.dirs[k][:, None, :]
-        return (np.concatenate([pts, extra.reshape(-1, 2)]),
-                np.concatenate([wts, w.ravel()]))
+        """Quadrature points (N, 2) and weights (N,): segments that start
+        at the target first, then the others, each in table order.
+
+        A segment [a, a + h] along ray k with unit rule (x, wx) has nodes
+        r = a + h x and weights h wx r wtheta_k, formed as
+        h^2 wtheta_k (wx x) + h a wtheta_k wx.
+        """
+        at_target = self.seg_ends[:, 0] == 0.0
+        pts, wts = [], []
+        for sel, (x, wx) in ((at_target, _graded_unit_rule(self.n_r)),
+                             (~at_target, gauss_01(self.n_r))):
+            k = self.seg_ray[sel]
+            a, b = self.seg_ends[sel, :1], self.seg_ends[sel, 1:]
+            h, wt = b - a, self.wtheta[k][:, None]
+            r = a + h * x
+            pts.append((self.target + r[:, :, None]
+                        * self.dirs[k][:, None, :]).reshape(-1, 2))
+            wts.append(((h**2 * wt) * (wx * x) + (h * a * wt) * wx).ravel())
+        return np.concatenate(pts), np.concatenate(wts)
 
     @property
     def points(self) -> np.ndarray:
@@ -562,8 +565,7 @@ class PolarRule:
         return float(wts @ f(pts))
 
 
-def adaptive_theta_count(spec: DomainSpec, y, base: int = 48,
-                         coeff: float = 14.0, cap: int = 768) -> int:
+def adaptive_theta_count(spec: DomainSpec, y, base: int = 48) -> int:
     """Angular node count resolving the near-boundary layer of L(theta).
 
     The analyticity width of the radial extent shrinks like sqrt(1 - level)
@@ -576,8 +578,8 @@ def adaptive_theta_count(spec: DomainSpec, y, base: int = 48,
     if lev >= 1.0 - BOUNDARY_LEVEL_TOL:
         return base
     eps = 1.0 - lev
-    n = max(base, int(np.ceil(coeff / np.sqrt(eps))))
-    n = min(cap, n)
+    n = max(base, int(np.ceil(THETA_COUNT_COEFF / np.sqrt(eps))))
+    n = min(THETA_COUNT_CAP, n)
     return n + (n % 2)
 
 
@@ -588,17 +590,6 @@ def _window_angles(alpha: float, n_theta: int):
     sstep, dstep = _smoothstep(xg)
     theta = alpha - np.pi / 2 + np.pi * sstep
     return theta, np.pi * dstep * wg
-
-
-def _first_segment_rule(y, dirs, L, wtheta, n_r):
-    """Graded rules on [0, L] per direction; r = L*r1, w = L^2*w1."""
-    keep = L > 0.0
-    r1, w1 = _graded_unit_rule(RADIAL_PANELS, RADIAL_RATIO, n_r)
-    Lk = L[keep]
-    pts = y[None, None, :] + (Lk[:, None] * r1[None, :])[:, :, None] \
-        * dirs[keep][:, None, :]
-    wts = (Lk**2 * wtheta[keep])[:, None] * w1[None, :]
-    return pts.reshape(-1, 2), wts.ravel()
 
 
 def polar_rule_for_target(spec: DomainSpec, y, n_theta: int = 48,
@@ -640,16 +631,13 @@ def polar_rule_for_target(spec: DomainSpec, y, n_theta: int = 48,
 
     if spec.kind == "disk":
         L = _disk_extents(spec, y, dirs)
-        ray, a, b = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
+        ray = np.flatnonzero(L > 0.0)
+        a, b = np.zeros(len(ray)), L[ray]
     else:
         rmax = 2.1 * spec.max_rho() + float(np.linalg.norm(y - spec.center))
         ray, a, b = inside_segments(spec, y, dirs, rmax)
-        first = a <= 1e-11 * rmax       # segments that start at the target
-        L = np.zeros(len(dirs))
-        L[ray[first]] = b[first]
-        ray, a, b = ray[~first], a[~first], b[~first]
-    if not (L > 0.0).any() and not len(ray):
+        a = np.where(a <= 1e-11 * rmax, 0.0, a)   # starts at the target
+    if not len(ray):
         raise GeometryError("polar rule is empty: no ray enters the domain")
     return PolarRule(target=y, theta=theta, wtheta=wtheta, dirs=dirs,
-                     extents=L, seg_ray=ray,
-                     seg_ends=np.stack([a, b], axis=1), n_r=n_r)
+                     seg_ray=ray, seg_ends=np.stack([a, b], axis=1), n_r=n_r)

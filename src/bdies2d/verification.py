@@ -30,6 +30,12 @@ from .geometry import (BoundaryCurve, DomainGrid, DomainSpec,
 from .potentials import BoundaryDensity, DomainField
 
 TWO_PI = 2.0 * np.pi
+#: Seed of the identity suite's random densities.
+SUITE_SEED = 7
+#: Central-difference step of ``remainder_via_relation``.
+RELATION_STEP = 1e-4
+#: Leading singular values reported by ``remainder_spectrum_decay``.
+SPECTRUM_HEAD = 24
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +358,7 @@ def volume_potential_direct(grid: DomainGrid, coeff: Coefficient, family: str,
 
 
 def remainder_via_relation(grid: DomainGrid, coeff: Coefficient, family: str,
-                           field: DomainField, targets,
-                           step: float = 1e-4) -> np.ndarray:
+                           field: DomainField, targets) -> np.ndarray:
     """Oracle for ``potentials.remainder_potential``: its divergence form.
 
     Differentiates log potentials of coefficient-weighted densities by
@@ -370,9 +375,9 @@ def remainder_via_relation(grid: DomainGrid, coeff: Coefficient, family: str,
     grad = coeff.grad_ln_a if family == "x" else coeff.grad_a
     comp = field.values[:, None] * grad(grid.points)
     div = np.zeros(len(tg))
-    for axis, e in enumerate(np.eye(2) * step):
+    for axis, e in enumerate(np.eye(2) * RELATION_STEP):
         div += (log_potential(comp[:, axis], tg + e)
-                - log_potential(comp[:, axis], tg - e)) / (2 * step)
+                - log_potential(comp[:, axis], tg - e)) / (2 * RELATION_STEP)
     if family == "x":
         return div - log_potential(
             field.values * coeff.laplacian_ln_a(grid.points), tg)
@@ -380,7 +385,7 @@ def remainder_via_relation(grid: DomainGrid, coeff: Coefficient, family: str,
 
 
 def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
-                   family: str, seed: int = 7) -> SuiteReport:
+                   family: str) -> SuiteReport:
     """Run the potential-theory identity checks and report defects.
 
     Covers the Gauss identity triple, jump relations by Richardson
@@ -390,7 +395,7 @@ def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     checks carry fixed tolerances, so they run on an internally refined
     grid whenever the supplied grid is below certification resolution.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SUITE_SEED)
     rep = SuiteReport()
     spec = curve.spec
     c, diam = spec.center, spec.diameter()
@@ -504,7 +509,7 @@ def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
 
 
 # ---------------------------------------------------------------------------
-# Convergence and family-comparison studies
+# Convergence studies
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -543,13 +548,11 @@ class StudyReport:
         return self.rows[-1].order if self.rows else float("nan")
 
 
-def solve_case(case: ManufacturedCase, spec: DomainSpec, family: str,
-               n_boundary: int, n_t: int, n_s: int,
-               with_cond: bool = True, allow_large_domain: bool = False):
-    """Solve one manufactured problem; return (solution, StudyRow)."""
+def solve_case(case: ManufacturedCase, curve: BoundaryCurve, grid: DomainGrid,
+               family: str, allow_large_domain: bool = False):
+    """Solve one manufactured problem on a built curve and grid; return
+    (solution, StudyRow).  The row's ``seconds`` is the solve alone."""
     t0 = time.perf_counter()
-    curve = build_curve(spec, n_boundary)
-    grid = build_domain_grid(spec, n_t, n_s)
     f = case.f_field_on(grid)
     phi0 = case.phi0_on(curve)
     sol = solver.solve_bvp(curve, grid, case.coeff, family, f, phi0,
@@ -564,46 +567,40 @@ def solve_case(case: ManufacturedCase, spec: DomainSpec, family: str,
     err_l2 = float(np.sqrt(grid.weights @ du**2) / l2_scale)
     err_psi = float(np.abs(sol.psi.values - case.psi_on(curve)).max())
     trace = float(np.abs(sol.u.at(curve.points) - phi0.values).max())
-    cond = sol.system.cond if with_cond else float("nan")
-    row = StudyRow(n_boundary=n_boundary, n_t=n_t, n_s=n_s,
+    row = StudyRow(n_boundary=curve.n, n_t=grid.n_t, n_s=grid.n_s,
                    err_u_max=err_max, err_u_l2=err_l2, err_psi_max=err_psi,
-                   order=float("nan"), cond=cond, seconds=seconds,
+                   order=float("nan"), cond=sol.system.cond, seconds=seconds,
                    trace_defect=trace)
     return sol, row
 
 
-def convergence_study(case: ManufacturedCase, spec: DomainSpec, family: str,
-                      resolutions: Sequence[tuple], with_cond: bool = True,
-                      allow_large_domain: bool = False) -> StudyReport:
-    """Errors against the exact solution across a resolution ladder."""
+def convergence_study(case: ManufacturedCase, spec: DomainSpec,
+                      families: Sequence[str], resolutions: Sequence[tuple],
+                      allow_large_domain: bool = False) -> dict:
+    """Errors against the exact solution across a resolution ladder.
+
+    Each rung's curve and grid are built once and every family is solved
+    on them, so the families share every geometry-only operator.  Returns
+    one StudyReport per family, keyed by family.
+    """
     if len(resolutions) < 1:
         raise ValueError("at least one resolution is required")
-    report = StudyReport(case=case.name, family=family)
+    reports = {fam: StudyReport(case=case.name, family=fam)
+               for fam in families}
     for nb, nt, ns in resolutions:
-        _, row = solve_case(case, spec, family, nb, nt, ns, with_cond,
-                            allow_large_domain)
-        report.rows.append(row)
-    for k in range(1, len(report.rows)):
-        r0, r1 = report.rows[k - 1], report.rows[k]
-        ratio = r1.n_boundary / r0.n_boundary
-        floor = 1e-13
-        if r1.err_u_max > 0 and r0.err_u_max > floor and ratio > 1:
-            r1.order = float(np.log(r0.err_u_max / r1.err_u_max) / np.log(ratio))
-    return report
-
-
-def compare_families(case: ManufacturedCase, spec: DomainSpec,
-                     resolutions: Sequence[tuple],
-                     allow_large_domain: bool = False) -> dict:
-    """Side-by-side studies for both parametrix families.
-
-    The family-"y" system mirrors the solved one with the other kernel
-    family; its report is emitted for comparison without acceptance
-    thresholds.
-    """
-    return {fam: convergence_study(case, spec, fam, resolutions,
-                                   allow_large_domain=allow_large_domain)
-            for fam in potentials.FAMILIES}
+        curve = build_curve(spec, nb)
+        grid = build_domain_grid(spec, nt, ns)
+        for fam, report in reports.items():
+            _, row = solve_case(case, curve, grid, fam, allow_large_domain)
+            report.rows.append(row)
+    for report in reports.values():
+        for r0, r1 in zip(report.rows, report.rows[1:]):
+            ratio = r1.n_boundary / r0.n_boundary
+            floor = 1e-13
+            if r1.err_u_max > 0 and r0.err_u_max > floor and ratio > 1:
+                r1.order = float(np.log(r0.err_u_max / r1.err_u_max)
+                                 / np.log(ratio))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +641,7 @@ def invertibility_report(curve: BoundaryCurve, grid: DomainGrid,
 
 
 def remainder_spectrum_decay(grid: DomainGrid, coeff: Coefficient,
-                             family: str, k: int = 24) -> dict:
+                             family: str) -> dict:
     """Leading singular values of the discrete remainder block.
 
     A rapidly decaying spectrum is the finite-dimensional face of the
@@ -654,7 +651,7 @@ def remainder_spectrum_decay(grid: DomainGrid, coeff: Coefficient,
         return {"sigma": [0.0], "decay_ratio": 0.0}
     R = potentials.remainder_rows(grid, coeff, family, grid.points)
     s = scipy.linalg.svdvals(R)
-    k = min(k, len(s))
+    k = min(SPECTRUM_HEAD, len(s))
     return {"sigma": s[:k].tolist(),
             "decay_ratio": float(s[k - 1] / s[0]) if s[0] > 0 else 0.0}
 

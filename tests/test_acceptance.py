@@ -30,13 +30,13 @@ def report(num, desc, passed, detail=""):
 @pytest.fixture(scope="module")
 def exp_compare():
     case = V.manufactured_case("exp_saddle")
-    return V.compare_families(case, DISK, LADDER)
+    return V.convergence_study(case, DISK, ("x", "y"), LADDER)
 
 
 @pytest.fixture(scope="module")
 def quad_study():
     case = V.manufactured_case("quad_coeff")
-    return V.convergence_study(case, DISK, "x", LADDER)
+    return V.convergence_study(case, DISK, ("x",), LADDER)["x"]
 
 
 @pytest.fixture(scope="module")
@@ -182,9 +182,10 @@ def test_criterion_8_jump_relations(suite):
 
 def test_criterion_9_fd_oracle_cross_check():
     worst = 0.0
+    curve, grid = build_curve(DISK, 128), build_domain_grid(DISK, 32, 12)
     for name in V.MANUFACTURED_NAMES:
         case = V.manufactured_case(name)
-        sol, _ = V.solve_case(case, DISK, "x", 128, 32, 12, with_cond=False)
+        sol, _ = V.solve_case(case, curve, grid, "x")
         fd = V.fd_oracle(case, DISK, 128, 128)
         worst = max(worst, V.oracle_discrepancy(sol, fd))
     report(9, "solver vs finite-difference oracle on all manufactured cases",

@@ -273,11 +273,14 @@ class TestMain:
          "coefficient": {"preset": "exponential", "direction": "ab"}},
         {"command": "validate",
          "coefficient": {"preset": "exponential", "direction": [1e400, 0]}},
+        {"resolutions": {"n_boundary": 64, "n_t": 15, "n_s": 8}},
+        {"resolutions": {"n_boundary": 6, "n_t": 16, "n_s": 8}},
+        {"resolutions": {"n_boundary": 64, "n_t": 16, "n_s": 3}},
     ], ids=["center-string", "coeffs-string", "radius-nan", "center-inf",
             "coeffs-nan", "resolution-int", "resolutions-string",
             "count-float", "flag-string", "value-string", "value-negative",
             "value-nan", "direction-short", "direction-string",
-            "direction-inf"])
+            "direction-inf", "n_t-odd", "n_boundary-small", "n_s-small"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, change):
         cfg = dict(MINIMAL_SOLVE, **change)
         p = write_config(tmp_path, cfg)

@@ -121,7 +121,9 @@ class TestDomainGrid:
 class TestPolarRule:
     def test_center_extents_and_log_integral(self):
         rule = polar_rule_for_target(DISK, [0.0, 0.0], 48, 10)
-        np.testing.assert_allclose(rule.extents, 0.4, atol=1e-13)
+        np.testing.assert_array_equal(rule.seg_ray, np.arange(48))
+        np.testing.assert_array_equal(rule.seg_ends[:, 0], 0.0)
+        np.testing.assert_allclose(rule.seg_ends[:, 1], 0.4, atol=1e-13)
         # closed form: integral of log|x| over the disk = pi r^2 (log r - 1/2)
         exact = np.pi * 0.16 * (np.log(0.4) - 0.5)
         got = rule.integrate(lambda p: np.log(np.linalg.norm(p, axis=1)))
@@ -238,13 +240,15 @@ class TestCardinals:
 
     def test_trig_cardinal_rows_on_node_mask(self):
         # anchored rules put points on grid angles up to rounding: those
-        # get unit rows; every other row is the closed-form cardinal
+        # get unit rows, also at subnormal angles where cot(theta/2)
+        # overflows; every other row is the closed-form cardinal
         n = 32
         t = 2 * np.pi * np.arange(n) / n
         on = np.concatenate([t, t + 4e-16, t - 4e-16,
-                             [0.0, 2 * np.pi - 1e-16]])
+                             [0.0, 2 * np.pi - 1e-16, 2.2250738585072014e-308,
+                              1e-310]])
         A = trig_cardinal_rows(on, n)
-        want = np.concatenate([np.arange(n)] * 3 + [[0, 0]])
+        want = np.concatenate([np.arange(n)] * 3 + [[0, 0, 0, 0]])
         np.testing.assert_array_equal(A, np.eye(n)[want])
         rng = np.random.default_rng(7)
         j = rng.integers(0, n, 40)

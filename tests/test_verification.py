@@ -199,15 +199,15 @@ class TestIdentitySuite:
 class TestStudies:
     def test_convergence_study_structure(self):
         case = V.manufactured_case("quad_coeff")
-        rep = V.convergence_study(case, DISK, "x",
-                                  [(32, 12, 6), (64, 16, 8)], with_cond=False)
+        rep = V.convergence_study(case, DISK, ("x",),
+                                  [(32, 12, 6), (64, 16, 8)])["x"]
         assert len(rep.rows) == 2
         assert rep.rows[0].err_u_max > rep.rows[1].err_u_max
         assert np.isfinite(rep.rows[1].order)
 
     def test_const_one_floor(self):
-        rep = V.convergence_study(V.manufactured_case("const_one"), DISK, "x",
-                                  [(32, 12, 6), (64, 16, 8)], with_cond=False)
+        rep = V.convergence_study(V.manufactured_case("const_one"), DISK,
+                                  ("x",), [(32, 12, 6), (64, 16, 8)])["x"]
         assert all(r.err_u_max < 1e-10 for r in rep.rows)
 
     def test_compare_families_constant_identical_systems(self):
@@ -220,11 +220,53 @@ class TestStudies:
 
     def test_compare_families_emits_both(self):
         case = V.manufactured_case("quad_coeff")
-        reports = V.compare_families(case, DISK, [(32, 12, 6), (64, 16, 8)])
+        reports = V.convergence_study(case, DISK, ("x", "y"),
+                                      [(32, 12, 6), (64, 16, 8)])
         assert set(reports) == {"x", "y"}
         for rep in reports.values():
             assert len(rep.rows) == 2
             assert all(np.isfinite(r.cond) for r in rep.rows)
+
+    def test_families_share_each_rung(self, monkeypatch):
+        # one curve and grid per rung; family y builds no Laplace block and
+        # no polar rule of its own, and its rows are a y-only study's rows
+        case = V.manufactured_case("exp_saddle")
+        ladder = [(32, 12, 6), (48, 12, 6)]
+        calls, family = [], [None]
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((family[0], name))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        solve_case = V.solve_case
+
+        def solve(case, curve, grid, fam, *args):
+            family[0] = fam
+            try:
+                return solve_case(case, curve, grid, fam, *args)
+            finally:
+                family[0] = None
+
+        monkeypatch.setattr(V, "solve_case", solve)
+        for owner, name in ((V, "build_curve"), (V, "build_domain_grid"),
+                            (laplace, "single_layer_matrix"),
+                            (potentials, "polar_rule_for_target")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        both = V.convergence_study(case, DISK, ("x", "y"), ladder)
+        monkeypatch.undo()
+
+        outside = [name for fam, name in calls if fam is None]
+        assert outside == ["build_curve", "build_domain_grid"] * 2
+        x_calls = {name for fam, name in calls if fam == "x"}
+        assert x_calls == {"single_layer_matrix", "polar_rule_for_target"}
+        assert [name for fam, name in calls if fam == "y"] == []
+        alone = V.convergence_study(case, DISK, ("y",), ladder)["y"]
+        for shared, own in zip(both["y"].rows, alone.rows, strict=True):
+            for key in ("err_u_max", "err_u_l2", "err_psi_max", "cond",
+                        "trace_defect"):
+                assert getattr(shared, key) == getattr(own, key), key
 
 
 class TestDiagnostics:
@@ -250,7 +292,7 @@ class TestDiagnostics:
         # strictly below the leading value (no threshold by design)
         grid = build_domain_grid(DISK, 16, 8)
         decay = V.remainder_spectrum_decay(
-            grid, make_preset("exponential", direction=(1, 1)), "x", k=24)
+            grid, make_preset("exponential", direction=(1, 1)), "x")
         assert 0.0 < decay["decay_ratio"] < 1.0
         s = decay["sigma"]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(s, s[1:]))
