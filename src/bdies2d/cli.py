@@ -77,6 +77,9 @@ def load_config(path) -> RunConfig:
     _reject_unknown(domain, _DOMAIN_KEYS, "domain")
     if domain.get("kind") not in ("disk", "star"):
         raise ConfigError("domain.kind must be 'disk' or 'star'")
+    other = {"disk": "cos_coeffs", "star": "radius"}[domain["kind"]]
+    if other in domain:
+        raise ConfigError(f"a {domain['kind']} domain takes no {other!r}")
 
     family = raw.get("family", "x")
     if family not in ("x", "y"):

@@ -276,11 +276,16 @@ class TestMain:
         {"resolutions": {"n_boundary": 64, "n_t": 15, "n_s": 8}},
         {"resolutions": {"n_boundary": 6, "n_t": 16, "n_s": 8}},
         {"resolutions": {"n_boundary": 64, "n_t": 16, "n_s": 3}},
+        {"domain": {"kind": "disk", "radius": 0.4,
+                    "cos_coeffs": [0.2, 0.1]}},
+        {"domain": {"kind": "star", "radius": 0.4,
+                    "cos_coeffs": [0.3, 0.0, 0.03]}},
     ], ids=["center-string", "coeffs-string", "radius-nan", "center-inf",
             "coeffs-nan", "resolution-int", "resolutions-string",
             "count-float", "flag-string", "value-string", "value-negative",
             "value-nan", "direction-short", "direction-string",
-            "direction-inf", "n_t-odd", "n_boundary-small", "n_s-small"])
+            "direction-inf", "n_t-odd", "n_boundary-small", "n_s-small",
+            "disk-cos_coeffs", "star-radius"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, change):
         cfg = dict(MINIMAL_SOLVE, **change)
         p = write_config(tmp_path, cfg)

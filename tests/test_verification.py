@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from bdies2d import laplace, potentials
 from bdies2d import verification as V
 from bdies2d.coefficient import make_preset
 from bdies2d.geometry import DomainSpec, build_curve, build_domain_grid
+from bdies2d.laplace import QuadratureError
 from bdies2d.potentials import FAMILIES, DomainField
 from bdies2d.solver import assemble_system
 
@@ -138,6 +140,90 @@ class TestVolumeOracles:
             assert np.isfinite(
                 V.remainder_via_relation(grid, A_EXP, fam, f, tg)).all()
         assert grid._cache == {}
+
+
+BENCH_STAR = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.03))
+NONCONVEX_STAR = DomainSpec("star", center=(0.0, 0.0),
+                            cos_coeffs=(0.3, 0.05, 0.0, 0.0, 0.0, 0.08))
+DIRECT_OPS = {"V": potentials.single_layer_direct_matrix,
+              "W": potentials.double_layer_direct_matrix,
+              "Wp": potentials.wprime_direct_matrix}
+
+
+def _oracle_defects(spec, n, coeff, family):
+    """|production - oracle| for V, W, Wp at nodes 0 and n/4, and V, W at
+    ``identity_suite``'s two off-boundary probes; also the oracle values."""
+    curve = build_curve(spec, n)
+    dens_fn = V._random_trig(np.random.default_rng(5), degree=5)
+    dens = dens_fn(curve.t)
+    nodes = [0, n // 4]
+    probe = spec.center + np.array([[0.21, -0.08],
+                                    [-0.05, 0.17]]) * spec.diameter()
+    defects, refs = [], []
+    for kind, op in DIRECT_OPS.items():
+        off = () if kind == "Wp" else probe
+        ref = V.direct_boundary_values(curve, coeff, family, kind, dens_fn,
+                                       nodes, off)
+        got = (op(curve, coeff, family) @ dens)[nodes]
+        if kind != "Wp":
+            got = np.concatenate([got, potentials.layer_eval_near(
+                curve, coeff, family, kind,
+                potentials.BoundaryDensity(curve, dens), probe)])
+        defects.append(np.abs(got - ref))
+        refs.append(ref)
+    return np.concatenate(defects), np.concatenate(refs)
+
+
+class TestBoundaryOracle:
+    @pytest.mark.parametrize("spec", [DISK, BENCH_STAR, NONCONVEX_STAR],
+                             ids=["disk", "star", "nonconvex"])
+    def test_matches_resolved_kress_rows(self, spec):
+        # n = 1024 Kress rows are converged to rounding on all three
+        for family in FAMILIES:
+            defects, _ = _oracle_defects(spec, 1024, A_EXP, family)
+            assert defects.max() <= 1e-12, (family, defects)
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=convex_domains(),
+           preset=st.sampled_from(("exponential", "quadratic")),
+           family=st.sampled_from(FAMILIES))
+    def test_matches_production_on_convex_domains(self, spec, preset, family):
+        defects, refs = _oracle_defects(spec, 64, make_preset(preset), family)
+        assert defects.max() <= 1e-9 * np.abs(refs).max()
+
+    def test_non_convergence_raises(self, monkeypatch):
+        tanhsinh = scipy.integrate.tanhsinh
+
+        def stalled(*args, **kwargs):
+            res = tanhsinh(*args, **kwargs)
+            res.status[0, 0] = -2
+            return res
+
+        monkeypatch.setattr(scipy.integrate, "tanhsinh", stalled)
+        curve = build_curve(DISK, 32)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            V.direct_boundary_values(curve, A_EXP, "x", "V", np.cos, [0])
+
+    def test_shares_nothing_with_the_production_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle entered the production path")
+
+        monkeypatch.setattr(potentials, "_laplace_blocks", refuse)
+        monkeypatch.setattr(laplace, "kress_log_weights", refuse)
+        curve = build_curve(BENCH_STAR, 32)
+        for family in FAMILIES:
+            for kind in DIRECT_OPS:
+                off = () if kind == "Wp" else [[0.05, 0.1]]
+                vals = V.direct_boundary_values(curve, A_EXP, family, kind,
+                                                np.cos, [0, 8], off)
+                assert np.isfinite(vals).all()
+        assert curve._cache == {}
+
+    def test_wp_has_no_offboundary_form(self):
+        curve = build_curve(DISK, 32)
+        with pytest.raises(ValueError, match="normal"):
+            V.direct_boundary_values(curve, A_EXP, "x", "Wp", np.cos, [0],
+                                     [[0.0, 0.1]])
 
 
 @pytest.fixture(scope="module")
