@@ -456,10 +456,14 @@ def inside_segments(spec: DomainSpec, y, dirs: np.ndarray, rmax: float):
 
     Returns arrays (ray, start, end): segment k covers [start[k], end[k]]
     along direction ray[k], with 0 <= start < end, sorted by ray and then
-    by radius.  Segment ends are located by bisection on the level
-    function; segments shorter than the scan resolution near rmax can be
-    missed, but the ladder is logarithmic near 0 where short entering
-    segments matter.
+    by radius.  A scan of the level function over ``_scan_ladder``
+    brackets every boundary crossing; segments shorter than the scan
+    resolution near rmax can be missed, but the ladder is logarithmic near
+    0 where short entering segments matter.  Inside a bracket the crossing
+    is a simple root of g(r) = |p| - rho(theta(p)), p = y - center + r*dir,
+    found by safeguarded Newton iteration from the scan's secant guess:
+    every iterate shrinks the bracket, and a step that leaves it is
+    replaced by the bracket's midpoint.
     """
     y = _as_point(y)
     rr = _scan_ladder(rmax)
@@ -474,16 +478,32 @@ def inside_segments(spec: DomainSpec, y, dirs: np.ndarray, rmax: float):
     di, ki = np.nonzero(flips)
     lo, hi = rr[ki].copy(), rr[ki + 1].copy()
     entering = ~inside[di, ki]          # outside -> inside across the flip
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        mid_inside = spec.level(y[None, :] + mid[:, None] * dirs[di]) < 1.0
-        take_hi = mid_inside == entering
-        new_hi = np.where(take_hi, mid, hi)
-        new_lo = np.where(take_hi, lo, mid)
-        if np.array_equal(new_hi, hi) and np.array_equal(new_lo, lo):
-            break                       # every bracket has stopped moving
-        lo, hi = new_lo, new_hi
-    cross = 0.5 * (lo + hi)
+    l0, l1 = lev[di, ki], lev[di, ki + 1]
+    cross = lo + (hi - lo) * (1.0 - l0) / (l1 - l0)
+    p0, d = y - spec.center, dirs[di]
+    tol = 1e-15 * rmax
+    todo = np.arange(len(cross))
+    for _ in range(60):                 # a backstop: a few steps suffice
+        if not todo.size:
+            break
+        r, dk = cross[todo], d[todo]
+        p = p0 + r[:, None] * dk
+        R = np.hypot(p[:, 0], p[:, 1])
+        th = np.arctan2(p[:, 1], p[:, 0])
+        g = R - spec.rho(th)            # < 0 where the level is < 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dg = ((p * dk).sum(1) / R - spec.drho(th)
+                  * (p[:, 0] * dk[:, 1] - p[:, 1] * dk[:, 0]) / R**2)
+            step = g / dg
+        past = (g < 0.0) == entering[todo]
+        lo[todo] = a = np.where(past, lo[todo], r)
+        hi[todo] = b = np.where(past, r, hi[todo])
+        new = r - step
+        new = np.where((a < new) & (new < b), new, 0.5 * (a + b))
+        done = ((np.abs(g) <= 4 * np.finfo(float).eps * R)
+                | (np.abs(step) <= tol) | (b - a <= tol))
+        cross[todo] = np.where(done, r, new)
+        todo = todo[~done]
 
     # crossings alternate along a ray, and every ray ends outside, so each
     # exit closes the segment opened by the previous crossing on its ray,

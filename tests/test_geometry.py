@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_verification import convex_domains
 
-from bdies2d.geometry import (DomainSpec, GeometryError, build_curve,
-                              build_domain_grid, gauss_01, inside_segments,
-                              polar_rule_for_target, trig_cardinal_rows)
+from bdies2d.geometry import (DomainSpec, GeometryError, _disk_extents,
+                              _window_angles, adaptive_theta_count,
+                              build_curve, build_domain_grid, gauss_01,
+                              inside_segments, polar_rule_for_target,
+                              trig_cardinal_rows)
 
 DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
 STAR = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.0, 0.06))
@@ -181,6 +186,72 @@ class TestPolarRule:
             assert np.all(np.abs(level(ends, on) - 1.0) <= 1e-12)
             rays_with_gaps += gap.sum()
         assert rays_with_gaps > 0
+
+    def test_circle_star_segments_match_disk_extents(self):
+        # a circle written as a star: its crossings have a closed form
+        star = DomainSpec("star", center=(0.1, -0.2), cos_coeffs=[0.4])
+        disk = DomainSpec("disk", center=(0.1, -0.2), radius=0.4)
+        th = 2 * np.pi * np.arange(64) / 64 + 0.1
+        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+        for off in ([0.0, 0.0], [0.15, -0.1], 0.4 * (1 - 1e-6)
+                    * np.array([np.cos(2.0), np.sin(2.0)])):
+            y = star.center + off
+            rmax = 2.1 * star.max_rho() + np.linalg.norm(off)
+            ray, a, b = inside_segments(star, y, dirs, rmax)
+            np.testing.assert_array_equal(ray, np.arange(64))
+            np.testing.assert_array_equal(a, 0.0)
+            np.testing.assert_allclose(b, _disk_extents(disk, y, dirs),
+                                       rtol=0, atol=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=convex_domains(), s=st.floats(0.0, 0.95),
+           phi=st.floats(0.0, 2 * np.pi), t=st.floats(0.0, 2 * np.pi))
+    def test_segment_ends_lie_on_random_convex_boundaries(self, spec, s,
+                                                          phi, t):
+        star = DomainSpec("star", center=spec.center,
+                          cos_coeffs=spec.cos_coeffs)
+        th = 2 * np.pi * np.arange(48) / 48 + phi
+        interior = star.center + s * star.rho(phi) * np.array(
+            [np.cos(phi), np.sin(phi)])
+        # boundary targets use the rule's two width-pi windows
+        nin = -star.boundary_normal(t)
+        alpha = np.arctan2(nin[1], nin[0])
+        window = np.concatenate([_window_angles(alpha, 24)[0],
+                                 _window_angles(alpha + np.pi, 24)[0]])
+        for y, angles, is_interior in (
+                (interior, th, True),
+                (star.boundary_point(t), window, False)):
+            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            rmax = 2.1 * star.max_rho() + np.linalg.norm(y - star.center)
+            ray, a, b = inside_segments(star, y, dirs, rmax)
+            ends = np.concatenate([a[a > 0], b])
+            on = np.concatenate([ray[a > 0], ray])
+            lev = star.level(y + ends[:, None] * dirs[on])
+            assert np.all(np.abs(lev - 1.0) <= 1e-13)
+            if is_interior:
+                np.testing.assert_array_equal(ray, np.arange(len(angles)))
+                np.testing.assert_array_equal(a, 0.0)
+
+    def test_star_rule_profile_evaluations_stay_few(self, monkeypatch):
+        # the scan and a few Newton steps per rule; a bisection needs
+        # about 54 level evaluations per rule
+        spec = DomainSpec("star", center=(0.0, 0.0),
+                          cos_coeffs=(0.3, 0.0, 0.03))
+        spec.max_rho()
+        rho = DomainSpec.rho
+        calls = []
+
+        def counted(self, theta):
+            calls.append(1)
+            return rho(self, theta)
+
+        targets = (np.array([0.21, 0.08]), spec.boundary_point(0.7))
+        n_theta = [adaptive_theta_count(spec, y) for y in targets]
+        monkeypatch.setattr(DomainSpec, "rho", counted)
+        for y, n in zip(targets, n_theta):
+            calls.clear()
+            polar_rule_for_target(spec, y, n, 10)
+            assert len(calls) <= 12
 
     def test_agrees_with_grid_rule_on_cubics(self):
         grid = build_domain_grid(DISK, 32, 12)
