@@ -15,6 +15,7 @@ printed with 17 significant digits so reruns can be diffed bitwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -46,6 +47,11 @@ class RunConfig:
     resolutions: list = field(default_factory=list)
     output_dir: str | None = None
     allow_large_domain: bool = False
+
+    @functools.cached_property
+    def spec(self):
+        """The domain, built once; raises ConfigError if it is invalid."""
+        return _build_domain(self)
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
@@ -160,8 +166,7 @@ def _build_domain(cfg: RunConfig):
 
 
 def _check_diameter(cfg: RunConfig):
-    spec = _build_domain(cfg)
-    diam = spec.diameter()
+    diam = cfg.spec.diameter()
     if diam >= 1.0 and not cfg.allow_large_domain:
         raise ConfigError(
             f"domain diameter {diam:.6g} >= 1 violates the unique-solvability "
@@ -218,6 +223,8 @@ def write_results(out_dir: Path, payload: dict):
 
 
 def write_errors_csv(out_dir: Path, rows):
+    """``errors.csv``; no caller in the package, kept for the benchmark's
+    tracer, which wraps it by name."""
     write_errors_csv_named(out_dir, rows, "errors.csv")
 
 
@@ -242,21 +249,18 @@ def _checks_payload(checks):
             for c in checks]
 
 
-def _run_solve(cfg: RunConfig, out: Path) -> int:
+def _run_solve(cfg: RunConfig):
     import numpy as np
     from . import verification
     from .geometry import build_curve, build_domain_grid
 
-    spec = _build_domain(cfg)
     case = verification.manufactured_case(cfg.case)
     nb, nt, ns = cfg.resolutions[0]
-    t0 = time.perf_counter()
-    curve = build_curve(spec, nb)
-    grid = build_domain_grid(spec, nt, ns)
+    curve = build_curve(cfg.spec, nb)
+    grid = build_domain_grid(cfg.spec, nt, ns)
     sol, row = verification.solve_case(
         case, curve, grid, cfg.family,
         allow_large_domain=cfg.allow_large_domain)
-    elapsed = time.perf_counter() - t0
 
     checks = verification.SuiteReport()
     checks.add("linear_solve_residual", sol.residual, 1e-12)
@@ -265,11 +269,8 @@ def _run_solve(cfg: RunConfig, out: Path) -> int:
     checks.add("trace_defect", row.trace_defect, 1e-5)
 
     diag = verification.fredholm_diagnostic(sol)
-    payload = {
-        "command": "solve",
-        "config": _echo(cfg),
+    body = {
         "experimental": cfg.family == "y",
-        "checks": _checks_payload(checks.checks),
         "diagnostics": {
             "cond": sol.system.cond,
             "sigma_min": sol.system.sigma_min,
@@ -277,26 +278,22 @@ def _run_solve(cfg: RunConfig, out: Path) -> int:
             "psi_max": float(np.abs(sol.psi.values).max()),
             **diag,
         },
-        "timings": {"total_seconds": elapsed},
     }
-    write_results(out, payload)
-    write_errors_csv(out, [row])
-    return 0 if checks.passed else 1
+    return checks, body, {"errors.csv": [row]}
 
 
-def _run_validate(cfg: RunConfig, out: Path) -> int:
+def _run_validate(cfg: RunConfig):
     import numpy as np
     from . import verification
     from .coefficient import DERIVATIVE_TOL, validate_derivatives
     from .geometry import build_curve, build_domain_grid
 
-    spec = _build_domain(cfg)
+    spec = cfg.spec
     if cfg.coefficient is not None:
         coeff = _coefficient(cfg.coefficient)
     else:
         coeff = verification.manufactured_case(cfg.case).coeff
     nb, nt, ns = cfg.resolutions[0] if cfg.resolutions else (128, 32, 12)
-    t0 = time.perf_counter()
     curve = build_curve(spec, nb)
     grid = build_domain_grid(spec, nt, ns)
 
@@ -313,60 +310,38 @@ def _run_validate(cfg: RunConfig, out: Path) -> int:
     report.add("sigma_min_single_layer_above_floor",
                1e-8 - inv["sigma_min_single_layer"], 0.0)
     decay = verification.remainder_spectrum_decay(grid, coeff, cfg.family)
-    elapsed = time.perf_counter() - t0
-
-    payload = {
-        "command": "validate",
-        "config": _echo(cfg),
-        "checks": _checks_payload(report.checks),
-        "diagnostics": {**inv,
-                        "remainder_spectrum_decay_ratio": decay["decay_ratio"],
-                        "remainder_spectrum_head": decay["sigma"][:8]},
-        "timings": {"total_seconds": elapsed},
-    }
-    write_results(out, payload)
-    return 0 if report.passed else 1
+    body = {"diagnostics": {
+        **inv,
+        "remainder_spectrum_decay_ratio": decay["decay_ratio"],
+        "remainder_spectrum_head": decay["sigma"][:8]}}
+    return report, body, {}
 
 
-def _run_study(cfg: RunConfig, out: Path) -> int:
+def _run_study(cfg: RunConfig):
     from . import verification
 
-    spec = _build_domain(cfg)
     case = verification.manufactured_case(cfg.case)
-    t0 = time.perf_counter()
     report = verification.convergence_study(
-        case, spec, (cfg.family,), cfg.resolutions,
+        case, cfg.spec, (cfg.family,), cfg.resolutions,
         allow_large_domain=cfg.allow_large_domain)[cfg.family]
-    elapsed = time.perf_counter() - t0
 
     checks = verification.SuiteReport()
     checks.add("final_errors_monotone",
                0.0 if report.final_pair_monotone else 1.0, 0.5)
     if len(report.rows) >= 2:
         checks.add("final_order_at_least_2", 2.0 - report.final_order, 0.0)
-    payload = {
-        "command": "study",
-        "config": _echo(cfg),
-        "experimental": cfg.family == "y",
-        "checks": _checks_payload(checks.checks),
-        "rows": [vars(r) for r in report.rows],
-        "timings": {"total_seconds": elapsed},
-    }
-    write_results(out, payload)
-    write_errors_csv(out, report.rows)
-    return 0 if checks.passed else 1
+    body = {"experimental": cfg.family == "y",
+            "rows": [vars(r) for r in report.rows]}
+    return checks, body, {"errors.csv": report.rows}
 
 
-def _run_compare(cfg: RunConfig, out: Path) -> int:
+def _run_compare(cfg: RunConfig):
     from . import verification
 
-    spec = _build_domain(cfg)
     case = verification.manufactured_case(cfg.case)
-    t0 = time.perf_counter()
     reports = verification.convergence_study(
-        case, spec, ("x", "y"), cfg.resolutions,
+        case, cfg.spec, ("x", "y"), cfg.resolutions,
         allow_large_domain=cfg.allow_large_domain)
-    elapsed = time.perf_counter() - t0
 
     checks = verification.SuiteReport()
     rep_x = reports["x"]
@@ -375,19 +350,13 @@ def _run_compare(cfg: RunConfig, out: Path) -> int:
     if len(rep_x.rows) >= 2:
         checks.add("family_x_final_order_at_least_2",
                    2.0 - rep_x.final_order, 0.0)
-    payload = {
-        "command": "compare",
-        "config": _echo(cfg),
-        "checks": _checks_payload(checks.checks),
+    body = {
         "family_x_rows": [vars(r) for r in reports["x"].rows],
         "family_y_rows": [vars(r) for r in reports["y"].rows],
         "family_y_note": "experimental path, reported without assertions",
-        "timings": {"total_seconds": elapsed},
     }
-    write_results(out, payload)
-    write_errors_csv(out, reports["x"].rows)
-    write_errors_csv_named(out, reports["y"].rows, "errors_family_y.csv")
-    return 0 if checks.passed else 1
+    return checks, body, {"errors.csv": reports["x"].rows,
+                          "errors_family_y.csv": reports["y"].rows}
 
 
 def _echo(cfg: RunConfig) -> dict:
@@ -403,11 +372,24 @@ def _echo(cfg: RunConfig) -> dict:
 
 
 def run(cfg: RunConfig, out_dir=None) -> int:
-    """Execute a validated config; returns the process exit status."""
+    """Execute a validated config; returns the process exit status.
+
+    Each handler returns its checks, its own results.json keys and its CSV
+    tables by file name.  ``total_seconds`` covers the whole handler;
+    config loading and file writing are outside it.
+    """
     out = Path(out_dir or cfg.output_dir or ".")
     handler = {"solve": _run_solve, "validate": _run_validate,
                "study": _run_study, "compare": _run_compare}[cfg.command]
-    return handler(cfg, out)
+    t0 = time.perf_counter()
+    checks, body, tables = handler(cfg)
+    elapsed = time.perf_counter() - t0
+    write_results(out, {"command": cfg.command, "config": _echo(cfg),
+                        "checks": _checks_payload(checks.checks), **body,
+                        "timings": {"total_seconds": elapsed}})
+    for name, rows in tables.items():
+        write_errors_csv_named(out, rows, name)
+    return 0 if checks.passed else 1
 
 
 def main(argv=None) -> int:

@@ -585,24 +585,6 @@ class PolarRule:
         return float(wts @ f(pts))
 
 
-def adaptive_theta_count(spec: DomainSpec, y, base: int = 48) -> int:
-    """Angular node count resolving the near-boundary layer of L(theta).
-
-    The analyticity width of the radial extent shrinks like sqrt(1 - level)
-    for targets approaching the boundary from inside; the count grows
-    accordingly.  Targets on the boundary itself use the width-pi window
-    rule, whose extent function is smooth again, so they keep the base
-    count.
-    """
-    lev = float(spec.level(np.asarray(y, dtype=float)[None, :])[0])
-    if lev >= 1.0 - BOUNDARY_LEVEL_TOL:
-        return base
-    eps = 1.0 - lev
-    n = max(base, int(np.ceil(THETA_COUNT_COEFF / np.sqrt(eps))))
-    n = min(THETA_COUNT_CAP, n)
-    return n + (n % 2)
-
-
 def _window_angles(alpha: float, n_theta: int):
     """Width-pi angular window about direction alpha, with a smoothstep
     substitution whose derivative vanishes quadratically at the edges."""
@@ -612,20 +594,23 @@ def _window_angles(alpha: float, n_theta: int):
     return theta, np.pi * dstep * wg
 
 
-def polar_rule_for_target(spec: DomainSpec, y, n_theta: int = 48,
+def polar_rule_for_target(spec: DomainSpec, y, base: int = 48,
                           n_r: int = 10) -> PolarRule:
     """Polar quadrature rule centered at y (interior or on the boundary).
 
-    ``n_theta`` is the angular node count; ``n_r`` the Gauss count per
-    radial panel (RADIAL_PANELS panels graded toward the target).  Interior
-    targets get equispaced angles anchored at y's polar angle about the
-    center, and boundary targets get width-pi angular windows about the
-    interior normal with a smoothstep substitution clustered at the
-    tangential directions.  Either way, a rotation about the center that
-    maps the domain onto itself maps y's rule onto its image's rule.  On
-    star profiles every ray is integrated over all of its inside segments,
-    so regions not visible from the target along a first crossing are
-    still covered.
+    ``n_r`` is the Gauss count per radial panel (RADIAL_PANELS panels
+    graded toward the target).  Interior targets get equispaced angles
+    anchored at y's polar angle about the center.  The analyticity width
+    of their radial extent shrinks like sqrt(1 - level) toward the
+    boundary, so their angular count is THETA_COUNT_COEFF / sqrt(1 - level),
+    at least ``base``, at most THETA_COUNT_CAP, rounded up to even.
+    Boundary targets get width-pi angular windows of ``base`` nodes about
+    the interior normal, with a smoothstep substitution clustered at the
+    tangential directions; their extent function is smooth again.  Either
+    way, a rotation about the center that maps the domain onto itself maps
+    y's rule onto its image's rule.  On star profiles every ray is
+    integrated over all of its inside segments, so regions not visible
+    from the target along a first crossing are still covered.
     """
     y = _as_point(y)
     lev = float(spec.level(y[None, :])[0])
@@ -638,14 +623,17 @@ def polar_rule_for_target(spec: DomainSpec, y, n_theta: int = 48,
     if on_boundary:
         nin = -spec.boundary_normal(phi)
         alpha = float(np.arctan2(nin[1], nin[0]))
-        theta, wtheta = _window_angles(alpha, n_theta)
+        theta, wtheta = _window_angles(alpha, base)
         if spec.kind == "star":
-            th2, wt2 = _window_angles(alpha + np.pi, n_theta)
+            th2, wt2 = _window_angles(alpha + np.pi, base)
             theta = np.concatenate([theta, th2])
             wtheta = np.concatenate([wtheta, wt2])
     else:
-        theta = phi + 2 * np.pi * np.arange(n_theta) / n_theta
-        wtheta = np.full(n_theta, 2 * np.pi / n_theta)
+        n = max(base, int(np.ceil(THETA_COUNT_COEFF / np.sqrt(1.0 - lev))))
+        n = min(THETA_COUNT_CAP, n)
+        n += n % 2
+        theta = phi + 2 * np.pi * np.arange(n) / n
+        wtheta = np.full(n, 2 * np.pi / n)
 
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
@@ -657,6 +645,10 @@ def polar_rule_for_target(spec: DomainSpec, y, n_theta: int = 48,
         rmax = 2.1 * spec.max_rho() + float(np.linalg.norm(y - spec.center))
         ray, a, b = inside_segments(spec, y, dirs, rmax)
         a = np.where(a <= 1e-11 * rmax, 0.0, a)   # starts at the target
+        # segments ending this close to the target are rounding noise of
+        # the level function on a boundary target's window-edge rays
+        keep = b > 1e-7 * rmax
+        ray, a, b = ray[keep], a[keep], b[keep]
     if not len(ray):
         raise GeometryError("polar rule is empty: no ray enters the domain")
     return PolarRule(target=y, theta=theta, wtheta=wtheta, dirs=dirs,

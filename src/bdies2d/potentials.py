@@ -28,8 +28,7 @@ import numpy as np
 
 from . import laplace
 from .coefficient import Coefficient
-from .geometry import (BoundaryCurve, DomainGrid, adaptive_theta_count,
-                       cached, polar_rule_for_target)
+from .geometry import BoundaryCurve, DomainGrid, cached, polar_rule_for_target
 
 FAMILIES = ("x", "y")
 TWO_PI = 2.0 * np.pi
@@ -217,8 +216,7 @@ def _rule(grid: DomainGrid, y):
     """Target y's polar rule, built once per grid."""
     def build():
         base, p = _rule_params(grid)
-        nth = adaptive_theta_count(grid.spec, y, base=base)
-        return polar_rule_for_target(grid.spec, y, n_theta=nth, n_r=p)
+        return polar_rule_for_target(grid.spec, y, base=base, n_r=p)
     return cached(grid, ("rule", np.asarray(y, dtype=float).tobytes()), build)
 
 

@@ -33,9 +33,8 @@ import scipy.sparse.linalg
 
 from . import potentials, solver
 from .coefficient import Coefficient, make_preset
-from .geometry import (BoundaryCurve, DomainGrid, DomainSpec,
-                       adaptive_theta_count, build_curve, build_domain_grid,
-                       polar_rule_for_target)
+from .geometry import (BoundaryCurve, DomainGrid, DomainSpec, build_curve,
+                       build_domain_grid, polar_rule_for_target)
 from .laplace import QuadratureError
 from .potentials import BoundaryDensity, DomainField
 
@@ -372,8 +371,7 @@ def _log_integrals(grid: DomainGrid, targets, density) -> np.ndarray:
     base, n_r = potentials._rule_params(grid)
     out = np.empty(len(targets))
     for i, y in enumerate(targets):
-        n_theta = adaptive_theta_count(grid.spec, y, base=5 * base // 4)
-        pts, w = polar_rule_for_target(grid.spec, y, n_theta=n_theta,
+        pts, w = polar_rule_for_target(grid.spec, y, base=5 * base // 4,
                                        n_r=n_r).nodes()
         g = 0.5 * np.log(((pts - y) ** 2).sum(1)) / TWO_PI
         out[i] = w @ (g * density(pts))
@@ -648,10 +646,7 @@ def convergence_study(case: ManufacturedCase, spec: DomainSpec,
 
 def zero_mean_basis(curve: BoundaryCurve) -> np.ndarray:
     """Orthonormal basis of nodal densities with zero weighted mean."""
-    w = curve.weights
-    proj = np.eye(curve.n) - np.outer(w, w) / (w @ w)
-    u, s, _ = np.linalg.svd(proj)
-    return u[:, : curve.n - 1]
+    return scipy.linalg.null_space(curve.weights[None, :])
 
 
 def invertibility_report(curve: BoundaryCurve, grid: DomainGrid,

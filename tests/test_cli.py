@@ -2,12 +2,14 @@
 
 import csv
 import json
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bdies2d import cli, verification
 from bdies2d.cli import CSV_HEADER, ConfigError, fmt17, load_config, main, run
 
 
@@ -232,6 +234,22 @@ class TestRunCommands:
         ra.pop("timings"), rb.pop("timings")
         assert ra == rb
 
+    def test_total_seconds_covers_fredholm_diagnostic(self, tmp_path,
+                                                      monkeypatch):
+        diagnostic = verification.fredholm_diagnostic
+
+        def slow(sol):
+            time.sleep(0.25)
+            return diagnostic(sol)
+
+        monkeypatch.setattr(verification, "fredholm_diagnostic", slow)
+        cfg = load_config(write_config(tmp_path, dict(
+            MINIMAL_SOLVE, case="const_one",
+            resolutions={"n_boundary": 32, "n_t": 8, "n_s": 4})))
+        assert run(cfg, tmp_path / "out") == 0
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert results["timings"]["total_seconds"] >= 0.25
+
 
 class TestMain:
     def test_exit_codes(self, tmp_path):
@@ -245,6 +263,23 @@ class TestMain:
         p = tmp_path / "broken.json"
         p.write_text("{")
         assert main(["solve", "--config", str(p)]) == 2
+
+    def test_domain_built_once_per_command(self, tmp_path, monkeypatch):
+        calls = []
+        build = cli._build_domain
+
+        def counted(cfg):
+            calls.append(cfg.command)
+            return build(cfg)
+
+        monkeypatch.setattr(cli, "_build_domain", counted)
+        p = write_config(tmp_path, dict(
+            MINIMAL_SOLVE, case="const_one",
+            domain={"kind": "star", "cos_coeffs": [0.3, 0.0, 0.03]},
+            resolutions={"n_boundary": 32, "n_t": 8, "n_s": 4}))
+        assert main(["solve", "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert calls == ["solve"]
 
     def test_command_mismatch_exit_2(self, tmp_path):
         p = write_config(tmp_path, MINIMAL_SOLVE)

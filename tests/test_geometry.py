@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_verification import convex_domains
 
+from bdies2d import potentials
 from bdies2d.geometry import (DomainSpec, GeometryError, _disk_extents,
-                              _window_angles, adaptive_theta_count,
-                              build_curve, build_domain_grid, gauss_01,
-                              inside_segments, polar_rule_for_target,
+                              _window_angles, build_curve, build_domain_grid,
+                              gauss_01, inside_segments, polar_rule_for_target,
                               trig_cardinal_rows)
 
 DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
@@ -245,13 +245,34 @@ class TestPolarRule:
             calls.append(1)
             return rho(self, theta)
 
-        targets = (np.array([0.21, 0.08]), spec.boundary_point(0.7))
-        n_theta = [adaptive_theta_count(spec, y) for y in targets]
         monkeypatch.setattr(DomainSpec, "rho", counted)
-        for y, n in zip(targets, n_theta):
+        for y in (np.array([0.21, 0.08]), spec.boundary_point(0.7)):
             calls.clear()
-            polar_rule_for_target(spec, y, n, 10)
+            polar_rule_for_target(spec, y, 48, 10)
             assert len(calls) <= 12
+
+    @pytest.mark.parametrize("n_t, n_s", [(16, 8), (32, 12)])
+    def test_star_boundary_rules_drop_noise_segments(self, n_t, n_s):
+        # on the 2-fold benchmark star, curve node i + 32 is node i's
+        # half-turn image, so the two rules must have equal node counts
+        spec = DomainSpec("star", center=(0.0, 0.0),
+                          cos_coeffs=(0.3, 0.0, 0.03))
+        base, n_r = potentials._rule_params(build_domain_grid(spec, n_t, n_s))
+        targets = build_curve(spec, 64).points
+        rules = [polar_rule_for_target(spec, y, base, n_r) for y in targets]
+        for y, rule in zip(targets, rules):
+            rmax = 2.1 * spec.max_rho() + np.linalg.norm(y - spec.center)
+            assert rule.seg_ends[:, 1].min() > 1e-7 * rmax
+        counts = [len(rule.points) for rule in rules]
+        assert counts[:32] == counts[32:]
+
+    def test_star_boundary_rules_cover_area(self):
+        spec = DomainSpec("star", center=(0.0, 0.0),
+                          cos_coeffs=(0.3, 0.0, 0.03))
+        base, n_r = potentials._rule_params(build_domain_grid(spec, 64, 24))
+        for y in build_curve(spec, 64).points:
+            rule = polar_rule_for_target(spec, y, base, n_r)
+            assert abs(rule.weights.sum() - spec.area()) <= 1e-14
 
     def test_agrees_with_grid_rule_on_cubics(self):
         grid = build_domain_grid(DISK, 32, 12)

@@ -8,6 +8,8 @@ nonconstant mode is annihilated and the unit density gives -1/2.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_verification import convex_domains
 
 from bdies2d import laplace
 from bdies2d.geometry import DomainSpec, build_curve
@@ -85,6 +87,22 @@ class TestGaussIdentityTriple:
         outside = laplace.layer_eval(curve, "d", ones, [[0.9, 0.1]])
         assert abs(inside[0] + 1.0) < 1e-10
         assert abs(outside[0]) < 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=convex_domains())
+    def test_triple_on_random_convex_domains(self, spec):
+        # identity_suite's probes and tolerance
+        curve = build_curve(spec, 64)
+        c, diam = spec.center, spec.diameter()
+        probe_in = c + np.array([[0.1, 0.05], [-0.12, 0.03],
+                                 [0.0, -0.15]]) * diam
+        probe_out = c + np.array([[1.5, 0.2], [-1.1, -1.2]]) * diam
+        D = laplace.double_layer_matrix(curve)
+        assert np.abs(D.sum(1) + 0.5).max() <= 1e-10
+        inside = laplace.layer_matrix_at_targets(curve, "d", probe_in)
+        outside = laplace.layer_matrix_at_targets(curve, "d", probe_out)
+        assert np.abs(inside.sum(1) + 1.0).max() <= 1e-10
+        assert np.abs(outside.sum(1)).max() <= 1e-10
 
 
 class TestOffBoundary:

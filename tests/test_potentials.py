@@ -5,8 +5,8 @@ import pytest
 
 from bdies2d import laplace, potentials, verification
 from bdies2d.coefficient import Coefficient, make_preset
-from bdies2d.geometry import (DomainSpec, adaptive_theta_count, build_curve,
-                              build_domain_grid, polar_rule_for_target)
+from bdies2d.geometry import (DomainSpec, build_curve, build_domain_grid,
+                              polar_rule_for_target)
 from bdies2d.potentials import (FAMILIES, BoundaryDensity, DomainField,
                                 double_layer_direct_matrix, layer_eval_near,
                                 remainder_potential,
@@ -176,8 +176,7 @@ class TestTargetCache:
         cached = potentials._rule(grid, y)
         assert potentials._rule(grid, y) is cached
         base, n_r = potentials._rule_params(grid)
-        fresh = polar_rule_for_target(
-            spec, y, n_theta=adaptive_theta_count(spec, y, base=base), n_r=n_r)
+        fresh = polar_rule_for_target(spec, y, base=base, n_r=n_r)
         assert np.array_equal(cached.points, fresh.points)
         assert np.array_equal(cached.weights, fresh.weights)
 
@@ -243,8 +242,7 @@ def _anchored_reference(grid, coeff, family, targets):
     base, n_r = potentials._rule_params(grid)
     rows, logs = [], []
     for y in targets:
-        n_theta = adaptive_theta_count(grid.spec, y, base=base)
-        pts, w = polar_rule_for_target(grid.spec, y, n_theta=n_theta,
+        pts, w = polar_rule_for_target(grid.spec, y, base=base,
                                        n_r=n_r).nodes()
         A, S = grid.cardinal_matrices(pts)
         ker = potentials._remainder_kernel(y[None], (pts - y)[None], coeff,
@@ -301,11 +299,9 @@ class TestOrbits:
             len(tg) // len(turns))
         base, n_r = potentials._rule_params(grid)
         for rep, members, shifts in orbits:
-            y0 = tg[rep]
-            n_theta = adaptive_theta_count(spec, y0, base=base)
-            p0 = potentials._rule(grid, y0).points - spec.center
+            p0 = potentials._rule(grid, tg[rep]).points - spec.center
             for i, k in zip(members, shifts):
-                own = polar_rule_for_target(spec, tg[i], n_theta=n_theta,
+                own = polar_rule_for_target(spec, tg[i], base=base,
                                             n_r=n_r).points
                 rotated = spec.center + potentials._rotate(p0, k, grid.n_t)
                 assert np.abs(own - rotated).max() <= 1e-14
