@@ -124,6 +124,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"command {command!r} needs 'resolutions'")
     if command == "study" and len(resolutions) < 3:
         raise ConfigError("study needs at least 3 resolutions")
+    if command in ("solve", "validate") and len(resolutions) > 1:
+        raise ConfigError(f"{command} takes one resolution, got "
+                          f"{len(resolutions)}")
     parsed = []
     for r in resolutions:
         _reject_unknown(r, _RES_KEYS, "resolutions entry")

@@ -5,8 +5,8 @@ is evaluated: family "x" divides the Laplace fundamental solution by a at
 the integration point, family "y" by a at the target point.
 
 The surface operators V, W and W' are Laplace blocks (``laplace``) with
-the coefficient attached at the source or at the target; ``_family_rows``
-holds that rule for every boundary operator, on the curve and off it.
+the coefficient attached at the source or at the target; ``layer_rows``
+builds every boundary operator, on the curve and off it.
 The volume operators integrate against the grid interpolant with polar
 rules.  Targets are grouped into orbits of the rotations that map the
 domain onto itself; one polar rule and one cardinal pair serve a whole
@@ -85,39 +85,8 @@ class DomainField:
 # Boundary operators: Laplace blocks scaled per kernel family
 # ---------------------------------------------------------------------------
 
-def _family_rows(curve: BoundaryCurve, coeff: Coefficient, family: str,
-                 kind: str, targets, normals, lap) -> np.ndarray:
-    """Rows mapping nodal densities to "V", "W" or "Wp" values at targets.
-
-    ``lap(k)`` gives the Laplace block "s" (S), "d" (D) or "dp" (D', the
-    single layer's derivative along ``normals``) at the same targets.
-    Family "x" attaches the coefficient at the source, "y" at the target:
-
-        V_x  = S / a(x)                  V_y  = S / a(y)
-        W_x  = D - S dln a/dn(x)         W_y  = D a(x) / a(y)
-        Wp_x = a(y) D' / a(x)            Wp_y = D' - dln a/dn(y) S
-    """
-    _check_family(family)
-    src = curve.points
-    if kind == "V":
-        if family == "x":
-            return lap("s") / coeff.a(src)[None, :]
-        return lap("s") / coeff.a(targets)[:, None]
-    if kind == "W":
-        if family == "x":
-            dlnadn = (coeff.grad_ln_a(src) * curve.normals).sum(1)
-            return lap("d") - lap("s") * dlnadn[None, :]
-        return lap("d") * coeff.a(src)[None, :] / coeff.a(targets)[:, None]
-    if kind == "Wp":
-        if family == "x":
-            return coeff.a(targets)[:, None] * lap("dp") / coeff.a(src)[None, :]
-        dlnadn = (coeff.grad_ln_a(targets) * normals).sum(1)
-        return lap("dp") - dlnadn[:, None] * lap("s")
-    raise ValueError(f"operator kind must be 'V', 'W' or 'Wp', got {kind!r}")
-
-
 def _laplace_blocks(curve: BoundaryCurve, targets=None, normals=None):
-    """The ``lap`` of ``_family_rows``; each block is built once per curve.
+    """Laplace blocks "s" (S), "d" (D), "dp" (D'), each built once per curve.
 
     Without targets the blocks are the direct-value matrices on the curve;
     at targets they are ``layer_matrix_at_targets`` rows, and "dp" is the
@@ -137,60 +106,67 @@ def _laplace_blocks(curve: BoundaryCurve, targets=None, normals=None):
     return lap
 
 
+def layer_rows(curve: BoundaryCurve, coeff: Coefficient, family: str,
+               kind: str, targets=None, normals=None) -> np.ndarray:
+    """Rows mapping nodal densities to "V", "W" or "Wp" values: the direct
+    values at the curve nodes, or off-curve rows at ``targets``, where "Wp"
+    is the conormal derivative along ``normals`` (one per target).  Family
+    "x" attaches the coefficient at the source, "y" at the target, to the
+    Laplace blocks S, D and D' (the single layer's normal derivative):
+
+        V_x  = S / a(x)                  V_y  = S / a(y)
+        W_x  = D - S dln a/dn(x)         W_y  = D a(x) / a(y)
+        Wp_x = a(y) D' / a(x)            Wp_y = D' - dln a/dn(y) S
+    """
+    _check_family(family)
+    if kind not in ("V", "W", "Wp"):
+        raise ValueError(f"operator kind must be 'V', 'W' or 'Wp', got {kind!r}")
+    if targets is None:
+        tg, nrm, lap = curve.points, curve.normals, _laplace_blocks(curve)
+    elif kind == "Wp" and normals is None:
+        raise ValueError("'Wp' at targets needs one normal per target")
+    else:
+        tg = np.atleast_2d(np.asarray(targets, dtype=float))
+        nrm = None if normals is None else np.atleast_2d(normals)
+        lap = _laplace_blocks(curve, tg, nrm)
+    src = curve.points
+    if kind == "V":
+        if family == "x":
+            return lap("s") / coeff.a(src)[None, :]
+        return lap("s") / coeff.a(tg)[:, None]
+    if kind == "W":
+        if family == "x":
+            dlnadn = (coeff.grad_ln_a(src) * curve.normals).sum(1)
+            return lap("d") - lap("s") * dlnadn[None, :]
+        return lap("d") * coeff.a(src)[None, :] / coeff.a(tg)[:, None]
+    if family == "x":
+        return coeff.a(tg)[:, None] * lap("dp") / coeff.a(src)[None, :]
+    dlnadn = (coeff.grad_ln_a(tg) * nrm).sum(1)
+    return lap("dp") - dlnadn[:, None] * lap("s")
+
+
 def single_layer_direct_matrix(curve: BoundaryCurve, coeff: Coefficient,
                                family: str) -> np.ndarray:
     """Direct values of the single-layer operator V at the curve nodes."""
-    return _family_rows(curve, coeff, family, "V", curve.points,
-                        curve.normals, _laplace_blocks(curve))
+    return layer_rows(curve, coeff, family, "V")
 
 
 def double_layer_direct_matrix(curve: BoundaryCurve, coeff: Coefficient,
                                family: str) -> np.ndarray:
     """Direct values of the double-layer operator W at the curve nodes."""
-    return _family_rows(curve, coeff, family, "W", curve.points,
-                        curve.normals, _laplace_blocks(curve))
+    return layer_rows(curve, coeff, family, "W")
 
 
 def wprime_direct_matrix(curve: BoundaryCurve, coeff: Coefficient,
                          family: str) -> np.ndarray:
     """Direct values of the conormal derivative of the single layer."""
-    return _family_rows(curve, coeff, family, "Wp", curve.points,
-                        curve.normals, _laplace_blocks(curve))
-
-
-def layer_eval_near(curve: BoundaryCurve, coeff: Coefficient, family: str,
-                    kind: str, density: BoundaryDensity, targets) -> np.ndarray:
-    """Single ("V") or double ("W") layer potential at off-boundary targets.
-
-    Targets near the curve get upsampled rows (``layer_matrix_at_targets``).
-    """
-    if kind not in ("V", "W"):
-        raise ValueError(f"layer kind must be 'V' or 'W', got {kind!r}")
-    tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    return _family_rows(curve, coeff, family, kind, tg, None,
-                        _laplace_blocks(curve, tg)) @ density.values
+    return layer_rows(curve, coeff, family, "Wp")
 
 
 def single_layer_matrix_at_targets(curve: BoundaryCurve, coeff: Coefficient,
                                    family: str, targets) -> np.ndarray:
     """Matrix sending nodal density values to single-layer values at targets."""
-    tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    return _family_rows(curve, coeff, family, "V", tg, None,
-                        _laplace_blocks(curve, tg))
-
-
-def conormal_gradient_eval(curve: BoundaryCurve, coeff: Coefficient,
-                           family: str, density: BoundaryDensity,
-                           targets, normals) -> np.ndarray:
-    """Conormal derivative a(y) grad V rho . n at off-boundary targets.
-
-    The normal is held fixed per target (the boundary normal of the point
-    the targets approach); used by the jump-relation diagnostics.
-    """
-    tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    nrm = np.atleast_2d(np.asarray(normals, dtype=float))
-    return _family_rows(curve, coeff, family, "Wp", tg, nrm,
-                        _laplace_blocks(curve, tg, nrm)) @ density.values
+    return layer_rows(curve, coeff, family, "V", targets)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ import scipy.linalg
 
 from . import potentials
 from .coefficient import Coefficient
-from .geometry import BoundaryCurve, DomainGrid, GeometryError
+from .geometry import (BOUNDARY_LEVEL_TOL, BoundaryCurve, DomainGrid,
+                       GeometryError)
 from .potentials import BoundaryDensity, DomainField
 
 
@@ -139,12 +140,11 @@ def assemble_rhs(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     Dirichlet data.  The trace is composed from direct-value operators and
     the jump constant, never from near-boundary potential evaluation.
     """
-    potentials._check_family(family)
     tg = grid.points
     pf_grid = potentials.volume_potential(grid, coeff, family, f, tg)
     pf_trace = potentials.volume_potential(grid, coeff, family, f,
                                            curve.points)
-    w_grid = potentials.layer_eval_near(curve, coeff, family, "W", phi0, tg)
+    w_grid = potentials.layer_rows(curve, coeff, family, "W", tg) @ phi0.values
     W_dir = potentials.double_layer_direct_matrix(curve, coeff, family)
     # trace(W tau) = -tau/2 + W_dir tau from the interior jump relation
     rhs_grid = pf_grid - w_grid
@@ -163,12 +163,16 @@ class DirichletSolution:
     multiplier: float = 0.0
 
     def evaluate(self, points, allow_near: bool = False) -> np.ndarray:
-        """Reconstruct u at interior points from the solved densities."""
+        """Reconstruct u at interior points from the solved densities.
+
+        ``allow_near`` admits points within ``delta_near`` of the boundary,
+        never points on it (level within ``BOUNDARY_LEVEL_TOL`` of 1)."""
         sys = self.system
         tg = np.atleast_2d(np.asarray(points, dtype=float))
         lev = sys.grid.spec.level(tg)
-        if (lev >= 1.0).any():
-            raise GeometryError("evaluation point outside the domain")
+        if (lev >= 1.0 - BOUNDARY_LEVEL_TOL).any():
+            raise GeometryError(
+                "evaluation point on the boundary or outside the domain")
         if not allow_near:
             d = sys.curve.distance_to(tg)
             dn = potentials.delta_near(sys.curve)
@@ -189,8 +193,8 @@ def _representation(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     # the remainder pass also stores the log rows the volume term reads
     ru = potentials.remainder_potential(grid, coeff, family, u, tg)
     pf = potentials.volume_potential(grid, coeff, family, f, tg)
-    v = potentials.layer_eval_near(curve, coeff, family, "V", psi, tg)
-    w = potentials.layer_eval_near(curve, coeff, family, "W", phi0, tg)
+    v = potentials.layer_rows(curve, coeff, family, "V", tg) @ psi.values
+    w = potentials.layer_rows(curve, coeff, family, "W", tg) @ phi0.values
     return pf - ru + v - w
 
 
@@ -236,7 +240,6 @@ def third_green_residual(u: DomainField, psi: BoundaryDensity, f: DomainField,
     Boundary form:  g/2 + trace(R u) - V_dir psi + W_dir g - trace(P f)
     at the curve nodes (g is the Dirichlet trace).
     """
-    potentials._check_family(family)
     if on_boundary:
         tg = curve.points
         ru = potentials.remainder_potential(grid, coeff, family, u, tg)

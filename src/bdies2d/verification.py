@@ -450,44 +450,33 @@ def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     rep.add("gauss_exterior", np.abs(w_out).max(), 1e-10)
 
     # (ii) jump relations via Richardson extrapolation along the normal
-    rho = BoundaryDensity(curve, _random_trig(rng)(curve.t))
-    tau = BoundaryDensity(curve, _random_trig(rng)(curve.t))
+    rho = _random_trig(rng)(curve.t)
+    tau = _random_trig(rng)(curve.t)
     nodes = [0, curve.n // 3, (2 * curve.n) // 3]
     h0 = 0.02 * diam
-    for name, kind in (("jump_V", "V"), ("jump_W", "W"), ("jump_TV", "TV")):
-        if kind == "V":
-            lim = potentials.single_layer_direct_matrix(
-                curve, coeff, family) @ rho.values
-        elif kind == "W":
-            lim = -0.5 * tau.values + potentials.double_layer_direct_matrix(
-                curve, coeff, family) @ tau.values
-        else:
-            lim = 0.5 * rho.values + potentials.wprime_direct_matrix(
-                curve, coeff, family) @ rho.values
+    # the interior limit of each potential is jump * density + direct value
+    for name, kind, dens, jump in (("jump_V", "V", rho, 0.0),
+                                   ("jump_W", "W", tau, -0.5),
+                                   ("jump_TV", "Wp", rho, 0.5)):
+        lim = jump * dens + potentials.layer_rows(
+            curve, coeff, family, kind) @ dens
         defect = 0.0
         for i in nodes:
             x0, nrm = curve.points[i], curve.normals[i]
             targets = x0 - np.outer([h0, h0 / 2, h0 / 4], nrm)
-            if kind == "V":
-                vals = potentials.layer_eval_near(curve, coeff, family, "V",
-                                                  rho, targets)
-            elif kind == "W":
-                vals = potentials.layer_eval_near(curve, coeff, family, "W",
-                                                  tau, targets)
-            else:
-                vals = potentials.conormal_gradient_eval(
-                    curve, coeff, family, rho, targets,
-                    np.broadcast_to(nrm, (3, 2)))
+            vals = potentials.layer_rows(
+                curve, coeff, family, kind, targets,
+                np.broadcast_to(nrm, (3, 2))) @ dens
             extrap = (8 * vals[2] - 6 * vals[1] + vals[0]) / 3.0
             defect = max(defect, abs(extrap - lim[i]))
         rep.add(name, defect, 1e-3)
 
     # (iii) subtraction identity: 1 + R1(y) + W1(y) = 0 inside
     ones_field = DomainField(vol_grid, np.ones(vol_grid.n_nodes))
-    ones_bdry = BoundaryDensity(curve, np.ones(curve.n))
     r1 = potentials.remainder_potential(vol_grid, coeff, family, ones_field,
                                         probe_in)
-    w1 = potentials.layer_eval_near(curve, coeff, family, "W", ones_bdry, probe_in)
+    w1 = potentials.layer_rows(curve, coeff, family, "W",
+                               probe_in) @ np.ones(curve.n)
     rep.add("subtraction_identity", np.abs(1.0 + r1 + w1).max(), 1e-6)
 
     # (iv) Green identities for u = x1^2 - x2^2, v = x1*x2 (both harmonic)
@@ -512,23 +501,22 @@ def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
 
     # (v) relation vs direct-kernel consistency sweep, both families
     dens_fn = _random_trig(rng, degree=5)
-    dens = BoundaryDensity(curve, dens_fn(curve.t))
+    dens = dens_fn(curve.t)
     check_nodes = [1, curve.n // 4]
     probe = c + np.array([[0.21, -0.08], [-0.05, 0.17]]) * diam
     for fam in potentials.FAMILIES:
         off_ref = {}
-        for kind, op in (("V", potentials.single_layer_direct_matrix),
-                         ("W", potentials.double_layer_direct_matrix),
-                         ("Wp", potentials.wprime_direct_matrix)):
+        for kind, off in (("V", probe), ("W", probe), ("Wp", ())):
             ref = direct_boundary_values(curve, coeff, fam, kind, dens_fn,
-                                         check_nodes,
-                                         () if kind == "Wp" else probe)
-            got = (op(curve, coeff, fam) @ dens.values)[check_nodes]
+                                         check_nodes, off)
+            got = (potentials.layer_rows(curve, coeff, fam, kind)
+                   @ dens)[check_nodes]
             rep.add(f"relation_{kind}_direct_{fam}",
                     np.abs(got - ref[:len(check_nodes)]).max(), 1e-8)
             off_ref[kind] = ref[len(check_nodes):]
         for kind in ("V", "W"):
-            got = potentials.layer_eval_near(curve, coeff, fam, kind, dens, probe)
+            got = potentials.layer_rows(curve, coeff, fam, kind,
+                                        probe) @ dens
             rep.add(f"relation_{kind}_offboundary_{fam}",
                     np.abs(got - off_ref[kind]).max(), 1e-8)
 

@@ -95,7 +95,7 @@ def test_criterion_4_subtraction_identity():
     worst = 0.0
     for coeff in (A_EXP, make_preset("quadratic")):
         r1 = potentials.remainder_potential(grid, coeff, "x", ones_f, targets)
-        w1 = potentials.layer_eval_near(curve, coeff, "x", "W", ones_b, targets)
+        w1 = potentials.layer_rows(curve, coeff, "x", "W", targets) @ ones_b.values
         worst = max(worst, float(np.abs(1.0 + r1 + w1).max()))
     report(4, "subtraction identity at 20 interior targets, two coefficients",
            worst < 1e-6, f"max defect {worst:.2e}")

@@ -74,6 +74,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="3 resolutions"):
             load_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    def test_one_resolution_commands_refuse_a_ladder(self, tmp_path,
+                                                      command):
+        # a second rung would be echoed under "config" but never run
+        bad = dict(MINIMAL_SOLVE, command=command, resolutions=[
+            {"n_boundary": 32, "n_t": 8, "n_s": 4},
+            {"n_boundary": 96, "n_t": 24, "n_s": 10}])
+        p = write_config(tmp_path, bad)
+        with pytest.raises(ConfigError, match="one resolution"):
+            load_config(p)
+        assert main([command, "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_odd_boundary_count_rejected(self, tmp_path):
         bad = dict(MINIMAL_SOLVE,
                    resolutions={"n_boundary": 33, "n_t": 12, "n_s": 6})

@@ -8,7 +8,7 @@ from bdies2d.coefficient import Coefficient, make_preset
 from bdies2d.geometry import (DomainSpec, build_curve, build_domain_grid,
                               polar_rule_for_target)
 from bdies2d.potentials import (FAMILIES, BoundaryDensity, DomainField,
-                                double_layer_direct_matrix, layer_eval_near,
+                                double_layer_direct_matrix, layer_rows,
                                 remainder_potential,
                                 single_layer_direct_matrix, volume_potential,
                                 wprime_direct_matrix)
@@ -107,15 +107,26 @@ class TestWPrime:
         assert np.abs(got).max() < 1e-10
 
 
-class TestLayerEvalGuard:
+class TestLayerRows:
     def test_interior_values(self, curve):
-        rho = BoundaryDensity(curve, np.ones(64))
-        v = layer_eval_near(curve, A_ONE, "x", "V", rho, [[0.0, 0.0]])
+        ones = np.ones(64)
+        v = layer_rows(curve, A_ONE, "x", "V", [[0.0, 0.0]]) @ ones
         assert abs(v[0] - (-0.4 * np.log(0.4))) < 1e-13
-        w = layer_eval_near(curve, A_ONE, "x", "W", rho, [[0.1, 0.0]])
+        w = layer_rows(curve, A_ONE, "x", "W", [[0.1, 0.0]]) @ ones
         assert abs(w[0] + 1.0) < 1e-12
-        w_out = layer_eval_near(curve, A_ONE, "x", "W", rho, [[1.0, 0.3]])
+        w_out = layer_rows(curve, A_ONE, "x", "W", [[1.0, 0.3]]) @ ones
         assert abs(w_out[0]) < 1e-12
+
+    def test_unknown_kind_rejected(self, curve):
+        for targets in (None, [[0.1, 0.0]]):
+            with pytest.raises(ValueError, match="kind"):
+                layer_rows(curve, A_EXP, "x", "X", targets)
+
+    def test_wprime_at_targets_needs_normals(self, curve):
+        with pytest.raises(ValueError, match="normal"):
+            layer_rows(curve, A_EXP, "y", "Wp", [[0.1, 0.0]])
+        rows = layer_rows(curve, A_EXP, "y", "Wp", [[0.1, 0.0]], [[1.0, 0.0]])
+        assert rows.shape == (1, curve.n) and np.isfinite(rows).all()
 
 
 class TestLaplaceBlocks:
@@ -357,8 +368,7 @@ class TestRemainder:
         ones_f = DomainField(grid, np.ones(grid.n_nodes))
         ones_b = BoundaryDensity(curve, np.ones(curve.n))
         r1 = remainder_potential(grid, coeff, "x", ones_f, targets)
-        w1 = potentials.layer_eval_near(curve, coeff, "x", "W", ones_b,
-                                        targets)
+        w1 = layer_rows(curve, coeff, "x", "W", targets) @ ones_b.values
         assert np.abs(1.0 + r1 + w1).max() < 1e-6
 
     def test_exponential_center_symmetry(self, grid):

@@ -1,7 +1,11 @@
 """System assembly, the dense solve, and the representation formula."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdies2d import potentials, solver
 from bdies2d.coefficient import make_preset
@@ -186,6 +190,14 @@ class TestEvaluator:
         with pytest.raises(GeometryError, match="distance"):
             unit_sol.evaluate([y])[0]
 
+    def test_boundary_nodes_rejected_even_when_near_allowed(self, unit_sol):
+        # curve nodes whose level rounds just below 1 would read NaN
+        curve = unit_sol.system.curve
+        on_curve = curve.points[DISK.level(curve.points) < 1.0]
+        assert len(on_curve)
+        with pytest.raises(GeometryError, match="outside"):
+            unit_sol.evaluate(on_curve, allow_near=True)
+
     def test_exterior_target_rejected(self, unit_sol):
         with pytest.raises(GeometryError, match="outside"):
             unit_sol.evaluate([[0.5, 0.0]])[0]
@@ -246,3 +258,50 @@ class TestThirdGreenIdentity:
         r = third_green_residual(u, psi, f, phi0, curve, grid, case.coeff,
                                  "x", targets=targets)
         assert np.abs(r).max() < 1e-5
+
+
+BENCH_STAR = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.03))
+ROT_RES = (32, 8, 4)
+# (domain, grid angular steps): a disk maps onto itself under every step,
+# the benchmark star (cosine modes 0 and 2) under a half turn
+ROTATIONS = st.one_of(
+    st.tuples(st.just(DISK), st.integers(1, ROT_RES[1] - 1)),
+    st.tuples(st.just(BENCH_STAR), st.just(ROT_RES[1] // 2)))
+
+
+@functools.lru_cache(maxsize=None)
+def _rot_geometry(spec):
+    nb, nt, ns = ROT_RES
+    return build_curve(spec, nb), build_domain_grid(spec, nt, ns)
+
+
+class TestRotationInvariance:
+    @settings(max_examples=16, deadline=None)
+    @given(rotation=ROTATIONS, family=st.sampled_from(potentials.FAMILIES),
+           alpha=st.floats(0.0, 2 * np.pi))
+    def test_rotating_coefficient_and_data_rolls_the_solution(
+            self, rotation, family, alpha):
+        # exp_saddle's f and g, under a = exp(d . x) with d at angle alpha;
+        # then d, f and g rotated about the origin by `shift` grid steps
+        from bdies2d.verification import manufactured_case
+        spec, shift = rotation
+        curve, grid = _rot_geometry(spec)
+        case = manufactured_case("exp_saddle")
+        beta = 2 * np.pi * shift / grid.n_t
+        c, s = np.cos(beta), np.sin(beta)
+        back = np.array([[c, -s], [s, c]])       # p @ back: p turned by -beta
+
+        def solve(angle, frame):
+            coeff = make_preset("exponential",
+                                direction=(np.cos(angle), np.sin(angle)))
+            f = DomainField(grid, case.f(grid.points @ frame))
+            phi0 = BoundaryDensity(curve, case.u(curve.points @ frame))
+            sol = solve_bvp(curve, grid, coeff, family, f, phi0)
+            return sol.u.values.reshape(grid.n_t, grid.n_s), sol.psi.values
+
+        u0, psi0 = solve(alpha, np.eye(2))
+        u1, psi1 = solve(alpha + beta, back)
+        du = np.abs(np.roll(u0, shift, axis=0) - u1).max()
+        dpsi = np.abs(np.roll(psi0, shift * curve.n // grid.n_t) - psi1).max()
+        assert du <= 1e-12 * np.abs(u0).max()
+        assert dpsi <= 1e-12 * np.abs(psi0).max()

@@ -166,9 +166,8 @@ def _oracle_defects(spec, n, coeff, family):
                                        nodes, off)
         got = (op(curve, coeff, family) @ dens)[nodes]
         if kind != "Wp":
-            got = np.concatenate([got, potentials.layer_eval_near(
-                curve, coeff, family, kind,
-                potentials.BoundaryDensity(curve, dens), probe)])
+            got = np.concatenate([got, potentials.layer_rows(
+                curve, coeff, family, kind, probe) @ dens])
         defects.append(np.abs(got - ref))
         refs.append(ref)
     return np.concatenate(defects), np.concatenate(refs)
