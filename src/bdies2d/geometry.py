@@ -345,7 +345,8 @@ class DomainGrid:
         The interpolated value at point m of nodal data U (shape n_t x n_s)
         is ``((A @ U) * S).sum(1)[m]``.  A rotation of the points by whole
         grid angular steps that maps the domain onto itself rolls the
-        columns of A and leaves S unchanged.
+        columns of A, the mirror theta -> -theta about the center sends
+        column j to -j (the cardinal is even), and neither changes S.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float)) - self.spec.center
         th = np.arctan2(pts[:, 1], pts[:, 0])

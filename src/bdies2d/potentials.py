@@ -8,11 +8,16 @@ The surface operators V, W and W' are Laplace blocks (``laplace``) with
 the coefficient attached at the source or at the target; ``layer_rows``
 builds every boundary operator, on the curve and off it.
 The volume operators integrate against the grid interpolant with polar
-rules.  Targets are grouped into orbits of the rotations that map the
-domain onto itself; one polar rule and one cardinal pair serve a whole
-orbit, and every other member's row is the representative's contraction
-rolled along the grid's angular axis.  The Laplace blocks, the polar
-rules and the log-kernel rows depend only on the geometry, so
+rules.  Targets are grouped into dihedral (rotation and mirror) orbits:
+a star maps onto itself under rotations by whole grid steps and under
+the mirror about the horizontal line through its center.  One polar rule
+and one cardinal pair serve a whole orbit, and every other member's row
+is the representative's contraction re-indexed along the grid's angular
+axis: j -> j - shift for a rotation, j -> shift - j with the mirror.  On
+the benchmark star (0.3, 0, 0.03) at 64/16x8 that is 40 rules for the
+128 grid targets and 17 for the 64 curve targets (64 and 32 with the
+rotations alone).  A disk keeps its rotations only.  The Laplace blocks,
+the polar rules and the log-kernel rows depend only on the geometry, so
 ``geometry.cached`` keeps each with its curve or grid, built once and
 read-only: log rows as one block per target set.
 The independent oracles for the volume operators live only in
@@ -197,11 +202,13 @@ def _rule(grid: DomainGrid, y):
 
 
 #: Distance, relative to the domain's largest radius, within which a target
-#: counts as the rotation of its orbit's representative.
+#: counts as the image of its orbit's representative.
 ORBIT_TOL = 1e-13
 #: Sector edges of the orbit sort, as a fraction of the rotation angle past
 #: each multiple of it; irrational, so no grid or curve angle lies on one.
 _SECTOR_EDGE = 1.0 - 1.0 / np.pi
+#: The mirror M about the horizontal line through the center, on offsets.
+_MIRROR = np.array([1.0, -1.0])
 
 
 def _rotation_step(grid: DomainGrid) -> int:
@@ -221,74 +228,108 @@ def _rotate(v, shift, n_t):
                      s * v[..., 0] + c * v[..., 1]], axis=-1)
 
 
-def _orbits(grid: DomainGrid, tg: np.ndarray):
-    """Rotation orbits of the targets about the domain's center.
-
-    Yields (rep, members, shifts): target ``members[i]`` is target ``rep``
-    rotated by ``shifts[i]`` grid angular steps, to ORBIT_TOL.  A target
-    that matches no earlier one is its own representative.
-    """
-    if not len(tg):
-        return
+def _sector_keys(grid: DomainGrid, v: np.ndarray, tol: float):
+    """Per offset v[i], the rotation shift into sector 0 and the rounded
+    rotated offset as a key; offsets whose rotations back agree to
+    1e3 * tol share a key."""
     step = _rotation_step(grid)
     order = grid.n_t // step
-    v = tg - grid.spec.center
     phi = np.arctan2(v[:, 1], v[:, 0])
     sector = np.floor(phi * (order / (2 * np.pi)) + _SECTOR_EDGE)
     shift = (sector.astype(int) % order) * step
-    # targets whose rotations back into sector 0 agree to 1e3 * tol share
-    # a key; the first of them represents the rest if it matches exactly
+    return shift, np.round(_rotate(v, -shift, grid.n_t) / (1e3 * tol))
+
+
+def _orbits(grid: DomainGrid, tg: np.ndarray):
+    """Dihedral (rotation and mirror) orbits of the targets about the
+    domain's center.
+
+    The group is the domain's rotations by multiples of ``_rotation_step``,
+    each with or without the mirror M about the horizontal line through
+    the center, which every cosine-series star has.  A disk keeps its
+    rotations only: one grid step already relates all its grid targets,
+    and its results stay those of its rotation orbits, bit for bit.
+    Yields (rep, members, shifts, flips): target ``members[i]`` is target
+    ``rep``, mirrored where ``flips[i]``, then rotated by ``shifts[i]``
+    grid angular steps, to ORBIT_TOL.  A member that is a rotation image
+    of ``rep`` is never marked mirrored.  A target that matches no earlier
+    one is its own representative.
+    """
+    if not len(tg):
+        return
+    n, n_t = len(tg), grid.n_t
+    v = tg - grid.spec.center
     tol = ORBIT_TOL * grid.spec.max_rho()
-    canon = np.round(_rotate(v, -shift, grid.n_t) / (1e3 * tol))
-    _, first, label = np.unique(canon, axis=0, return_index=True,
-                                return_inverse=True)
-    rep = first[label.ravel()]
-    rel = (shift - shift[rep]) % grid.n_t
-    exact = (np.abs(_rotate(v[rep], rel, grid.n_t) - v) <= tol).all(1)
-    rep = np.where(exact, rep, np.arange(len(tg)))
+    images = [v, v * _MIRROR] if grid.spec.kind == "star" else [v]
+    shift, key = _sector_keys(grid, np.concatenate(images), tol)
+    _, label = np.unique(key, axis=0, return_inverse=True)
+    # rows: the keys of v and of M v; targets with the same pair of keys
+    # are images of each other, and the first of them represents the rest
+    label, shift = label.reshape(-1, n), shift.reshape(-1, n)
+    _, first, orbit = np.unique(np.sort(label, axis=0).T, axis=0,
+                                return_index=True, return_inverse=True)
+    rep = first[orbit.ravel()]
+    flip = label[0] != label[0, rep]
+    rel = (shift[0] - np.where(flip, shift[-1, rep], shift[0, rep])) % n_t
+    image = _rotate(np.where(flip[:, None], v[rep] * _MIRROR, v[rep]),
+                    rel, n_t)
+    exact = (np.abs(image - v) <= tol).all(1)
+    rep = np.where(exact, rep, np.arange(n))
     rel = np.where(exact, rel, 0)
+    flip &= exact
     by_rep = np.argsort(rep, kind="stable")
     cuts = np.flatnonzero(np.diff(rep[by_rep])) + 1
     for members in np.split(by_rep, cuts):
-        yield rep[members[0]], members, rel[members]
+        yield rep[members[0]], members, rel[members], flip[members]
 
 
-def _roll(grid: DomainGrid, rows, shifts):
-    """Rows (k, n_nodes) rolled by shifts[i] steps along the angular axis."""
+def _reindex(grid: DomainGrid, rows, shifts, flips):
+    """Rows (k, n_nodes) re-indexed along the angular axis: column j of
+    row i reads column j - shifts[i], or shifts[i] - j where flips[i]."""
     rows = rows.reshape(len(rows), grid.n_t, grid.n_s)
-    j = (np.arange(grid.n_t)[None, :] - np.asarray(shifts)[:, None]) % grid.n_t
+    j, k = np.arange(grid.n_t)[None, :], np.asarray(shifts)[:, None]
+    j = np.where(np.asarray(flips)[:, None], k - j, j - k) % grid.n_t
     return rows[np.arange(len(rows))[:, None], j].reshape(len(rows), -1)
 
 
-def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None):
-    """One pass over the rotation orbits of the targets.
+def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None, logs=True):
+    """One pass over the dihedral orbits of the targets.
 
     Per orbit, the representative's polar rule and cardinals (A, S) are
-    built once.  Returns the log-kernel rows of the targets, the
-    representative's contraction rolled for each other member since the
-    log kernel is rotation invariant, and, given ``kernel(y, d)`` (targets
-    (k, 2), node offsets (k, m, 2)), the matrix of its rows at the targets
-    (else None): the kernel is evaluated at each member's rotated nodes,
-    and members are contracted against the representative's (A, S) in
-    chunks whose GEMM temporary is no larger than (A, S).
+    built once; a member's rule is the representative's mirrored (when
+    flipped) and rotated.  A rotation of the points rolls the columns of
+    A, and a mirror sends column j to -j since the trigonometric cardinal
+    is even; S is unchanged by both.  Returns the log-kernel rows of the
+    targets if ``logs`` (else None): the representative's contraction
+    re-indexed for each member, since the log kernel is invariant under
+    both.  Given ``kernel(y, d)`` (targets (k, 2), node offsets
+    (k, m, 2)), it also returns the matrix of the kernel's rows at the
+    targets (else None): the kernel is evaluated at each member's own
+    target and mapped nodes, and members are contracted against the
+    representative's (A, S) in chunks whose GEMM temporary is no larger
+    than (A, S).
     """
-    logs = np.empty((len(tg), grid.n_nodes))
+    logs = np.empty((len(tg), grid.n_nodes)) if logs else None
     rows = None if kernel is None else np.empty((len(tg), grid.n_nodes))
     chunk = max(1, (grid.n_t + grid.n_s) // grid.n_s)
-    for rep, members, shifts in _orbits(grid, tg):
+    for rep, members, shifts, flips in _orbits(grid, tg):
         y0 = tg[rep]
         pts, w = _rule(grid, y0).nodes()
         A, S = grid.cardinal_matrices(pts)
-        row0 = grid.interpolation_row(w * _log_kernel(pts, y0), A, S)
-        logs[members] = _roll(grid, np.broadcast_to(
-            row0, (len(members), len(row0))), shifts)
+        if logs is not None:
+            row0 = grid.interpolation_row(w * _log_kernel(pts, y0), A, S)
+            logs[members] = _reindex(grid, np.broadcast_to(
+                row0, (len(members), len(row0))), shifts, flips)
         if kernel is None:
             continue
         d0 = pts - y0
+        d = np.stack([d0, d0 * _MIRROR])
         for b in range(0, len(members), chunk):
-            idx, k = members[b:b + chunk], shifts[b:b + chunk]
-            kv = w * kernel(tg[idx], _rotate(d0, k[:, None], grid.n_t))
-            rows[idx] = _roll(grid, grid.interpolation_row(kv, A, S), k)
+            idx, k, f = (members[b:b + chunk], shifts[b:b + chunk],
+                         flips[b:b + chunk])
+            kv = w * kernel(tg[idx], _rotate(d[f.astype(int)], k[:, None],
+                                             grid.n_t))
+            rows[idx] = _reindex(grid, grid.interpolation_row(kv, A, S), k, f)
     return logs, rows
 
 
@@ -338,15 +379,18 @@ def remainder_rows(grid: DomainGrid, coeff: Coefficient, family: str,
     Each row integrates the explicit remainder kernel against the grid
     interpolant; boundary targets are allowed (trace of the operator).  A
     constant coefficient has no remainder: its rows are zero.  The same
-    pass stores the targets' log-kernel rows on the grid.
+    pass stores the targets' log-kernel rows on the grid, unless a pass
+    stored them before.
     """
     _check_family(family)
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
     if coeff.constant:
         return np.zeros((len(tg), grid.n_nodes))
+    key = ("log", tg.tobytes())
     logs, rows = _volume_pass(grid, tg, lambda y, d: _remainder_kernel(
-        y, d, coeff, family))
-    cached(grid, ("log", tg.tobytes()), lambda: logs)
+        y, d, coeff, family), logs=key not in grid._cache)
+    if logs is not None:
+        cached(grid, key, lambda: logs)
     return rows
 
 

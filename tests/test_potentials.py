@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from bdies2d import laplace, potentials, verification
 from bdies2d.coefficient import Coefficient, make_preset
@@ -233,35 +234,40 @@ class TestVolumeRows:
         assert block.shape == (len(tg), grid.n_nodes)
         with pytest.raises(ValueError):
             block[0, 0] = 1.0
-        # the other family keeps the stored block, and the volume term
-        # reads it without another pass
-        potentials.remainder_rows(grid, A_QUAD, "y", tg)
-        assert grid._cache[key] is block
+        # the same rows as a log-only pass on a fresh grid
+        fresh = build_domain_grid(DISK, 16, 8)
+        assert np.array_equal(potentials._volume_pass(fresh, tg)[0], block)
 
         def refuse(*args, **kwargs):
             raise AssertionError("log rows rebuilt")
 
+        # the other family keeps the stored block and builds no log rows,
+        # and the volume term reads it without another pass
+        monkeypatch.setattr(potentials, "_log_kernel", refuse)
+        potentials.remainder_rows(grid, A_QUAD, "y", tg)
+        assert grid._cache[key] is block
         monkeypatch.setattr(potentials, "_volume_pass", refuse)
         f = DomainField(grid, np.cos(grid.points[:, 0]))
         np.testing.assert_array_equal(
             volume_potential(grid, A_ONE, "x", f, tg), block @ f.values)
 
 
-def _anchored_reference(grid, coeff, family, targets):
-    """Per-target R and log rows: each target's own anchored rule and
-    cardinals, contracted by ``interpolation_row``."""
+def _anchored_reference(grid, coeff, targets):
+    """Per-target R rows of each family and log rows: each target's own
+    anchored rule and cardinals, contracted by ``interpolation_row``."""
     base, n_r = potentials._rule_params(grid)
-    rows, logs = [], []
+    rows, logs = {family: [] for family in FAMILIES}, []
     for y in targets:
         pts, w = polar_rule_for_target(grid.spec, y, base=base,
                                        n_r=n_r).nodes()
         A, S = grid.cardinal_matrices(pts)
-        ker = potentials._remainder_kernel(y[None], (pts - y)[None], coeff,
-                                           family)[0]
-        rows.append(grid.interpolation_row(w * ker, A, S))
+        for family in FAMILIES:
+            ker = potentials._remainder_kernel(y[None], (pts - y)[None],
+                                               coeff, family)[0]
+            rows[family].append(grid.interpolation_row(w * ker, A, S))
         logs.append(grid.interpolation_row(w * potentials._log_kernel(pts, y),
                                            A, S))
-    return np.array(rows), np.array(logs)
+    return {family: np.array(r) for family, r in rows.items()}, np.array(logs)
 
 
 ORBIT_SPECS = {
@@ -270,7 +276,45 @@ ORBIT_SPECS = {
                              cos_coeffs=(0.3, 0.0, 0.03)),
     "star-asymmetric": DomainSpec("star", center=(0.05, 0.0),
                                   cos_coeffs=(0.3, 0.02, 0.03)),
+    "star-nonconvex": DomainSpec("star", center=(0.0, 0.0),
+                                 cos_coeffs=(0.3, 0.05, 0.0, 0.0, 0.0, 0.08)),
 }
+
+
+def _image(v, k, n_t, flip):
+    """Offsets v (..., 2) mirrored about the horizontal axis if ``flip``,
+    then rotated by k grid angular steps."""
+    a = 2 * np.pi * k / n_t
+    rot = np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
+    return (v * ([1.0, -1.0] if flip else 1.0)) @ rot
+
+
+def _brute_force_orbit_count(grid, tg):
+    """Targets that are no group image of an earlier target.  The group:
+    every grid rotation that maps the domain onto itself, found by
+    sampling the profile, each with and without the mirror on a star (a
+    disk uses its rotations only)."""
+    spec, n_t = grid.spec, grid.n_t
+    th = np.linspace(0.0, 2 * np.pi, 97, endpoint=False)
+    steps = [k for k in range(n_t) if np.allclose(
+        spec.rho(th + 2 * np.pi * k / n_t), spec.rho(th), rtol=0,
+        atol=1e-15)]
+    flips = (False, True) if spec.kind == "star" else (False,)
+    v = tg - spec.center
+    images = np.array([_image(v, k, n_t, f) for k in steps for f in flips])
+    dist = np.abs(images[:, :, None, :] - v[None, None, :, :]).max(-1)
+    hit = (dist <= 1e-12).any(0)           # hit[j, i]: i is an image of j
+    return sum(not hit[:i, i].any() for i in range(len(tg)))
+
+
+def _member_images(grid, tg, orbits):
+    """Each target replaced by the exact group image of its orbit's
+    representative: mirrored where flipped, then rotated by its shift."""
+    out, c = tg.copy(), grid.spec.center
+    for rep, members, shifts, flips in orbits:
+        for i, k, f in zip(members, shifts, flips):
+            out[i] = c + _image(tg[rep] - c, k, grid.n_t, f)
+    return out
 
 
 class TestOrbits:
@@ -280,22 +324,34 @@ class TestOrbits:
         grid, curve = build_domain_grid(spec, 16, 8), build_curve(spec, 32)
         tg = np.concatenate([grid.points, curve.points])
         orbits = list(potentials._orbits(grid, tg))
-        # a disk has one orbit per radius and per curve node in a grid
-        # step; the 2-fold star pairs targets; the asymmetric star none
-        n_orbits = {"disk": grid.n_s + curve.n // grid.n_t,
-                    "star-2fold": len(tg) // 2,
-                    "star-asymmetric": len(tg)}[name]
+        n_orbits = _brute_force_orbit_count(grid, tg)
         assert len(orbits) == n_orbits
-        for family in FAMILIES:
+        flipped = np.concatenate([m[f] for _, m, _, f in orbits])
+        # stars mirror both interior and curve targets; a disk never
+        assert (len(flipped) > 0) == (spec.kind == "star")
+        if len(flipped):
+            assert flipped.min() < grid.n_nodes <= flipped.max()
+        ref_tg = tg
+        if name == "star-nonconvex":
+            # a curve target's own rule here moves with the rounding of its
+            # coordinates: rays grazing the boundary re-enter the domain
+            # within 1e-8..1e-5 of it, at radii that shift ~1e-10 with a
+            # 1e-16 move of the target, and those segments get plain Gauss
+            # (rows ~1e-7 apart); so curve members are referred to the
+            # exact image of their representative
+            ref_tg = tg.copy()
+            ref_tg[grid.n_nodes:] = _member_images(grid, tg, orbits)[
+                grid.n_nodes:]
+        refs, ref_log = _anchored_reference(grid, A_QUAD, ref_tg)
+        for family, ref in refs.items():
             got = potentials.remainder_rows(grid, A_QUAD, family, tg)
-            ref, ref_log = _anchored_reference(grid, A_QUAD, family, tg)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         logs = grid._cache[("log", tg.tobytes())]
         assert np.abs(logs - ref_log).max() <= 1e-12 * np.abs(ref_log).max()
         kinds = sorted(k[0] for k in grid._cache)
         assert kinds == ["log"] + ["rule"] * n_orbits
 
-    @pytest.mark.parametrize("name", ["disk", "star-2fold"])
+    @pytest.mark.parametrize("name", list(ORBIT_SPECS))
     def test_member_rule_is_rotated_representative_rule(self, name):
         # interior targets only: a boundary target's own rule depends, at
         # rounding level, on how far off the curve its coordinates lie
@@ -306,16 +362,23 @@ class TestOrbits:
         y = potentials._rotate(np.array([0.13, 0.05]), turns, grid.n_t)
         tg = np.concatenate([grid.points[5::8], spec.center + y])
         orbits = list(potentials._orbits(grid, tg))
-        assert [len(m) for _, m, _ in orbits] == [len(turns)] * (
-            len(tg) // len(turns))
+        assert len(orbits) == _brute_force_orbit_count(grid, tg)
+        assert len(orbits) < len(tg)
         base, n_r = potentials._rule_params(grid)
-        for rep, members, shifts in orbits:
-            p0 = potentials._rule(grid, tg[rep]).points - spec.center
-            for i, k in zip(members, shifts):
-                own = polar_rule_for_target(spec, tg[i], base=base,
-                                            n_r=n_r).points
-                rotated = spec.center + potentials._rotate(p0, k, grid.n_t)
-                assert np.abs(own - rotated).max() <= 1e-14
+        for rep, members, shifts, flips in orbits:
+            p0, w0 = potentials._rule(grid, tg[rep]).nodes()
+            for i, k, f in zip(members, shifts, flips):
+                own, w = polar_rule_for_target(spec, tg[i], base=base,
+                                               n_r=n_r).nodes()
+                mapped = spec.center + _image(p0 - spec.center, k,
+                                              grid.n_t, f)
+                if not f:
+                    assert np.abs(own - mapped).max() <= 1e-14
+                # as node sets: a one-to-one match, with equal weights
+                dist, near = cKDTree(mapped).query(own, p=np.inf)
+                assert len(own) == len(mapped) == len(set(near))
+                assert dist.max() <= 1e-14
+                assert np.abs(w - w0[near]).max() <= 1e-13 * w0.max()
 
     def test_no_targets_give_no_rows(self):
         grid = build_domain_grid(DISK, 8, 4)

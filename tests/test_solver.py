@@ -133,9 +133,11 @@ def unit_sol(geo_fine):
 
 class TestSharedGeometry:
     def test_second_family_builds_no_rules(self, monkeypatch):
-        # one rule per rotation orbit: the star is 2-fold symmetric, so
-        # each orbit pairs a target with its image under a half turn; the
-        # rules and log rows of family x serve family y on the same grid
+        # one rule per dihedral orbit: the star maps onto itself under a
+        # half turn and the mirror, so the 8 grid angles fall into the
+        # orbits {0, 4}, {1, 3, 5, 7}, {2, 6} at each radius, and the 32
+        # curve nodes into {0, 16}, {8, 24} and 7 quadruples; the rules
+        # and log rows of family x serve family y on the same grid
         from bdies2d.verification import manufactured_case
         spec = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.03))
         curve, grid = build_curve(spec, 32), build_domain_grid(spec, 8, 4)
@@ -150,9 +152,9 @@ class TestSharedGeometry:
 
         monkeypatch.setattr(potentials, "polar_rule_for_target", counted)
         solve_bvp(curve, grid, case.coeff, "x", f, phi0)
-        assert len(calls) == grid.n_nodes // 2 + curve.n // 2
+        assert len(calls) == 3 * grid.n_s + 9
         solve_bvp(curve, grid, case.coeff, "y", f, phi0)
-        assert len(calls) == grid.n_nodes // 2 + curve.n // 2
+        assert len(calls) == 3 * grid.n_s + 9
 
     def test_second_family_builds_no_laplace_blocks(self, monkeypatch):
         # the Laplace blocks of family x serve family y on the same curve
@@ -303,5 +305,44 @@ class TestRotationInvariance:
         u1, psi1 = solve(alpha + beta, back)
         du = np.abs(np.roll(u0, shift, axis=0) - u1).max()
         dpsi = np.abs(np.roll(psi0, shift * curve.n // grid.n_t) - psi1).max()
+        assert du <= 1e-12 * np.abs(u0).max()
+        assert dpsi <= 1e-12 * np.abs(psi0).max()
+
+
+# an odd cosine mode: the mirror maps this star onto itself, no rotation
+# does; every disk and cosine-series star centered at the origin is its
+# own image under the mirror about the horizontal axis
+MIRROR_STAR = DomainSpec("star", center=(0.0, 0.0),
+                         cos_coeffs=(0.3, 0.02, 0.03))
+
+
+class TestMirrorInvariance:
+    @settings(max_examples=12, deadline=None)
+    @given(spec=st.sampled_from([DISK, BENCH_STAR, MIRROR_STAR]),
+           family=st.sampled_from(potentials.FAMILIES),
+           alpha=st.floats(0.0, 2 * np.pi))
+    def test_mirroring_coefficient_and_data_reflects_the_solution(
+            self, spec, family, alpha):
+        # exp_saddle's f and g, under a = exp(d . x) with d at angle alpha;
+        # then d, f and g mirrored about the horizontal axis: grid angle j
+        # and curve node i map to -j and -i
+        from bdies2d.verification import manufactured_case
+        curve, grid = _rot_geometry(spec)
+        case = manufactured_case("exp_saddle")
+        mirror = np.diag([1.0, -1.0])
+
+        def solve(angle, frame):
+            coeff = make_preset("exponential",
+                                direction=(np.cos(angle), np.sin(angle)))
+            f = DomainField(grid, case.f(grid.points @ frame))
+            phi0 = BoundaryDensity(curve, case.u(curve.points @ frame))
+            sol = solve_bvp(curve, grid, coeff, family, f, phi0)
+            return sol.u.values.reshape(grid.n_t, grid.n_s), sol.psi.values
+
+        u0, psi0 = solve(alpha, np.eye(2))
+        u1, psi1 = solve(-alpha, mirror)
+        j, i = -np.arange(grid.n_t) % grid.n_t, -np.arange(curve.n) % curve.n
+        du = np.abs(u0[j] - u1).max()
+        dpsi = np.abs(psi0[i] - psi1).max()
         assert du <= 1e-12 * np.abs(u0).max()
         assert dpsi <= 1e-12 * np.abs(psi0).max()

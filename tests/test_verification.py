@@ -108,11 +108,14 @@ class TestVolumeOracles:
                                     st.floats(0.0, 2 * np.pi)),
                           min_size=1, max_size=2))
     def test_orbit_pass_matches_oracles(self, spec, family, polar):
-        # targets at level s <= 0.8; the tolerance is identity_suite's
+        # targets at level s <= 0.8, then their mirror images about the
+        # horizontal line through the center (on a star, each one's mirror
+        # orbit partner); the tolerance is identity_suite's
         assert spec.diameter() < 1.0
         s, th = np.array(polar).T
-        tg = spec.center + (s * spec.rho(th))[:, None] * np.stack(
-            [np.cos(th), np.sin(th)], axis=1)
+        v = (s * spec.rho(th))[:, None] * np.stack([np.cos(th), np.sin(th)],
+                                                    axis=1)
+        tg = spec.center + np.concatenate([v, v * [1.0, -1.0]])
         grid = build_domain_grid(spec, 32, 12)
         f = _smooth_field(grid)
         pv = potentials.volume_potential(grid, A_EXP, family, f, tg)
