@@ -47,6 +47,23 @@ def _as_point(p) -> np.ndarray:
     return p
 
 
+def _polar(px, py):
+    """|p| and cos, sin of the polar angle of offsets (px, py); 0 at p = 0."""
+    r = np.hypot(px, py)
+    safe = np.where(r > 0.0, r, 1.0)
+    return r, px / safe, py / safe
+
+
+def _clenshaw(a, x):
+    """b_1, b_2 of Clenshaw's b_k = a_k + 2x b_{k+1} - b_{k+2} (MTAC 9, 1955):
+    sum_k a_k T_k(x) = a_0 + (x b_1 - b_2), with a_0 added last to round a
+    dominant mean once, and sum_{k>=1} a_k U_{k-1}(x) = b_1."""
+    b1, b2 = (a[-1], 0.0) if len(a) > 1 else (0.0, 0.0)
+    for ak in a[-2:0:-1]:
+        b1, b2 = ak + 2.0 * x * b1 - b2, b1
+    return b1, b2
+
+
 # ---------------------------------------------------------------------------
 # Domain specification
 # ---------------------------------------------------------------------------
@@ -57,7 +74,8 @@ class DomainSpec:
 
     The profile is the cosine series
     ``rho(theta) = cos_coeffs[0] + sum_k cos_coeffs[k] * cos(k*theta)``,
-    which must stay strictly positive; a disk's is ``[radius]``.
+    which must stay strictly positive; a disk's is ``[radius]``.  It is a
+    Clenshaw sum in cos(theta), which at a point is p_x / |p| (``profile``).
     """
 
     kind: str
@@ -89,29 +107,35 @@ class DomainSpec:
 
     # -- radial profile and derivatives ------------------------------------
 
+    def profile(self, cos, sin=None):
+        """rho at the angle with cosine ``cos``, or (rho, drho) given its
+        sine: cos k theta = T_k(cos theta), sin k theta = sin theta
+        U_{k-1}(cos theta).  A disk's sums to its radius exactly."""
+        c = self.cos_coeffs
+        b1, b2 = _clenshaw(c, cos)
+        rho = c[0] + (cos * b1 - b2)
+        if sin is None:
+            return rho
+        return rho, sin * _clenshaw(-np.arange(c.size) * c, cos)[0]
+
     def rho(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        k = np.arange(self.cos_coeffs.size)
-        return np.cos(theta[..., None] * k) @ self.cos_coeffs
+        return self.profile(np.cos(theta))
 
     def drho(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        k = np.arange(self.cos_coeffs.size)
-        return -np.sin(theta[..., None] * k) @ (k * self.cos_coeffs)
+        return self.profile(np.cos(theta), np.sin(theta))[1]
 
     def ddrho(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        k = np.arange(self.cos_coeffs.size)
-        return -np.cos(theta[..., None] * k) @ (k * k * self.cos_coeffs)
+        x, k = np.cos(theta), np.arange(self.cos_coeffs.size)
+        b1, b2 = _clenshaw(k * k * self.cos_coeffs, x)
+        return b2 - x * b1
 
     # -- queries -------------------------------------------------------------
 
     def level(self, points) -> np.ndarray:
         """Star level function: <1 inside, 1 on the boundary, >1 outside."""
         p = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
-        r = np.hypot(p[:, 0], p[:, 1])
-        theta = np.arctan2(p[:, 1], p[:, 0])
-        return r / self.rho(theta)
+        r, cos, _ = _polar(p[:, 0], p[:, 1])
+        return r / self.profile(cos)
 
     def contains(self, point) -> bool:
         return bool(self.level(np.asarray(point, dtype=float)[None, :])[0] < 1.0)
@@ -122,10 +146,8 @@ class DomainSpec:
         return cached(self, "diameter", self._sampled_diameter)
 
     def _sampled_diameter(self) -> float:
-        th = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
-        pts = self.center + self.rho(th)[:, None] * np.stack(
-            [np.cos(th), np.sin(th)], axis=1
-        )
+        pts = self.boundary_point(
+            np.linspace(0.0, 2 * np.pi, 2048, endpoint=False))
         # pairwise distances in row blocks keep the temporary at 128 x 2048
         d2max = 0.0
         for i in range(0, len(pts), 128):
@@ -146,19 +168,17 @@ class DomainSpec:
     # -- boundary parameterization x(t) = center + rho(t) e(t) ---------------
 
     def boundary_point(self, t):
-        t = np.asarray(t, dtype=float)
-        e = np.stack([np.cos(t), np.sin(t)], axis=-1)
-        return self.center + self.rho(t)[..., None] * e
+        cos, sin = np.cos(t), np.sin(t)
+        return (self.center
+                + self.profile(cos)[..., None] * np.stack([cos, sin], -1))
 
     def boundary_velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        e = np.stack([np.cos(t), np.sin(t)], axis=-1)
-        eperp = np.stack([-np.sin(t), np.cos(t)], axis=-1)
-        return self.drho(t)[..., None] * e + self.rho(t)[..., None] * eperp
+        cos, sin = np.cos(t), np.sin(t)
+        r, dr = self.profile(cos, sin)
+        return np.stack([dr * cos - r * sin, dr * sin + r * cos], axis=-1)
 
     def boundary_speed(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.hypot(self.rho(t), self.drho(t))
+        return np.hypot(*self.profile(np.cos(t), np.sin(t)))
 
     def boundary_normal(self, t):
         """Outward unit normal (tangent rotated by -90 degrees)."""
@@ -167,8 +187,8 @@ class DomainSpec:
         return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
     def boundary_curvature(self, t):
-        t = np.asarray(t, dtype=float)
-        r, dr, ddr = self.rho(t), self.drho(t), self.ddrho(t)
+        r, dr = self.profile(np.cos(t), np.sin(t))
+        ddr = self.ddrho(t)
         return (r * r + 2 * dr * dr - r * ddr) / (r * r + dr * dr) ** 1.5
 
 
@@ -350,7 +370,7 @@ class DomainGrid:
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float)) - self.spec.center
         th = np.arctan2(pts[:, 1], pts[:, 0])
-        s = np.hypot(pts[:, 0], pts[:, 1]) / self.spec.rho(th)
+        s = self.spec.level(points)
         A = trig_cardinal_rows(th, self.n_t)
         S = self._radial_cardinal(np.clip(s, 0.0, 1.0))
         return A, S
@@ -444,12 +464,14 @@ def _graded_unit_rule(p: int):
     return r, w
 
 
-def _scan_ladder(rmax: float) -> np.ndarray:
-    """Radial sample ladder: log-spaced near 0 to catch short segments."""
-    return np.concatenate([
-        np.geomspace(1e-9 * rmax, rmax / 112, 48, endpoint=False),
-        np.linspace(rmax / 112, rmax, 112),
-    ])
+@lru_cache(maxsize=1)
+def _unit_ladder() -> np.ndarray:
+    """Radial sample ladder on (0, 1], scaled by rmax: log-spaced near 0 to
+    catch short segments; shared and read-only."""
+    rr = np.concatenate([np.geomspace(1e-9, 1 / 112, 48, endpoint=False),
+                         np.linspace(1 / 112, 1.0, 112)])
+    rr.flags.writeable = False
+    return rr
 
 
 def inside_segments(spec: DomainSpec, y, dirs: np.ndarray, rmax: float):
@@ -457,20 +479,24 @@ def inside_segments(spec: DomainSpec, y, dirs: np.ndarray, rmax: float):
 
     Returns arrays (ray, start, end): segment k covers [start[k], end[k]]
     along direction ray[k], with 0 <= start < end, sorted by ray and then
-    by radius.  A scan of the level function over ``_scan_ladder``
-    brackets every boundary crossing; segments shorter than the scan
-    resolution near rmax can be missed, but the ladder is logarithmic near
-    0 where short entering segments matter.  Inside a bracket the crossing
-    is a simple root of g(r) = |p| - rho(theta(p)), p = y - center + r*dir,
-    found by safeguarded Newton iteration from the scan's secant guess:
-    every iterate shrinks the bracket, and a step that leaves it is
-    replaced by the bracket's midpoint.
+    by radius.  A scan of the level function over ``_unit_ladder``
+    times rmax, up to its first radius past |y - center| + sum |cos_coeffs|
+    (no boundary point is farther from y), brackets every boundary
+    crossing; segments shorter than the scan resolution near rmax can be
+    missed, but the ladder is logarithmic near 0 where short entering
+    segments matter.  Inside a bracket the crossing is a simple root of
+    g(r) = |p| - rho(theta(p)), p = y - center + r*dir, found by
+    safeguarded Newton iteration from the scan's secant guess: every
+    iterate shrinks the bracket, and a step that leaves it is replaced by
+    the bracket's midpoint.
     """
     y = _as_point(y)
-    rr = _scan_ladder(rmax)
-    m = len(dirs)
-    lev = spec.level((y[None, None, :] + rr[None, :, None] * dirs[:, None, :])
-                     .reshape(-1, 2)).reshape(m, len(rr))
+    p0 = y - spec.center
+    rr = rmax * _unit_ladder()
+    reach = float(np.hypot(p0[0], p0[1])) + np.abs(spec.cos_coeffs).sum()
+    rr = rr[:np.searchsorted(rr, reach) + 1]
+    R, cos, _ = _polar(p0[0] + dirs[:, :1] * rr, p0[1] + dirs[:, 1:] * rr)
+    lev = R / spec.profile(cos)
     inside = lev < 1.0
     if inside[:, -1].any():
         raise GeometryError("radial segment scan failed: ray never leaves domain")
@@ -481,20 +507,20 @@ def inside_segments(spec: DomainSpec, y, dirs: np.ndarray, rmax: float):
     entering = ~inside[di, ki]          # outside -> inside across the flip
     l0, l1 = lev[di, ki], lev[di, ki + 1]
     cross = lo + (hi - lo) * (1.0 - l0) / (l1 - l0)
-    p0, d = y - spec.center, dirs[di]
+    d = dirs[di]
     tol = 1e-15 * rmax
     todo = np.arange(len(cross))
     for _ in range(60):                 # a backstop: a few steps suffice
         if not todo.size:
             break
         r, dk = cross[todo], d[todo]
-        p = p0 + r[:, None] * dk
-        R = np.hypot(p[:, 0], p[:, 1])
-        th = np.arctan2(p[:, 1], p[:, 0])
-        g = R - spec.rho(th)            # < 0 where the level is < 1
+        R, cos, sin = _polar(p0[0] + r * dk[:, 0], p0[1] + r * dk[:, 1])
+        rho, drho = spec.profile(cos, sin)
+        g = R - rho                     # < 0 where the level is < 1
         with np.errstate(divide="ignore", invalid="ignore"):
-            dg = ((p * dk).sum(1) / R - spec.drho(th)
-                  * (p[:, 0] * dk[:, 1] - p[:, 1] * dk[:, 0]) / R**2)
+            # g' = e . d - rho'(theta) theta', theta' = (e x d) / R
+            dg = (cos * dk[:, 0] + sin * dk[:, 1]
+                  - drho * (cos * dk[:, 1] - sin * dk[:, 0]) / R)
             step = g / dg
         past = (g < 0.0) == entering[todo]
         lo[todo] = a = np.where(past, lo[todo], r)
@@ -537,11 +563,12 @@ class PolarRule:
     Held as a segment table: per angular node a direction and an angular
     weight, and per inside segment its ray index and its start and end
     radius, sorted by ray and then by radius.  ``nodes()`` expands a
-    segment that starts at the target (start 0) with the radial panels
-    graded toward it, and every other segment with Gauss-Legendre.  The
-    weights include the polar Jacobian r, which cancels 1/r kernel
-    singularities at the target; log(r) factors are handled by the graded
-    radial panels.
+    segment that starts nearer the target than its own length (start 0
+    included) with the radial panels graded toward its start, and every
+    other segment with Gauss-Legendre.  The weights include the polar
+    Jacobian r, which cancels 1/r kernel singularities at the target;
+    log(r) factors are handled by the graded radial panels, also on a
+    segment that re-enters the domain just past the target.
     """
 
     target: np.ndarray
@@ -553,17 +580,19 @@ class PolarRule:
     n_r: int
 
     def nodes(self):
-        """Quadrature points (N, 2) and weights (N,): segments that start
-        at the target first, then the others, each in table order.
+        """Quadrature points (N, 2) and weights (N,): the graded segments
+        (start a < length b - a) first, then the others, each in table
+        order.
 
         A segment [a, a + h] along ray k with unit rule (x, wx) has nodes
         r = a + h x and weights h wx r wtheta_k, formed as
         h^2 wtheta_k (wx x) + h a wtheta_k wx.
         """
-        at_target = self.seg_ends[:, 0] == 0.0
+        a, b = self.seg_ends.T
+        graded = a < b - a
         pts, wts = [], []
-        for sel, (x, wx) in ((at_target, _graded_unit_rule(self.n_r)),
-                             (~at_target, gauss_01(self.n_r))):
+        for sel, (x, wx) in ((graded, _graded_unit_rule(self.n_r)),
+                             (~graded, gauss_01(self.n_r))):
             k = self.seg_ray[sel]
             a, b = self.seg_ends[sel, :1], self.seg_ends[sel, 1:]
             h, wt = b - a, self.wtheta[k][:, None]

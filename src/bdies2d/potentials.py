@@ -334,21 +334,24 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None, logs=True):
 
 
 def _log_kernel(pts, y):
-    r2 = ((pts - y) ** 2).sum(1)
+    dx, dy = pts[:, 0] - y[0], pts[:, 1] - y[1]
+    r2 = dx * dx + dy * dy
     return 0.5 * np.log(np.maximum(r2, 1e-300)) / TWO_PI
 
 
 def _remainder_kernel(y, d, coeff: Coefficient, family: str):
     """Remainder kernel at nodes y[i] + d[i] (d of shape (k, m, 2))."""
     pts = (y[:, None, :] + d).reshape(-1, 2)
-    r2 = np.maximum((d * d).sum(-1), 1e-300)
+    dx, dy = d[..., 0], d[..., 1]
+    r2 = np.maximum(dx * dx + dy * dy, 1e-300)
     if family == "x":
         lap = coeff.laplacian_ln_a(pts).reshape(r2.shape)
         gl = coeff.grad_ln_a(pts).reshape(d.shape)
         return (-lap * 0.5 * np.log(r2) / TWO_PI
-                - (gl * d).sum(-1) / (TWO_PI * r2))
+                - (gl[..., 0] * dx + gl[..., 1] * dy) / (TWO_PI * r2))
     ga = coeff.grad_a(pts).reshape(d.shape)
-    return (ga * d).sum(-1) / (TWO_PI * r2) / coeff.a(y)[:, None]
+    return ((ga[..., 0] * dx + ga[..., 1] * dy) / (TWO_PI * r2)
+            / coeff.a(y)[:, None])
 
 
 def volume_potential(grid: DomainGrid, coeff: Coefficient, family: str,

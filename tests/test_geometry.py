@@ -5,13 +5,28 @@ from hypothesis import strategies as st
 from test_verification import convex_domains
 
 from bdies2d import potentials
-from bdies2d.geometry import (DomainSpec, GeometryError, _disk_extents,
-                              _window_angles, build_curve, build_domain_grid,
-                              gauss_01, inside_segments, polar_rule_for_target,
+from bdies2d.geometry import (RADIAL_PANELS, DomainSpec, GeometryError,
+                              PolarRule, _disk_extents, _window_angles,
+                              build_curve, build_domain_grid, gauss_01,
+                              inside_segments, polar_rule_for_target,
                               trig_cardinal_rows)
 
 DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
 STAR = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.0, 0.06))
+
+
+@st.composite
+def star_profiles(draw):
+    """Stars with 2 to 7 cosine modes, convex or not: sum_{k>=1} |c_k| <
+    c_0 keeps the profile positive."""
+    center = (draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2)))
+    c0 = draw(st.floats(0.2, 0.35))
+    tail = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=1,
+                                  max_size=6)))
+    share = draw(st.floats(0.0, 0.9))
+    tail *= share * c0 / max(np.abs(tail).sum(), 1.0)
+    return DomainSpec("star", center=center,
+                      cos_coeffs=np.concatenate([[c0], tail]))
 
 
 def winding_number_inside(poly, pts):
@@ -238,18 +253,37 @@ class TestPolarRule:
         spec = DomainSpec("star", center=(0.0, 0.0),
                           cos_coeffs=(0.3, 0.0, 0.03))
         spec.max_rho()
-        rho = DomainSpec.rho
+        profile = DomainSpec.profile
         calls = []
 
-        def counted(self, theta):
+        def counted(self, cos, sin=None):
             calls.append(1)
-            return rho(self, theta)
+            return profile(self, cos, sin)
 
-        monkeypatch.setattr(DomainSpec, "rho", counted)
+        monkeypatch.setattr(DomainSpec, "profile", counted)
         for y in (np.array([0.21, 0.08]), spec.boundary_point(0.7)):
             calls.clear()
             polar_rule_for_target(spec, y, 48, 10)
-            assert len(calls) <= 12
+            assert 3 <= len(calls) <= 12
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=star_profiles(), s=st.floats(0.0, 1.0),
+           phi=st.floats(0.0, 2 * np.pi), alpha=st.floats(0.0, 2 * np.pi),
+           stretch=st.floats(1e-12, 2.0))
+    def test_level_exceeds_one_past_the_reach(self, spec, s, phi, alpha,
+                                              stretch):
+        # no boundary point is farther from y than |y - c| + sum |c_k|,
+        # the radius at which the scan stops (at that radius itself the
+        # level can be 1, on a ray through the center)
+        y = spec.center + s * spec.rho(phi) * np.array(
+            [np.cos(phi), np.sin(phi)])
+        reach = np.linalg.norm(y - spec.center) + np.abs(
+            spec.cos_coeffs).sum()
+        th = alpha + 2 * np.pi * np.arange(16) / 16
+        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+        r = reach * (1.0 + stretch * np.linspace(0.125, 1.0, 8))
+        lev = spec.level((y + r[:, None, None] * dirs).reshape(-1, 2))
+        assert lev.min() > 1.0
 
     @pytest.mark.parametrize("n_t, n_s", [(16, 8), (32, 12)])
     def test_star_boundary_rules_drop_noise_segments(self, n_t, n_s):
@@ -274,6 +308,33 @@ class TestPolarRule:
             rule = polar_rule_for_target(spec, y, base, n_r)
             assert abs(rule.weights.sum() - spec.area()) <= 1e-14
 
+    @pytest.mark.parametrize("a", [0.0, 1e-9, 1e-6, 1e-3])
+    def test_segment_near_the_target_is_graded(self, a):
+        # a ray that re-enters the domain at a < b - a from the target: the
+        # log kernel is singular just before the segment starts, and plain
+        # Gauss-Legendre would miss r log r by 3e-6..2e-5 here
+        b, n_r = 0.1, 10
+        rule = PolarRule(target=np.zeros(2), theta=np.zeros(1),
+                         wtheta=np.ones(1), dirs=np.array([[1.0, 0.0]]),
+                         seg_ray=np.zeros(1, dtype=int),
+                         seg_ends=np.array([[a, b]]), n_r=n_r)
+        assert len(rule.points) == RADIAL_PANELS * n_r
+
+        def antiderivative(r):        # of r log r
+            return 0.5 * r * r * np.log(r) - 0.25 * r * r if r else 0.0
+
+        exact = antiderivative(b) - antiderivative(a)
+        got = rule.integrate(lambda p: np.log(np.abs(p[:, 0])))
+        assert abs(got - exact) <= 1e-9 * abs(exact)
+
+    def test_segment_far_from_the_target_is_plain_gauss(self):
+        rule = PolarRule(target=np.zeros(2), theta=np.zeros(1),
+                         wtheta=np.ones(1), dirs=np.array([[1.0, 0.0]]),
+                         seg_ray=np.zeros(1, dtype=int),
+                         seg_ends=np.array([[0.05, 0.1]]), n_r=4)
+        np.testing.assert_array_equal(rule.points[:, 0],
+                                      0.05 + 0.05 * gauss_01(4)[0])
+
     def test_agrees_with_grid_rule_on_cubics(self):
         grid = build_domain_grid(DISK, 32, 12)
         rule = polar_rule_for_target(DISK, [0.1, 0.05], 64, 10)
@@ -283,6 +344,32 @@ class TestPolarRule:
             a = grid.weights @ f(grid.points)
             b = rule.integrate(f)
             assert abs(a - b) < 1e-8
+
+
+class TestProfile:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.one_of(convex_domains(), star_profiles()),
+           th=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20),
+           r=st.floats(1e-3, 1.0))
+    def test_clenshaw_sums_match_direct_cosine_sums(self, spec, th, r):
+        th = np.array(th)
+        c = spec.cos_coeffs
+        k = np.arange(c.size)
+        cos, sin = np.cos(th[:, None] * k), np.sin(th[:, None] * k)
+        for got, ref, scale in (
+                (spec.rho(th), cos @ c, np.abs(c).sum()),
+                (spec.drho(th), -sin @ (k * c), (k * np.abs(c)).sum()),
+                (spec.ddrho(th), -cos @ (k * k * c),
+                 (k * k * np.abs(c)).sum())):
+            assert np.abs(got - ref).max() <= 1e-14 * max(scale, 1e-300)
+        p = spec.center + r * np.stack([np.cos(th), np.sin(th)], axis=1)
+        d = p - spec.center
+        ref = np.hypot(d[:, 0], d[:, 1]) / (np.cos(
+            np.arctan2(d[:, 1], d[:, 0])[:, None] * k) @ c)
+        assert np.abs(spec.level(p) - ref).max() <= 1e-14 * ref.max()
+        if spec.kind == "disk":
+            np.testing.assert_array_equal(
+                spec.level(p), np.hypot(d[:, 0], d[:, 1]) / spec.radius)
 
 
 class TestQueries:

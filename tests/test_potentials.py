@@ -307,16 +307,6 @@ def _brute_force_orbit_count(grid, tg):
     return sum(not hit[:i, i].any() for i in range(len(tg)))
 
 
-def _member_images(grid, tg, orbits):
-    """Each target replaced by the exact group image of its orbit's
-    representative: mirrored where flipped, then rotated by its shift."""
-    out, c = tg.copy(), grid.spec.center
-    for rep, members, shifts, flips in orbits:
-        for i, k, f in zip(members, shifts, flips):
-            out[i] = c + _image(tg[rep] - c, k, grid.n_t, f)
-    return out
-
-
 class TestOrbits:
     @pytest.mark.parametrize("name", list(ORBIT_SPECS))
     def test_orbit_rows_match_per_target_reference(self, name):
@@ -331,18 +321,7 @@ class TestOrbits:
         assert (len(flipped) > 0) == (spec.kind == "star")
         if len(flipped):
             assert flipped.min() < grid.n_nodes <= flipped.max()
-        ref_tg = tg
-        if name == "star-nonconvex":
-            # a curve target's own rule here moves with the rounding of its
-            # coordinates: rays grazing the boundary re-enter the domain
-            # within 1e-8..1e-5 of it, at radii that shift ~1e-10 with a
-            # 1e-16 move of the target, and those segments get plain Gauss
-            # (rows ~1e-7 apart); so curve members are referred to the
-            # exact image of their representative
-            ref_tg = tg.copy()
-            ref_tg[grid.n_nodes:] = _member_images(grid, tg, orbits)[
-                grid.n_nodes:]
-        refs, ref_log = _anchored_reference(grid, A_QUAD, ref_tg)
+        refs, ref_log = _anchored_reference(grid, A_QUAD, tg)
         for family, ref in refs.items():
             got = potentials.remainder_rows(grid, A_QUAD, family, tg)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

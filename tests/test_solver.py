@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_verification import convex_domains
 
 from bdies2d import potentials, solver
 from bdies2d.coefficient import make_preset
@@ -346,3 +347,17 @@ class TestMirrorInvariance:
         dpsi = np.abs(psi0[i] - psi1).max()
         assert du <= 1e-12 * np.abs(u0).max()
         assert dpsi <= 1e-12 * np.abs(psi0).max()
+
+
+class TestZeroData:
+    @settings(max_examples=10, deadline=None)
+    @given(spec=convex_domains(), family=st.sampled_from(potentials.FAMILIES))
+    def test_zero_data_gives_zero_solution(self, spec, family):
+        # the system is linear with no data-free term: f = 0 and g = 0
+        # must give u = 0 and psi = 0 exactly, on disks and convex stars
+        curve, grid = build_curve(spec, 32), build_domain_grid(spec, 8, 4)
+        sol = solve_bvp(curve, grid, A_EXP, family,
+                        DomainField(grid, np.zeros(grid.n_nodes)),
+                        BoundaryDensity(curve, np.zeros(curve.n)))
+        np.testing.assert_array_equal(sol.u.values, 0.0)
+        np.testing.assert_array_equal(sol.psi.values, 0.0)
