@@ -49,7 +49,7 @@ def _as_point(p) -> np.ndarray:
 
 def _polar(px, py):
     """|p| and cos, sin of the polar angle of offsets (px, py); 0 at p = 0."""
-    r = np.hypot(px, py)
+    r = np.sqrt(px * px + py * py)
     safe = np.where(r > 0.0, r, 1.0)
     return r, px / safe, py / safe
 

@@ -105,7 +105,7 @@ def _dipole_matrix(curve: BoundaryCurve, normals_at: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Off-boundary evaluation (plain trapezoid and upsampled near rules)
+# Off-boundary evaluation (upsampled near rules)
 # ---------------------------------------------------------------------------
 
 def _upsample_counts(curve: BoundaryCurve, dists: np.ndarray) -> np.ndarray:
@@ -137,35 +137,29 @@ def layer_kernel_values(kind, y, x, normals):
 
 
 def layer_eval(curve: BoundaryCurve, kind: str, density: np.ndarray,
-               targets, near: bool = True):
-    """Layer potential of a nodal density at off-boundary targets.
-
-    The rows of ``layer_matrix_at_targets`` applied to the density; the
-    ``near`` flag selects the rule there.  Gradient kind "gs" returns an
-    (m, 2) array.
+               targets):
+    """Layer potential of a nodal density at off-boundary targets: the
+    rows of ``layer_matrix_at_targets`` applied to the density.  Gradient
+    kind "gs" returns an (m, 2) array.
     """
-    rows = layer_matrix_at_targets(curve, kind, targets, near)
+    rows = layer_matrix_at_targets(curve, kind, targets)
     return np.moveaxis(rows, 1, -1) @ np.asarray(density, dtype=float)
 
 
-def layer_matrix_at_targets(curve: BoundaryCurve, kind: str, targets,
-                            near: bool = True) -> np.ndarray:
+def layer_matrix_at_targets(curve: BoundaryCurve, kind: str,
+                            targets) -> np.ndarray:
     """Matrix mapping nodal density values to layer values at targets.
 
-    With ``near=True``, a target close to the curve gets its kernel row on
-    N = n * 2^k nodes, enough for the trapezoid rule to converge at its
-    distance.  Applying that row to the trigonometric interpolant of the
+    Each target gets its kernel row on N = n * 2^k nodes, enough for the
+    trapezoid rule to converge at its distance from the curve (N = n far
+    from it).  Applying that row to the trigonometric interpolant of the
     density equals applying its fold onto the n nodes: the fine row's
-    modes |k| <= n/2, the Nyquist mode split.  With ``near=False`` the
-    plain trapezoid rule on the curve nodes is used unconditionally.
-    Gradient kind "gs" returns an (m, n, 2) array.
+    modes |k| <= n/2, the Nyquist mode split.  Gradient kind "gs" returns
+    an (m, n, 2) array.
     """
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
     n = curve.n
-    if near:
-        counts = _upsample_counts(curve, curve.distance_to(tg))
-    else:
-        counts = np.full(len(tg), n)
+    counts = _upsample_counts(curve, curve.distance_to(tg))
     out = np.empty((len(tg), n, 2) if kind == "gs" else (len(tg), n))
     for N in np.unique(counts):
         N = int(N)

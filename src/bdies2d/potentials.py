@@ -9,14 +9,14 @@ the coefficient attached at the source or at the target; ``layer_rows``
 builds every boundary operator, on the curve and off it.
 The volume operators integrate against the grid interpolant with polar
 rules.  Targets are grouped into dihedral (rotation and mirror) orbits:
-a star maps onto itself under rotations by whole grid steps and under
-the mirror about the horizontal line through its center.  One polar rule
-and one cardinal pair serve a whole orbit, and every other member's row
-is the representative's contraction re-indexed along the grid's angular
-axis: j -> j - shift for a rotation, j -> shift - j with the mirror.  On
-the benchmark star (0.3, 0, 0.03) at 64/16x8 that is 40 rules for the
-128 grid targets and 17 for the 64 curve targets (64 and 32 with the
-rotations alone).  A disk keeps its rotations only.  The Laplace blocks,
+every disk and star maps onto itself under rotations by whole grid steps
+and under the mirror about the horizontal line through its center.  One
+polar rule and one cardinal pair serve a whole orbit, and every other
+member's row is the representative's contraction re-indexed along the
+grid's angular axis: j -> j - shift for a rotation, j -> shift - j with
+the mirror.  On the benchmark star (0.3, 0, 0.03) at 64/16x8 that is 40
+rules for the 128 grid targets and 17 for the 64 curve targets (64 and
+32 with the rotations alone).  The Laplace blocks,
 the polar rules and the log-kernel rows depend only on the geometry, so
 ``geometry.cached`` keeps each with its curve or grid, built once and
 read-only: log rows as one block per target set.
@@ -204,9 +204,6 @@ def _rule(grid: DomainGrid, y):
 #: Distance, relative to the domain's largest radius, within which a target
 #: counts as the image of its orbit's representative.
 ORBIT_TOL = 1e-13
-#: Sector edges of the orbit sort, as a fraction of the rotation angle past
-#: each multiple of it; irrational, so no grid or curve angle lies on one.
-_SECTOR_EDGE = 1.0 - 1.0 / np.pi
 #: The mirror M about the horizontal line through the center, on offsets.
 _MIRROR = np.array([1.0, -1.0])
 
@@ -228,49 +225,40 @@ def _rotate(v, shift, n_t):
                      s * v[..., 0] + c * v[..., 1]], axis=-1)
 
 
-def _sector_keys(grid: DomainGrid, v: np.ndarray, tol: float):
-    """Per offset v[i], the rotation shift into sector 0 and the rounded
-    rotated offset as a key; offsets whose rotations back agree to
-    1e3 * tol share a key."""
-    step = _rotation_step(grid)
-    order = grid.n_t // step
-    phi = np.arctan2(v[:, 1], v[:, 0])
-    sector = np.floor(phi * (order / (2 * np.pi)) + _SECTOR_EDGE)
-    shift = (sector.astype(int) % order) * step
-    return shift, np.round(_rotate(v, -shift, grid.n_t) / (1e3 * tol))
-
-
 def _orbits(grid: DomainGrid, tg: np.ndarray):
     """Dihedral (rotation and mirror) orbits of the targets about the
     domain's center.
 
     The group is the domain's rotations by multiples of ``_rotation_step``,
     each with or without the mirror M about the horizontal line through
-    the center, which every cosine-series star has.  A disk keeps its
-    rotations only: one grid step already relates all its grid targets,
-    and its results stay those of its rotation orbits, bit for bit.
+    the center, which every disk and cosine-series star has.  Each offset
+    v is folded onto one canonical form: rotated by -s steps into the
+    sector |angle| <= pi / order, then mirrored (f) if it lies below the
+    horizontal axis there.  Targets whose folded offsets agree to
+    1e3 * ORBIT_TOL share an orbit, and the first of them represents it.
     Yields (rep, members, shifts, flips): target ``members[i]`` is target
     ``rep``, mirrored where ``flips[i]``, then rotated by ``shifts[i]``
-    grid angular steps, to ORBIT_TOL.  A member that is a rotation image
-    of ``rep`` is never marked mirrored.  A target that matches no earlier
-    one is its own representative.
+    grid angular steps, to ORBIT_TOL; from the two foldings, flip =
+    f xor f_rep and shift = s - (-1)^flip s_rep.  A target that is no
+    exact image of its representative is its own.
     """
     if not len(tg):
         return
     n, n_t = len(tg), grid.n_t
     v = tg - grid.spec.center
     tol = ORBIT_TOL * grid.spec.max_rho()
-    images = [v, v * _MIRROR] if grid.spec.kind == "star" else [v]
-    shift, key = _sector_keys(grid, np.concatenate(images), tol)
-    _, label = np.unique(key, axis=0, return_inverse=True)
-    # rows: the keys of v and of M v; targets with the same pair of keys
-    # are images of each other, and the first of them represents the rest
-    label, shift = label.reshape(-1, n), shift.reshape(-1, n)
-    _, first, orbit = np.unique(np.sort(label, axis=0).T, axis=0,
-                                return_index=True, return_inverse=True)
-    rep = first[orbit.ravel()]
-    flip = label[0] != label[0, rep]
-    rel = (shift[0] - np.where(flip, shift[-1, rep], shift[0, rep])) % n_t
+    step = _rotation_step(grid)
+    order = n_t // step
+    phi = np.arctan2(v[:, 1], v[:, 0])
+    s = (np.rint(phi * (order / (2 * np.pi))).astype(int) % order) * step
+    u = _rotate(v, -s, n_t)
+    f = u[:, 1] < -tol
+    u[f] *= _MIRROR
+    _, rep, orbit = np.unique(np.round(u / (1e3 * tol)), axis=0,
+                              return_index=True, return_inverse=True)
+    rep = rep[orbit.ravel()]
+    flip = f != f[rep]
+    rel = (s - np.where(flip, -1, 1) * s[rep]) % n_t
     image = _rotate(np.where(flip[:, None], v[rep] * _MIRROR, v[rep]),
                     rel, n_t)
     exact = (np.abs(image - v) <= tol).all(1)

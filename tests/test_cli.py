@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bdies2d
 from bdies2d import cli, verification
 from bdies2d.cli import CSV_HEADER, ConfigError, fmt17, load_config, main, run
 
@@ -263,6 +267,50 @@ class TestRunCommands:
         assert run(cfg, tmp_path / "out") == 0
         results = json.loads((tmp_path / "out" / "results.json").read_text())
         assert results["timings"]["total_seconds"] >= 0.25
+
+
+class TestReproducibility:
+    """Two fresh processes with different string-hash seeds write the same
+    results.json outside ``timings`` and the same CSV outside ``seconds``."""
+
+    CONFIGS = {
+        "solve": {"command": "solve",
+                  "domain": {"kind": "star", "cos_coeffs": [0.3, 0.0, 0.03]},
+                  "case": "exp_saddle", "family": "y",
+                  "resolutions": {"n_boundary": 64, "n_t": 16, "n_s": 8}},
+        "validate": {"command": "validate",
+                     "domain": {"kind": "disk", "radius": 0.4},
+                     "coefficient": {"preset": "exponential"},
+                     "resolutions": {"n_boundary": 64, "n_t": 16, "n_s": 8}},
+    }
+
+    @staticmethod
+    def _run(command, cfg_path, out, hash_seed):
+        src = str(Path(bdies2d.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        subprocess.run([sys.executable, "-m", "bdies2d.cli", command,
+                        "--config", str(cfg_path), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        results = json.loads((out / "results.json").read_text())
+        results.pop("timings")
+        csv_path = out / "errors.csv"
+        rows = []
+        if csv_path.exists():
+            with open(csv_path, newline="") as fh:
+                for row in csv.DictReader(fh):
+                    row.pop("seconds")
+                    rows.append(row)
+        return json.dumps(results), rows
+
+    @pytest.mark.parametrize("command", list(CONFIGS))
+    def test_results_equal_across_hash_seeds(self, tmp_path, command):
+        cfg_path = write_config(tmp_path, self.CONFIGS[command])
+        first, second = (self._run(command, cfg_path, tmp_path / str(seed),
+                                   seed) for seed in (1, 2))
+        assert first == second
+        assert (len(first[1]) > 0) == (command == "solve")
 
 
 class TestMain:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from bdies2d import laplace, potentials, verification
@@ -292,22 +294,72 @@ def _image(v, k, n_t, flip):
 def _brute_force_orbit_count(grid, tg):
     """Targets that are no group image of an earlier target.  The group:
     every grid rotation that maps the domain onto itself, found by
-    sampling the profile, each with and without the mirror on a star (a
-    disk uses its rotations only)."""
+    sampling the profile, each with and without the mirror."""
     spec, n_t = grid.spec, grid.n_t
     th = np.linspace(0.0, 2 * np.pi, 97, endpoint=False)
     steps = [k for k in range(n_t) if np.allclose(
         spec.rho(th + 2 * np.pi * k / n_t), spec.rho(th), rtol=0,
         atol=1e-15)]
-    flips = (False, True) if spec.kind == "star" else (False,)
     v = tg - spec.center
-    images = np.array([_image(v, k, n_t, f) for k in steps for f in flips])
+    images = np.array([_image(v, k, n_t, f) for k in steps
+                       for f in (False, True)])
     dist = np.abs(images[:, :, None, :] - v[None, None, :, :]).max(-1)
     hit = (dist <= 1e-12).any(0)           # hit[j, i]: i is an image of j
     return sum(not hit[:i, i].any() for i in range(len(tg)))
 
 
+@st.composite
+def orbit_cases(draw):
+    """A disk or a star with a random set of cosine modes (so random
+    rotation steps), a random even n_t, random interior targets, some on
+    half grid steps (the sector edges and mirror axes of a disk), and the
+    image of each under a random group element (k steps, flip)."""
+    center = (draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2)))
+    if draw(st.booleans()):
+        spec = DomainSpec("disk", center=center,
+                          radius=draw(st.floats(0.2, 0.45)))
+    else:
+        modes = draw(st.sets(st.integers(1, 6), min_size=1, max_size=3))
+        coeffs = np.zeros(7)
+        coeffs[0] = 0.3
+        for k in modes:
+            coeffs[k] = draw(st.floats(0.01, 0.1)) * draw(st.sampled_from(
+                [-1.0, 1.0])) / len(modes)
+        spec = DomainSpec("star", center=center, cos_coeffs=coeffs)
+    n_t = 2 * draw(st.integers(4, 16))
+    angle = st.one_of(st.floats(0.0, 2 * np.pi),
+                      st.integers(0, 2 * n_t - 1).map(lambda j: j * np.pi / n_t))
+    th = np.array(draw(st.lists(angle, min_size=1, max_size=6)))
+    s = np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=len(th),
+                               max_size=len(th))))
+    v = (s * spec.rho(th))[:, None] * np.stack([np.cos(th), np.sin(th)], 1)
+    ks = draw(st.lists(st.integers(0, n_t - 1), min_size=len(th),
+                       max_size=len(th)))
+    flips = draw(st.lists(st.booleans(), min_size=len(th),
+                          max_size=len(th)))
+    return spec, n_t, v, ks, flips
+
+
 class TestOrbits:
+    @settings(max_examples=60, deadline=None)
+    @given(case=orbit_cases())
+    def test_images_share_their_preimage_orbit(self, case):
+        spec, n_t, v, ks, flips = case
+        grid = build_domain_grid(spec, n_t, 4)
+        step = potentials._rotation_step(grid)
+        images = np.array([_image(vi, step * k, n_t, f)
+                           for vi, k, f in zip(v, ks, flips)])
+        tg = spec.center + np.concatenate([v, images])
+        orbit = np.empty(len(tg), dtype=int)
+        tol = potentials.ORBIT_TOL * spec.max_rho()
+        for rep, members, shifts, fl in potentials._orbits(grid, tg):
+            orbit[members] = rep
+            for i, k, f in zip(members, shifts, fl):
+                mapped = spec.center + _image(tg[rep] - spec.center, k,
+                                              n_t, f)
+                assert np.abs(mapped - tg[i]).max() <= tol
+        np.testing.assert_array_equal(orbit[len(v):], orbit[:len(v)])
+
     @pytest.mark.parametrize("name", list(ORBIT_SPECS))
     def test_orbit_rows_match_per_target_reference(self, name):
         spec = ORBIT_SPECS[name]
@@ -316,10 +368,9 @@ class TestOrbits:
         orbits = list(potentials._orbits(grid, tg))
         n_orbits = _brute_force_orbit_count(grid, tg)
         assert len(orbits) == n_orbits
-        flipped = np.concatenate([m[f] for _, m, _, f in orbits])
-        # stars mirror both interior and curve targets; a disk never
-        assert (len(flipped) > 0) == (spec.kind == "star")
-        if len(flipped):
+        if spec.kind == "star":
+            # stars mirror both interior and curve targets
+            flipped = np.concatenate([m[f] for _, m, _, f in orbits])
             assert flipped.min() < grid.n_nodes <= flipped.max()
         refs, ref_log = _anchored_reference(grid, A_QUAD, tg)
         for family, ref in refs.items():
