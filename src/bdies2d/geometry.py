@@ -233,11 +233,16 @@ class BoundaryCurve:
         m = max(8 * self.n, 512)
         tt = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
         bp = self.spec.boundary_point(tt)
-        d2 = ((pts[:, None, :] - bp[None, :, :]) ** 2).sum(-1)
-        j = d2.argmin(axis=1)
+        j = np.empty(len(pts), dtype=int)
+        f = np.empty((len(pts), 3))     # squared distances at j - 1, j, j + 1
+        # row blocks keep the temporary at 64 x m x 2
+        for i in range(0, len(pts), 64):
+            d2 = ((pts[i:i + 64, None, :] - bp[None, :, :]) ** 2).sum(-1)
+            j[i:i + 64] = d2.argmin(axis=1)
+            f[i:i + 64] = np.take_along_axis(
+                d2, (j[i:i + 64, None] + np.arange(-1, 2)) % m, axis=1)
+        fm, f0, fp = f.T
         # parabolic refinement in the parameter around the sampled minimum
-        jm, jp = (j - 1) % m, (j + 1) % m
-        f0, fm, fp = d2[np.arange(len(pts)), j], d2[np.arange(len(pts)), jm], d2[np.arange(len(pts)), jp]
         denom = fm - 2 * f0 + fp
         shift = np.where(np.abs(denom) > 1e-300, 0.5 * (fm - fp) / np.where(denom == 0, 1, denom), 0.0)
         tref = tt[j] + shift * (2 * np.pi / m)
@@ -436,10 +441,6 @@ def build_domain_grid(spec: DomainSpec, n_t: int, n_s: int) -> DomainGrid:
 # Target-centered polar quadrature
 # ---------------------------------------------------------------------------
 
-#: Geometric grading of the radial panels toward the target point. The
-#: grading absorbs log(r) radial factors to ~1e-11 with 5 x 10 Gauss points.
-RADIAL_PANELS = 5
-RADIAL_RATIO = 0.15
 BOUNDARY_LEVEL_TOL = 1e-9
 #: An interior target at level l gets THETA_COUNT_COEFF / sqrt(1 - l)
 #: angular nodes, at most THETA_COUNT_CAP.
@@ -449,17 +450,11 @@ THETA_COUNT_CAP = 768
 
 @lru_cache(maxsize=32)
 def _graded_unit_rule(p: int):
-    """Nodes/weights on [0, 1]: RADIAL_PANELS Gauss panels of p points,
-    graded toward 0 by RADIAL_RATIO; shared and read-only."""
-    xg, wg = gauss_01(p)
-    edges = np.empty(RADIAL_PANELS + 1)
-    edges[RADIAL_PANELS] = 1.0
-    for k in range(RADIAL_PANELS - 1, 0, -1):
-        edges[k] = edges[k + 1] * RADIAL_RATIO
-    edges[0] = 0.0
-    widths = np.diff(edges)
-    r = (edges[:-1, None] + widths[:, None] * xg[None, :]).ravel()
-    w = (widths[:, None] * wg[None, :]).ravel()
+    """Nodes/weights on [0, 1]: 2p Gauss-Legendre points in x under the
+    substitution r = x^4, which turns r log r dr into a smooth integrand
+    (Sidi, 1993; Kress, 1990); shared and read-only."""
+    x, w = gauss_01(2 * p)
+    r, w = x**4, 4 * x**3 * w
     r.flags.writeable = w.flags.writeable = False
     return r, w
 
@@ -564,11 +559,12 @@ class PolarRule:
     weight, and per inside segment its ray index and its start and end
     radius, sorted by ray and then by radius.  ``nodes()`` expands a
     segment that starts nearer the target than its own length (start 0
-    included) with the radial panels graded toward its start, and every
-    other segment with Gauss-Legendre.  The weights include the polar
-    Jacobian r, which cancels 1/r kernel singularities at the target;
-    log(r) factors are handled by the graded radial panels, also on a
-    segment that re-enters the domain just past the target.
+    included) with ``_graded_unit_rule(n_r)``, 2 n_r Gauss points under
+    r = x^4 clustered at its start, and every other segment with n_r
+    Gauss-Legendre points.  The weights include the polar Jacobian r,
+    which cancels 1/r kernel singularities at the target; the
+    substitution absorbs log(r) factors, also on a segment that re-enters
+    the domain just past the target.
     """
 
     target: np.ndarray
@@ -628,8 +624,9 @@ def polar_rule_for_target(spec: DomainSpec, y, base: int = 48,
                           n_r: int = 10) -> PolarRule:
     """Polar quadrature rule centered at y (interior or on the boundary).
 
-    ``n_r`` is the Gauss count per radial panel (RADIAL_PANELS panels
-    graded toward the target).  Interior targets get equispaced angles
+    ``n_r`` is the radial Gauss order: n_r points on a segment away from
+    the target, 2 n_r substituted ones on a segment at or near it (see
+    ``PolarRule``).  Interior targets get equispaced angles
     anchored at y's polar angle about the center.  The analyticity width
     of their radial extent shrinks like sqrt(1 - level) toward the
     boundary, so their angular count is THETA_COUNT_COEFF / sqrt(1 - level),

@@ -182,9 +182,10 @@ def _rule_params(grid: DomainGrid):
     """Polar-rule orders tied to the grid resolution.
 
     The volume rules are the volume discretization: their angular count
-    follows the grid's angular count and the radial Gauss order follows
+    follows the grid's angular count and the radial Gauss order p follows
     the radial node count, so refining the grid refines every quadrature
-    in the pipeline at matching rates.
+    in the pipeline at matching rates.  A segment away from its target
+    gets p radial points, one at or near it 2p (``PolarRule``).
     """
     base = max(12, 2 * round(0.375 * grid.n_t))
     if grid.spec.kind == "star":

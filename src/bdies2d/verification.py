@@ -365,14 +365,15 @@ def _log_integrals(grid: DomainGrid, targets, density) -> np.ndarray:
     """(1/2pi) int log|x - y| density(x) dx at each target y.
 
     Each target gets a polar rule of its own, with 1.25 times the angular
-    count of the volume pipeline's rules, so the result shares no rule,
-    cardinal matrix or row with the production path.
+    count and two more than the radial order of the volume pipeline's
+    rules, so the result shares no node, cardinal matrix or row with the
+    production path.
     """
     base, n_r = potentials._rule_params(grid)
     out = np.empty(len(targets))
     for i, y in enumerate(targets):
         pts, w = polar_rule_for_target(grid.spec, y, base=5 * base // 4,
-                                       n_r=n_r).nodes()
+                                       n_r=n_r + 2).nodes()
         g = 0.5 * np.log(((pts - y) ** 2).sum(1)) / TWO_PI
         out[i] = w @ (g * density(pts))
     return out

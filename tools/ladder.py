@@ -1,0 +1,143 @@
+"""Record assembly and solve cost and accuracy on a fixed config ladder.
+
+Every config solves the manufactured problem ``exp_saddle`` once per
+family, each in a fresh subprocess with one BLAS thread, and records:
+assembly and solve seconds, peak RSS, ``err_u_max``, ``err_psi_max``, the
+trace defect, the number of polar rules the volume pipeline built and
+their node total.  The result goes into one named section of a JSON file,
+next to the machine it ran on; other sections of the file are kept, so
+two source trees can be recorded side by side::
+
+    python tools/ladder.py --out BENCH.json --section change
+    python tools/ladder.py --out BENCH.json --section parent --src OTHER/src
+
+It is a record, not a gate.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+DISK = {"kind": "disk", "center": (0.0, 0.0), "radius": 0.4}
+STAR = {"kind": "star", "center": (0.0, 0.0), "cos_coeffs": (0.3, 0.0, 0.03)}
+NONCONVEX = {"kind": "star", "center": (0.0, 0.0),
+             "cos_coeffs": (0.3, 0.05, 0.0, 0.0, 0.0, 0.08)}
+CONFIGS = [("disk", DISK, (64, 16, 8)), ("disk", DISK, (128, 32, 12)),
+           ("disk", DISK, (256, 64, 24)), ("star", STAR, (128, 32, 12)),
+           ("star", STAR, (256, 64, 24)),
+           ("nonconvex_star", NONCONVEX, (128, 32, 12))]
+FAMILIES = ("x", "y")
+
+
+def run_one(domain: dict, resolution, family: str) -> dict:
+    """Solve exp_saddle on one config and family in this process."""
+    import resource
+    import time
+
+    import numpy as np
+
+    from bdies2d.geometry import DomainSpec, build_curve, build_domain_grid
+    from bdies2d.solver import assemble_system, solve_dirichlet
+    from bdies2d.verification import manufactured_case
+
+    nb, nt, ns = resolution
+    spec = DomainSpec(**domain)
+    case = manufactured_case("exp_saddle")
+    t0 = time.perf_counter()
+    curve, grid = build_curve(spec, nb), build_domain_grid(spec, nt, ns)
+    t1 = time.perf_counter()
+    system = assemble_system(curve, grid, case.coeff, family)
+    t2 = time.perf_counter()
+    phi0 = case.phi0_on(curve)
+    sol = solve_dirichlet(system.with_data(case.f_field_on(grid), phi0))
+    t3 = time.perf_counter()
+
+    u_ex = case.u(grid.points)
+    rules = [v for k, v in grid._cache.items()
+             if isinstance(k, tuple) and k[0] == "rule"]
+    return {
+        "build_s": t1 - t0, "assemble_s": t2 - t1, "solve_s": t3 - t2,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / 1024.0,
+        "err_u_max": float(np.abs(sol.u.values - u_ex).max()
+                           / np.abs(u_ex).max()),
+        "err_psi_max": float(np.abs(sol.psi.values
+                                    - case.psi_on(curve)).max()),
+        "trace_defect": float(np.abs(sol.u.at(curve.points)
+                                     - phi0.values).max()),
+        "rules": len(rules),
+        "rule_nodes": sum(len(r.nodes()[1]) for r in rules),
+    }
+
+
+def machine() -> dict:
+    import numpy
+    import scipy
+
+    model = ""
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {"cpu": model or platform.processor(), "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "blas_threads": 1}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", type=Path, required=True,
+                    help="JSON file to write the section into")
+    ap.add_argument("--section", required=True,
+                    help="section name, such as 'parent' or 'change'")
+    ap.add_argument("--src", type=Path, default=SRC,
+                    help="source tree holding the bdies2d package")
+    ap.add_argument("--one", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+
+    if args.one:                          # subprocess: one config, one family
+        job = json.loads(args.one)
+        print(json.dumps(run_one(job["domain"], job["resolution"],
+                                 job["family"])))
+        return 0
+
+    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    runs = []
+    for name, domain, res in CONFIGS:
+        for family in FAMILIES:
+            job = {"domain": domain, "resolution": res, "family": family}
+            out = subprocess.run(
+                [sys.executable, __file__, "--out", str(args.out),
+                 "--section", args.section, "--one", json.dumps(job)],
+                env=env, capture_output=True, text=True)
+            if out.returncode:
+                sys.stderr.write(out.stderr)
+                return 1
+            row = {"config": name, "resolution": "%d/%dx%d" % res,
+                   "family": family, **json.loads(out.stdout)}
+            print(json.dumps(row), flush=True)
+            runs.append(row)
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("case", "exp_saddle")
+    doc.setdefault("sections", {})[args.section] = {
+        "machine": machine(), "runs": runs}
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
