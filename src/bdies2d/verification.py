@@ -13,23 +13,24 @@ target in the offset from its own parameter, so the log singularity sits
 at an endpoint of a tanh-sinh rule.  Its abscissae come within about
 1e-300 of that endpoint, so x(t) - x(t_y) is formed from product-to-sum
 identities, free of cancellation, and its length from ``hypot``.  It
-matches n=1024 Kress rows to about 1.5e-14.  One vectorised
-``scipy.integrate.tanhsinh`` call serves every target of an operator, so
-``identity_suite`` on a disk r=0.4 at 128/32x12 takes about 0.2 s on a
-2-vCPU VM.
+matches n=1024 Kress rows to about 1.5e-14.  The tanh-sinh rule is a short
+numpy one (``_tanh_sinh``), vectorised over every target of an operator;
+the six calls of ``identity_suite`` on a disk r=0.4 at 128/32x12 take
+about 12 ms on a 2-vCPU VM.  Apart from ``fd_oracle``, which imports
+``scipy.sparse`` when called, nothing here needs more of SciPy than
+``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import potentials, solver
 from .coefficient import Coefficient, make_preset
@@ -45,6 +46,14 @@ SUITE_SEED = 7
 RELATION_STEP = 1e-4
 #: Leading singular values reported by ``remainder_spectrum_decay``.
 SPECTRUM_HEAD = 24
+#: Level cap of the tanh-sinh oracle: level k steps TANH_SINH_STEP / 2**k.
+TANH_SINH_LEVELS = 10
+#: Its level-0 step: 1/8 of the parameter past which 1 - tanh(pi/2 sinh u)
+#: underflows (four times the smallest normal float).
+TANH_SINH_STEP = math.asinh(
+    math.log(0.5 / np.finfo(float).smallest_normal - 1.0) / math.pi) / 8
+#: Its stop on the change between two levels: atol, then rtol.
+TANH_SINH_TOL = (1e-15, 1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +220,9 @@ def fd_oracle(case: ManufacturedCase, spec: DomainSpec, n_r: int = 128,
     vals += [coef, -coef]
     rhs[center_idx] = case.f(c[None, :])[0] * np.pi * (h / 2) ** 2
 
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     A = scipy.sparse.coo_matrix(
         (np.concatenate(vals),
          (np.concatenate(rows), np.concatenate(cols))),
@@ -309,7 +321,6 @@ def direct_boundary_values(curve: BoundaryCurve, coeff: Coefficient,
     k = np.arange(spec.cos_coeffs.size)
 
     def integrand(h, j):
-        j = j.astype(int)
         ty = t_y[j]
         t = ty + h
         m = ty + 0.5 * h
@@ -324,41 +335,85 @@ def direct_boundary_values(curve: BoundaryCurve, coeff: Coefficient,
              - gap[j])
         r = np.hypot(d[..., 0], d[..., 1])
         x = y[j] + d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # h = 0 exactly is an endpoint; tanh-sinh ignores its value
-            G = np.log(r) / TWO_PI
-            u = d / r[..., None]
-            if kind == "V":
-                kern = G / (_at(coeff.a, x) if family == "x" else a_y[j])
-            elif kind == "W":
-                nx = spec.boundary_normal(t)
-                dGdnx = (u * nx).sum(-1) / (TWO_PI * r)
-                if family == "x":
-                    # T_x [G / a(x)] = dG/dn(x) - dln a/dn(x) * G
-                    kern = dGdnx - (_at(coeff.grad_ln_a, x) * nx).sum(-1) * G
-                else:
-                    kern = _at(coeff.a, x) * dGdnx / a_y[j]
+        G = np.log(r) / TWO_PI
+        u = d / r[..., None]
+        if kind == "V":
+            kern = G / (_at(coeff.a, x) if family == "x" else a_y[j])
+        elif kind == "W":
+            nx = spec.boundary_normal(t)
+            dGdnx = (u * nx).sum(-1) / (TWO_PI * r)
+            if family == "x":
+                # T_x [G / a(x)] = dG/dn(x) - dln a/dn(x) * G
+                kern = dGdnx - (_at(coeff.grad_ln_a, x) * nx).sum(-1) * G
             else:
-                dGdny = -(u * n_y[j]).sum(-1) / (TWO_PI * r)
-                if family == "x":
-                    kern = a_y[j] * dGdny / _at(coeff.a, x)
-                else:
-                    kern = dGdny - gl_y[j] * G
-            return -kern * spec.boundary_speed(t) * density_fn(t)
+                kern = _at(coeff.a, x) * dGdnx / a_y[j]
+        else:
+            dGdny = -(u * n_y[j]).sum(-1) / (TWO_PI * r)
+            if family == "x":
+                kern = a_y[j] * dGdny / _at(coeff.a, x)
+            else:
+                kern = dGdny - gl_y[j] * G
+        return -kern * spec.boundary_speed(t) * density_fn(t)
 
-    n = len(t_y)
-    # the default stop (relative error eps**0.75) trusts an error estimate
-    # that lets 1e-9 through on the non-convex star; this one reaches 1e-14
-    res = scipy.integrate.tanhsinh(
-        integrand, np.tile([-np.pi, 0.0], (n, 1)),
-        np.tile([0.0, np.pi], (n, 1)),
-        args=(np.repeat(np.arange(n, dtype=float)[:, None], 2, axis=1),),
-        atol=1e-15, rtol=1e-14)
-    if np.any(res.status != 0):
-        raise QuadratureError(
-            f"tanh-sinh reference for {kind}_{family} did not converge "
-            f"(status {np.unique(res.status).tolist()})")
-    return res.integral.sum(1)
+    return _tanh_sinh(integrand, len(t_y), f"{kind}_{family}")
+
+
+@lru_cache(maxsize=32)
+def _tanh_sinh_level(k: int):
+    """Offsets in (0, pi) and weights that level k adds to the tanh-sinh
+    rule of [0, pi]; shared and read-only.
+
+    An offset near 0 is formed directly as pi/2 (1 - tanh v) =
+    pi/2 / (e^v cosh v), v = pi/2 sinh u, never as a difference, so the
+    offsets reach about 1e-307 and resolve the singular end; its mirror
+    pi - x serves the other end, where offsets that round onto pi are
+    dropped.
+    """
+    n = 8 << k
+    j = np.arange(n + 1) if k == 0 else np.arange(1, n + 1, 2)
+    u = j * (TANH_SINH_STEP / (1 << k))
+    u2 = 0.5 * np.pi * np.sinh(u)
+    w = 0.5 * np.pi * np.cosh(u) / np.cosh(u2) ** 2
+    x = 0.5 * np.pi / (np.exp(u2) * np.cosh(u2))
+    if k == 0:
+        w[0] *= 0.5                 # u = 0 is counted once from each end
+    x, w = np.concatenate([x, np.pi - x]), 0.5 * np.pi * np.concatenate([w, w])
+    keep = (x > 0.0) & (x < np.pi)
+    x, w = x[keep], w[keep]
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _tanh_sinh(integrand, n: int, name: str) -> np.ndarray:
+    """Integrals of integrand(h, j) over h in [-pi, 0] and [0, pi], summed,
+    for each target j < n (Takahasi & Mori, 1974; Bailey, Jeyabalan & Li,
+    2005).
+
+    The step halves from TANH_SINH_STEP until each half-interval's sum
+    changes by at most TANH_SINH_TOL from one level to the next; only the
+    half-intervals still moving are evaluated.  Raises ``QuadratureError``,
+    naming the operator ``name``, if any is still moving at level
+    TANH_SINH_LEVELS.
+    """
+    atol, rtol = TANH_SINH_TOL
+    side = np.tile([-1.0, 1.0], n)[:, None]
+    target = np.repeat(np.arange(n), 2)[:, None]
+    total = np.zeros(2 * n)
+    live = np.arange(2 * n)
+    for k in range(TANH_SINH_LEVELS + 1):
+        x, w = _tanh_sinh_level(k)
+        prev = total[live]
+        new = 0.5 * prev + TANH_SINH_STEP / (1 << k) * (
+            integrand(side[live] * x, target[live]) @ w)
+        total[live] = new
+        if k:
+            live = live[np.abs(new - prev) > np.maximum(atol,
+                                                        rtol * np.abs(new))]
+            if not len(live):
+                return total.reshape(n, 2).sum(1)
+    raise QuadratureError(
+        f"tanh-sinh reference for {name} did not converge by level "
+        f"{TANH_SINH_LEVELS} ({len(live)} of {2 * n} half-intervals)")
 
 
 def _log_integrals(grid: DomainGrid, targets, density) -> np.ndarray:

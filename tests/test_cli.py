@@ -23,6 +23,14 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return p
 
 
+def fresh_env(**extra):
+    """Environment for a fresh interpreter that imports this bdies2d."""
+    src = str(Path(bdies2d.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, **extra,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
 MINIMAL_SOLVE = {
     "command": "solve",
     "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 0.4},
@@ -286,13 +294,10 @@ class TestReproducibility:
 
     @staticmethod
     def _run(command, cfg_path, out, hash_seed):
-        src = str(Path(bdies2d.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
-                   PYTHONPATH=src + (os.pathsep + path if path else ""))
         subprocess.run([sys.executable, "-m", "bdies2d.cli", command,
                         "--config", str(cfg_path), "--out", str(out)],
-                       env=env, check=True, capture_output=True)
+                       env=fresh_env(PYTHONHASHSEED=str(hash_seed)),
+                       check=True, capture_output=True)
         results = json.loads((out / "results.json").read_text())
         results.pop("timings")
         csv_path = out / "errors.csv"
@@ -311,6 +316,37 @@ class TestReproducibility:
                                    seed) for seed in (1, 2))
         assert first == second
         assert (len(first[1]) > 0) == (command == "solve")
+
+
+class TestImports:
+    def test_commands_load_numpy_and_scipy_linalg_only(self, tmp_path):
+        # the solve needs scipy.linalg alone and the oracles are numpy, so
+        # no command pays for importing another SciPy subpackage
+        disk = {"kind": "disk", "radius": 0.4}
+        res = {"n_boundary": 32, "n_t": 8, "n_s": 4}
+        runs = [["validate", "--config", str(write_config(
+                     tmp_path, {"command": "validate", "domain": disk,
+                                "coefficient": {"preset": "exponential"},
+                                "resolutions": res}, "validate.json"))],
+                ["solve", "--config", str(write_config(
+                     tmp_path, {"command": "solve", "domain": disk,
+                                "case": "exp_saddle", "resolutions": res},
+                     "solve.json"))]]
+        script = (
+            "import json, sys\n"
+            "from bdies2d.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            f"    main(argv + ['--out', {str(tmp_path / 'out')!r}])\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+        out = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                             check=True, capture_output=True, text=True)
+        loaded = {".".join(m.split(".")[:2])
+                  for m in json.loads(out.stdout.splitlines()[-1])}
+        assert "scipy.linalg" in loaded
+        unused = {"scipy.integrate", "scipy.sparse", "scipy.spatial",
+                  "scipy.optimize", "scipy.special"}
+        assert not unused & loaded, unused & loaded
+        assert (tmp_path / "out" / "results.json").exists()
 
 
 class TestMain:

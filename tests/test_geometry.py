@@ -2,9 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_verification import convex_domains
+from test_verification import BENCH_STAR, NONCONVEX_STAR, convex_domains
 
 from bdies2d import potentials
 from bdies2d.geometry import (DomainSpec, GeometryError,
@@ -399,12 +399,18 @@ class TestQueries:
         assert DISK.contains((0.39, 0.0))
         assert not DISK.contains((0.41, 0.0))
 
-    def test_star_diameter_below_bound(self):
-        # dense-sampling oracle with a finer sweep than the implementation
-        tt = np.linspace(0, 2 * np.pi, 8192, endpoint=False)
-        pts = STAR.boundary_point(tt)
-        d2 = ((pts[::8, None, :] - pts[None, ::8, :]) ** 2).sum(-1)
-        assert abs(STAR.diameter() - np.sqrt(d2.max())) < 1e-3
+    @settings(max_examples=20, deadline=None)
+    @given(spec=convex_domains().filter(lambda s: s.kind == "star"))
+    @example(spec=BENCH_STAR)
+    @example(spec=NONCONVEX_STAR)
+    def test_star_diameter_below_bound(self, spec):
+        # the pruned pair search returns the brute-force maximum over the
+        # same 2048 samples, bitwise
+        pts = spec.boundary_point(
+            np.linspace(0.0, 2 * np.pi, 2048, endpoint=False))
+        d2max = max(((pts[i:i + 256, None, :] - pts[None, :, :]) ** 2)
+                    .sum(-1).max() for i in range(0, len(pts), 256))
+        assert spec.diameter() == float(np.sqrt(d2max))
         assert STAR.diameter() < 0.72
 
     @pytest.mark.parametrize("coeffs", [(0.3, 0.0, 0.03),

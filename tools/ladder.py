@@ -4,9 +4,11 @@ Every config solves the manufactured problem ``exp_saddle`` once per
 family, each in a fresh subprocess with one BLAS thread, and records:
 assembly and solve seconds, peak RSS, ``err_u_max``, ``err_psi_max``, the
 trace defect, the number of polar rules the volume pipeline built and
-their node total.  The result goes into one named section of a JSON file,
-next to the machine it ran on; other sections of the file are kept, so
-two source trees can be recorded side by side::
+their node total, plus the seconds taken to import bdies2d (numpy already
+loaded) and the ``scipy.*`` subpackages loaded by the end of the run.  The
+result goes into one named section of a JSON file, next to the machine it
+ran on; other sections of the file are kept, so two source trees can be
+recorded side by side::
 
     python tools/ladder.py --out BENCH.json --section change
     python tools/ladder.py --out BENCH.json --section parent --src OTHER/src
@@ -43,9 +45,11 @@ def run_one(domain: dict, resolution, family: str) -> dict:
 
     import numpy as np
 
+    t_import = time.perf_counter()
     from bdies2d.geometry import DomainSpec, build_curve, build_domain_grid
     from bdies2d.solver import assemble_system, solve_dirichlet
     from bdies2d.verification import manufactured_case
+    import_s = time.perf_counter() - t_import
 
     nb, nt, ns = resolution
     spec = DomainSpec(**domain)
@@ -74,6 +78,11 @@ def run_one(domain: dict, resolution, family: str) -> dict:
                                      - phi0.values).max()),
         "rules": len(rules),
         "rule_nodes": sum(len(r.nodes()[1]) for r in rules),
+        "import_bdies2d_s": import_s,
+        "scipy_modules": sorted({".".join(m.split(".")[:2])
+                                 for m in sys.modules
+                                 if m.startswith("scipy.")
+                                 and not m.startswith("scipy._")}),
     }
 
 
