@@ -1,21 +1,22 @@
 """Assembly and solution of the coupled domain/boundary collocation system.
 
-Unknowns are the solution values at the interior grid nodes and the
-conormal derivative (flux) at the boundary nodes, treated as independent.
-The interior equation is collocated at the grid nodes, the boundary
-equation at the curve nodes:
+Unknowns are the nodal values of u on the grid and of its conormal flux
+psi on the curve, treated as independent.  Everything here is one
+identity, the parametrix-based third Green identity u = P f - R u + V psi
+- W g at interior points, and its trace on the boundary, where W g jumps
+by -g/2: ``_rows`` builds R and V, ``_data`` the term P f - W g.  The
+system collocates it at the grid nodes and its trace, with u = g, at the
+curve nodes:
 
-    u + R u - V psi          = F0           (grid nodes)
-    trace(R u) - V_dir psi   = trace(F0) - g (boundary nodes)
+    u + R u - V psi          = P f - W g              (grid nodes)
+    trace(R u) - V_dir psi   = trace(P f - W g) - g   (boundary nodes)
 
-with F0 built from the volume potential of the source and the double layer
-of the Dirichlet data g.  Solving the square dense system and inserting
-(u, psi) into the representation formula reconstructs u anywhere inside.
+``evaluate`` applies the identity to the solved (u, psi) inside.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -80,11 +81,34 @@ class BdieSystem:
         rhs = np.concatenate([rhs_grid, rhs_trace - phi0.values])
         if self.projected:
             rhs = np.concatenate([rhs, [0.0]])
-        new = BdieSystem(curve=self.curve, grid=self.grid, coeff=self.coeff,
-                         family=self.family, matrix=self.matrix,
-                         projected=self.projected, rhs=rhs, f=f, phi0=phi0)
-        new._svals = self._svals
-        return new
+        return replace(self, rhs=rhs, f=f, phi0=phi0)
+
+
+def _rows(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
+          family: str, tg=None):
+    """(R, V): the remainder and single-layer rows at targets ``tg``, or
+    their traces at the curve nodes when ``tg`` is None.
+
+    Call it before ``_data`` at the same targets: the remainder pass also
+    stores the log rows that the volume potential reads, which the reverse
+    order would build twice."""
+    V = potentials.layer_rows(curve, coeff, family, "V", tg)
+    R = potentials.remainder_rows(grid, coeff, family,
+                                  curve.points if tg is None else tg)
+    return R, V
+
+
+def _data(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
+          family: str, f: DomainField, phi0: BoundaryDensity, tg=None):
+    """P f - W g at targets ``tg``, or its trace at the curve nodes when
+    ``tg`` is None, where the interior jump trace(W g) = W_dir g - g/2
+    adds g/2.  Call ``_rows`` first (see there)."""
+    pf = potentials.volume_potential(grid, coeff, family, f,
+                                     curve.points if tg is None else tg)
+    if tg is None:
+        pf = pf + 0.5 * phi0.values
+    W = potentials.layer_rows(curve, coeff, family, "W", tg)
+    return pf - W @ phi0.values
 
 
 def assemble_system(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
@@ -106,25 +130,22 @@ def assemble_system(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
             "or opt into the zero-mean projected system")
 
     n_h, n_b = grid.n_nodes, curve.n
-    V_bb = potentials.single_layer_direct_matrix(curve, coeff, family)
-    V_hb = potentials.single_layer_matrix_at_targets(curve, coeff, family,
-                                                     grid.points)
-    R_hh = potentials.remainder_rows(grid, coeff, family, grid.points)
-    R_bh = potentials.remainder_rows(grid, coeff, family, curve.points)
-
-    A = np.zeros((n_h + n_b, n_h + n_b))
-    A[:n_h, :n_h] = np.eye(n_h) + R_hh
-    A[:n_h, n_h:] = -V_hb
-    A[n_h:, :n_h] = R_bh
-    A[n_h:, n_h:] = -V_bb
-
     projected = bool(allow_large_domain)
+    # traces first, so the curve's direct Laplace blocks precede every
+    # remainder pass: the other way round, the peak RSS of a CLI solve
+    # reads 1 MB higher (disk r=0.4, 96/24x10)
+    R_bh, V_bb = _rows(curve, grid, coeff, family)
+    R_hh, V_hb = _rows(curve, grid, coeff, family, grid.points)
+    n, b = n_h + n_b + projected, slice(n_h, n_h + n_b)
+    A = np.zeros((n, n))
+    A[:n_h, :n_h] = R_hh
+    A[:n_h, b] = -V_hb
+    A[b, :n_h] = R_bh
+    A[b, b] = -V_bb
+    A[range(n_h), range(n_h)] += 1.0
     if projected:
-        B = np.zeros((n_h + n_b + 1, n_h + n_b + 1))
-        B[:-1, :-1] = A
-        B[n_h:-1, -1] = 1.0                  # free constant in the boundary eq
-        B[-1, n_h:-1] = curve.weights        # <psi, 1> = 0
-        A = B
+        A[n_h:-1, -1] = 1.0                  # free constant in the boundary eq
+        A[-1, n_h:-1] = curve.weights        # <psi, 1> = 0
 
     if not np.all(np.isfinite(A)):
         raise RuntimeError("system assembly produced non-finite entries")
@@ -136,20 +157,13 @@ def assemble_rhs(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
                  family: str, f: DomainField, phi0: BoundaryDensity):
     """Right-hand side fields: F0 at the grid nodes, its trace at the curve.
 
-    F0 is the volume potential of the source minus the double layer of the
-    Dirichlet data.  The trace is composed from direct-value operators and
-    the jump constant, never from near-boundary potential evaluation.
+    F0 = P f - W g, the volume potential of the source minus the double
+    layer of the Dirichlet data.  The trace is composed from direct-value
+    operators and the jump constant, never from near-boundary potential
+    evaluation.
     """
-    tg = grid.points
-    pf_grid = potentials.volume_potential(grid, coeff, family, f, tg)
-    pf_trace = potentials.volume_potential(grid, coeff, family, f,
-                                           curve.points)
-    w_grid = potentials.layer_rows(curve, coeff, family, "W", tg) @ phi0.values
-    W_dir = potentials.double_layer_direct_matrix(curve, coeff, family)
-    # trace(W tau) = -tau/2 + W_dir tau from the interior jump relation
-    rhs_grid = pf_grid - w_grid
-    rhs_trace = pf_trace + 0.5 * phi0.values - W_dir @ phi0.values
-    return rhs_grid, rhs_trace
+    return (_data(curve, grid, coeff, family, f, phi0, grid.points),
+            _data(curve, grid, coeff, family, f, phi0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,21 +195,10 @@ class DirichletSolution:
                     f"evaluation point at distance {d.min():.3e} from the "
                     f"boundary (nearer than {dn:.3e}); interpolate the nodal "
                     "field or evaluate farther inside")
-        return _representation(sys.curve, sys.grid, sys.coeff, sys.family,
-                               self.u, self.psi, sys.f, sys.phi0, tg)
-
-
-def _representation(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
-                    family: str, u: DomainField, psi: BoundaryDensity,
-                    f: DomainField, phi0: BoundaryDensity, tg) -> np.ndarray:
-    """P f - R u + V psi - W g at interior targets: the representation
-    formula for u there, given the solved or exact (u, psi) and data."""
-    # the remainder pass also stores the log rows the volume term reads
-    ru = potentials.remainder_potential(grid, coeff, family, u, tg)
-    pf = potentials.volume_potential(grid, coeff, family, f, tg)
-    v = potentials.layer_rows(curve, coeff, family, "V", tg) @ psi.values
-    w = potentials.layer_rows(curve, coeff, family, "W", tg) @ phi0.values
-    return pf - ru + v - w
+        R, V = _rows(sys.curve, sys.grid, sys.coeff, sys.family, tg)
+        return (_data(sys.curve, sys.grid, sys.coeff, sys.family, sys.f,
+                      sys.phi0, tg)
+                - R @ self.u.values + V @ self.psi.values)
 
 
 def solve_dirichlet(system: BdieSystem) -> DirichletSolution:
@@ -203,12 +206,12 @@ def solve_dirichlet(system: BdieSystem) -> DirichletSolution:
     if system.rhs is None:
         raise ValueError("system has no right-hand side; call with_data first")
     A, b = system.matrix, system.rhs
-    try:
-        lu, piv = scipy.linalg.lu_factor(A)
-    except scipy.linalg.LinAlgError as exc:
+    # getrf reports an exactly zero pivot, where lu_factor only warns
+    lu, piv, info = scipy.linalg.lapack.dgetrf(A)
+    if info > 0:
         raise RuntimeError(
             "singular system matrix; check the domain diameter and grid "
-            "preconditions") from exc
+            "preconditions")
     z = scipy.linalg.lu_solve((lu, piv), b)
     if not np.all(np.isfinite(z)):
         raise RuntimeError("linear solve produced non-finite values")
@@ -234,21 +237,13 @@ def third_green_residual(u: DomainField, psi: BoundaryDensity, f: DomainField,
                          phi0: BoundaryDensity, curve: BoundaryCurve,
                          grid: DomainGrid, coeff: Coefficient, family: str,
                          targets=None, on_boundary: bool = False) -> np.ndarray:
-    """Defect of the representation identity for given (u, psi) data.
-
-    Interior form:  u + R u - V psi + W g - P f  at the targets.
-    Boundary form:  g/2 + trace(R u) - V_dir psi + W_dir g - trace(P f)
-    at the curve nodes (g is the Dirichlet trace).
-    """
+    """Defect u + R u - V psi - (P f - W g) of the identity at the
+    targets, or of its trace, with u = g, at the curve nodes."""
     if on_boundary:
-        tg = curve.points
-        ru = potentials.remainder_potential(grid, coeff, family, u, tg)
-        pf = potentials.volume_potential(grid, coeff, family, f, tg)
-        V_dir = potentials.single_layer_direct_matrix(curve, coeff, family)
-        W_dir = potentials.double_layer_direct_matrix(curve, coeff, family)
-        return (0.5 * phi0.values + ru - V_dir @ psi.values
-                + W_dir @ phi0.values - pf)
-
-    tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    return u.at(tg) - _representation(curve, grid, coeff, family, u, psi, f,
-                                      phi0, tg)
+        tg, lhs = None, phi0.values
+    else:
+        tg = np.atleast_2d(np.asarray(targets, dtype=float))
+        lhs = u.at(tg)
+    R, V = _rows(curve, grid, coeff, family, tg)
+    return (lhs + R @ u.values - V @ psi.values
+            - _data(curve, grid, coeff, family, f, phi0, tg))

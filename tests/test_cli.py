@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -433,6 +434,53 @@ class TestMain:
             resolutions={"n_boundary": 64, "n_t": 16, "n_s": 8}))
         assert main(["solve", "--config", str(p),
                      "--out", str(tmp_path / "o")]) == 0
+
+
+RUNGS = [{"n_boundary": 32, "n_t": 8, "n_s": 4},
+         {"n_boundary": 40, "n_t": 10, "n_s": 4},
+         {"n_boundary": 48, "n_t": 12, "n_s": 5}]
+
+
+@st.composite
+def run_configs(draw):
+    """Configs that load: any command and family, at tiny rungs, on a disk
+    or a convex star, some of diameter 1 or more."""
+    command = draw(st.sampled_from(cli._COMMANDS))
+    center = [draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2))]
+    r0 = draw(st.floats(0.2, 0.7))
+    if draw(st.booleans()):
+        domain = {"kind": "disk", "center": center, "radius": r0}
+    else:
+        # |eps| (1 + k^2) < 1 keeps rho = r0 (1 + eps cos k t) convex
+        k = draw(st.integers(1, 4))
+        coeffs = [r0] + [0.0] * k
+        coeffs[k] = r0 * draw(st.floats(-0.8, 0.8)) / (1 + k * k)
+        domain = {"kind": "star", "center": center, "cos_coeffs": coeffs}
+    cfg = {"command": command, "domain": domain,
+           "family": draw(st.sampled_from(["x", "y"])),
+           "allow_large_domain": draw(st.booleans()),
+           "resolutions": RUNGS[:{"study": 3, "compare": 2}.get(command, 1)]}
+    if command == "validate":
+        cfg["coefficient"] = {"preset": draw(st.sampled_from(
+            ["constant", "exponential", "quadratic"]))}
+    else:
+        cfg["case"] = draw(st.sampled_from(verification.MANUFACTURED_NAMES))
+    return cfg
+
+
+class TestMainProperty:
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=run_configs())
+    def test_exit_status_and_results(self, tmp_path, cfg):
+        # 0 or 1 (checks passed or not) with results.json written, or 2
+        # for a domain of diameter >= 1 without allow_large_domain
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        out = work / "out"
+        status = main([cfg["command"], "--config",
+                       str(write_config(work, cfg)), "--out", str(out)])
+        assert status in (0, 1, 2)
+        assert (out / "results.json").is_file() == (status != 2)
 
 
 class TestFormatting:

@@ -110,6 +110,17 @@ class TestSolve:
         with pytest.raises(ValueError, match="right-hand side"):
             solve_dirichlet(sys)
 
+    def test_singular_matrix_raises_named_error(self, geo):
+        # an exactly singular matrix must name itself, not surface as a
+        # LAPACK warning or as non-finite values
+        curve, grid = geo
+        f, phi0 = _zero_data(curve, grid)
+        sys = assemble_system(curve, grid, A_EXP, "x").with_data(f, phi0)
+        sys.matrix = sys.matrix.copy()
+        sys.matrix[:, 3] = 0.0
+        with pytest.raises(RuntimeError, match="singular"):
+            solve_dirichlet(sys)
+
     def test_uniqueness_surrogate(self, geo):
         curve, grid = geo
         f, phi0 = _zero_data(curve, grid)
@@ -265,6 +276,33 @@ class TestThirdGreenIdentity:
 
 BENCH_STAR = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.03))
 ROT_RES = (32, 8, 4)
+
+
+class TestSystemIsTheIdentity:
+    @pytest.mark.parametrize("family", potentials.FAMILIES)
+    @pytest.mark.parametrize("spec", [DISK, BENCH_STAR], ids=["disk", "star"])
+    def test_system_rows_are_the_identity_defect(self, spec, family):
+        # for any (u, psi, f, g), A z - rhs with z = [u; psi] is the
+        # defect of the identity at the grid nodes and of its trace at
+        # the curve nodes: the system is the identity, collocated
+        nb, nt, ns = ROT_RES
+        curve, grid = build_curve(spec, nb), build_domain_grid(spec, nt, ns)
+        rng = np.random.default_rng(7)
+        u = DomainField(grid, rng.standard_normal(grid.n_nodes))
+        psi = BoundaryDensity(curve, rng.standard_normal(curve.n))
+        f = DomainField(grid, rng.standard_normal(grid.n_nodes))
+        phi0 = BoundaryDensity(curve, rng.standard_normal(curve.n))
+        sys = assemble_system(curve, grid, A_EXP, family).with_data(f, phi0)
+        z = np.concatenate([u.values, psi.values])
+        defect = sys.matrix @ z - sys.rhs
+        tol = 1e-13 * (np.abs(sys.rhs).max()
+                       + np.abs(sys.matrix).max() * np.abs(z).max())
+        args = (u, psi, f, phi0, curve, grid, A_EXP, family)
+        boundary = third_green_residual(*args, on_boundary=True)
+        interior = third_green_residual(*args, targets=grid.points)
+        assert np.abs(boundary - defect[grid.n_nodes:]).max() <= tol
+        assert np.abs(interior - defect[:grid.n_nodes]).max() <= tol
+
 # (domain, grid angular steps): a disk maps onto itself under every step,
 # the benchmark star (cosine modes 0 and 2) under a half turn
 ROTATIONS = st.one_of(
