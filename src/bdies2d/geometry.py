@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+import numpy.polynomial.legendre  # numpy 2 loads it lazily, at first use
 
 
 class GeometryError(ValueError):

@@ -19,6 +19,7 @@ rule on enough upsampled nodes, folded back onto the curve nodes.
 from __future__ import annotations
 
 import numpy as np
+import numpy.fft  # numpy 2 loads it lazily, at first use
 
 from .geometry import BoundaryCurve
 
@@ -161,8 +162,8 @@ def layer_matrix_at_targets(curve: BoundaryCurve, kind: str,
     n = curve.n
     counts = _upsample_counts(curve, curve.distance_to(tg))
     out = np.empty((len(tg), n, 2) if kind == "gs" else (len(tg), n))
-    for N in np.unique(counts):
-        N = int(N)
+    # not np.unique, whose masked-array check would import numpy.ma here
+    for N in sorted(set(counts.tolist())):
         T = TWO_PI * np.arange(N) / N
         x, normals = curve.spec.boundary_point(T), curve.spec.boundary_normal(T)
         w = curve.spec.boundary_speed(T) * (TWO_PI / N)

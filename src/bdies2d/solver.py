@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import potentials
 from .coefficient import Coefficient
@@ -62,7 +61,7 @@ class BdieSystem:
 
     def _singular_values(self) -> np.ndarray:
         if self._svals is None:
-            self._svals = scipy.linalg.svdvals(self.matrix)
+            self._svals = np.linalg.svd(self.matrix, compute_uv=False)
         return self._svals
 
     @property
@@ -206,13 +205,13 @@ def solve_dirichlet(system: BdieSystem) -> DirichletSolution:
     if system.rhs is None:
         raise ValueError("system has no right-hand side; call with_data first")
     A, b = system.matrix, system.rhs
-    # getrf reports an exactly zero pivot, where lu_factor only warns
-    lu, piv, info = scipy.linalg.lapack.dgetrf(A)
-    if info > 0:
+    # gesv raises exactly when its LU factorisation meets a zero pivot
+    try:
+        z = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
         raise RuntimeError(
             "singular system matrix; check the domain diameter and grid "
-            "preconditions")
-    z = scipy.linalg.lu_solve((lu, piv), b)
+            "preconditions") from None
     if not np.all(np.isfinite(z)):
         raise RuntimeError("linear solve produced non-finite values")
     denom = float(np.abs(b).max())

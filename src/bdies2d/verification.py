@@ -16,9 +16,8 @@ identities, free of cancellation, and its length from ``hypot``.  It
 matches n=1024 Kress rows to about 1.5e-14.  The tanh-sinh rule is a short
 numpy one (``_tanh_sinh``), vectorised over every target of an operator;
 the six calls of ``identity_suite`` on a disk r=0.4 at 128/32x12 take
-about 12 ms on a 2-vCPU VM.  Apart from ``fd_oracle``, which imports
-``scipy.sparse`` when called, nothing here needs more of SciPy than
-``scipy.linalg``.
+about 12 ms on a 2-vCPU VM.  Everything here but ``fd_oracle`` runs on
+numpy alone, the SVDs and dense solves on ``numpy.linalg``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
+import numpy.random  # numpy 2 loads it lazily, at first use
 
 from . import potentials, solver
 from .coefficient import Coefficient, make_preset
@@ -151,7 +150,8 @@ def fd_oracle(case: ManufacturedCase, spec: DomainSpec, n_r: int = 128,
     """Solve the Dirichlet problem on a disk with a polar flux scheme.
 
     Completely independent of the integral-equation pipeline; used only to
-    cross-check solved fields.  Disks only.
+    cross-check solved fields.  Disks only.  The one SciPy user in the
+    package: it imports ``scipy.sparse`` when called.
     """
     if spec.kind != "disk":
         raise ValueError("the finite-difference oracle supports disks only")
@@ -690,7 +690,7 @@ def convergence_study(case: ManufacturedCase, spec: DomainSpec,
 
 def zero_mean_basis(curve: BoundaryCurve) -> np.ndarray:
     """Orthonormal basis of nodal densities with zero weighted mean."""
-    return scipy.linalg.null_space(curve.weights[None, :])
+    return np.linalg.svd(curve.weights[None, :])[2][1:].T
 
 
 def invertibility_report(curve: BoundaryCurve, grid: DomainGrid,
@@ -703,14 +703,14 @@ def invertibility_report(curve: BoundaryCurve, grid: DomainGrid,
     """
     V = potentials.single_layer_direct_matrix(curve, coeff, family)
     Z = zero_mean_basis(curve)
-    sv = scipy.linalg.svdvals(V)
-    svz = scipy.linalg.svdvals(V @ Z)
+    sv = np.linalg.svd(V, compute_uv=False)
+    svz = np.linalg.svd(V @ Z, compute_uv=False)
     spec = curve.spec
     rr = 0.45 * spec.diameter() / 2
     th = TWO_PI * np.arange(24) / 24
     targets = spec.center + rr * np.stack([np.cos(th), np.sin(th)], axis=1)
     G = potentials.single_layer_matrix_at_targets(curve, coeff, family, targets)
-    sgz = scipy.linalg.svdvals(G @ Z)
+    sgz = np.linalg.svd(G @ Z, compute_uv=False)
     return {
         "sigma_min_single_layer": float(sv[-1]),
         "sigma_min_single_layer_zero_mean": float(svz[-1]),
@@ -728,7 +728,7 @@ def remainder_spectrum_decay(grid: DomainGrid, coeff: Coefficient,
     if coeff.constant:
         return {"sigma": [0.0], "decay_ratio": 0.0}
     R = potentials.remainder_rows(grid, coeff, family, grid.points)
-    s = scipy.linalg.svdvals(R)
+    s = np.linalg.svd(R, compute_uv=False)
     k = min(SPECTRUM_HEAD, len(s))
     return {"sigma": s[:k].tolist(),
             "decay_ratio": float(s[k - 1] / s[0]) if s[0] > 0 else 0.0}
@@ -748,7 +748,7 @@ def fredholm_diagnostic(sol: solver.DirichletSolution) -> dict:
         sys.matrix[:stop, :n_h] - np.eye(stop, n_h), 2))
     A0[:n_h, :n_h] = np.eye(n_h)
     A0[n_h:stop, :n_h] = 0.0
-    z = scipy.linalg.solve(A0, sys.rhs)
+    z = np.linalg.solve(A0, sys.rhs)
     delta = float(np.abs(z[:n_h] - sol.u.values).max())
     return {"remainder_block_norm": R_norm, "solution_delta": delta,
             "bound": R_norm * sys.cond * max(1.0, float(np.abs(sol.u.values).max()))}

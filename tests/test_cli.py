@@ -320,34 +320,39 @@ class TestReproducibility:
 
 
 class TestImports:
-    def test_commands_load_numpy_and_scipy_linalg_only(self, tmp_path):
-        # the solve needs scipy.linalg alone and the oracles are numpy, so
-        # no command pays for importing another SciPy subpackage
+    def test_commands_load_no_scipy_and_no_numpy_module_mid_run(
+            self, tmp_path):
+        # the SVDs and solves run on numpy.linalg, so no command imports
+        # SciPy; and every numpy submodule a command uses is loaded with
+        # bdies2d, not first inside a command
         disk = {"kind": "disk", "radius": 0.4}
-        res = {"n_boundary": 32, "n_t": 8, "n_s": 4}
-        runs = [["validate", "--config", str(write_config(
-                     tmp_path, {"command": "validate", "domain": disk,
-                                "coefficient": {"preset": "exponential"},
-                                "resolutions": res}, "validate.json"))],
-                ["solve", "--config", str(write_config(
-                     tmp_path, {"command": "solve", "domain": disk,
-                                "case": "exp_saddle", "resolutions": res},
-                     "solve.json"))]]
+        configs = {
+            "validate": {"coefficient": {"preset": "exponential"},
+                         "resolutions": RUNGS[0]},
+            "solve": {"case": "exp_saddle", "resolutions": RUNGS[0]},
+            "study": {"case": "exp_saddle", "resolutions": RUNGS},
+            "compare": {"case": "quad_coeff", "resolutions": RUNGS[:2]},
+        }
+        runs = [[cmd, "--config", str(write_config(
+                     tmp_path, dict(body, command=cmd, domain=disk),
+                     f"{cmd}.json")), "--out", str(tmp_path / cmd)]
+                for cmd, body in configs.items()]
         script = (
             "import json, sys\n"
             "from bdies2d.cli import main\n"
+            "before = set(sys.modules)\n"
             f"for argv in {runs!r}:\n"
-            f"    main(argv + ['--out', {str(tmp_path / 'out')!r}])\n"
-            "print(json.dumps(sorted(sys.modules)))\n")
+            "    main(argv)\n"
+            "print(json.dumps([sorted(before), sorted(sys.modules)]))\n")
         out = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                              check=True, capture_output=True, text=True)
-        loaded = {".".join(m.split(".")[:2])
-                  for m in json.loads(out.stdout.splitlines()[-1])}
-        assert "scipy.linalg" in loaded
-        unused = {"scipy.integrate", "scipy.sparse", "scipy.spatial",
-                  "scipy.optimize", "scipy.special"}
-        assert not unused & loaded, unused & loaded
-        assert (tmp_path / "out" / "results.json").exists()
+        before, after = map(set, json.loads(out.stdout.splitlines()[-1]))
+        scipy = {m for m in after if m.split(".")[0] == "scipy"}
+        assert not scipy, sorted(scipy)
+        mid_run = {m for m in after - before if m.split(".")[0] == "numpy"}
+        assert not mid_run, sorted(mid_run)
+        for cmd in configs:
+            assert (tmp_path / cmd / "results.json").exists()
 
 
 class TestMain:
