@@ -7,21 +7,23 @@ G(x, y) = log|x - y| / 2pi, the layer potentials carry a leading minus,
     double layer  D tau(y) = -int_S dG/dn(x) (x, y) tau(x) dS(x)
 
 so the unit double-layer density integrates to -1 inside, -1/2 on and 0
-outside the boundary.  Direct values on the curve use the spectrally
-accurate product quadrature for the periodic log singularity; the smooth
-double-layer diagonal is curvature/2.
+outside the boundary.
 
-Off the curve, every layer value is a row of ``layer_matrix_at_targets``
-applied to the nodal density.  Near the curve that row is the trapezoid
-rule on enough upsampled nodes, folded back onto the curve nodes.
+``layer_kernel_values`` is the one place G and its derivatives are
+written; every block here and every volume kernel reads it.  On the curve,
+S adds the Kress product rule for the periodic log singularity to the
+table; the double-layer diagonal is curvature/2.  Off it, every layer
+value is a row of ``layer_matrix_at_targets``: near the curve, the
+trapezoid rule on upsampled nodes, folded back onto the curve nodes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import numpy.fft  # numpy 2 loads it lazily, at first use
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import BoundaryCurve
+from .geometry import BoundaryCurve, cached
 
 TWO_PI = 2.0 * np.pi
 
@@ -35,39 +37,58 @@ class QuadratureError(RuntimeError):
     """A quadrature rule was used outside its validity region."""
 
 
-# ---------------------------------------------------------------------------
-# Direct values on the curve
-# ---------------------------------------------------------------------------
+def layer_kernel_values(kind, dx, dy, normals=None):
+    """Laplace kernel at offsets x - y (source x, target y), given as the
+    components ``dx`` and ``dy``; r^2 is floored at 1e-300.
+
+    kind "s": -G(x, y); "d": -dG/dn(x) along ``normals`` = (nx, ny) at the
+    sources; "gs": -grad_y G as a pair (gx, gy).
+    """
+    r2 = dx * dx                            # in place: few n x n arrays
+    r2 += dy * dy
+    np.maximum(r2, 1e-300, out=r2)
+    if kind == "s":
+        np.multiply(np.log(r2, out=r2), -0.25, out=r2)
+        return np.divide(r2, np.pi, out=r2)
+    if kind == "d":
+        num = dx * normals[0]
+        num += dy * normals[1]
+        return np.divide(num, r2, out=num) / -TWO_PI
+    if kind == "gs":                        # +(x - y) / (2pi r^2)
+        return (dx / r2) / TWO_PI, (dy / r2) / TWO_PI
+    raise ValueError(f"unknown layer kind {kind!r}")
+
 
 def kress_log_weights(n: int) -> np.ndarray:
-    """Product-rule weights R[i, j] for the periodic log kernel.
-
-    Integrates f(tau) * log(4 sin^2((t_i - tau)/2)) over [0, 2pi) exactly
-    for trigonometric polynomials of degree < n/2.  The weights depend
-    only on i - j, so they are built from one row.
-    """
-    i = np.arange(n)
-    d = (TWO_PI / n) * i
+    """Row r (even) of the Kress weights R[i, j] = r[(i - j) mod n], which
+    integrate f(tau) log(4 sin^2((t_i - tau)/2)) over [0, 2pi) exactly for
+    trigonometric polynomials of degree < n/2."""
+    d = (TWO_PI / n) * np.arange(n)
     m = np.arange(1, n // 2)
     r = -(4 * np.pi / n) * (np.cos(np.outer(d, m)) / m).sum(axis=1)
     r -= (4 * np.pi / (n * n)) * np.cos((n // 2) * d)
-    return r[(i[:, None] - i[None, :]) % n]
+    return r
 
 
 def single_layer_matrix(curve: BoundaryCurve) -> np.ndarray:
-    """Direct-value single-layer matrix (nodal density -> nodal values)."""
-    n = curve.n
-    x = curve.points
-    dx = x[:, None, :] - x[None, :, :]
-    r2 = (dx * dx).sum(-1)
-    dt = curve.t[:, None] - curve.t[None, :]
-    s2 = 4.0 * np.sin(dt / 2) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        smooth = 0.5 * np.log(r2 / s2)
-    np.fill_diagonal(smooth, np.log(curve.speeds))
-    R = kress_log_weights(n)
-    M = -(0.5 * R + (TWO_PI / n) * smooth) / TWO_PI
-    return M * curve.speeds[None, :]
+    """Direct-value single-layer matrix (nodal density -> nodal values).
+
+    log|x_i - x_j| is log(4 sin^2((t_i - t_j)/2)) / 2, which the Kress
+    weights R integrate, plus a smooth rest with limit log|x'(t_i)| at
+    j = i.  So S is the table at the node offsets x_j - x_i, with the table
+    at offset |x'(t_i)| on its diagonal, times the weights, plus the
+    circulant of c(k) = -R_k/4pi + log(4 sin^2(pi k/n))/2n (c(0) =
+    -R_0/4pi), a strided view of c, times the speeds.
+    """
+    n, (x, y) = curve.n, curve.points.T
+    M = layer_kernel_values("s", x - x[:, None], y - y[:, None])
+    np.fill_diagonal(M, layer_kernel_values("s", curve.speeds, 0.0))
+    c = kress_log_weights(n) / (-2 * TWO_PI)
+    c[1:] += np.log(4 * np.sin(np.pi * np.arange(1, n) / n) ** 2) / (2 * n)
+    M *= TWO_PI / n
+    M += sliding_window_view(np.concatenate([c, c]), n)[n:0:-1]
+    M *= curve.speeds
+    return M
 
 
 def double_layer_matrix(curve: BoundaryCurve) -> np.ndarray:
@@ -77,7 +98,11 @@ def double_layer_matrix(curve: BoundaryCurve) -> np.ndarray:
     -1/2 to quadrature accuracy.  A gross defect (sign or diagonal-constant
     error) raises.
     """
-    M = _dipole_matrix(curve, normals_at="source")
+    x, y = curve.points.T
+    M = layer_kernel_values("d", x - x[:, None], y - y[:, None],
+                            curve.normals.T)
+    np.fill_diagonal(M, -curve.curvatures / (2 * TWO_PI))
+    M *= curve.weights
     defect = float(np.abs(M.sum(axis=1) + 0.5).max())
     if defect > 0.05:
         raise QuadratureError(
@@ -87,54 +112,28 @@ def double_layer_matrix(curve: BoundaryCurve) -> np.ndarray:
 
 
 def adjoint_double_layer_matrix(curve: BoundaryCurve) -> np.ndarray:
-    """Direct values of the normal derivative of the single layer."""
-    return _dipole_matrix(curve, normals_at="target")
+    """Direct values of the normal derivative of the single layer: the
+    weighted transpose D'[i, j] = D[j, i] w_j / w_i of the curve's stored
+    block "d" (the one ``potentials`` reads)."""
+    w = curve.weights
+    M = cached(curve, "d", lambda: double_layer_matrix(curve)).T * w
+    M /= w[:, None]
+    return M
 
-
-def _dipole_matrix(curve: BoundaryCurve, normals_at: str) -> np.ndarray:
-    n = curve.n
-    x = curve.points
-    dx = x[None, :, :] - x[:, None, :]        # x_j - x_i
-    r2 = (dx * dx).sum(-1)
-    np.fill_diagonal(r2, 1.0)
-    if normals_at == "source":
-        D = (dx * curve.normals[None, :, :]).sum(-1) / r2
-    else:
-        D = -(dx * curve.normals[:, None, :]).sum(-1) / r2
-    np.fill_diagonal(D, curve.curvatures / 2)
-    return -(1.0 / TWO_PI) * D * curve.weights[None, :]
-
-
-# ---------------------------------------------------------------------------
-# Off-boundary evaluation (upsampled near rules)
-# ---------------------------------------------------------------------------
 
 def _upsample_counts(curve: BoundaryCurve, dists: np.ndarray) -> np.ndarray:
-    """Node counts making the trapezoid rule converged at each distance.
-
-    Counts are n * 2^k so the coarse nodes embed in the fine lattice.
-    """
-    need = NEAR_DECAY_MARGIN * curve.max_speed() / np.maximum(dists, 1e-300)
-    ratio = np.maximum(need / curve.n, 1.0)
-    k = np.ceil(np.log2(ratio)).astype(int)
-    k = np.minimum(k, max(int(np.log2(max(NEAR_UPSAMPLE_CAP // curve.n, 1))), 0))
-    return curve.n * (1 << k)
-
-
-def layer_kernel_values(kind, y, x, normals):
-    """Weighted kernel factor for a layer of the given kind at target y.
-
-    kind "s": -G(x, y); "d": -dG/dn(x); "gs": -grad_y G (two components).
-    """
-    d = x - y[None, :]
-    r2 = (d * d).sum(-1)
-    if kind == "s":
-        return -0.25 * np.log(r2) / np.pi
-    if kind == "d":
-        return -((d * normals).sum(-1) / r2) / TWO_PI
-    if kind == "gs":
-        return (d / r2[:, None]) / TWO_PI   # -grad_y G = +(x-y)/(2pi r^2)
-    raise ValueError(f"unknown layer kind {kind!r}")
+    """Node counts n * 2^k (so the coarse nodes embed in the fine lattice)
+    making the trapezoid rule converged at each distance, at most
+    max(n, NEAR_UPSAMPLE_CAP); a distance that needs more raises."""
+    n, speed = curve.n, curve.max_speed()
+    top = n << (max(NEAR_UPSAMPLE_CAP // n, 1).bit_length() - 1)
+    need = NEAR_DECAY_MARGIN * speed / np.maximum(dists, 1e-300)
+    if (need > top).any():
+        raise QuadratureError(
+            f"target at distance {dists.min():.3g} from the curve needs more "
+            f"than {top} upsampled nodes, which resolve distances down to "
+            f"{NEAR_DECAY_MARGIN * speed / top:.3g}")
+    return n << np.ceil(np.log2(np.maximum(need / n, 1.0))).astype(int)
 
 
 def layer_eval(curve: BoundaryCurve, kind: str, density: np.ndarray,
@@ -155,23 +154,29 @@ def layer_matrix_at_targets(curve: BoundaryCurve, kind: str,
     trapezoid rule to converge at its distance from the curve (N = n far
     from it).  Applying that row to the trigonometric interpolant of the
     density equals applying its fold onto the n nodes: the fine row's
-    modes |k| <= n/2, the Nyquist mode split.  Gradient kind "gs" returns
-    an (m, n, 2) array.
+    modes |k| <= n/2, the Nyquist mode split.  Targets sharing N are
+    tabled and folded together, min(n^2, ``NEAR_UPSAMPLE_CAP``) entries at
+    most (one direct block) at a time.  Gradient "gs" gives (m, n, 2).
     """
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
     n = curve.n
     counts = _upsample_counts(curve, curve.distance_to(tg))
     out = np.empty((len(tg), n, 2) if kind == "gs" else (len(tg), n))
+    parts = out.reshape(len(tg), n, -1)
     # not np.unique, whose masked-array check would import numpy.ma here
     for N in sorted(set(counts.tolist())):
         T = TWO_PI * np.arange(N) / N
-        x, normals = curve.spec.boundary_point(T), curve.spec.boundary_normal(T)
+        px, py = curve.spec.boundary_point(T).T
+        normals = curve.spec.boundary_normal(T).T
         w = curve.spec.boundary_speed(T) * (TWO_PI / N)
-        if kind == "gs":
-            w = w[:, None]
-        for i in np.nonzero(counts == N)[0]:
-            g = layer_kernel_values(kind, tg[i], x, normals) * w
-            if N > n:
-                g = np.fft.irfft(np.fft.rfft(g, axis=0)[:n // 2 + 1], n, axis=0)
-            out[i] = g
+        idx = np.flatnonzero(counts == N)
+        step = max(min(n * n, NEAR_UPSAMPLE_CAP) // N, 1)
+        for rows in np.split(idx, range(step, len(idx), step)):
+            g = layer_kernel_values(kind, px - tg[rows, :1],
+                                    py - tg[rows, 1:], normals)
+            for c, part in enumerate(g if kind == "gs" else (g,)):
+                part *= w
+                if N > n:
+                    part = np.fft.irfft(np.fft.rfft(part)[:, :n // 2 + 1], n)
+                parts[rows, :, c] = part
     return out

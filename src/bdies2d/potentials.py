@@ -36,7 +36,6 @@ from .coefficient import Coefficient
 from .geometry import BoundaryCurve, DomainGrid, cached, polar_rule_for_target
 
 FAMILIES = ("x", "y")
-TWO_PI = 2.0 * np.pi
 
 
 def _check_family(family: str):
@@ -306,7 +305,9 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None, logs=True):
         pts, w = _rule(grid, y0).nodes()
         A, S = grid.cardinal_matrices(pts)
         if logs is not None:
-            row0 = grid.interpolation_row(w * _log_kernel(pts, y0), A, S)
+            g = laplace.layer_kernel_values("s", pts[:, 0] - y0[0],
+                                            pts[:, 1] - y0[1])
+            row0 = grid.interpolation_row(-w * g, A, S)
             logs[members] = _reindex(grid, np.broadcast_to(
                 row0, (len(members), len(row0))), shifts, flips)
         if kernel is None:
@@ -322,25 +323,19 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None, logs=True):
     return logs, rows
 
 
-def _log_kernel(pts, y):
-    dx, dy = pts[:, 0] - y[0], pts[:, 1] - y[1]
-    r2 = dx * dx + dy * dy
-    return 0.5 * np.log(np.maximum(r2, 1e-300)) / TWO_PI
-
-
 def _remainder_kernel(y, d, coeff: Coefficient, family: str):
-    """Remainder kernel at nodes y[i] + d[i] (d of shape (k, m, 2))."""
+    """Remainder kernel at nodes y[i] + d[i] (d of shape (k, m, 2)), from
+    the Laplace kernel table ("s" = -G, "gs" = -grad_y G)."""
     pts = (y[:, None, :] + d).reshape(-1, 2)
     dx, dy = d[..., 0], d[..., 1]
-    r2 = np.maximum(dx * dx + dy * dy, 1e-300)
+    gx, gy = laplace.layer_kernel_values("gs", dx, dy)
     if family == "x":
-        lap = coeff.laplacian_ln_a(pts).reshape(r2.shape)
+        s = laplace.layer_kernel_values("s", dx, dy)
         gl = coeff.grad_ln_a(pts).reshape(d.shape)
-        return (-lap * 0.5 * np.log(r2) / TWO_PI
-                - (gl[..., 0] * dx + gl[..., 1] * dy) / (TWO_PI * r2))
+        return (coeff.laplacian_ln_a(pts).reshape(s.shape) * s
+                - (gl[..., 0] * gx + gl[..., 1] * gy))
     ga = coeff.grad_a(pts).reshape(d.shape)
-    return ((ga[..., 0] * dx + ga[..., 1] * dy) / (TWO_PI * r2)
-            / coeff.a(y)[:, None])
+    return (ga[..., 0] * gx + ga[..., 1] * gy) / coeff.a(y)[:, None]
 
 
 def volume_potential(grid: DomainGrid, coeff: Coefficient, family: str,

@@ -6,6 +6,8 @@ double-layer and its adjoint have constant kernel 1/(2r), so every
 nonconstant mode is annihilated and the unit density gives -1/2.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,10 +33,14 @@ def fine_disk():
 def plain_trapezoid(curve, kind, density, targets):
     """Layer values by the plain trapezoid rule on the curve nodes, with no
     upsampling: the kernel at every node times its arc-length weight."""
-    w = curve.weights[:, None] if kind == "gs" else curve.weights
-    return np.array([(laplace.layer_kernel_values(
-        kind, y, curve.points, curve.normals) * w).T @ density
-        for y in np.atleast_2d(targets)])
+    vals = []
+    for y in np.atleast_2d(targets):
+        dx, dy = (curve.points - y).T
+        g = laplace.layer_kernel_values(kind, dx, dy, curve.normals.T)
+        g = np.stack(g, axis=-1) if kind == "gs" else g
+        w = curve.weights[:, None] if kind == "gs" else curve.weights
+        vals.append((g * w).T @ density)
+    return np.array(vals)
 
 
 def plain_reference(fine_curve, kind, density, targets):
@@ -78,9 +84,9 @@ class TestDirectValues:
         np.testing.assert_allclose(D @ np.ones(64), -0.5, atol=1e-10)
 
     def test_broken_sign_convention_detected(self, circle64, monkeypatch):
-        orig = laplace._dipole_matrix
-        monkeypatch.setattr(laplace, "_dipole_matrix",
-                            lambda c, normals_at: -orig(c, normals_at))
+        orig = laplace.layer_kernel_values
+        monkeypatch.setattr(laplace, "layer_kernel_values",
+                            lambda *args: -orig(*args))
         with pytest.raises(laplace.QuadratureError):
             laplace.double_layer_matrix(circle64)
 
@@ -183,6 +189,60 @@ class TestNearEvaluation:
         plain = plain_trapezoid(curve, "gs", rho(curve.t), targets)
         assert np.abs(plain - ref).max() > 1e-3
 
+    def test_targets_past_the_upsample_cap_raise(self, circle64):
+        # V(cos t)(y) = y_1 / 2 inside the circle; 28 max|x'| / 2^19 =
+        # 2.14e-5 is the nearest distance 2^19 nodes resolve
+        rho = np.cos(circle64.t)
+        for d in (0.0, 1e-7):
+            with pytest.raises(laplace.QuadratureError,
+                               match=f"distance {d:.3g} .* 2.14e-05"):
+                laplace.layer_eval(circle64, "s", rho, [[0.4 - d, 0.0]])
+        v = laplace.layer_eval(circle64, "s", rho, [[0.4 - 1e-4, 0.0]])
+        assert abs(v[0] - (0.4 - 1e-4) / 2) < 1e-14
+
+    @pytest.mark.parametrize("kind", ["s", "d", "gs"])
+    def test_batched_rows_equal_single_target_rows(self, circle64, kind):
+        # two far targets (count n), three at count 32 n (two blocks of
+        # n^2 entries), one each at 256 n and 1024 n, and three whose count
+        # 4096 n = NEAR_UPSAMPLE_CAP / 2 takes one block each
+        curve = circle64
+        far = [[0.0, 0.05], [0.1, -0.2]]
+        d = np.array([1e-2, 9e-3, 8e-3, 1e-3, 2e-4, 5e-5, 6e-5, 7e-5])
+        idx = [0, 5, 9, 20, 33, 41, 50, 63]
+        tg = np.concatenate([far, curve.points[idx]
+                             - d[:, None] * curve.normals[idx]])
+        counts = laplace._upsample_counts(curve, curve.distance_to(tg))
+        assert counts.tolist() == [64 * k for k in (1, 1, 32, 32, 32, 256,
+                                                    1024, 4096, 4096, 4096)]
+        assert 64 * 4096 == laplace.NEAR_UPSAMPLE_CAP // 2
+        got = laplace.layer_matrix_at_targets(curve, kind, tg)
+        one = [laplace.layer_matrix_at_targets(curve, kind, y[None])[0]
+               for y in tg]
+        assert np.array_equal(got, np.array(one))
+
+
+class TestMemory:
+    """Peak traced memory of the direct blocks on a 1024-node curve, in
+    n x n float64 arrays: the offsets (dx, dy), the table and one
+    temporary for S, and the numerator besides for D and D'.  The slack
+    of 1/32 array covers the length-n vectors and NumPy's reduction
+    buffer (0.009 arrays measured)."""
+
+    @pytest.mark.parametrize("build, bound", [
+        (laplace.single_layer_matrix, 4),
+        (laplace.double_layer_matrix, 5),
+        (laplace.adjoint_double_layer_matrix, 5)],
+        ids=["S", "D", "Dp"])
+    def test_direct_block_peak(self, build, bound):
+        curve = build_curve(DISK, 1024)
+        tracemalloc.start()
+        try:
+            build(curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (1024 * 1024 * 8) <= bound + 1 / 32
+
 
 class TestResample:
     """The near rule applies its fine row to the trigonometric interpolant
@@ -210,5 +270,6 @@ def test_kress_weights_match_cubic_form():
         return R - (4 * np.pi / (n * n)) * np.cos((n // 2) * d)
 
     for n in (8, 64, 96):
-        np.testing.assert_allclose(laplace.kress_log_weights(n), cubic(n),
-                                   rtol=0, atol=1e-14)
+        i = np.arange(n)
+        R = laplace.kress_log_weights(n)[(i[:, None] - i[None, :]) % n]
+        np.testing.assert_allclose(R, cubic(n), rtol=0, atol=1e-14)

@@ -243,9 +243,13 @@ class TestVolumeRows:
         def refuse(*args, **kwargs):
             raise AssertionError("log rows rebuilt")
 
-        # the other family keeps the stored block and builds no log rows,
-        # and the volume term reads it without another pass
-        monkeypatch.setattr(potentials, "_log_kernel", refuse)
+        # the other family keeps the stored block and builds no log rows
+        # (its remainder kernel reads only the table's "gs"), and the
+        # volume term reads it without another pass
+        table = laplace.layer_kernel_values
+        monkeypatch.setattr(laplace, "layer_kernel_values",
+                            lambda kind, *args: refuse() if kind == "s"
+                            else table(kind, *args))
         potentials.remainder_rows(grid, A_QUAD, "y", tg)
         assert grid._cache[key] is block
         monkeypatch.setattr(potentials, "_volume_pass", refuse)
@@ -267,8 +271,8 @@ def _anchored_reference(grid, coeff, targets):
             ker = potentials._remainder_kernel(y[None], (pts - y)[None],
                                                coeff, family)[0]
             rows[family].append(grid.interpolation_row(w * ker, A, S))
-        logs.append(grid.interpolation_row(w * potentials._log_kernel(pts, y),
-                                           A, S))
+        g = laplace.layer_kernel_values("s", *(pts - y).T)
+        logs.append(grid.interpolation_row(-w * g, A, S))
     return {family: np.array(r) for family, r in rows.items()}, np.array(logs)
 
 
