@@ -239,8 +239,10 @@ def _orbits(grid: DomainGrid, tg: np.ndarray):
     Yields (rep, members, shifts, flips): target ``members[i]`` is target
     ``rep``, mirrored where ``flips[i]``, then rotated by ``shifts[i]``
     grid angular steps, to ORBIT_TOL; from the two foldings, flip =
-    f xor f_rep and shift = s - (-1)^flip s_rep.  A target that is no
-    exact image of its representative is its own.
+    f xor f_rep and shift = s - (-1)^flip s_rep.  Targets that are no
+    exact image of their representative are grouped again among
+    themselves, until each has an orbit (a representative is its own
+    exact image, so every round settles at least one target).
     """
     if not len(tg):
         return
@@ -254,17 +256,21 @@ def _orbits(grid: DomainGrid, tg: np.ndarray):
     u = _rotate(v, -s, n_t)
     f = u[:, 1] < -tol
     u[f] *= _MIRROR
-    _, rep, orbit = np.unique(np.round(u / (1e3 * tol)), axis=0,
-                              return_index=True, return_inverse=True)
-    rep = rep[orbit.ravel()]
-    flip = f != f[rep]
-    rel = (s - np.where(flip, -1, 1) * s[rep]) % n_t
-    image = _rotate(np.where(flip[:, None], v[rep] * _MIRROR, v[rep]),
-                    rel, n_t)
-    exact = (np.abs(image - v) <= tol).all(1)
-    rep = np.where(exact, rep, np.arange(n))
-    rel = np.where(exact, rel, 0)
-    flip &= exact
+    key = np.round(u / (1e3 * tol))
+    rep, rel = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    flip = np.empty(n, dtype=bool)
+    todo = np.arange(n)
+    while todo.size:
+        _, first, bucket = np.unique(key[todo], axis=0, return_index=True,
+                                     return_inverse=True)
+        r = todo[first[bucket.ravel()]]
+        fl = f[todo] != f[r]
+        k = (s[todo] - np.where(fl, -1, 1) * s[r]) % n_t
+        image = _rotate(np.where(fl[:, None], v[r] * _MIRROR, v[r]), k, n_t)
+        exact = (np.abs(image - v[todo]) <= tol).all(1)
+        done = todo[exact]
+        rep[done], rel[done], flip[done] = r[exact], k[exact], fl[exact]
+        todo = todo[~exact]
     by_rep = np.argsort(rep, kind="stable")
     cuts = np.flatnonzero(np.diff(rep[by_rep])) + 1
     for members in np.split(by_rep, cuts):

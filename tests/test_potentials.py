@@ -414,6 +414,17 @@ class TestOrbits:
                 assert dist.max() <= 1e-14
                 assert np.abs(w - w0[near]).max() <= 1e-13 * w0.max()
 
+    def test_repeated_near_image_shares_one_orbit(self):
+        # the second target folds onto the first's key but is no exact
+        # image of it; its repeat must still join it, not stand alone
+        spec = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, -0.0625))
+        grid = build_domain_grid(spec, 8, 4)
+        y = np.array([[0.11875, 0.0], [0.11875, 1.1875e-12]])
+        tg = spec.center + np.concatenate([y, y])
+        orbits = {rep: list(m) for rep, m, _, _ in
+                  potentials._orbits(grid, tg)}
+        assert orbits == {0: [0, 2], 1: [1, 3]}
+
     def test_no_targets_give_no_rows(self):
         grid = build_domain_grid(DISK, 8, 4)
         none = np.zeros((0, 2))
