@@ -47,6 +47,19 @@ def _as_point(p) -> np.ndarray:
     return p
 
 
+def as_points(points) -> np.ndarray:
+    """Finite points as an (m, 2) array: one point may be a pair, and an
+    empty input gives m = 0."""
+    p = np.asarray(points, dtype=float)
+    p = p.reshape(0, 2) if p.size == 0 else np.atleast_2d(p)
+    if p.ndim != 2 or p.shape[1] != 2:
+        raise GeometryError(
+            f"points must have shape (m, 2), got shape {np.shape(points)}")
+    if not np.isfinite(p).all():
+        raise GeometryError("points must be finite, got NaN or infinity")
+    return p
+
+
 def _polar(px, py):
     """|p| and cos, sin of the polar angle of offsets (px, py); 0 at p = 0."""
     r = np.sqrt(px * px + py * py)

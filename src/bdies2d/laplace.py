@@ -42,21 +42,25 @@ def layer_kernel_values(kind, dx, dy, normals=None):
     components ``dx`` and ``dy``; r^2 is floored at 1e-300.
 
     kind "s": -G(x, y); "d": -dG/dn(x) along ``normals`` = (nx, ny) at the
-    sources; "gs": -grad_y G as a pair (gx, gy).
+    sources; "gs": -grad_y G as a pair (gx, gy); "gs+s": the triple
+    (gx, gy, -G) from one r^2.
     """
     r2 = dx * dx                            # in place: few n x n arrays
     r2 += dy * dy
     np.maximum(r2, 1e-300, out=r2)
-    if kind == "s":
-        np.multiply(np.log(r2, out=r2), -0.25, out=r2)
-        return np.divide(r2, np.pi, out=r2)
     if kind == "d":
         num = dx * normals[0]
         num += dy * normals[1]
         return np.divide(num, r2, out=num) / -TWO_PI
-    if kind == "gs":                        # +(x - y) / (2pi r^2)
-        return (dx / r2) / TWO_PI, (dy / r2) / TWO_PI
-    raise ValueError(f"unknown layer kind {kind!r}")
+    if kind not in ("s", "gs", "gs+s"):
+        raise ValueError(f"unknown layer kind {kind!r}")
+    # "gs" = +(x - y) / (2pi r^2), before -G takes r2's place
+    g = () if kind == "s" else ((dx / r2) / TWO_PI, (dy / r2) / TWO_PI)
+    if kind == "gs":
+        return g
+    np.multiply(np.log(r2, out=r2), -0.25, out=r2)
+    s = np.divide(r2, np.pi, out=r2)
+    return (*g, s) if g else s
 
 
 def kress_log_weights(n: int) -> np.ndarray:

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import laplace
 from .coefficient import Coefficient
-from .geometry import BoundaryCurve, DomainGrid, cached, polar_rule_for_target
+from .geometry import (BOUNDARY_LEVEL_TOL, BoundaryCurve, DomainGrid,
+                       GeometryError, as_points, cached, polar_rule_for_target)
 
 FAMILIES = ("x", "y")
 
@@ -82,7 +83,12 @@ class DomainField:
         object.__setattr__(self, "values", v)
 
     def at(self, points) -> np.ndarray:
-        return self.grid.interpolate(self.values, points)
+        """The interpolant at finite points of the closed domain (level at
+        most 1 + ``BOUNDARY_LEVEL_TOL``); outside it, it is undefined."""
+        tg = as_points(points)
+        if (self.grid.spec.level(tg) > 1.0 + BOUNDARY_LEVEL_TOL).any():
+            raise GeometryError("interpolation point outside the domain")
+        return self.grid.interpolate(self.values, tg)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +340,12 @@ def _remainder_kernel(y, d, coeff: Coefficient, family: str):
     the Laplace kernel table ("s" = -G, "gs" = -grad_y G)."""
     pts = (y[:, None, :] + d).reshape(-1, 2)
     dx, dy = d[..., 0], d[..., 1]
-    gx, gy = laplace.layer_kernel_values("gs", dx, dy)
     if family == "x":
-        s = laplace.layer_kernel_values("s", dx, dy)
+        gx, gy, s = laplace.layer_kernel_values("gs+s", dx, dy)
         gl = coeff.grad_ln_a(pts).reshape(d.shape)
         return (coeff.laplacian_ln_a(pts).reshape(s.shape) * s
                 - (gl[..., 0] * gx + gl[..., 1] * gy))
+    gx, gy = laplace.layer_kernel_values("gs", dx, dy)
     ga = coeff.grad_a(pts).reshape(d.shape)
     return (ga[..., 0] * gx + ga[..., 1] * gy) / coeff.a(y)[:, None]
 

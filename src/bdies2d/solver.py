@@ -24,7 +24,7 @@ import numpy as np
 from . import potentials
 from .coefficient import Coefficient
 from .geometry import (BOUNDARY_LEVEL_TOL, BoundaryCurve, DomainGrid,
-                       GeometryError)
+                       GeometryError, as_points)
 from .potentials import BoundaryDensity, DomainField
 
 
@@ -179,9 +179,12 @@ class DirichletSolution:
         """Reconstruct u at interior points from the solved densities.
 
         ``allow_near`` admits points within ``delta_near`` of the boundary,
-        never points on it (level within ``BOUNDARY_LEVEL_TOL`` of 1)."""
+        never points on it (level within ``BOUNDARY_LEVEL_TOL`` of 1).
+        Points must be finite, of shape (m, 2) or one pair."""
         sys = self.system
-        tg = np.atleast_2d(np.asarray(points, dtype=float))
+        tg = as_points(points)
+        if not len(tg):
+            return np.empty(0)
         lev = sys.grid.spec.level(tg)
         if (lev >= 1.0 - BOUNDARY_LEVEL_TOL).any():
             raise GeometryError(

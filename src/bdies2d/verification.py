@@ -16,8 +16,8 @@ identities, free of cancellation, and its length from ``hypot``.  It
 matches n=1024 Kress rows to about 1.5e-14.  The tanh-sinh rule is a short
 numpy one (``_tanh_sinh``), vectorised over every target of an operator;
 the six calls of ``identity_suite`` on a disk r=0.4 at 128/32x12 take
-about 12 ms on a 2-vCPU VM.  Everything here but ``fd_oracle`` runs on
-numpy alone, the SVDs and dense solves on ``numpy.linalg``.
+about 12 ms on a 2-vCPU VM.  Everything here runs on numpy alone, the
+SVDs, the dense solves and ``fd_oracle``'s blocks on ``numpy.linalg``.
 """
 
 from __future__ import annotations
@@ -150,88 +150,61 @@ def fd_oracle(case: ManufacturedCase, spec: DomainSpec, n_r: int = 128,
     """Solve the Dirichlet problem on a disk with a polar flux scheme.
 
     Completely independent of the integral-equation pipeline; used only to
-    cross-check solved fields.  Disks only.  The one SciPy user in the
-    package: it imports ``scipy.sparse`` when called.
+    cross-check solved fields.  Disks only.  Each interior ring is one
+    periodic tridiagonal block, coupled to its neighbours by diagonal
+    matrices and to the center by a column, so block elimination solves
+    the system: an inward sweep of ``numpy.linalg.solve`` calls, the
+    center equation, and back-substitution outward.  The stored n_theta x
+    n_theta blocks take O(n_r n_theta^2) memory, about 17 MB at 128x128.
     """
     if spec.kind != "disk":
         raise ValueError("the finite-difference oracle supports disks only")
-    R, c = spec.radius, spec.center
-    M, N = n_r, n_theta
-    h = R / M
-    ht = TWO_PI / N
-    rr = h * np.arange(M + 1)
+    c, M, N = spec.center, n_r, n_theta
+    h, ht = spec.radius / M, TWO_PI / N
+    r = h * np.arange(1, M)[:, None]                 # ring radii, (M - 1, 1)
     th = ht * np.arange(N)
-    ct, st = np.cos(th), np.sin(th)
 
-    def node(i, j):
-        return c + rr[i] * np.stack([ct[j], st[j]], axis=-1)
+    def nodes(rad, ang=th):                         # (rings, N, 2)
+        return c + np.reshape(rad, (-1, 1, 1)) * np.stack(
+            [np.cos(ang), np.sin(ang)], axis=-1)
 
-    a = case.coeff.a
-    nun = (M - 1) * N + 1
-    center_idx = (M - 1) * N
+    def a(rad, ang=th):
+        return case.coeff.a(nodes(rad, ang).reshape(-1, 2)).reshape(-1, N)
 
-    def idx(i, j):
-        return (i - 1) * N + np.asarray(j) % N
+    # (M - 1, N): a r at the half radii, a at the half angles j +/- 1/2
+    a_out, a_in = a(r + h / 2) * (r + h / 2), a(r - h / 2) * (r - h / 2)
+    a_up = a(r, th + ht / 2)
+    a_dn = np.roll(a_up, 1, axis=1)
+    cr, ca = 1.0 / (r * h * h), 1.0 / (r ** 2 * ht * ht)
+    out, inn, up, dn = cr * a_out, cr * a_in, ca * a_up, ca * a_dn
+    diag = -cr * (a_out + a_in) - ca * (a_up + a_dn)
+    pts = nodes(r)
+    b = case.f(pts.reshape(-1, 2)).reshape(M - 1, N)
+    b[-1] -= out[-1] * case.u(nodes(h * M)[0])
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(nun)
+    # inward sweep: ring k is x[k] + Y[k] @ (ring k - 1, or the center
+    # value on every node for k = 0); the zero ring M - 1 closes the sweep
+    x, Y = np.zeros((M, N)), np.zeros((M, N, N))
     jj = np.arange(N)
-
-    for i in range(1, M):
-        pts_mid_out = c + (rr[i] + h / 2) * np.stack([ct, st], axis=1)
-        pts_mid_in = c + (rr[i] - h / 2) * np.stack([ct, st], axis=1)
-        a_out = a(pts_mid_out) * (rr[i] + h / 2)
-        a_in = a(pts_mid_in) * (rr[i] - h / 2)
-        th_half = th + ht / 2
-        pts_ang = c + rr[i] * np.stack([np.cos(th_half), np.sin(th_half)], axis=1)
-        a_ang = a(pts_ang)                       # a at (i, j+1/2)
-        cr = 1.0 / (rr[i] * h * h)
-        ca = 1.0 / (rr[i] ** 2 * ht * ht)
-
-        diag = -cr * (a_out + a_in) - ca * (a_ang + np.roll(a_ang, 1))
-        rows += [idx(i, jj)] * 1
-        cols += [idx(i, jj)]
-        vals += [diag]
-        rows += [idx(i, jj), idx(i, jj)]
-        cols += [idx(i, (jj + 1) % N), idx(i, (jj - 1) % N)]
-        vals += [ca * a_ang, ca * np.roll(a_ang, 1)]
-        if i + 1 <= M - 1:
-            rows += [idx(i, jj)]
-            cols += [idx(i + 1, jj)]
-            vals += [cr * a_out]
-        else:
-            rhs[idx(i, jj)] -= cr * a_out * case.u(node(M, jj))
-        if i - 1 >= 1:
-            rows += [idx(i, jj)]
-            cols += [idx(i - 1, jj)]
-            vals += [cr * a_in]
-        else:
-            rows += [idx(i, jj)]
-            cols += [np.full(N, center_idx)]
-            vals += [cr * a_in]
-        rhs[idx(i, jj)] += case.f(node(i, jj))
+    for k in range(M - 2, -1, -1):
+        T = out[k][:, None] * Y[k + 1]
+        T[jj, jj] += diag[k]
+        T[jj, (jj + 1) % N] += up[k]
+        T[jj, (jj - 1) % N] += dn[k]
+        sol = np.linalg.solve(
+            T, np.column_stack([b[k] - out[k] * x[k + 1], np.diag(-inn[k])]))
+        x[k], Y[k] = sol[:, 0], sol[:, 1:]
 
     # center cell: flux balance over the disk of radius h/2
-    pts_half = c + (h / 2) * np.stack([ct, st], axis=1)
-    a_half = a(pts_half)
-    coef = (h / 2) * a_half / h * ht
-    rows += [np.full(N, center_idx), np.full(N, center_idx)]
-    cols += [idx(1, jj), np.full(N, center_idx)]
-    vals += [coef, -coef]
-    rhs[center_idx] = case.f(c[None, :])[0] * np.pi * (h / 2) ** 2
-
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    A = scipy.sparse.coo_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nun, nun)).tocsr()
-    u = scipy.sparse.linalg.spsolve(A, rhs)
-
-    pts = np.concatenate([
-        np.concatenate([node(i, jj) for i in range(1, M)]), c[None, :]])
-    return FdSolution(spec=spec, n_r=M, n_theta=N, points=pts, values=u)
+    coef = (h / 2) * a(h / 2)[0] / h * ht
+    uc = ((case.f(c[None, :])[0] * np.pi * (h / 2) ** 2 - coef @ x[0])
+          / (coef @ Y[0].sum(axis=1) - coef.sum()))
+    u, prev = np.empty((M - 1, N)), np.full(N, uc)
+    for k in range(M - 1):
+        prev = u[k] = x[k] + Y[k] @ prev
+    return FdSolution(spec=spec, n_r=M, n_theta=N,
+                      points=np.concatenate([pts.reshape(-1, 2), c[None, :]]),
+                      values=np.append(u, uc))
 
 
 def oracle_discrepancy(sol: solver.DirichletSolution, fd: FdSolution) -> float:

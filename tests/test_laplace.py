@@ -273,3 +273,17 @@ def test_kress_weights_match_cubic_form():
         i = np.arange(n)
         R = laplace.kress_log_weights(n)[(i[:, None] - i[None, :]) % n]
         np.testing.assert_allclose(R, cubic(n), rtol=0, atol=1e-14)
+
+
+def test_joint_kind_equals_its_parts():
+    # "gs+s" forms r^2 once for the gradient pair and -G; each part must
+    # equal the single-kind table bitwise, r = 0 (the floor) included
+    rng = np.random.default_rng(3)
+    dx, dy = rng.standard_normal((2, 5, 7))
+    dx[0, 0] = dy[0, 0] = 0.0
+    gx, gy, s = laplace.layer_kernel_values("gs+s", dx, dy)
+    ref = laplace.layer_kernel_values("gs", dx, dy)
+    assert np.array_equal(gx, ref[0]) and np.array_equal(gy, ref[1])
+    assert np.array_equal(s, laplace.layer_kernel_values("s", dx, dy))
+    with pytest.raises(ValueError, match="unknown layer kind"):
+        laplace.layer_kernel_values("g", dx, dy)

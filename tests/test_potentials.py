@@ -8,7 +8,8 @@ from scipy.spatial import cKDTree
 
 from bdies2d import laplace, potentials, verification
 from bdies2d.coefficient import Coefficient, make_preset
-from bdies2d.geometry import (DomainSpec, build_curve, build_domain_grid,
+from bdies2d.geometry import (BOUNDARY_LEVEL_TOL, DomainSpec, GeometryError,
+                              build_curve, build_domain_grid,
                               polar_rule_for_target)
 from bdies2d.potentials import (FAMILIES, BoundaryDensity, DomainField,
                                 double_layer_direct_matrix, layer_rows,
@@ -42,6 +43,26 @@ class TestDensities:
         rng = np.random.default_rng(5)
         f = DomainField(grid, rng.standard_normal(grid.n_nodes))
         np.testing.assert_allclose(f.at(grid.points), f.values, atol=1e-12)
+
+    @pytest.mark.parametrize("point, message", [
+        ([0.0, 0.8], "outside"),
+        ([5.0, 5.0], "outside"),
+        ([0.4 * (1 + 2 * BOUNDARY_LEVEL_TOL), 0.0], "outside"),
+        ([np.nan, 0.0], "finite"),
+    ], ids=["outside", "far", "past-tolerance", "nan"])
+    def test_domain_field_refuses_points_off_the_closed_domain(
+            self, grid, point, message):
+        f = DomainField(grid, np.ones(grid.n_nodes))
+        with pytest.raises(GeometryError, match=message):
+            f.at([point])
+
+    def test_domain_field_reads_the_closed_domain(self, grid, curve):
+        # curve nodes (level 1 to rounding) and polar-rule nodes up to
+        # level 1 + 1e-10 are in the closed domain
+        f = DomainField(grid, np.ones(grid.n_nodes))
+        pts = np.vstack([curve.points, [[0.4 * (1 + 1e-10), 0.0]]])
+        np.testing.assert_allclose(f.at(pts), 1.0, atol=1e-12)
+        assert f.at(np.zeros((0, 2))).shape == (0,)
 
 
 class TestSingleLayer:

@@ -216,6 +216,21 @@ class TestEvaluator:
         with pytest.raises(GeometryError, match="outside"):
             unit_sol.evaluate([[0.5, 0.0]])[0]
 
+    @pytest.mark.parametrize("points, message", [
+        ([[np.nan, 0.0]], "finite"),
+        ([[0.1, np.inf]], "finite"),
+        ([[0.1, 0.1, 0.1]], r"shape \(m, 2\)"),
+        ([[[0.1, 0.05]]], r"shape \(m, 2\)"),
+    ], ids=["nan", "inf", "three-columns", "three-dims"])
+    def test_bad_points_raise_named_errors(self, unit_sol, points, message):
+        with pytest.raises(GeometryError, match=message):
+            unit_sol.evaluate(points)
+
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), []],
+                             ids=["zero-rows", "empty-list"])
+    def test_empty_point_set_gives_empty_values(self, unit_sol, points):
+        assert unit_sol.evaluate(points).shape == (0,)
+
 
 @pytest.fixture(scope="module")
 def exp_sol(geo_fine):

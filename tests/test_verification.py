@@ -1,9 +1,13 @@
 """Manufactured cases, oracles and certification machinery."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import fresh_env
 
 from bdies2d import laplace, potentials
 from bdies2d import verification as V
@@ -77,6 +81,21 @@ class TestFdOracle:
         star = DomainSpec("star", center=(0, 0), cos_coeffs=(0.3,))
         with pytest.raises(ValueError, match="disk"):
             V.fd_oracle(V.manufactured_case("const_one"), star, 16, 16)
+
+    def test_runs_without_scipy(self):
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any SciPy import raises\n"
+            "import numpy as np\n"
+            "import bdies2d as b\n"
+            "case = b.manufactured_case('exp_saddle')\n"
+            "disk = b.DomainSpec('disk', center=(0.0, 0.0), radius=0.4)\n"
+            "fd = b.fd_oracle(case, disk, 32, 32)\n"
+            "print(np.abs(fd.values - case.u(fd.points)).max())\n")
+        out = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                             check=True, capture_output=True, text=True)
+        # the 128x128 bound of the second-order test, scaled to 32x32
+        assert float(out.stdout) < 1e-4 * (128 / 32) ** 2
 
 
 @st.composite
