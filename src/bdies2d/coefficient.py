@@ -12,6 +12,8 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import as_points
+
 
 class CoefficientError(ValueError):
     """Invalid coefficient parameters or a violated positivity contract."""
@@ -113,7 +115,9 @@ def validate_derivatives(coeff: Coefficient, samples) -> DerivativeReport:
     differences of ln a (step 1e-5), and grad ln a against grad a / a.
     Raises on any positivity violation at the samples.
     """
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
+    pts = as_points(samples)
+    if not len(pts):
+        raise CoefficientError("no sample points to check the derivatives at")
     a0 = coeff.a(pts)
     if a0.min() <= 0:
         raise CoefficientError("coefficient is not positive at a sample point")

@@ -23,7 +23,7 @@ import numpy as np
 import numpy.fft  # numpy 2 loads it lazily, at first use
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import BoundaryCurve, cached
+from .geometry import BoundaryCurve, as_points, cached
 
 TWO_PI = 2.0 * np.pi
 
@@ -162,11 +162,10 @@ def layer_matrix_at_targets(curve: BoundaryCurve, kind: str,
     tabled and folded together, min(n^2, ``NEAR_UPSAMPLE_CAP``) entries at
     most (one direct block) at a time.  Gradient "gs" gives (m, n, 2).
     """
-    tg = np.atleast_2d(np.asarray(targets, dtype=float))
+    tg = as_points(targets)
     n = curve.n
     counts = _upsample_counts(curve, curve.distance_to(tg))
-    out = np.empty((len(tg), n, 2) if kind == "gs" else (len(tg), n))
-    parts = out.reshape(len(tg), n, -1)
+    out = np.empty((len(tg), n, 2 if kind == "gs" else 1))
     # not np.unique, whose masked-array check would import numpy.ma here
     for N in sorted(set(counts.tolist())):
         T = TWO_PI * np.arange(N) / N
@@ -182,5 +181,5 @@ def layer_matrix_at_targets(curve: BoundaryCurve, kind: str,
                 part *= w
                 if N > n:
                     part = np.fft.irfft(np.fft.rfft(part)[:, :n // 2 + 1], n)
-                parts[rows, :, c] = part
-    return out
+                out[rows, :, c] = part
+    return out if kind == "gs" else out[..., 0]

@@ -136,8 +136,8 @@ def layer_rows(curve: BoundaryCurve, coeff: Coefficient, family: str,
     elif kind == "Wp" and normals is None:
         raise ValueError("'Wp' at targets needs one normal per target")
     else:
-        tg = np.atleast_2d(np.asarray(targets, dtype=float))
-        nrm = None if normals is None else np.atleast_2d(normals)
+        tg = as_points(targets)
+        nrm = None if normals is None else as_points(normals)
         lap = _laplace_blocks(curve, tg, nrm)
     src = curve.points
     if kind == "V":
@@ -204,7 +204,7 @@ def _rule(grid: DomainGrid, y):
     def build():
         base, p = _rule_params(grid)
         return polar_rule_for_target(grid.spec, y, base=base, n_r=p)
-    return cached(grid, ("rule", np.asarray(y, dtype=float).tobytes()), build)
+    return cached(grid, ("rule", y.tobytes()), build)
 
 
 #: Distance, relative to the domain's largest radius, within which a target
@@ -361,7 +361,7 @@ def volume_potential(grid: DomainGrid, coeff: Coefficient, family: str,
     potential by the coefficient at the target.
     """
     _check_family(family)
-    tg = np.atleast_2d(np.asarray(targets, dtype=float))
+    tg = as_points(targets)
     if not np.any(field.values != 0.0):
         return np.zeros(len(tg))
     logs = cached(grid, ("log", tg.tobytes()),
@@ -382,7 +382,7 @@ def remainder_rows(grid: DomainGrid, coeff: Coefficient, family: str,
     stored them before.
     """
     _check_family(family)
-    tg = np.atleast_2d(np.asarray(targets, dtype=float))
+    tg = as_points(targets)
     if coeff.constant:
         return np.zeros((len(tg), grid.n_nodes))
     key = ("log", tg.tobytes())

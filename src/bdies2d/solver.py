@@ -173,7 +173,6 @@ class DirichletSolution:
     u: DomainField
     psi: BoundaryDensity
     residual: float
-    multiplier: float = 0.0
 
     def evaluate(self, points, allow_near: bool = False) -> np.ndarray:
         """Reconstruct u at interior points from the solved densities.
@@ -183,10 +182,7 @@ class DirichletSolution:
         Points must be finite, of shape (m, 2) or one pair."""
         sys = self.system
         tg = as_points(points)
-        if not len(tg):
-            return np.empty(0)
-        lev = sys.grid.spec.level(tg)
-        if (lev >= 1.0 - BOUNDARY_LEVEL_TOL).any():
+        if (sys.grid.spec.level(tg) >= 1.0 - BOUNDARY_LEVEL_TOL).any():
             raise GeometryError(
                 "evaluation point on the boundary or outside the domain")
         if not allow_near:
@@ -222,9 +218,7 @@ def solve_dirichlet(system: BdieSystem) -> DirichletSolution:
     n_h = system.n_h
     u = DomainField(system.grid, z[:n_h])
     psi = BoundaryDensity(system.curve, z[n_h:n_h + system.n_b])
-    lam = float(z[-1]) if system.projected else 0.0
-    return DirichletSolution(system=system, u=u, psi=psi,
-                             residual=residual, multiplier=lam)
+    return DirichletSolution(system=system, u=u, psi=psi, residual=residual)
 
 
 def solve_bvp(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
@@ -241,11 +235,8 @@ def third_green_residual(u: DomainField, psi: BoundaryDensity, f: DomainField,
                          targets=None, on_boundary: bool = False) -> np.ndarray:
     """Defect u + R u - V psi - (P f - W g) of the identity at the
     targets, or of its trace, with u = g, at the curve nodes."""
-    if on_boundary:
-        tg, lhs = None, phi0.values
-    else:
-        tg = np.atleast_2d(np.asarray(targets, dtype=float))
-        lhs = u.at(tg)
+    tg = None if on_boundary else as_points(targets)
+    lhs = phi0.values if on_boundary else u.at(tg)
     R, V = _rows(curve, grid, coeff, family, tg)
     return (lhs + R @ u.values - V @ psi.values
             - _data(curve, grid, coeff, family, f, phi0, tg))

@@ -33,8 +33,9 @@ import numpy.random  # numpy 2 loads it lazily, at first use
 
 from . import potentials, solver
 from .coefficient import Coefficient, make_preset
-from .geometry import (BoundaryCurve, DomainGrid, DomainSpec, build_curve,
-                       build_domain_grid, polar_rule_for_target)
+from .geometry import (BoundaryCurve, DomainGrid, DomainSpec, _count,
+                       as_points, build_curve, build_domain_grid,
+                       polar_rule_for_target)
 from .laplace import QuadratureError
 from .potentials import BoundaryDensity, DomainField
 
@@ -61,13 +62,19 @@ TANH_SINH_TOL = (1e-15, 1e-14)
 
 @dataclass(frozen=True, eq=False)
 class ManufacturedCase:
-    """Coefficient, exact solution and matching source in closed form."""
+    """Coefficient, exact solution and matching source in closed form;
+    ``u``, ``grad_u`` and ``f`` take caller points through ``as_points``."""
 
     name: str
     coeff: Coefficient
     u: Callable[[np.ndarray], np.ndarray]
     grad_u: Callable[[np.ndarray], np.ndarray]
     f: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        for name in ("u", "grad_u", "f"):
+            fn = getattr(self, name)
+            object.__setattr__(self, name, lambda p, fn=fn: fn(as_points(p)))
 
     def phi0_on(self, curve: BoundaryCurve) -> BoundaryDensity:
         return BoundaryDensity(curve, self.u(curve.points))
@@ -84,10 +91,6 @@ class ManufacturedCase:
         return DomainField(grid, self.f(grid.points))
 
 
-def _pts(p):
-    return np.atleast_2d(np.asarray(p, dtype=float))
-
-
 def manufactured_case(name: str) -> ManufacturedCase:
     """Built-in exact solutions of div(a grad u) = f.
 
@@ -99,31 +102,28 @@ def manufactured_case(name: str) -> ManufacturedCase:
     if name == "const_one":
         return ManufacturedCase(
             name=name, coeff=make_preset("constant", value=1.0),
-            u=lambda p: np.ones(len(_pts(p))),
-            grad_u=lambda p: np.zeros_like(_pts(p)),
-            f=lambda p: np.zeros(len(_pts(p))))
+            u=lambda p: np.ones(len(p)),
+            grad_u=np.zeros_like,
+            f=lambda p: np.zeros(len(p)))
     if name == "harmonic_linear":
         return ManufacturedCase(
             name=name, coeff=make_preset("constant", value=1.0),
-            u=lambda p: _pts(p)[:, 0],
+            u=lambda p: p[:, 0],
             grad_u=lambda p: np.stack(
-                [np.ones(len(_pts(p))), np.zeros(len(_pts(p)))], axis=1),
-            f=lambda p: np.zeros(len(_pts(p))))
+                [np.ones(len(p)), np.zeros(len(p))], axis=1),
+            f=lambda p: np.zeros(len(p)))
     if name == "exp_saddle":
         return ManufacturedCase(
             name=name, coeff=make_preset("exponential", direction=(1.0, 1.0)),
-            u=lambda p: _pts(p)[:, 0] ** 2 - _pts(p)[:, 1] ** 2,
-            grad_u=lambda p: np.stack(
-                [2 * _pts(p)[:, 0], -2 * _pts(p)[:, 1]], axis=1),
-            f=lambda p: 2.0 * np.exp(_pts(p).sum(1))
-            * (_pts(p)[:, 0] - _pts(p)[:, 1]))
+            u=lambda p: p[:, 0] ** 2 - p[:, 1] ** 2,
+            grad_u=lambda p: np.stack([2 * p[:, 0], -2 * p[:, 1]], axis=1),
+            f=lambda p: 2.0 * np.exp(p.sum(1)) * (p[:, 0] - p[:, 1]))
     if name == "quad_coeff":
         return ManufacturedCase(
             name=name, coeff=make_preset("quadratic"),
-            u=lambda p: _pts(p)[:, 1] * (1.0 + _pts(p)[:, 0]),
-            grad_u=lambda p: np.stack(
-                [_pts(p)[:, 1], 1.0 + _pts(p)[:, 0]], axis=1),
-            f=lambda p: 2.0 * _pts(p)[:, 0] * _pts(p)[:, 1])
+            u=lambda p: p[:, 1] * (1.0 + p[:, 0]),
+            grad_u=lambda p: np.stack([p[:, 1], 1.0 + p[:, 0]], axis=1),
+            f=lambda p: 2.0 * p[:, 0] * p[:, 1])
     raise ValueError(f"unknown manufactured case {name!r}")
 
 
@@ -150,16 +150,18 @@ def fd_oracle(case: ManufacturedCase, spec: DomainSpec, n_r: int = 128,
     """Solve the Dirichlet problem on a disk with a polar flux scheme.
 
     Completely independent of the integral-equation pipeline; used only to
-    cross-check solved fields.  Disks only.  Each interior ring is one
-    periodic tridiagonal block, coupled to its neighbours by diagonal
-    matrices and to the center by a column, so block elimination solves
-    the system: an inward sweep of ``numpy.linalg.solve`` calls, the
-    center equation, and back-substitution outward.  The stored n_theta x
-    n_theta blocks take O(n_r n_theta^2) memory, about 17 MB at 128x128.
+    cross-check solved fields.  Disks only, n_r >= 2 rings, n_theta >= 3
+    angles.  Each interior ring is one periodic tridiagonal block, coupled
+    to its neighbours by diagonal matrices and to the center by a column,
+    so block elimination solves the system: an inward sweep of
+    ``numpy.linalg.solve`` calls, the center equation, and
+    back-substitution outward.  The stored n_theta x n_theta blocks take
+    O(n_r n_theta^2) memory, about 17 MB at 128x128.
     """
     if spec.kind != "disk":
         raise ValueError("the finite-difference oracle supports disks only")
-    c, M, N = spec.center, n_r, n_theta
+    c = spec.center
+    M, N = _count(n_r, "n_r", 2), _count(n_theta, "n_theta", 3)
     h, ht = spec.radius / M, TWO_PI / N
     r = h * np.arange(1, M)[:, None]                 # ring radii, (M - 1, 1)
     th = ht * np.arange(N)
@@ -279,7 +281,7 @@ def direct_boundary_values(curve: BoundaryCurve, coeff: Coefficient,
         raise ValueError(f"operator kind must be 'V', 'W' or 'Wp', got {kind!r}")
     spec = curve.spec
     nodes = np.asarray(nodes, dtype=int)
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = as_points(points)
     if kind == "Wp" and len(pts):
         raise ValueError("Wp needs a target normal; it has no off-boundary form")
     rel = pts - spec.center
@@ -415,7 +417,7 @@ def volume_potential_direct(grid: DomainGrid, coeff: Coefficient, family: str,
     nodes instead of being folded into the gridded density.
     """
     potentials._check_family(family)
-    tg = _pts(targets)
+    tg = as_points(targets)
     if family == "x":
         return _log_integrals(grid, tg, lambda p: field.at(p) / coeff.a(p))
     return _log_integrals(grid, tg, field.at) / coeff.a(tg)
@@ -430,7 +432,7 @@ def remainder_via_relation(grid: DomainGrid, coeff: Coefficient, family: str,
     remainder kernel.
     """
     potentials._check_family(family)
-    tg = _pts(targets)
+    tg = as_points(targets)
 
     def log_potential(values, at):
         return _log_integrals(grid, at,

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from test_verification import BENCH_STAR, NONCONVEX_STAR, convex_domains
 
 from bdies2d import potentials
+from bdies2d.coefficient import make_preset
 from bdies2d.geometry import (DomainSpec, GeometryError,
                               PolarRule, _disk_extents, _window_angles,
                               build_curve, build_domain_grid, gauss_01,
                               inside_segments, polar_rule_for_target,
                               trig_cardinal_rows)
+from bdies2d.solver import DiameterError, assemble_system
 
 DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
 STAR = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.0, 0.06))
@@ -82,6 +84,28 @@ class TestBoundaryCurve:
     def test_bad_node_counts_rejected(self, n):
         with pytest.raises(GeometryError):
             build_curve(DISK, n)
+
+    @pytest.mark.parametrize("n", [32.0, "32", None])
+    def test_counts_that_are_not_integers_rejected(self, n):
+        with pytest.raises(GeometryError, match="n_boundary must be an integer"):
+            build_curve(DISK, n)
+
+    def test_numpy_integer_count_builds(self):
+        curve = build_curve(DISK, np.int64(32))
+        assert type(curve.n) is int and curve.n == 32
+
+    @pytest.mark.parametrize("spec", [
+        DomainSpec("disk", center=(0.0, 0.0), radius=1e4),
+        DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(3e3, 0.0, 3e2))],
+        ids=["disk-1e4", "star-3e3"])
+    def test_large_domains_build(self, spec):
+        # a cosine series is periodic; absolute tolerances on its closure
+        # and derivative refused a disk of radius 1e4
+        curve = build_curve(spec, 64)
+        assert abs(curve.length() / (2 * np.pi * spec.cos_coeffs[0]) - 1) < 0.05
+        grid = build_domain_grid(spec, 16, 8)
+        with pytest.raises(DiameterError, match="diameter"):
+            assemble_system(curve, grid, make_preset("constant"), "x")
 
     def test_nonpositive_radial_profile_rejected(self):
         with pytest.raises(GeometryError):
@@ -154,6 +178,13 @@ class TestDomainGrid:
             build_domain_grid(DISK, 7, 8)
         with pytest.raises(GeometryError):
             build_domain_grid(DISK, 16, 3)
+
+    @pytest.mark.parametrize("counts, name", [((8.0, 4), "n_t"),
+                                              ((8, 4.0), "n_s")],
+                             ids=["n_t-float", "n_s-float"])
+    def test_counts_that_are_not_integers_rejected(self, counts, name):
+        with pytest.raises(GeometryError, match=f"{name} must be an integer"):
+            build_domain_grid(DISK, *counts)
 
 
 class TestPolarRule:

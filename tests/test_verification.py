@@ -82,6 +82,21 @@ class TestFdOracle:
         with pytest.raises(ValueError, match="disk"):
             V.fd_oracle(V.manufactured_case("const_one"), star, 16, 16)
 
+    @pytest.mark.parametrize("n_r, n_theta, message", [
+        (0, 8, "n_r must be at least 2"), (1, 8, "n_r must be at least 2"),
+        (8, 1, "n_theta must be at least 3"),
+        (8, 2, "n_theta must be at least 3"),
+        (8.0, 8, "n_r must be an integer")],
+        ids=["n_r-0", "n_r-1", "n_theta-1", "n_theta-2", "n_r-float"])
+    def test_too_few_or_fractional_counts_rejected(self, n_r, n_theta,
+                                                    message):
+        with pytest.raises(ValueError, match=message):
+            V.fd_oracle(V.manufactured_case("const_one"), DISK, n_r, n_theta)
+
+    def test_smallest_grid_solves(self):
+        fd = V.fd_oracle(V.manufactured_case("const_one"), DISK, 2, 3)
+        assert np.abs(fd.values - 1.0).max() < 1e-12
+
     def test_runs_without_scipy(self):
         script = (
             "import sys\n"

@@ -7,8 +7,9 @@ trace defect, the number of polar rules the volume pipeline built and
 their node total, plus the seconds taken to import bdies2d (numpy already
 loaded) and the ``scipy.*`` subpackages loaded by the end of the run.  The
 result goes into one named section of a JSON file, next to the machine it
-ran on; other sections of the file are kept, so two source trees can be
-recorded side by side::
+ran on and the source tree's ``src_code_lines`` (``code_lines``); other
+sections of the file are kept, so two source trees can be recorded side
+by side::
 
     python tools/ladder.py --out BENCH.json --section change
     python tools/ladder.py --out BENCH.json --section parent --src OTHER/src
@@ -19,6 +20,7 @@ It is a record, not a gate.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -89,6 +91,25 @@ def run_one(domain: dict, resolution, family: str) -> dict:
     }
 
 
+def code_lines(src: Path) -> int:
+    """Lines of ``bdies2d/*.py`` under ``src`` that are not blank, not
+    comments and not inside docstrings (found with ``ast``)."""
+    total = 0
+    for path in sorted((src / "bdies2d").glob("*.py")):
+        text = path.read_text()
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                doc = node.body[0]
+                docs.update(range(doc.lineno, doc.end_lineno + 1))
+        total += sum(1 for i, line in enumerate(text.splitlines(), 1)
+                     if i not in docs and line.strip()
+                     and not line.lstrip().startswith("#"))
+    return total
+
+
 def machine() -> dict:
     import numpy
     import scipy
@@ -146,7 +167,8 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("case", "exp_saddle")
     doc.setdefault("sections", {})[args.section] = {
-        "machine": machine(), "runs": runs}
+        "machine": machine(), "src_code_lines": code_lines(args.src),
+        "runs": runs}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
