@@ -16,10 +16,12 @@ member's row is the representative's contraction re-indexed along the
 grid's angular axis: j -> j - shift for a rotation, j -> shift - j with
 the mirror.  On the benchmark star (0.3, 0, 0.03) at 64/16x8 that is 40
 rules for the 128 grid targets and 17 for the 64 curve targets (64 and
-32 with the rotations alone).  The Laplace blocks,
-the polar rules and the log-kernel rows depend only on the geometry, so
-``geometry.cached`` keeps each with its curve or grid, built once and
-read-only: log rows as one block per target set.
+32 with the rotations alone).  A target set's missing representative
+rules are built in one ``geometry.polar_rules`` call, and their nodes and
+cardinals per block of representatives (``geometry.BLOCK_ENTRIES``).  The
+Laplace blocks, the polar rules and the log-kernel rows depend only on the
+geometry, so ``geometry.cached`` keeps each with its curve or grid, built
+once and read-only: log rows as one block per target set.
 The independent oracles for the volume operators live only in
 ``verification``; nothing here serves them.
 """
@@ -34,7 +36,8 @@ import numpy as np
 from . import laplace
 from .coefficient import Coefficient
 from .geometry import (BOUNDARY_LEVEL_TOL, BoundaryCurve, DomainGrid,
-                       GeometryError, as_points, cached, polar_rule_for_target)
+                       GeometryError, as_points, block_bounds, cached,
+                       polar_rule_for_target, polar_rules, rule_nodes)
 
 FAMILIES = ("x", "y")
 
@@ -120,7 +123,8 @@ def layer_rows(curve: BoundaryCurve, coeff: Coefficient, family: str,
                kind: str, targets=None, normals=None) -> np.ndarray:
     """Rows mapping nodal densities to "V", "W" or "Wp" values: the direct
     values at the curve nodes, or off-curve rows at ``targets``, where "Wp"
-    is the conormal derivative along ``normals`` (one per target).  Family
+    is the conormal derivative along ``normals`` (exactly one per target,
+    else ``GeometryError``).  Family
     "x" attaches the coefficient at the source, "y" at the target, to the
     Laplace blocks S, D and D' (the single layer's normal derivative):
 
@@ -133,11 +137,13 @@ def layer_rows(curve: BoundaryCurve, coeff: Coefficient, family: str,
         raise ValueError(f"operator kind must be 'V', 'W' or 'Wp', got {kind!r}")
     if targets is None:
         tg, nrm, lap = curve.points, curve.normals, _laplace_blocks(curve)
-    elif kind == "Wp" and normals is None:
-        raise ValueError("'Wp' at targets needs one normal per target")
     else:
         tg = as_points(targets)
         nrm = None if normals is None else as_points(normals)
+        if kind == "Wp" and (nrm is None or len(nrm) != len(tg)):
+            raise GeometryError(
+                f"'Wp' at targets needs one normal per target, got "
+                f"{0 if nrm is None else len(nrm)} for {len(tg)} targets")
         lap = _laplace_blocks(curve, tg, nrm)
     src = curve.points
     if kind == "V":
@@ -205,6 +211,20 @@ def _rule(grid: DomainGrid, y):
         base, p = _rule_params(grid)
         return polar_rule_for_target(grid.spec, y, base=base, n_r=p)
     return cached(grid, ("rule", y.tobytes()), build)
+
+
+def _rules(grid: DomainGrid, ys: np.ndarray) -> list:
+    """The polar rules of targets ys, each built once per grid and stored
+    as ``_rule`` stores it: the missing ones in one ``polar_rules`` call."""
+    keys = [("rule", y.tobytes()) for y in ys]
+    missing = {key: y for key, y in zip(keys, ys) if key not in grid._cache}
+    if missing:
+        base, p = _rule_params(grid)
+        built = polar_rules(grid.spec, np.array(list(missing.values())),
+                            base=base, n_r=p)
+        for key, rule in zip(missing, built):
+            cached(grid, key, lambda rule=rule: rule)
+    return [grid._cache[key] for key in keys]
 
 
 #: Distance, relative to the domain's largest radius, within which a target
@@ -299,12 +319,16 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None, logs=True):
     built once; a member's rule is the representative's mirrored (when
     flipped) and rotated.  A rotation of the points rolls the columns of
     A, and a mirror sends column j to -j since the trigonometric cardinal
-    is even; S is unchanged by both.  Returns the log-kernel rows of the
-    targets if ``logs`` (else None): the representative's contraction
-    re-indexed for each member, since the log kernel is invariant under
-    both.  Given ``kernel(y, d)`` (targets (k, 2), node offsets
-    (k, m, 2)), it also returns the matrix of the kernel's rows at the
-    targets (else None): the kernel is evaluated at each member's own
+    is even; S is unchanged by both.  The representatives' missing rules
+    are built in one ``polar_rules`` call; their nodes are expanded and
+    their cardinals evaluated per block of consecutive representatives
+    whose A, nodes times n_t, fits in ``geometry.BLOCK_ENTRIES``
+    (``block_bounds``), one block at a time.  Returns the log-kernel rows
+    of the targets if ``logs`` (else None): the representative's
+    contraction re-indexed for each member, since the log kernel is
+    invariant under both.  Given ``kernel(y, d)`` (targets (k, 2), node
+    offsets (k, m, 2)), it also returns the matrix of the kernel's rows at
+    the targets (else None): the kernel is evaluated at each member's own
     target and mapped nodes, and members are contracted against the
     representative's (A, S) in chunks whose GEMM temporary is no larger
     than (A, S).
@@ -312,26 +336,34 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None, logs=True):
     logs = np.empty((len(tg), grid.n_nodes)) if logs else None
     rows = None if kernel is None else np.empty((len(tg), grid.n_nodes))
     chunk = max(1, (grid.n_t + grid.n_s) // grid.n_s)
-    for rep, members, shifts, flips in _orbits(grid, tg):
-        y0 = tg[rep]
-        pts, w = _rule(grid, y0).nodes()
-        A, S = grid.cardinal_matrices(pts)
+    orbits = list(_orbits(grid, tg))
+    reps = tg[[rep for rep, *_ in orbits]]
+    rules = _rules(grid, reps)
+    sizes = [rule.n_nodes for rule in rules]
+    for lo, hi in block_bounds(sizes, [grid.n_t] * len(sizes)):
+        pts_b, w_b, counts = rule_nodes(rules[lo:hi])
+        A_b, S_b = grid.cardinal_matrices(pts_b)
+        d_b = pts_b - np.repeat(reps[lo:hi], counts, axis=0)   # node offsets
         if logs is not None:
-            g = laplace.layer_kernel_values("s", pts[:, 0] - y0[0],
-                                            pts[:, 1] - y0[1])
-            row0 = grid.interpolation_row(-w * g, A, S)
-            logs[members] = _reindex(grid, np.broadcast_to(
-                row0, (len(members), len(row0))), shifts, flips)
-        if kernel is None:
-            continue
-        d0 = pts - y0
-        d = np.stack([d0, d0 * _MIRROR])
-        for b in range(0, len(members), chunk):
-            idx, k, f = (members[b:b + chunk], shifts[b:b + chunk],
-                         flips[b:b + chunk])
-            kv = w * kernel(tg[idx], _rotate(d[f.astype(int)], k[:, None],
-                                             grid.n_t))
-            rows[idx] = _reindex(grid, grid.interpolation_row(kv, A, S), k, f)
+            g_b = laplace.layer_kernel_values("s", d_b[:, 0], d_b[:, 1])
+        for (_, members, shifts, flips), stop, count in zip(
+                orbits[lo:hi], np.cumsum(counts), counts):
+            at = slice(stop - count, stop)
+            d0, w, A, S = d_b[at], w_b[at], A_b[at], S_b[at]
+            if logs is not None:
+                row0 = grid.interpolation_row(-w * g_b[at], A, S)
+                logs[members] = _reindex(grid, np.broadcast_to(
+                    row0, (len(members), len(row0))), shifts, flips)
+            if kernel is None:
+                continue
+            d = np.stack([d0, d0 * _MIRROR])
+            for b in range(0, len(members), chunk):
+                idx, k, f = (members[b:b + chunk], shifts[b:b + chunk],
+                             flips[b:b + chunk])
+                kv = w * kernel(tg[idx], _rotate(d[f.astype(int)],
+                                                 k[:, None], grid.n_t))
+                rows[idx] = _reindex(grid, grid.interpolation_row(kv, A, S),
+                                     k, f)
     return logs, rows
 
 

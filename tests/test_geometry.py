@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_verification import BENCH_STAR, NONCONVEX_STAR, convex_domains
 
-from bdies2d import potentials
+from bdies2d import geometry, potentials
 from bdies2d.coefficient import make_preset
 from bdies2d.geometry import (DomainSpec, GeometryError,
                               PolarRule, _disk_extents, _window_angles,
                               build_curve, build_domain_grid, gauss_01,
                               inside_segments, polar_rule_for_target,
-                              trig_cardinal_rows)
+                              polar_rules, rule_nodes, trig_cardinal_rows)
 from bdies2d.solver import DiameterError, assemble_system
 
 DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
@@ -394,6 +394,80 @@ class TestPolarRule:
             a = grid.weights @ f(grid.points)
             b = rule.integrate(f)
             assert abs(a - b) < 1e-8
+
+
+def _rule_fields(rule):
+    return (rule.target, rule.theta, rule.wtheta, rule.dirs, rule.seg_ray,
+            rule.seg_ends)
+
+
+class TestPolarRules:
+    @settings(max_examples=20, deadline=None)
+    @given(spec=st.one_of(convex_domains(), st.just(NONCONVEX_STAR)),
+           s=st.lists(st.floats(0.0, 0.9), min_size=1, max_size=6),
+           phi=st.floats(0.0, 2 * np.pi), cap=st.integers(8000, 30000))
+    @example(spec=BENCH_STAR, s=[0.5], phi=0.3, cap=8000)
+    def test_set_equals_one_target_rules(self, spec, s, phi, cap):
+        # interior grid targets, curve targets and evaluation targets in
+        # one set, scanned in blocks that split it mid-way
+        s = np.array(s)
+        th = phi + 2 * np.pi * np.arange(len(s)) / len(s)
+        evals = spec.center + (s * spec.rho(th))[:, None] * np.stack(
+            [np.cos(th), np.sin(th)], axis=1)
+        targets = np.concatenate([build_domain_grid(spec, 8, 4).points,
+                                  build_curve(spec, 16).points, evals])
+        scans = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "BLOCK_ENTRIES", cap)
+            scan = geometry._ray_segments
+
+            def counted(spec, p0, *args):
+                scans.append(len(np.unique(p0, axis=0)))
+                return scan(spec, p0, *args)
+
+            mp.setattr(geometry, "_ray_segments", counted)
+            rules = polar_rules(spec, targets, 24, 6)
+        if spec.kind == "star":
+            assert 1 < len(scans) < len(targets) and max(scans) > 1
+        assert len(rules) == len(targets)
+        pts, wts, counts = rule_nodes(rules)
+        at = np.cumsum(counts)
+        for y, rule, stop, count in zip(targets, rules, at, counts):
+            alone = polar_rule_for_target(spec, y, 24, 6)
+            for got, want in zip(_rule_fields(rule), _rule_fields(alone)):
+                np.testing.assert_array_equal(got, want)
+            p, w = alone.nodes()
+            assert count == len(w) == rule.n_nodes
+            np.testing.assert_array_equal(pts[stop - count:stop], p)
+            np.testing.assert_array_equal(wts[stop - count:stop], w)
+
+    @pytest.mark.parametrize("spec", [DISK, STAR], ids=["disk", "star"])
+    def test_no_targets_give_no_rules(self, spec):
+        assert polar_rules(spec, np.zeros((0, 2))) == []
+        assert polar_rules(spec, []) == []
+
+    @pytest.mark.parametrize("spec", [DISK, STAR], ids=["disk", "star"])
+    def test_one_outside_target_fails_the_set(self, spec):
+        targets = np.array([[0.0, 0.0], [0.1, 0.05], [0.5, 0.3], [0.2, 0.0]])
+        with pytest.raises(GeometryError, match="outside the domain"):
+            polar_rules(spec, targets)
+
+    def test_large_set_memory_is_bounded(self):
+        # every grid target of the benchmark star at 64x24: the rules hold
+        # about 15 MB; one unblocked scan would peak near 1.6 GB
+        spec = DomainSpec("star", center=(0.0, 0.0),
+                          cos_coeffs=(0.3, 0.0, 0.03))
+        grid = build_domain_grid(spec, 64, 24)
+        base, n_r = potentials._rule_params(grid)
+        spec.max_rho()
+        tracemalloc.start()
+        try:
+            rules = polar_rules(spec, grid.points, base, n_r)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rules) == grid.n_nodes
+        assert held < 18e6 and peak - held < 4e6
 
 
 class TestProfile:

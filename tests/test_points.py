@@ -117,6 +117,19 @@ def test_bad_single_point_raises(entry, bad):
         SINGLE[entry](point)
 
 
+@pytest.mark.parametrize("normals", [None, [[1.0, 0.0]], [[1.0, 0.0]] * 2,
+                                     [[1.0, 0.0]] * 4],
+                         ids=["none", "one", "two", "four"])
+def test_wp_needs_one_normal_per_target(normals):
+    # one normal used to serve all three targets, and two ended in a
+    # numpy broadcast error
+    tg = [[0.05, 0.02], [0.0, 0.1], [-0.1, 0.0]]
+    with pytest.raises(GeometryError, match="one normal per target"):
+        potentials.layer_rows(CURVE, A, "x", "Wp", tg, normals)
+    rows = potentials.layer_rows(CURVE, A, "x", "Wp", tg, [[1.0, 0.0]] * 3)
+    assert rows.shape == (3, CURVE.n)
+
+
 def test_points_pass_through_unchanged():
     pts = GRID.points[:5]
     rows = potentials.remainder_rows(GRID, A, "x", pts)

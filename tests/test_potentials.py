@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from bdies2d import laplace, potentials, verification
+from bdies2d import geometry, laplace, potentials, verification
 from bdies2d.coefficient import Coefficient, make_preset
 from bdies2d.geometry import (BOUNDARY_LEVEL_TOL, DomainSpec, GeometryError,
                               build_curve, build_domain_grid,
@@ -247,6 +247,31 @@ class TestVolumeRows:
             ref = _einsum_log_potential(grid, f.values, tg) / A_QUAD.a(tg)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("spec", [DISK, STAR], ids=["disk", "star"])
+    def test_rows_do_not_depend_on_the_block_size(self, spec, monkeypatch):
+        # every representative in one cardinal block, or each in its own
+        tg = np.concatenate([build_domain_grid(spec, 16, 8).points[::3],
+                             build_curve(spec, 32).points])
+        calls, passes = [], {}
+        cardinals = geometry.DomainGrid.cardinal_matrices
+
+        def counted(grid, points):
+            calls.append(len(points))
+            return cardinals(grid, points)
+
+        monkeypatch.setattr(geometry.DomainGrid, "cardinal_matrices", counted)
+        for cap in (1, 2**22):
+            monkeypatch.setattr(geometry, "BLOCK_ENTRIES", cap)
+            grid = build_domain_grid(spec, 16, 8)
+            passes[cap] = potentials._volume_pass(
+                grid, tg, lambda y, d: potentials._remainder_kernel(
+                    y, d, A_QUAD, "x"))
+            calls.append(None)
+        n_orbits = len(list(potentials._orbits(grid, tg)))
+        assert calls.index(None) == n_orbits and len(calls) == n_orbits + 3
+        for small, large in zip(passes[1], passes[2**22]):
+            np.testing.assert_array_equal(small, large)
+
     def test_remainder_pass_stores_log_rows(self, monkeypatch):
         grid = build_domain_grid(DISK, 16, 8)
         tg = grid.points[:5]
@@ -457,13 +482,13 @@ class TestOrbits:
     def test_log_potential_fills_rows_through_orbits(self, monkeypatch):
         grid = build_domain_grid(DISK, 16, 8)
         calls = []
-        build = potentials.polar_rule_for_target
+        build = potentials.polar_rules
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
+        def counted(spec, targets, *args, **kwargs):
+            calls.extend(targets)
+            return build(spec, targets, *args, **kwargs)
 
-        monkeypatch.setattr(potentials, "polar_rule_for_target", counted)
+        monkeypatch.setattr(potentials, "polar_rules", counted)
         f = DomainField(grid, np.cos(grid.points[:, 0]))
         got = volume_potential(grid, A_ONE, "x", f, grid.points)
         assert len(calls) == grid.n_s

@@ -156,13 +156,13 @@ class TestSharedGeometry:
         case = manufactured_case("exp_saddle")
         f, phi0 = case.f_field_on(grid), case.phi0_on(curve)
         calls = []
-        build = potentials.polar_rule_for_target
+        build = potentials.polar_rules
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
+        def counted(spec, targets, *args, **kwargs):
+            calls.extend(targets)
+            return build(spec, targets, *args, **kwargs)
 
-        monkeypatch.setattr(potentials, "polar_rule_for_target", counted)
+        monkeypatch.setattr(potentials, "polar_rules", counted)
         solve_bvp(curve, grid, case.coeff, "x", f, phi0)
         assert len(calls) == 3 * grid.n_s + 9
         solve_bvp(curve, grid, case.coeff, "y", f, phi0)

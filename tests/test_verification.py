@@ -367,7 +367,7 @@ class TestStudies:
         monkeypatch.setattr(V, "solve_case", solve)
         for owner, name in ((V, "build_curve"), (V, "build_domain_grid"),
                             (laplace, "single_layer_matrix"),
-                            (potentials, "polar_rule_for_target")):
+                            (potentials, "polar_rules")):
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         both = V.convergence_study(case, DISK, ("x", "y"), ladder)
         monkeypatch.undo()
@@ -375,7 +375,7 @@ class TestStudies:
         outside = [name for fam, name in calls if fam is None]
         assert outside == ["build_curve", "build_domain_grid"] * 2
         x_calls = {name for fam, name in calls if fam == "x"}
-        assert x_calls == {"single_layer_matrix", "polar_rule_for_target"}
+        assert x_calls == {"single_layer_matrix", "polar_rules"}
         assert [name for fam, name in calls if fam == "y"] == []
         alone = V.convergence_study(case, DISK, ("y",), ladder)["y"]
         for shared, own in zip(both["y"].rows, alone.rows, strict=True):
