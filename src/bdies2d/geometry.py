@@ -719,8 +719,6 @@ def rule_nodes(rules):
     h wx r wtheta_k, formed as h^2 wtheta_k (wx x) + h a wtheta_k wx.
     """
     n_r = rules[0].n_r
-    if any(rule.n_r != n_r for rule in rules):
-        raise GeometryError("rules expanded together need one radial order")
     owner = np.repeat(np.arange(len(rules)), [len(r.seg_ray) for r in rules])
     ends = np.concatenate([r.seg_ends for r in rules])
     dirs = np.concatenate([r.dirs[r.seg_ray] for r in rules])
@@ -802,8 +800,8 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
         nin = -spec.boundary_normal(phi[~inner])
         alpha[~inner] = np.arctan2(nin[:, 1], nin[:, 0])
     if star:
-        # sqrt(vecdot) is np.linalg.norm of each offset, bitwise
-        rmax = 2.1 * spec.max_rho() + np.sqrt(np.vecdot(d, d))
+        rmax = 2.1 * spec.max_rho() + np.array(
+            [np.linalg.norm(v) for v in d], dtype=float)
         lengths = _scan_lengths(spec, d, rmax)
     else:
         lengths = np.ones(len(y), dtype=int)

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import laplace
 from .coefficient import Coefficient
+# polar_rule_for_target is re-exported: benchmark/tracing.py wraps this name
 from .geometry import (BOUNDARY_LEVEL_TOL, BoundaryCurve, DomainGrid,
                        GeometryError, as_points, block_bounds, cached,
                        polar_rule_for_target, polar_rules, rule_nodes)
@@ -206,16 +207,13 @@ def _rule_params(grid: DomainGrid):
 
 
 def _rule(grid: DomainGrid, y):
-    """Target y's polar rule, built once per grid."""
-    def build():
-        base, p = _rule_params(grid)
-        return polar_rule_for_target(grid.spec, y, base=base, n_r=p)
-    return cached(grid, ("rule", y.tobytes()), build)
+    """Target y's polar rule, built once per grid: ``_rules`` of one target."""
+    return _rules(grid, np.asarray(y, dtype=float)[None, :])[0]
 
 
 def _rules(grid: DomainGrid, ys: np.ndarray) -> list:
-    """The polar rules of targets ys, each built once per grid and stored
-    as ``_rule`` stores it: the missing ones in one ``polar_rules`` call."""
+    """The polar rules of targets ys, each built once per grid under the
+    key ("rule", y.tobytes()): the missing ones in one ``polar_rules`` call."""
     keys = [("rule", y.tobytes()) for y in ys]
     missing = {key: y for key, y in zip(keys, ys) if key not in grid._cache}
     if missing:
