@@ -15,6 +15,7 @@ printed with 17 significant digits so reruns can be diffed bitwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -32,7 +33,7 @@ _TOP_KEYS = {"command", "domain", "coefficient", "case", "family",
              "resolutions", "output_dir", "allow_large_domain"}
 _DOMAIN_KEYS = {"kind", "center", "radius", "cos_coeffs"}
 _COEFF_KEYS = {"preset", "value", "direction"}
-_RES_KEYS = {"n_boundary", "n_t", "n_s"}
+_RES_KEYS = ("n_boundary", "n_t", "n_s")
 
 CSV_HEADER = "n_boundary,n_t,n_s,err_u_max,err_u_l2,err_psi_max,order,cond,seconds"
 
@@ -54,14 +55,16 @@ class RunConfig:
         return _build_domain(self)
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+def _reject_unknown(d: dict, allowed, where: str):
+    unknown = set(d).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run configuration."""
+    from .geometry import _count
+    from .potentials import _check_family
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
@@ -88,8 +91,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"a {domain['kind']} domain takes no {other!r}")
 
     family = raw.get("family", "x")
-    if family not in ("x", "y"):
-        raise ConfigError("family must be 'x' or 'y'")
+    with _library_check("family"):
+        _check_family(family)
 
     case = raw.get("case")
     if case is not None:
@@ -102,10 +105,6 @@ def load_config(path) -> RunConfig:
         if not isinstance(coefficient, dict):
             raise ConfigError("coefficient must be a JSON object")
         _reject_unknown(coefficient, _COEFF_KEYS, "coefficient")
-        if coefficient.get("preset") not in ("constant", "exponential",
-                                             "quadratic"):
-            raise ConfigError("coefficient.preset must be constant, "
-                              "exponential or quadratic")
         _coefficient(coefficient)
     if command in ("solve", "study", "compare"):
         if case is None:
@@ -130,15 +129,8 @@ def load_config(path) -> RunConfig:
     parsed = []
     for r in resolutions:
         _reject_unknown(r, _RES_KEYS, "resolutions entry")
-        counts = tuple(r.get(k) for k in ("n_boundary", "n_t", "n_s"))
-        if not all(type(c) is int and c > 0 for c in counts):
-            raise ConfigError("resolution entries need positive integer "
-                              f"n_boundary, n_t and n_s, got {r}")
-        nb, nt, ns = counts
-        if nb % 2 or nb < 8 or nt % 2 or nt < 8 or ns < 4:
-            raise ConfigError("n_boundary and n_t must be even and at least "
-                              f"8, and n_s at least 4, got {r}")
-        parsed.append(counts)
+        with _library_check("resolution"):
+            parsed.append(tuple(_count(r.get(k), k) for k in _RES_KEYS))
 
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -155,39 +147,43 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
+@contextlib.contextmanager
+def _library_check(what: str):
+    """Raise the ValueError of a library check inside, or the TypeError or
+    OverflowError of a value of the wrong type, as ConfigError."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
 def _build_domain(cfg: RunConfig):
     from .geometry import DomainSpec
     d = cfg.domain
-    try:
+    with _library_check("domain"):
         if d["kind"] == "disk":
             return DomainSpec("disk", center=d.get("center", (0.0, 0.0)),
                               radius=float(d.get("radius", 0.0)))
         return DomainSpec("star", center=d.get("center", (0.0, 0.0)),
                           cos_coeffs=d.get("cos_coeffs", ()))
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"invalid domain: {exc}") from exc
 
 
 def _check_diameter(cfg: RunConfig):
-    diam = cfg.spec.diameter()
-    if diam >= 1.0 and not cfg.allow_large_domain:
-        raise ConfigError(
-            f"domain diameter {diam:.6g} >= 1 violates the unique-solvability "
-            "requirement; set allow_large_domain to use the zero-mean "
-            "projected system")
+    from .solver import check_diameter
+    spec = cfg.spec           # raises its own ConfigError, not wrapped again
+    with _library_check("domain"):
+        check_diameter(spec, cfg.allow_large_domain)
 
 
 def _coefficient(c: dict):
     from .coefficient import make_preset
-    try:
+    with _library_check("coefficient"):
         kwargs = {}
         if "value" in c:
             kwargs["value"] = float(c["value"])
         if "direction" in c:
             kwargs["direction"] = tuple(c["direction"])
-        return make_preset(c["preset"], **kwargs)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"invalid coefficient: {exc}") from exc
+        return make_preset(c.get("preset"), **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,11 @@ raise ``GeometryError`` at the call and an empty set gives an empty result.
 
 Polar rules are built per target set (``polar_rules``): one level check,
 then per block of consecutive targets one angle table and, on a star, one
-segment scan and one Newton loop over all of the block's rays.
-``rule_nodes`` expands the segment tables of several rules in one pass.
+segment scan and one Newton loop over all of the block's rays
+(``_ray_segments``).  The volume pipeline and the verification oracles
+both build their rules this way; ``polar_rule_for_target`` is the
+one-target case.  ``rule_nodes`` expands the segment tables of several
+rules in one pass.
 ``BLOCK_ENTRIES`` caps each block's largest temporary; every operation is
 elementwise per ray or per segment, so a rule does not depend on the
 block it was built in, bitwise.
@@ -72,8 +75,14 @@ def _as_point(p) -> np.ndarray:
     return as_points(p)[0]
 
 
-def _count(n, name: str, low: int, even: bool = False) -> int:
-    """A node count as an int of at least ``low``, even if ``even``."""
+#: Node counts by name: the least value, and whether it must be even.
+_COUNT_LIMITS = {"n_boundary": (8, True), "n_t": (8, True), "n_s": (4, False),
+                 "n_r": (2, False), "n_theta": (3, False)}
+
+
+def _count(n, name: str) -> int:
+    """Node count ``name`` as an int within its ``_COUNT_LIMITS``."""
+    low, even = _COUNT_LIMITS[name]
     try:
         n = operator.index(n)
     except TypeError:
@@ -319,7 +328,7 @@ def build_curve(spec: DomainSpec, n_boundary: int) -> BoundaryCurve:
     speeds and unit outward normals (ray test against the level function);
     closure and periodic derivatives need none, a cosine series has both.
     """
-    n_boundary = _count(n_boundary, "n_boundary", 8, even=True)
+    n_boundary = _count(n_boundary, "n_boundary")
     t = 2 * np.pi * np.arange(n_boundary) / n_boundary
     pts = spec.boundary_point(t)
     speeds = spec.boundary_speed(t)
@@ -476,8 +485,8 @@ class DomainGrid:
 
 def build_domain_grid(spec: DomainSpec, n_t: int, n_s: int) -> DomainGrid:
     """Build the interior collocation/quadrature grid."""
-    n_t = _count(n_t, "n_t", 8, even=True)
-    n_s = _count(n_s, "n_s", 4)
+    n_t = _count(n_t, "n_t")
+    n_s = _count(n_s, "n_s")
     theta = 2 * np.pi * np.arange(n_t) / n_t
     s_nodes, s_w = gauss_01(n_s)
     e = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -565,7 +574,19 @@ def _ray_segments(spec: DomainSpec, p0: np.ndarray, dirs: np.ndarray,
                   rmax: np.ndarray, n_samples: np.ndarray):
     """Inside segments of rays c + p0 + r dirs, each with its own offset
     p0 from the center c, radius scale rmax and ladder sample count
-    (``_scan_lengths``); see ``inside_segments``.
+    (``_scan_lengths``).
+
+    Returns arrays (ray, start, end): segment k covers [start[k], end[k]]
+    along ray[k], with 0 <= start < end, sorted by ray and then by radius.
+    A scan of the level function over ``_unit_ladder`` times rmax, up to
+    the first radius past |p0| + sum |cos_coeffs| (no boundary point is
+    farther from the origin), brackets every boundary crossing; segments
+    shorter than the scan resolution near rmax can be missed, but the
+    ladder is logarithmic near 0 where short entering segments matter.
+    Inside a bracket the crossing is a simple root of g(r) = |p| -
+    rho(theta(p)), p = p0 + r dir, found by safeguarded Newton iteration
+    from the scan's secant guess: every iterate shrinks the bracket, and a
+    step that leaves it is replaced by the bracket's midpoint.
 
     All rays are scanned together, up to the largest sample count: a
     ray's samples past its own count lie past its reach, outside, so they
@@ -618,32 +639,6 @@ def _ray_segments(spec: DomainSpec, p0: np.ndarray, dirs: np.ndarray,
     exits = np.nonzero(~entering)[0]
     opened = (exits > 0) & (di[exits - 1] == di[exits])
     return di[exits], np.where(opened, cross[exits - 1], 0.0), cross[exits]
-
-
-def inside_segments(spec: DomainSpec, y, dirs: np.ndarray, rmax: float):
-    """The r-intervals where y + r*dir lies inside, for every direction.
-
-    Returns arrays (ray, start, end): segment k covers [start[k], end[k]]
-    along direction ray[k], with 0 <= start < end, sorted by ray and then
-    by radius.  A scan of the level function over ``_unit_ladder``
-    times rmax, up to its first radius past |y - center| + sum |cos_coeffs|
-    (no boundary point is farther from y), brackets every boundary
-    crossing; segments shorter than the scan resolution near rmax can be
-    missed, but the ladder is logarithmic near 0 where short entering
-    segments matter.  Inside a bracket the crossing is a simple root of
-    g(r) = |p| - rho(theta(p)), p = y - center + r*dir, found by
-    safeguarded Newton iteration from the scan's secant guess: every
-    iterate shrinks the bracket, and a step that leaves it is replaced by
-    the bracket's midpoint.  This is the one-origin case of the per-ray
-    scan that ``polar_rules`` runs over a block of targets.
-    """
-    p0 = (_as_point(y) - spec.center)[None, :]
-    rmax = np.array([float(rmax)])
-    n = len(dirs)
-    return _ray_segments(
-        spec, np.broadcast_to(p0, (n, 2)), dirs,
-        np.broadcast_to(rmax, n),
-        np.broadcast_to(_scan_lengths(spec, p0, rmax), n))
 
 
 def _disk_extents(spec: DomainSpec, y: np.ndarray,

@@ -206,11 +206,6 @@ def _rule_params(grid: DomainGrid):
     return base, p
 
 
-def _rule(grid: DomainGrid, y):
-    """Target y's polar rule, built once per grid: ``_rules`` of one target."""
-    return _rules(grid, np.asarray(y, dtype=float)[None, :])[0]
-
-
 def _rules(grid: DomainGrid, ys: np.ndarray) -> list:
     """The polar rules of targets ys, each built once per grid under the
     key ("rule", y.tobytes()): the missing ones in one ``polar_rules`` call."""

@@ -24,7 +24,7 @@ import numpy as np
 from . import potentials
 from .coefficient import Coefficient
 from .geometry import (BOUNDARY_LEVEL_TOL, BoundaryCurve, DomainGrid,
-                       GeometryError, as_points)
+                       DomainSpec, GeometryError, as_points)
 from .potentials import BoundaryDensity, DomainField
 
 
@@ -110,6 +110,17 @@ def _data(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     return pf - W @ phi0.values
 
 
+def check_diameter(spec: DomainSpec, allow_large_domain: bool = False):
+    """Raise ``DiameterError`` for a domain of diameter >= 1, where the
+    single-layer operator may be singular, unless ``allow_large_domain``."""
+    diam = spec.diameter()
+    if diam >= 1.0 and not allow_large_domain:
+        raise DiameterError(
+            f"domain diameter {diam:.6g} >= 1: the single-layer operator is "
+            "only guaranteed invertible for diameter < 1; rescale the domain "
+            "or set allow_large_domain to use the zero-mean projected system")
+
+
 def assemble_system(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
                     family: str, allow_large_domain: bool = False) -> BdieSystem:
     """Assemble the dense block matrix of the collocation system.
@@ -121,12 +132,7 @@ def assemble_system(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     path; the boundary equation gains a free additive constant).
     """
     potentials._check_family(family)
-    diam = curve.spec.diameter()
-    if diam >= 1.0 and not allow_large_domain:
-        raise DiameterError(
-            f"domain diameter {diam:.6g} >= 1: the single-layer operator is "
-            "only guaranteed invertible for diameter < 1; rescale the domain "
-            "or opt into the zero-mean projected system")
+    check_diameter(curve.spec, allow_large_domain)
 
     n_h, n_b = grid.n_nodes, curve.n
     projected = bool(allow_large_domain)
@@ -232,11 +238,12 @@ def solve_bvp(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
 def third_green_residual(u: DomainField, psi: BoundaryDensity, f: DomainField,
                          phi0: BoundaryDensity, curve: BoundaryCurve,
                          grid: DomainGrid, coeff: Coefficient, family: str,
-                         targets=None, on_boundary: bool = False) -> np.ndarray:
+                         targets=None) -> np.ndarray:
     """Defect u + R u - V psi - (P f - W g) of the identity at the
-    targets, or of its trace, with u = g, at the curve nodes."""
-    tg = None if on_boundary else as_points(targets)
-    lhs = phi0.values if on_boundary else u.at(tg)
+    targets, or, when ``targets`` is None, of its trace, with u = g, at
+    the curve nodes."""
+    tg = None if targets is None else as_points(targets)
+    lhs = phi0.values if tg is None else u.at(tg)
     R, V = _rows(curve, grid, coeff, family, tg)
     return (lhs + R @ u.values - V @ psi.values
             - _data(curve, grid, coeff, family, f, phi0, tg))

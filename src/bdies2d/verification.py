@@ -6,7 +6,9 @@ quadrature of raw boundary kernels, polar-rule quadrature of the volume
 kernels on rules of its own, a polar finite-difference solve on disks, and
 extrapolated boundary limits for the jump relations.  These oracles live
 only here; the production path in ``potentials`` does not call them, and
-they read none of its cached rules or rows.
+they read none of its cached rules or rows.  The volume oracles build a
+target set's rules in one ``geometry.polar_rules`` call, as the pipeline
+does, but with more angles and radial points, and keep none of them.
 
 The boundary-kernel oracle (``direct_boundary_values``) integrates each
 target in the offset from its own parameter, so the log singularity sits
@@ -34,8 +36,7 @@ import numpy.random  # numpy 2 loads it lazily, at first use
 from . import potentials, solver
 from .coefficient import Coefficient, make_preset
 from .geometry import (BoundaryCurve, DomainGrid, DomainSpec, _count,
-                       as_points, build_curve, build_domain_grid,
-                       polar_rule_for_target)
+                       as_points, build_curve, build_domain_grid, polar_rules)
 from .laplace import QuadratureError
 from .potentials import BoundaryDensity, DomainField
 
@@ -161,7 +162,7 @@ def fd_oracle(case: ManufacturedCase, spec: DomainSpec, n_r: int = 128,
     if spec.kind != "disk":
         raise ValueError("the finite-difference oracle supports disks only")
     c = spec.center
-    M, N = _count(n_r, "n_r", 2), _count(n_theta, "n_theta", 3)
+    M, N = _count(n_r, "n_r"), _count(n_theta, "n_theta")
     h, ht = spec.radius / M, TWO_PI / N
     r = h * np.arange(1, M)[:, None]                 # ring radii, (M - 1, 1)
     th = ht * np.arange(N)
@@ -394,16 +395,19 @@ def _tanh_sinh(integrand, n: int, name: str) -> np.ndarray:
 def _log_integrals(grid: DomainGrid, targets, density) -> np.ndarray:
     """(1/2pi) int log|x - y| density(x) dx at each target y.
 
-    Each target gets a polar rule of its own, with 1.25 times the angular
-    count and two more than the radial order of the volume pipeline's
-    rules, so the result shares no node, cardinal matrix or row with the
-    production path.
+    The targets' polar rules are built in one ``polar_rules`` call, with
+    1.25 times the angular count and two more than the radial order of the
+    volume pipeline's rules, so the result shares no node, cardinal matrix
+    or row with the production path.  The density is evaluated on one
+    rule's nodes at a time, so a target's value does not depend on the
+    rest of the set: on all nodes at once, the interpolation GEMM rounds
+    differently.
     """
     base, n_r = potentials._rule_params(grid)
-    out = np.empty(len(targets))
-    for i, y in enumerate(targets):
-        pts, w = polar_rule_for_target(grid.spec, y, base=5 * base // 4,
-                                       n_r=n_r + 2).nodes()
+    rules = polar_rules(grid.spec, targets, base=5 * base // 4, n_r=n_r + 2)
+    out = np.empty(len(rules))
+    for i, (y, rule) in enumerate(zip(targets, rules)):
+        pts, w = rule.nodes()
         g = 0.5 * np.log(((pts - y) ** 2).sum(1)) / TWO_PI
         out[i] = w @ (g * density(pts))
     return out

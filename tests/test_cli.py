@@ -14,8 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bdies2d
-from bdies2d import cli, verification
+from bdies2d import cli, potentials, verification
 from bdies2d.cli import CSV_HEADER, ConfigError, fmt17, load_config, main, run
+from bdies2d.coefficient import make_preset
+from bdies2d.geometry import DomainSpec, build_curve, build_domain_grid
+from bdies2d.solver import assemble_system
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -355,6 +358,35 @@ class TestImports:
             assert (tmp_path / cmd / "results.json").exists()
 
 
+def _resolution(nb=64, nt=16, ns=8):
+    return {"resolutions": {"n_boundary": nb, "n_t": nt, "n_s": ns}}
+
+
+_DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
+_BIG_DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.6)
+# a config change, and the library call that refuses the same value
+LIBRARY_REFUSALS = {
+    "n_boundary-33": (_resolution(nb=33), lambda: build_curve(_DISK, 33)),
+    "n_t-6": (_resolution(nt=6), lambda: build_domain_grid(_DISK, 6, 8)),
+    "n_s-3": (_resolution(ns=3), lambda: build_domain_grid(_DISK, 16, 3)),
+    "n_s-float": (_resolution(ns=4.0),
+                  lambda: build_domain_grid(_DISK, 16, 4.0)),
+    "family-z": ({"family": "z"}, lambda: potentials.layer_rows(
+        build_curve(_DISK, 8), make_preset("constant"), "z", "V")),
+    "preset-cubic": ({"command": "validate",
+                      "coefficient": {"preset": "cubic"}},
+                     lambda: make_preset("cubic")),
+    "preset-missing": ({"command": "validate",
+                        "coefficient": {"value": 2.0}},
+                       lambda: make_preset(None, value=2.0)),
+    "disk-0.6": ({"domain": {"kind": "disk", "radius": 0.6}},
+                 lambda: assemble_system(
+                     build_curve(_BIG_DISK, 8),
+                     build_domain_grid(_BIG_DISK, 8, 4),
+                     make_preset("constant"), "x")),
+}
+
+
 class TestMain:
     def test_exit_codes(self, tmp_path):
         p = write_config(tmp_path, dict(
@@ -431,6 +463,22 @@ class TestMain:
         assert main([cfg["command"], "--config", str(p),
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("name", LIBRARY_REFUSALS)
+    def test_config_error_carries_the_library_message(self, tmp_path, capsys,
+                                                      name):
+        change, library_call = LIBRARY_REFUSALS[name]
+        with pytest.raises(ValueError) as refused:
+            library_call()
+        message = str(refused.value)
+        cfg = dict(MINIMAL_SOLVE, **change)
+        p = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError) as err:
+            load_config(p)
+        assert message in str(err.value)
+        assert main([cfg["command"], "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_large_domain_flag_solves(self, tmp_path):
         p = write_config(tmp_path, dict(

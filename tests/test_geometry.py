@@ -8,11 +8,10 @@ from test_verification import BENCH_STAR, NONCONVEX_STAR, convex_domains
 
 from bdies2d import geometry, potentials
 from bdies2d.coefficient import make_preset
-from bdies2d.geometry import (DomainSpec, GeometryError,
-                              PolarRule, _disk_extents, _window_angles,
+from bdies2d.geometry import (DomainSpec, GeometryError, PolarRule,
                               build_curve, build_domain_grid, gauss_01,
-                              inside_segments, polar_rule_for_target,
-                              polar_rules, rule_nodes, trig_cardinal_rows)
+                              polar_rule_for_target, polar_rules, rule_nodes,
+                              trig_cardinal_rows)
 from bdies2d.solver import DiameterError, assemble_system
 
 DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
@@ -228,18 +227,17 @@ class TestPolarRule:
     def test_inside_segments_on_nonconvex_star(self):
         spec = DomainSpec("star", center=(0.0, 0.0),
                           cos_coeffs=(0.3, 0.05, 0.0, 0.0, 0.0, 0.08))
-        th = 2 * np.pi * np.arange(96) / 96
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        targets = np.concatenate([build_domain_grid(spec, 8, 4).points,
-                                  spec.boundary_point(th[::12])])
+        targets = np.concatenate([
+            build_domain_grid(spec, 8, 4).points,
+            spec.boundary_point(2 * np.pi * np.arange(8) / 8)])
         rays_with_gaps = 0
         for y in targets:
-            rmax = 2.1 * spec.max_rho() + np.linalg.norm(y)
-            ray, a, b = inside_segments(spec, y, dirs, rmax)
+            rule = polar_rule_for_target(spec, y, 96, 10)
+            ray, (a, b) = rule.seg_ray, rule.seg_ends.T
             assert np.all((0.0 <= a) & (a < b))
 
             def level(r, k):
-                return spec.level(y + r[:, None] * dirs[k])
+                return spec.level(y + r[:, None] * rule.dirs[k])
 
             assert np.all(level(0.5 * (a + b), ray) < 1.0)
             gap = ray[1:] == ray[:-1]
@@ -255,45 +253,45 @@ class TestPolarRule:
         # a circle written as a star: its crossings have a closed form
         star = DomainSpec("star", center=(0.1, -0.2), cos_coeffs=[0.4])
         disk = DomainSpec("disk", center=(0.1, -0.2), radius=0.4)
-        th = 2 * np.pi * np.arange(64) / 64 + 0.1
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
         for off in ([0.0, 0.0], [0.15, -0.1], 0.4 * (1 - 1e-6)
                     * np.array([np.cos(2.0), np.sin(2.0)])):
             y = star.center + off
-            rmax = 2.1 * star.max_rho() + np.linalg.norm(off)
-            ray, a, b = inside_segments(star, y, dirs, rmax)
-            np.testing.assert_array_equal(ray, np.arange(64))
-            np.testing.assert_array_equal(a, 0.0)
-            np.testing.assert_allclose(b, _disk_extents(disk, y, dirs),
-                                       rtol=0, atol=1e-14)
+            got, want = (polar_rule_for_target(spec, y, 64, 10)
+                         for spec in (star, disk))
+            np.testing.assert_array_equal(got.dirs, want.dirs)
+            np.testing.assert_array_equal(got.seg_ray,
+                                          np.arange(len(got.dirs)))
+            np.testing.assert_array_equal(want.seg_ray, got.seg_ray)
+            np.testing.assert_array_equal(got.seg_ends[:, 0], 0.0)
+            # a crossing at grazing incidence moves by a rounding error
+            # over the incidence cosine, so compare offsets along the
+            # normal: the 768 rays of the last target graze down to 1e-3
+            end = want.seg_ends[:, 1]
+            exit_offset = y - disk.center + end[:, None] * want.dirs
+            incidence = (exit_offset * want.dirs).sum(1) / disk.radius
+            assert np.all(np.abs(got.seg_ends[:, 1] - end) * incidence
+                          <= 1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(spec=convex_domains(), s=st.floats(0.0, 0.95),
            phi=st.floats(0.0, 2 * np.pi), t=st.floats(0.0, 2 * np.pi))
     def test_segment_ends_lie_on_random_convex_boundaries(self, spec, s,
                                                           phi, t):
+        # boundary targets get the rule's two width-pi windows
         star = DomainSpec("star", center=spec.center,
                           cos_coeffs=spec.cos_coeffs)
-        th = 2 * np.pi * np.arange(48) / 48 + phi
         interior = star.center + s * star.rho(phi) * np.array(
             [np.cos(phi), np.sin(phi)])
-        # boundary targets use the rule's two width-pi windows
-        nin = -star.boundary_normal(t)
-        alpha = np.arctan2(nin[1], nin[0])
-        window = np.concatenate([_window_angles(alpha, 24)[0],
-                                 _window_angles(alpha + np.pi, 24)[0]])
-        for y, angles, is_interior in (
-                (interior, th, True),
-                (star.boundary_point(t), window, False)):
-            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-            rmax = 2.1 * star.max_rho() + np.linalg.norm(y - star.center)
-            ray, a, b = inside_segments(star, y, dirs, rmax)
+        for y, is_interior in ((interior, True),
+                               (star.boundary_point(t), False)):
+            rule = polar_rule_for_target(star, y, 48, 10)
+            ray, (a, b) = rule.seg_ray, rule.seg_ends.T
             ends = np.concatenate([a[a > 0], b])
             on = np.concatenate([ray[a > 0], ray])
-            lev = star.level(y + ends[:, None] * dirs[on])
+            lev = star.level(y + ends[:, None] * rule.dirs[on])
             assert np.all(np.abs(lev - 1.0) <= 1e-13)
             if is_interior:
-                np.testing.assert_array_equal(ray, np.arange(len(angles)))
+                np.testing.assert_array_equal(ray, np.arange(len(rule.dirs)))
                 np.testing.assert_array_equal(a, 0.0)
 
     def test_star_rule_profile_evaluations_stay_few(self, monkeypatch):

@@ -13,8 +13,7 @@ from bdies2d import laplace, potentials, solver
 from bdies2d import verification as V
 from bdies2d.coefficient import CoefficientError, validate_derivatives
 from bdies2d.geometry import (DomainSpec, GeometryError, build_curve,
-                              build_domain_grid, inside_segments,
-                              polar_rule_for_target)
+                              build_domain_grid, polar_rule_for_target)
 from bdies2d.potentials import BoundaryDensity
 
 STAR = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.03))
@@ -71,12 +70,10 @@ BAD_POINTS = {
     "three-columns": ([[0.1, 0.05, 0.0]], r"shape \(m, 2\)"),
     "three-dims": ([[[0.1, 0.05]]], r"shape \(m, 2\)"),
 }
-# one point: a center, a polar rule's target, a segment scan's origin
+# one point: a center, a polar rule's target
 SINGLE = {
     "center": lambda y: DomainSpec("disk", center=y, radius=0.4),
     "polar_rule_for_target": lambda y: polar_rule_for_target(STAR, y),
-    "inside_segments": lambda y: inside_segments(
-        STAR, y, np.array([[1.0, 0.0]]), 1.0),
     "contains": STAR.contains,
 }
 BAD_POINT = {

@@ -208,8 +208,8 @@ class TestTargetCache:
     def test_cached_rule_equals_fresh_rule(self, spec, y):
         grid = build_domain_grid(spec, 16, 8)
         y = np.array(y)
-        cached = potentials._rule(grid, y)
-        assert potentials._rule(grid, y) is cached
+        cached = potentials._rules(grid, y[None, :])[0]
+        assert potentials._rules(grid, y[None, :])[0] is cached
         base, n_r = potentials._rule_params(grid)
         fresh = polar_rule_for_target(spec, y, base=base, n_r=n_r)
         assert np.array_equal(cached.points, fresh.points)
@@ -221,7 +221,7 @@ def _einsum_log_potential(grid, values, targets):
     U = np.asarray(values, dtype=float).reshape(grid.n_t, grid.n_s)
     out = []
     for y in targets:
-        pts, w = potentials._rule(grid, y).nodes()
+        pts, w = potentials._rules(grid, y[None, :])[0].nodes()
         r2 = ((pts - y) ** 2).sum(1)
         kv = w * 0.5 * np.log(r2) / (2 * np.pi)
         A, S = grid.cardinal_matrices(pts)
@@ -446,7 +446,7 @@ class TestOrbits:
         assert len(orbits) < len(tg)
         base, n_r = potentials._rule_params(grid)
         for rep, members, shifts, flips in orbits:
-            p0, w0 = potentials._rule(grid, tg[rep]).nodes()
+            p0, w0 = potentials._rules(grid, tg[[rep]])[0].nodes()
             for i, k, f in zip(members, shifts, flips):
                 own, w = polar_rule_for_target(spec, tg[i], base=base,
                                                n_r=n_r).nodes()

@@ -268,8 +268,7 @@ class TestThirdGreenIdentity:
         r_in = third_green_residual(u, psi, f, phi0, curve, grid, A_ONE, "x",
                                     targets=[[0.1, 0.0], [0.0, 0.2]])
         assert np.abs(r_in).max() < 1e-10
-        r_bd = third_green_residual(u, psi, f, phi0, curve, grid, A_ONE, "x",
-                                    on_boundary=True)
+        r_bd = third_green_residual(u, psi, f, phi0, curve, grid, A_ONE, "x")
         assert np.abs(r_bd).max() < 1e-10
 
     def test_manufactured_exact_data(self, geo_fine):
@@ -313,7 +312,7 @@ class TestSystemIsTheIdentity:
         tol = 1e-13 * (np.abs(sys.rhs).max()
                        + np.abs(sys.matrix).max() * np.abs(z).max())
         args = (u, psi, f, phi0, curve, grid, A_EXP, family)
-        boundary = third_green_residual(*args, on_boundary=True)
+        boundary = third_green_residual(*args)         # no targets: trace
         interior = third_green_residual(*args, targets=grid.points)
         assert np.abs(boundary - defect[grid.n_nodes:]).max() <= tol
         assert np.abs(interior - defect[:grid.n_nodes]).max() <= tol

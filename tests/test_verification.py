@@ -164,7 +164,7 @@ class TestVolumeOracles:
             raise AssertionError("oracle entered the production path")
 
         monkeypatch.setattr(potentials, "_volume_pass", refuse)
-        monkeypatch.setattr(potentials, "_rule", refuse)
+        monkeypatch.setattr(potentials, "_rules", refuse)
         spec = DomainSpec("star", center=(0.0, 0.0),
                           cos_coeffs=(0.3, 0.0, 0.03))
         grid = build_domain_grid(spec, 16, 8)
