@@ -14,14 +14,15 @@ raise ``GeometryError`` at the call and an empty set gives an empty result.
 
 Polar rules are built per target set (``polar_rules``): one level check,
 then per block of consecutive targets one angle table and, on a star, one
-segment scan and one Newton loop over all of the block's rays
-(``_ray_segments``).  The volume pipeline and the verification oracles
-both build their rules this way; ``polar_rule_for_target`` is the
-one-target case.  ``rule_nodes`` expands the segment tables of several
-rules in one pass.
-``BLOCK_ENTRIES`` caps each block's largest temporary; every operation is
-elementwise per ray or per segment, so a rule does not depend on the
-block it was built in, bitwise.
+segment scan of all of the block's rays (``_scan``), whose crossings
+queue for one Newton loop per group of blocks (``_ray_segments``).  The
+volume pipeline and the verification oracles both build their rules this
+way; ``polar_rule_for_target`` is the one-target case.  ``rule_nodes``
+expands the segment tables of several rules in one pass.
+``BLOCK_ENTRIES`` caps each block's largest temporary and each group's
+queue; every operation is elementwise per ray, per crossing or per
+segment, so a rule does not depend on the block or group it was built
+in, bitwise.
 """
 
 from __future__ import annotations
@@ -296,8 +297,13 @@ class BoundaryCurve:
         return float(self.spec.boundary_speed(t).max())
 
     def distance_to(self, points) -> np.ndarray:
-        """Distance from points to the boundary (sampled minimum, refined)."""
+        """Distance from points to the boundary (sampled minimum, refined),
+        computed once per point set and kept, read-only, with the curve."""
         pts = as_points(points)
+        return cached(self, ("distance", pts.tobytes()),
+                      lambda: self._distance(pts))
+
+    def _distance(self, pts: np.ndarray) -> np.ndarray:
         if self.spec.kind == "disk":
             r = np.linalg.norm(pts - self.spec.center, axis=1)
             return np.abs(self.spec.radius - r)
@@ -386,25 +392,29 @@ def trig_cardinal_rows(theta, n: int) -> np.ndarray:
     (n even).  This uses its barycentric cotangent form: A is the
     row-normalized array of (-1)^j cot((theta_m - t_j)/2).  The
     cotangent difference is expanded through the addition formula so the
-    only transcendental work is one tangent per evaluation point.  A point
-    within ON_NODE_TOL of a node gets that node's unit row; only such
-    points can overflow or divide by zero below.
+    only transcendental work is one tangent per evaluation point, and the
+    sign rides in the numerator's cot(t_j/2) row: negation is exact, so
+    this equals the signed quotient bitwise.  A point within ON_NODE_TOL
+    of a node gets that node's unit row; only such points can overflow or
+    divide by zero below.
     """
     th = np.asarray(theta, dtype=float)
     k = np.rint(th * (n / (2 * np.pi)))
     on_node = np.abs(th - (2 * np.pi / n) * k) <= ON_NODE_TOL
     half = 0.5 * th
+    sign = 1.0 - 2.0 * (np.arange(n) % 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cu = 1.0 / np.tan(half)                      # cot(theta_m / 2)
         cv = 1.0 / np.tan(np.pi * np.arange(n) / n)  # cot(t_j / 2); j=0 -> inf
-        # cot(u - v) = (cu*cv + 1) / (cv - cu); the j = 0 column is cot(u)
-        num = cu[:, None] * cv[None, :] + 1.0
-        den = cv[None, :] - cu[:, None]
-        num[:, 0] = cu
+        # (-1)^j cot(u - v) = (-1)^j (cu*cv + 1) / (cv - cu); the j = 0
+        # column is cot(u)
+        A = np.multiply.outer(cu, sign * cv)
+        A += sign
+        A[:, 0] = cu
+        den = cv - cu[:, None]
         den[:, 0] = 1.0
-        c = num / den
-        c *= 1.0 - 2.0 * (np.arange(n) % 2)[None, :]
-        A = c / c.sum(axis=1, keepdims=True)
+        A /= den
+        A /= A.sum(axis=1, keepdims=True)
     A[on_node] = 0.0
     A[on_node, k[on_node].astype(int) % n] = 1.0
     return A
@@ -515,10 +525,11 @@ THETA_COUNT_COEFF = 14.0
 THETA_COUNT_CAP = 768
 #: Cap, in float64 entries, on the largest temporary of a block of polar
 #: rules: the segment scan's samples (rays times ladder radii) of a block
-#: of targets in ``polar_rules``, and the angular cardinals (nodes times
-#: n_t) of a block of rules in ``potentials``.  At 2^15 (256 KiB) the
-#: benchmark star's volume passes at 64/16x8 run as fast as at 2^16 with a
-#: sixth of the extra memory.
+#: of targets in ``polar_rules`` and the crossing queue of a group of such
+#: blocks, and the angular cardinals (nodes times n_t) of a block of rules
+#: in ``potentials``.  At 2^15 (256 KiB) the benchmark star's volume
+#: passes at 64/16x8 run as fast as at 2^16 with a sixth of the extra
+#: memory.
 BLOCK_ENTRIES = 2**15
 
 
@@ -543,14 +554,16 @@ def _unit_ladder() -> np.ndarray:
     return rr
 
 
-def block_bounds(widths, lengths):
+def block_bounds(widths, lengths, cap=None):
     """(start, stop) of consecutive blocks of items whose temporary, the
     sum of their widths times the largest of their lengths, stays within
-    ``BLOCK_ENTRIES`` float64 entries; an item over it is a block alone."""
+    ``cap`` float64 entries (``BLOCK_ENTRIES`` unless given); an item over
+    it is a block alone."""
+    cap = BLOCK_ENTRIES if cap is None else cap
     bounds, lo, width, length = [], 0, 0, 0
     for i, (w, n) in enumerate(zip(widths, lengths)):
         width, length = width + w, max(length, n)
-        if i > lo and width * length > BLOCK_ENTRIES:
+        if i > lo and width * length > cap:
             bounds.append((lo, i))
             lo, width, length = i, w, n
     if len(widths):
@@ -570,29 +583,26 @@ def _scan_lengths(spec: DomainSpec, p0: np.ndarray,
     return np.minimum(below + 1, len(ladder))
 
 
-def _ray_segments(spec: DomainSpec, p0: np.ndarray, dirs: np.ndarray,
-                  rmax: np.ndarray, n_samples: np.ndarray):
-    """Inside segments of rays c + p0 + r dirs, each with its own offset
-    p0 from the center c, radius scale rmax and ladder sample count
-    (``_scan_lengths``).
+def _scan(spec: DomainSpec, p0: np.ndarray, dirs: np.ndarray,
+          rmax: np.ndarray, n_samples: np.ndarray):
+    """Bracketed boundary crossings of rays c + p0 + r dirs, each with its
+    own offset p0 from the center c, radius scale rmax and ladder sample
+    count (``_scan_lengths``), for ``_ray_segments`` to refine.
 
-    Returns arrays (ray, start, end): segment k covers [start[k], end[k]]
-    along ray[k], with 0 <= start < end, sorted by ray and then by radius.
     A scan of the level function over ``_unit_ladder`` times rmax, up to
     the first radius past |p0| + sum |cos_coeffs| (no boundary point is
     farther from the origin), brackets every boundary crossing; segments
     shorter than the scan resolution near rmax can be missed, but the
     ladder is logarithmic near 0 where short entering segments matter.
-    Inside a bracket the crossing is a simple root of g(r) = |p| -
-    rho(theta(p)), p = p0 + r dir, found by safeguarded Newton iteration
-    from the scan's secant guess: every iterate shrinks the bracket, and a
-    step that leaves it is replaced by the bracket's midpoint.
-
     All rays are scanned together, up to the largest sample count: a
     ray's samples past its own count lie past its reach, outside, so they
-    add no crossing.  Every crossing then takes the same safeguarded
-    Newton steps, with its own ray's origin and tolerance, so each ray's
-    segments are those of its own scan bitwise.
+    add no crossing.
+
+    Returns (ray, entering, bracket): crossing k lies on ray[k], enters
+    the domain where entering[k], and ``bracket[k]`` holds its bracket
+    (lo, hi), the scan's secant guess, its ray's origin offset and
+    direction, and its tolerance 1e-15 rmax; crossings are sorted by ray
+    and then by radius.
     """
     k = int(n_samples.max(initial=1))
     rr = rmax[:, None] * _unit_ladder()[:k]
@@ -605,23 +615,44 @@ def _ray_segments(spec: DomainSpec, p0: np.ndarray, dirs: np.ndarray,
 
     flips = inside[:, :-1] != inside[:, 1:]
     di, ki = np.nonzero(flips)
-    lo, hi = rr[di, ki], rr[di, ki + 1]
     entering = ~inside[di, ki]          # outside -> inside across the flip
+    lo, hi = rr[di, ki], rr[di, ki + 1]
     l0, l1 = lev[di, ki], lev[di, ki + 1]
-    cross = lo + (hi - lo) * (1.0 - l0) / (l1 - l0)
-    d, (px, py), tol = dirs[di], p0[di].T, 1e-15 * rmax[di]
+    bracket = np.empty((len(di), 8))
+    bracket[:, 0], bracket[:, 1] = lo, hi
+    bracket[:, 2] = lo + (hi - lo) * (1.0 - l0) / (l1 - l0)
+    bracket[:, 3:5], bracket[:, 5:7] = p0[di], dirs[di]
+    bracket[:, 7] = 1e-15 * rmax[di]
+    return di, entering, bracket
+
+
+def _ray_segments(spec: DomainSpec, scans) -> list:
+    """Inside segments of the rays of each scan (``_scan``): per scan, the
+    arrays (ray, start, end), segment k covering [start[k], end[k]] along
+    ray[k], with 0 <= start < end, sorted by ray and then by radius.
+
+    Inside a bracket the crossing is a simple root of g(r) = |p| -
+    rho(theta(p)), p = p0 + r dir, found by safeguarded Newton iteration
+    from the scan's secant guess: every iterate shrinks the bracket, and a
+    step that leaves it is replaced by the bracket's midpoint.  The
+    crossings of all the scans run through one loop; each takes the same
+    steps, with its own ray's origin and tolerance, so each ray's segments
+    are those of its own scan bitwise.
+    """
+    entering = np.concatenate([e for _, e, _ in scans])
+    lo, hi, cross, px, py, dx, dy, tol = np.concatenate(
+        [b for _, _, b in scans]).T
     todo = np.arange(len(cross))
     for _ in range(60):                 # a backstop: a few steps suffice
         if not todo.size:
             break
-        r, dk = cross[todo], d[todo]
-        R, cos, sin = _polar(px[todo] + r * dk[:, 0], py[todo] + r * dk[:, 1])
+        r, ux, uy = cross[todo], dx[todo], dy[todo]
+        R, cos, sin = _polar(px[todo] + r * ux, py[todo] + r * uy)
         rho, drho = spec.profile(cos, sin)
         g = R - rho                     # < 0 where the level is < 1
         with np.errstate(divide="ignore", invalid="ignore"):
             # g' = e . d - rho'(theta) theta', theta' = (e x d) / R
-            dg = (cos * dk[:, 0] + sin * dk[:, 1]
-                  - drho * (cos * dk[:, 1] - sin * dk[:, 0]) / R)
+            dg = cos * ux + sin * uy - drho * (cos * uy - sin * ux) / R
             step = g / dg
         past = (g < 0.0) == entering[todo]
         lo[todo] = a = np.where(past, lo[todo], r)
@@ -636,9 +667,15 @@ def _ray_segments(spec: DomainSpec, p0: np.ndarray, dirs: np.ndarray,
     # crossings alternate along a ray, and every ray ends outside, so each
     # exit closes the segment opened by the previous crossing on its ray,
     # or by the ray's origin itself when the ray starts inside
-    exits = np.nonzero(~entering)[0]
-    opened = (exits > 0) & (di[exits - 1] == di[exits])
-    return di[exits], np.where(opened, cross[exits - 1], 0.0), cross[exits]
+    segments, at = [], 0
+    for di, entering, _ in scans:
+        x = cross[at:at + len(di)]
+        at += len(di)
+        exits = np.flatnonzero(~entering)
+        opened = (exits > 0) & (di[exits - 1] == di[exits])
+        segments.append((di[exits], np.where(opened, x[exits - 1], 0.0),
+                         x[exits]))
+    return segments
 
 
 def _disk_extents(spec: DomainSpec, y: np.ndarray,
@@ -773,10 +810,14 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
 
     The set is built together: one level check, then per block of
     consecutive targets (``block_bounds``) one table of their angles and,
-    on a star, one segment scan (``_ray_segments``).  A block's scan
-    samples, its rays times its longest ladder, fit in ``BLOCK_ENTRIES``;
-    on a disk its rays do.  Every array operation is elementwise per ray,
-    so each rule equals the one its target gets alone, bitwise.
+    on a star, one segment scan (``_scan``).  A block's scan samples, its
+    rays times its longest ladder, fit in ``BLOCK_ENTRIES``; on a disk its
+    rays do.  The scans' bracketed crossings queue, and one Newton loop
+    (``_ray_segments``) refines each group of consecutive blocks whose
+    queue, eight entries a crossing, fits in ``BLOCK_ENTRIES``: one loop
+    per target set at the benchmark's sizes.  Every array operation is
+    elementwise per ray or per crossing, so each rule equals the one its
+    target gets alone, bitwise.
     """
     y = as_points(targets)
     lev = spec.level(y)
@@ -801,7 +842,7 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
     else:
         lengths = np.ones(len(y), dtype=int)
 
-    rules = []
+    rules, pending = [], []     # pending: scanned star blocks
     for lo, hi in block_bounds(n.tolist(), lengths.tolist()):
         # the block's angle table: each target's rays after the previous
         # target's, target lo + j on rays edges[j]:edges[j + 1]
@@ -824,34 +865,61 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
             wtheta[~ray_in] = np.tile(wt, len(th))
         dirs = np.empty((len(theta), 2))
         dirs[:, 0], dirs[:, 1] = np.cos(theta), np.sin(theta)
+        table = (range(lo, hi), edges, theta, wtheta, dirs)
 
-        if star:
-            ray, a, b = _ray_segments(spec, d[owner], dirs, rmax[owner],
-                                      lengths[owner])
-            rm = rmax[owner[ray]]
-            a = np.where(a <= 1e-11 * rm, 0.0, a)   # starts at the target
-            # segments ending this close to the target are rounding noise
-            # of the level function on a boundary target's window-edge rays
-            keep = b > 1e-7 * rm
-            ray, a, b = ray[keep], a[keep], b[keep]
-            cuts = np.searchsorted(ray, edges)
-            segments = [(ray[s:e] - first, a[s:e], b[s:e]) for first, s, e
-                        in zip(edges, cuts[:-1], cuts[1:])]
-        else:
+        if not star:
             segments = []
             for i, first, last in zip(range(lo, hi), edges, edges[1:]):
                 L = _disk_extents(spec, y[i], dirs[first:last])
                 ray = np.flatnonzero(L > 0.0)
                 segments.append((ray, np.zeros(len(ray)), L[ray]))
-        for i, first, last, (ray, a, b) in zip(range(lo, hi), edges,
-                                               edges[1:], segments):
-            if not len(ray):
-                raise GeometryError(
-                    "polar rule is empty: no ray enters the domain")
-            rules.append(PolarRule(
-                target=y[i], theta=theta[first:last],
-                wtheta=wtheta[first:last], dirs=dirs[first:last],
-                seg_ray=ray, seg_ends=np.stack([a, b], axis=1), n_r=n_r))
+            rules += _block_rules(y, table, segments, n_r)
+            continue
+        scan = _scan(spec, d[owner], dirs, rmax[owner], lengths[owner])
+        queued = sum(bracket.size for _, (_, _, bracket), _ in pending)
+        if pending and queued + scan[2].size > BLOCK_ENTRIES:
+            rules += _star_rules(spec, y, pending, rmax, n_r)
+            pending = []
+        pending.append((table, scan, owner))
+    if pending:
+        rules += _star_rules(spec, y, pending, rmax, n_r)
+    return rules
+
+
+def _star_rules(spec: DomainSpec, y, blocks, rmax, n_r: int) -> list:
+    """Rules of scanned star blocks (angle table, ``_scan``, ray owners),
+    their crossings refined in one ``_ray_segments`` loop."""
+    rules = []
+    segs = _ray_segments(spec, [scan for _, scan, _ in blocks])
+    for (table, _, owner), (ray, a, b) in zip(blocks, segs):
+        rm = rmax[owner[ray]]
+        a = np.where(a <= 1e-11 * rm, 0.0, a)   # starts at the target
+        # segments ending this close to the target are rounding noise of
+        # the level function on a boundary target's window-edge rays
+        keep = b > 1e-7 * rm
+        ray, a, b = ray[keep], a[keep], b[keep]
+        edges = table[1]
+        cuts = np.searchsorted(ray, edges)
+        rules += _block_rules(y, table, [
+            (ray[s:e] - first, a[s:e], b[s:e])
+            for first, s, e in zip(edges, cuts[:-1], cuts[1:])], n_r)
+    return rules
+
+
+def _block_rules(y, table, segments, n_r: int) -> list:
+    """The rules of one block's targets from its angle table (targets,
+    ray edges, theta, wtheta, dirs) and their segment tables."""
+    targets, edges, theta, wtheta, dirs = table
+    rules = []
+    for i, first, last, (ray, a, b) in zip(targets, edges, edges[1:],
+                                           segments):
+        if not len(ray):
+            raise GeometryError(
+                "polar rule is empty: no ray enters the domain")
+        rules.append(PolarRule(
+            target=y[i], theta=theta[first:last],
+            wtheta=wtheta[first:last], dirs=dirs[first:last],
+            seg_ray=ray, seg_ends=np.stack([a, b], axis=1), n_r=n_r))
     return rules
 
 

@@ -18,10 +18,13 @@ the mirror.  On the benchmark star (0.3, 0, 0.03) at 64/16x8 that is 40
 rules for the 128 grid targets and 17 for the 64 curve targets (64 and
 32 with the rotations alone).  A target set's missing representative
 rules are built in one ``geometry.polar_rules`` call, and their nodes and
-cardinals per block of representatives (``geometry.BLOCK_ENTRIES``).  The
-Laplace blocks, the polar rules and the log-kernel rows depend only on the
-geometry, so ``geometry.cached`` keeps each with its curve or grid, built
-once and read-only: log rows as one block per target set.
+cardinals per block of representatives (``geometry.BLOCK_ENTRIES``).  A
+block's orbit members then form one member table, evaluated and
+contracted in chunks whose node pairs times n_s fit in the block's own
+(A, S) entry count (``_volume_pass``).  The Laplace blocks, the polar
+rules and the log-kernel rows depend only on the geometry, so
+``geometry.cached`` keeps each with its curve or grid, built once and
+read-only: log rows as one block per target set.
 The independent oracles for the volume operators live only in
 ``verification``; nothing here serves them.
 """
@@ -296,13 +299,15 @@ def _orbits(grid: DomainGrid, tg: np.ndarray):
         yield rep[members[0]], members, rel[members], flip[members]
 
 
-def _reindex(grid: DomainGrid, rows, shifts, flips):
-    """Rows (k, n_nodes) re-indexed along the angular axis: column j of
-    row i reads column j - shifts[i], or shifts[i] - j where flips[i]."""
+def _reindex(grid: DomainGrid, rows, shifts, flips, src=None):
+    """Rows (k, n_nodes) re-indexed along the angular axis: row i of the
+    result is row src[i] (row i without ``src``) with column j reading
+    column j - shifts[i], or shifts[i] - j where flips[i]."""
     rows = rows.reshape(len(rows), grid.n_t, grid.n_s)
     j, k = np.arange(grid.n_t)[None, :], np.asarray(shifts)[:, None]
     j = np.where(np.asarray(flips)[:, None], k - j, j - k) % grid.n_t
-    return rows[np.arange(len(rows))[:, None], j].reshape(len(rows), -1)
+    src = np.arange(len(j)) if src is None else src
+    return rows[src[:, None], j].reshape(len(j), -1)
 
 
 def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None, logs=True):
@@ -317,18 +322,23 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None, logs=True):
     their cardinals evaluated per block of consecutive representatives
     whose A, nodes times n_t, fits in ``geometry.BLOCK_ENTRIES``
     (``block_bounds``), one block at a time.  Returns the log-kernel rows
-    of the targets if ``logs`` (else None): the representative's
-    contraction re-indexed for each member, since the log kernel is
-    invariant under both.  Given ``kernel(y, d)`` (targets (k, 2), node
-    offsets (k, m, 2)), it also returns the matrix of the kernel's rows at
-    the targets (else None): the kernel is evaluated at each member's own
-    target and mapped nodes, and members are contracted against the
-    representative's (A, S) in chunks whose GEMM temporary is no larger
-    than (A, S).
+    of the targets if ``logs`` (else None): per block, the
+    representatives' contractions, re-indexed for every member at once,
+    since the log kernel is invariant under both maps.
+
+    Given ``kernel(y, d, owner)`` (targets (k, 2), node offsets (P, 2) of
+    target ``owner``), it also returns the matrix of the kernel's rows at
+    the targets (else None).  A block's orbit members form one member
+    table, taken in chunks whose node pairs times n_s (the GEMM
+    temporaries) fit in the block's own (A, S) entry count.  Per chunk,
+    each pair's offset is mirrored and rotated with its member's cos and
+    sin, the kernel is evaluated once at every member's own target and
+    mapped nodes, each representative's members are contracted against
+    its (A, S) in one GEMM, and the chunk's rows are re-indexed at once.
+    Every step is elementwise per pair, so no row depends on its chunk.
     """
     logs = np.empty((len(tg), grid.n_nodes)) if logs else None
     rows = None if kernel is None else np.empty((len(tg), grid.n_nodes))
-    chunk = max(1, (grid.n_t + grid.n_s) // grid.n_s)
     orbits = list(_orbits(grid, tg))
     reps = tg[[rep for rep, *_ in orbits]]
     rules = _rules(grid, reps)
@@ -337,42 +347,69 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None, logs=True):
         pts_b, w_b, counts = rule_nodes(rules[lo:hi])
         A_b, S_b = grid.cardinal_matrices(pts_b)
         d_b = pts_b - np.repeat(reps[lo:hi], counts, axis=0)   # node offsets
+        at = [slice(a - c, a) for a, c in zip(np.cumsum(counts), counts)]
+        # the member table: target, rotation and mirror of each member,
+        # the members of each representative consecutive
+        members, shifts, flips = (np.concatenate(col) for col in
+                                  list(zip(*orbits[lo:hi]))[1:])
+        n_members = [len(m) for _, m, _, _ in orbits[lo:hi]]
+        rep = np.repeat(np.arange(hi - lo), n_members)
         if logs is not None:
             g_b = laplace.layer_kernel_values("s", d_b[:, 0], d_b[:, 1])
-        for (_, members, shifts, flips), stop, count in zip(
-                orbits[lo:hi], np.cumsum(counts), counts):
-            at = slice(stop - count, stop)
-            d0, w, A, S = d_b[at], w_b[at], A_b[at], S_b[at]
-            if logs is not None:
-                row0 = grid.interpolation_row(-w * g_b[at], A, S)
-                logs[members] = _reindex(grid, np.broadcast_to(
-                    row0, (len(members), len(row0))), shifts, flips)
-            if kernel is None:
-                continue
-            d = np.stack([d0, d0 * _MIRROR])
-            for b in range(0, len(members), chunk):
-                idx, k, f = (members[b:b + chunk], shifts[b:b + chunk],
-                             flips[b:b + chunk])
-                kv = w * kernel(tg[idx], _rotate(d[f.astype(int)],
-                                                 k[:, None], grid.n_t))
-                rows[idx] = _reindex(grid, grid.interpolation_row(kv, A, S),
-                                     k, f)
+            row0 = np.stack([grid.interpolation_row(-w_b[r] * g_b[r],
+                                                    A_b[r], S_b[r])
+                             for r in at])
+            logs[members] = _reindex(grid, row0, shifts, flips, rep)
+        if kernel is None:
+            continue
+        pairs = counts[rep]                  # node pairs of each member
+        # each member's rotation, with its mirror's sign folded into the
+        # terms it multiplies (exact: a sign flip rounds nothing)
+        ang = (2 * np.pi / grid.n_t) * shifts[:, None]
+        sign = np.where(flips, -1.0, 1.0)[:, None]
+        c, s = np.cos(ang), np.sin(ang)
+        cf, sf = c * sign, s * sign
+        cap = len(pts_b) * (grid.n_t + grid.n_s)
+        bounds = np.cumsum([0] + n_members).tolist()
+        for b, e in block_bounds(pairs, [grid.n_s] * len(pairs), cap):
+            # the chunk's members i:j (in the table) of representative r
+            runs = [(r, max(b, bounds[r]), min(e, bounds[r + 1]))
+                    for r in range(rep[b], rep[e - 1] + 1)]
+            edges = np.cumsum([0] + [(j - i) * counts[r]
+                                     for r, i, j in runs]).tolist()
+            d = np.empty((edges[-1], 2))
+            for (r, i, j), p, q in zip(runs, edges, edges[1:]):
+                x, y = d_b[at[r]].T
+                v = d[p:q].reshape(j - i, -1, 2)
+                v[..., 0] = c[i:j] * x - sf[i:j] * y
+                v[..., 1] = s[i:j] * x + cf[i:j] * y
+            ker = kernel(tg[members[b:e]], d,
+                         np.repeat(np.arange(e - b), pairs[b:e]))
+            out = np.empty((e - b, grid.n_nodes))
+            # one GEMM per representative
+            for (r, i, j), p, q in zip(runs, edges, edges[1:]):
+                out[i - b:j - b] = grid.interpolation_row(
+                    w_b[at[r]] * ker[p:q].reshape(j - i, -1), A_b[at[r]],
+                    S_b[at[r]])
+            rows[members[b:e]] = _reindex(grid, out, shifts[b:e],
+                                          flips[b:e])
     return logs, rows
 
 
-def _remainder_kernel(y, d, coeff: Coefficient, family: str):
-    """Remainder kernel at nodes y[i] + d[i] (d of shape (k, m, 2)), from
-    the Laplace kernel table ("s" = -G, "gs" = -grad_y G)."""
-    pts = (y[:, None, :] + d).reshape(-1, 2)
-    dx, dy = d[..., 0], d[..., 1]
+def _remainder_kernel(y, d, owner, coeff: Coefficient, family: str):
+    """Remainder kernel at nodes y[owner] + d (offsets d of shape (P, 2),
+    ``owner`` the index of each offset's target in y), from the Laplace
+    kernel table ("s" = -G, "gs" = -grad_y G)."""
+    pts = y.take(owner, axis=0) + d     # take: 2-d fancy indexing is slow
+    dx, dy = d[:, 0], d[:, 1]
     if family == "x":
         gx, gy, s = laplace.layer_kernel_values("gs+s", dx, dy)
-        gl = coeff.grad_ln_a(pts).reshape(d.shape)
-        return (coeff.laplacian_ln_a(pts).reshape(s.shape) * s
-                - (gl[..., 0] * gx + gl[..., 1] * gy))
+        gl = coeff.grad_ln_a(pts)
+        return (coeff.laplacian_ln_a(pts) * s
+                - (gl[:, 0] * gx + gl[:, 1] * gy))
     gx, gy = laplace.layer_kernel_values("gs", dx, dy)
-    ga = coeff.grad_a(pts).reshape(d.shape)
-    return (ga[..., 0] * gx + ga[..., 1] * gy) / coeff.a(y)[:, None]
+    ga = coeff.grad_a(pts)
+    return (ga[:, 0] * gx + ga[:, 1] * gy) / coeff.a(y).take(owner)
 
 
 def volume_potential(grid: DomainGrid, coeff: Coefficient, family: str,
@@ -411,8 +448,9 @@ def remainder_rows(grid: DomainGrid, coeff: Coefficient, family: str,
     if coeff.constant:
         return np.zeros((len(tg), grid.n_nodes))
     key = ("log", tg.tobytes())
-    logs, rows = _volume_pass(grid, tg, lambda y, d: _remainder_kernel(
-        y, d, coeff, family), logs=key not in grid._cache)
+    logs, rows = _volume_pass(
+        grid, tg, lambda y, d, owner: _remainder_kernel(
+            y, d, owner, coeff, family), logs=key not in grid._cache)
     if logs is not None:
         cached(grid, key, lambda: logs)
     return rows

@@ -115,6 +115,26 @@ class TestBoundaryCurve:
         d = curve.distance_to([[0.3, 0.0], [0.0, 0.0], [0.5, 0.0]])
         np.testing.assert_allclose(d, [0.1, 0.4, 0.1], atol=1e-12)
 
+    @pytest.mark.parametrize("spec", [DISK, STAR], ids=["disk", "star"])
+    def test_distance_is_computed_once_per_point_set(self, spec,
+                                                     monkeypatch):
+        curve = build_curve(spec, 32)
+        calls = []
+        compute = geometry.BoundaryCurve._distance
+
+        def counted(self, pts):
+            calls.append(len(pts))
+            return compute(self, pts)
+
+        monkeypatch.setattr(geometry.BoundaryCurve, "_distance", counted)
+        pts = np.array([[0.1, 0.0], [0.0, -0.05], [0.02, 0.03]])
+        d = curve.distance_to(pts)
+        assert curve.distance_to(pts.copy()) is d
+        with pytest.raises(ValueError):
+            d[0] = 1.0
+        np.testing.assert_array_equal(curve.distance_to(pts[:2]), d[:2])
+        assert calls == [3, 2]
+
     def test_star_distance_memory_is_bounded(self):
         # one (targets x samples x 2) temporary would be ~72 MB here
         spec = DomainSpec("star", center=(0.0, 0.0),
@@ -261,8 +281,8 @@ class TestPolarRule:
             # the scan on 64 fixed rays: every exit within 1e-14
             p0 = np.broadcast_to(np.asarray(off, dtype=float), (64, 2))
             rmax = np.full(64, 2.1 * star.max_rho() + np.linalg.norm(off))
-            ray, a, b = geometry._ray_segments(
-                star, p0, dirs, rmax, geometry._scan_lengths(star, p0, rmax))
+            (ray, a, b), = geometry._ray_segments(star, [geometry._scan(
+                star, p0, dirs, rmax, geometry._scan_lengths(star, p0, rmax))])
             np.testing.assert_array_equal(ray, np.arange(64))
             np.testing.assert_array_equal(a, 0.0)
             np.testing.assert_allclose(
@@ -432,13 +452,13 @@ class TestPolarRules:
         scans = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "BLOCK_ENTRIES", cap)
-            scan = geometry._ray_segments
+            scan = geometry._scan
 
             def counted(spec, p0, *args):
                 scans.append(len(np.unique(p0, axis=0)))
                 return scan(spec, p0, *args)
 
-            mp.setattr(geometry, "_ray_segments", counted)
+            mp.setattr(geometry, "_scan", counted)
             rules = polar_rules(spec, targets, 24, 6)
         if spec.kind == "star":
             assert 1 < len(scans) < len(targets) and max(scans) > 1
@@ -544,6 +564,28 @@ class TestQueries:
         assert spec.diameter() == spec.diameter()
 
 
+def _signed_quotient_rows(theta, n):
+    """``trig_cardinal_rows`` as it was written before the sign moved into
+    the numerator: the quotient of the cotangent addition formula, then
+    the sign, then the row normalization."""
+    th = np.asarray(theta, dtype=float)
+    k = np.rint(th * (n / (2 * np.pi)))
+    on_node = np.abs(th - (2 * np.pi / n) * k) <= geometry.ON_NODE_TOL
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cu = 1.0 / np.tan(0.5 * th)
+        cv = 1.0 / np.tan(np.pi * np.arange(n) / n)
+        num = cu[:, None] * cv[None, :] + 1.0
+        den = cv[None, :] - cu[:, None]
+        num[:, 0] = cu
+        den[:, 0] = 1.0
+        c = num / den
+        c *= 1.0 - 2.0 * (np.arange(n) % 2)[None, :]
+        A = c / c.sum(axis=1, keepdims=True)
+    A[on_node] = 0.0
+    A[on_node, k[on_node].astype(int) % n] = 1.0
+    return A
+
+
 class TestCardinals:
     def test_trig_cardinal_rows_reproduce_band_limited(self):
         n = 16
@@ -586,6 +628,18 @@ class TestCardinals:
         ref[d == 0] = 1.0
         np.testing.assert_allclose(A.sum(1), 1.0, rtol=0, atol=1e-13)
         assert np.abs(A - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_trig_cardinal_rows_equal_the_signed_quotient(self, n):
+        # the sign folded into the numerator gives the former formula's
+        # rows bitwise, on node angles and next to them too
+        t = 2 * np.pi * np.arange(n) / n
+        rng = np.random.default_rng(n)
+        theta = np.concatenate([
+            rng.uniform(-np.pi, 3 * np.pi, 300), t, t + 4e-16, t - 1e-14,
+            t + 1e-9, [0.0, 2 * np.pi - 1e-16, 1e-310]])
+        np.testing.assert_array_equal(trig_cardinal_rows(theta, n),
+                                      _signed_quotient_rows(theta, n))
 
     def test_gauss01_integrates_polynomials(self):
         x, w = gauss_01(6)

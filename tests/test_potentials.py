@@ -1,8 +1,10 @@
 """Parametrix-level operators: relation algebra, volume rules, remainders."""
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -264,8 +266,8 @@ class TestVolumeRows:
             monkeypatch.setattr(geometry, "BLOCK_ENTRIES", cap)
             grid = build_domain_grid(spec, 16, 8)
             passes[cap] = potentials._volume_pass(
-                grid, tg, lambda y, d: potentials._remainder_kernel(
-                    y, d, A_QUAD, "x"))
+                grid, tg, lambda y, d, owner: potentials._remainder_kernel(
+                    y, d, owner, A_QUAD, "x"))
             calls.append(None)
         n_orbits = len(list(potentials._orbits(grid, tg)))
         assert calls.index(None) == n_orbits and len(calls) == n_orbits + 3
@@ -314,8 +316,9 @@ def _anchored_reference(grid, coeff, targets):
                                        n_r=n_r).nodes()
         A, S = grid.cardinal_matrices(pts)
         for family in FAMILIES:
-            ker = potentials._remainder_kernel(y[None], (pts - y)[None],
-                                               coeff, family)[0]
+            ker = potentials._remainder_kernel(
+                y[None], pts - y, np.zeros(len(pts), dtype=int), coeff,
+                family)
             rows[family].append(grid.interpolation_row(w * ker, A, S))
         g = laplace.layer_kernel_values("s", *(pts - y).T)
         logs.append(grid.interpolation_row(-w * g, A, S))
@@ -388,6 +391,55 @@ def orbit_cases(draw):
     flips = draw(st.lists(st.booleans(), min_size=len(th),
                           max_size=len(th)))
     return spec, n_t, v, ks, flips
+
+
+CHUNK_SPECS = {"disk": ORBIT_SPECS["disk"],
+               "star": ORBIT_SPECS["star-2fold"],
+               "nonconvex": ORBIT_SPECS["star-nonconvex"]}
+
+
+@functools.lru_cache(maxsize=None)
+def _chunked_pass(name, family, cap):
+    """Log and remainder rows of an 8x12 grid's nodes and 16 curve nodes,
+    built with ``BLOCK_ENTRIES`` = cap, the number of remainder GEMMs
+    (2-d ``interpolation_row`` calls) and of orbits.  On 8x12, n_s > n_t
+    makes a rule's members straddle its member chunks at small caps."""
+    spec = CHUNK_SPECS[name]
+    grid = build_domain_grid(spec, 8, 12)
+    tg = np.concatenate([grid.points, build_curve(spec, 16).points])
+    gemms = []
+    contract = geometry.DomainGrid.interpolation_row
+
+    def counted(grid, kv, A, S):
+        gemms.append(np.ndim(kv) == 2)
+        return contract(grid, kv, A, S)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "BLOCK_ENTRIES", cap)
+        mp.setattr(geometry.DomainGrid, "interpolation_row", counted)
+        logs, rows = potentials._volume_pass(
+            grid, tg, lambda y, d, owner: potentials._remainder_kernel(
+                y, d, owner, A_QUAD, family))
+    return logs, rows, sum(gemms), len(list(potentials._orbits(grid, tg)))
+
+
+class TestMemberChunks:
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(sorted(CHUNK_SPECS)),
+           family=st.sampled_from(FAMILIES), log2=st.integers(10, 17))
+    @example(name="disk", family="x", log2=10)
+    @example(name="star", family="y", log2=10)
+    @example(name="nonconvex", family="x", log2=10)
+    def test_rows_do_not_depend_on_the_member_chunks(self, name, family,
+                                                     log2):
+        logs, rows, gemms, n_orbits = _chunked_pass(name, family, 2**log2)
+        ref_logs, ref_rows, _, _ = _chunked_pass(name, family,
+                                                 geometry.BLOCK_ENTRIES)
+        np.testing.assert_array_equal(logs, ref_logs)
+        np.testing.assert_array_equal(rows, ref_rows)
+        if log2 == 10:
+            # more GEMMs than orbits: some orbit straddles a chunk edge
+            assert gemms > n_orbits
 
 
 class TestOrbits:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_verification import convex_domains
 
-from bdies2d import potentials, solver
+from bdies2d import geometry, potentials, solver
 from bdies2d.coefficient import make_preset
 from bdies2d.geometry import DomainSpec, GeometryError, build_curve, build_domain_grid
 from bdies2d.potentials import BoundaryDensity, DomainField, delta_near
@@ -192,6 +192,17 @@ class TestSharedGeometry:
 class TestEvaluator:
     def test_unit_case_interior_value(self, unit_sol):
         assert abs(unit_sol.evaluate([[0.1, 0.05]])[0] - 1.0) < 1e-6
+
+    def test_fresh_point_set_measures_its_distance_once(self, unit_sol,
+                                                        monkeypatch):
+        # the near check, then the "s" and "d" near rows
+        calls = []
+        compute = geometry.BoundaryCurve._distance
+        monkeypatch.setattr(geometry.BoundaryCurve, "_distance",
+                            lambda curve, pts: calls.append(len(pts))
+                            or compute(curve, pts))
+        unit_sol.evaluate([[0.1, 0.05], [-0.12, 0.07], [0.0, -0.2]])
+        assert calls == [3]
 
     def test_reproduces_nodal_values(self, unit_sol):
         grid = unit_sol.system.grid

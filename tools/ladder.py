@@ -5,14 +5,20 @@ family, each in a fresh subprocess with one BLAS thread, and records:
 assembly and solve seconds, peak RSS, ``err_u_max``, ``err_psi_max``, the
 trace defect, the number of polar rules the volume pipeline built and
 their node total, plus the seconds taken to import bdies2d (numpy already
-loaded) and the ``scipy.*`` subpackages loaded by the end of the run.  The
-result goes into one named section of a JSON file, next to the machine it
-ran on and the source tree's ``src_code_lines`` (``code_lines``); other
-sections of the file are kept, so two source trees can be recorded side
-by side::
+loaded) and the ``scipy.*`` subpackages loaded by the end of the run.
 
-    python tools/ladder.py --out BENCH.json --section change
-    python tools/ladder.py --out BENCH.json --section parent --src OTHER/src
+One call can record several source trees, each into its own named
+section of a JSON file, next to the machine it ran on and the tree's
+``src_code_lines`` (``code_lines``); other sections of the file are kept.
+The trees run interleaved: config by config and family by family, each
+repeat runs every tree once, in the given order on even repeats and
+reversed on odd ones, so host drift during the call reaches every tree
+alike.  A row holds the median of each timing column over the repeats
+and their samples under ``samples``; the other columns are those of the
+first repeat, and the call fails if a later repeat disagrees::
+
+    python tools/ladder.py --out BENCH.json --tree change=src \
+        --tree parent=OTHER/src --repeats 3
 
 It is a record, not a gate.
 """
@@ -24,6 +30,7 @@ import ast
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +48,9 @@ CONFIGS = [("disk", DISK, (64, 16, 8)), ("disk", DISK, (128, 32, 12)),
            ("disk", DISK, (512, 32, 12)), ("disk", DISK, (1024, 32, 12)),
            ("disk", DISK, (2048, 32, 12))]
 FAMILIES = ("x", "y")
+#: Columns that vary from run to run; a row holds their medians.
+VARYING = ("build_s", "assemble_s", "solve_s", "peak_rss_mb",
+           "import_bdies2d_s")
 
 
 def run_one(domain: dict, resolution, family: str) -> dict:
@@ -128,14 +138,42 @@ def machine() -> dict:
             "blas_threads": 1}
 
 
+def run_job(src: Path, job: dict) -> dict:
+    """One config and family from source tree ``src``, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, __file__, "--one", json.dumps(job)],
+                         env=env, capture_output=True, text=True)
+    if out.returncode:
+        raise RuntimeError(f"{src}: {job}\n{out.stderr}")
+    return json.loads(out.stdout)
+
+
+def merge(samples: list) -> dict:
+    """One row from the repeats of a config, family and tree: the medians
+    of the ``VARYING`` columns, their samples, and the first repeat's
+    other columns."""
+    first = samples[0]
+    for other in samples[1:]:
+        moved = [k for k in first if k not in VARYING and other[k] != first[k]]
+        if moved:
+            raise RuntimeError(f"repeats disagree on {moved}")
+    row = {k: statistics.median(r[k] for r in samples) if k in VARYING
+           else v for k, v in first.items()}
+    row["samples"] = {k: [r[k] for r in samples] for k in VARYING}
+    return row
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", type=Path, required=True,
-                    help="JSON file to write the section into")
-    ap.add_argument("--section", required=True,
-                    help="section name, such as 'parent' or 'change'")
-    ap.add_argument("--src", type=Path, default=SRC,
-                    help="source tree holding the bdies2d package")
+    ap.add_argument("--out", type=Path,
+                    help="JSON file to write the sections into")
+    ap.add_argument("--tree", action="append", metavar="SECTION=SRC",
+                    help="a section name and the source tree holding its "
+                         "bdies2d package (repeatable; default change=src)")
+    ap.add_argument("--repeats", type=int, default=1,
+                    help="runs of every config, family and tree")
     ap.add_argument("--one", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
@@ -144,31 +182,41 @@ def main(argv=None) -> int:
         print(json.dumps(run_one(job["domain"], job["resolution"],
                                  job["family"])))
         return 0
+    if args.out is None:
+        ap.error("--out is required")
+    trees = {}
+    for spec in args.tree or [f"change={SRC}"]:
+        name, sep, src = spec.partition("=")
+        if not (name and sep and src):
+            ap.error(f"--tree wants SECTION=SRC, got {spec!r}")
+        trees[name] = Path(src)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
 
-    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    runs = []
-    for name, domain, res in CONFIGS:
-        for family in FAMILIES:
-            job = {"domain": domain, "resolution": res, "family": family}
-            out = subprocess.run(
-                [sys.executable, __file__, "--out", str(args.out),
-                 "--section", args.section, "--one", json.dumps(job)],
-                env=env, capture_output=True, text=True)
-            if out.returncode:
-                sys.stderr.write(out.stderr)
-                return 1
-            row = {"config": name, "resolution": "%d/%dx%d" % res,
-                   "family": family, **json.loads(out.stdout)}
-            print(json.dumps(row), flush=True)
-            runs.append(row)
+    runs = {name: [] for name in trees}
+    try:
+        for config, domain, res in CONFIGS:
+            for family in FAMILIES:
+                job = {"domain": domain, "resolution": res, "family": family}
+                samples = {name: [] for name in trees}
+                for rep in range(args.repeats):
+                    for name in list(trees)[::1 if rep % 2 == 0 else -1]:
+                        samples[name].append(run_job(trees[name], job))
+                for name in trees:
+                    row = {"config": config, "resolution": "%d/%dx%d" % res,
+                           "family": family, **merge(samples[name])}
+                    print(json.dumps({"section": name, **row}), flush=True)
+                    runs[name].append(row)
+    except RuntimeError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 1
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("case", "exp_saddle")
-    doc.setdefault("sections", {})[args.section] = {
-        "machine": machine(), "src_code_lines": code_lines(args.src),
-        "runs": runs}
+    for name, src in trees.items():
+        doc.setdefault("sections", {})[name] = {
+            "machine": machine(), "src_code_lines": code_lines(src),
+            "repeats": args.repeats, "runs": runs[name]}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
