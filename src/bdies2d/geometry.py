@@ -472,10 +472,20 @@ class DomainGrid:
         return S
 
     def interpolate(self, values, points) -> np.ndarray:
-        """Evaluate the grid interpolant of nodal values at points."""
+        """Evaluate the grid interpolant of nodal values at points.
+
+        Values of shape (n_nodes, k) give k columns from one cardinal
+        evaluation and one GEMM; a column can differ from the same vector
+        interpolated alone in the last bits, since the GEMM's rounding
+        depends on its width."""
         A, S = self.cardinal_matrices(points)
-        U = np.asarray(values, dtype=float).reshape(self.n_t, self.n_s)
-        return ((A @ U) * S).sum(1)
+        v = np.asarray(values, dtype=float)
+        U = v.reshape(self.n_t, self.n_s, -1)
+        n_s, k = self.n_s, U.shape[2]
+        M = A @ U.transpose(0, 2, 1).reshape(self.n_t, k * n_s)
+        out = np.stack([(M[:, c * n_s:(c + 1) * n_s] * S).sum(1)
+                        for c in range(k)], axis=-1)
+        return out.reshape((len(S),) + v.shape[1:])
 
     def interpolation_row(self, weighted_values, A, S) -> np.ndarray:
         """Contract quadrature data against cardinal matrices.

@@ -16,6 +16,7 @@ curve nodes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -30,6 +31,98 @@ from .potentials import BoundaryDensity, DomainField
 
 class DiameterError(GeometryError):
     """Domain diameter precondition for unique solvability violated."""
+
+
+class LanczosBreakdown(RuntimeError):
+    """Golub-Kahan-Lanczos bidiagonalisation stopped before its leading
+    singular values settled."""
+
+
+#: Seed of the fixed start vector of ``top_singular_values``.
+LANCZOS_SEED = 0
+#: Its stop: the leading values move by at most this times the largest
+#: between two checks of the Ritz values, which are LANCZOS_CHECK steps
+#: apart (the SVD of a j x j bidiagonal per check costs O(j^3)).
+LANCZOS_TOL = 1e-13
+LANCZOS_CHECK = 4
+#: Order below which ``_triangular_inverse`` calls ``np.linalg.inv``.
+TRIANGULAR_LEAF = 64
+
+
+def _orthonormalise(x: np.ndarray, Q: np.ndarray):
+    """(norm, x / norm) for x with the span of Q's orthonormal rows
+    projected out by classical Gram-Schmidt, a second time when the first
+    pass cancelled more than 1 - 1/sqrt(2) of x's norm (Daniel, Gragg,
+    Kaufman & Stewart, 1976: twice is enough)."""
+    before = np.linalg.norm(x)
+    x = x - Q.T @ (Q @ x)
+    norm = float(np.linalg.norm(x))
+    if norm < math.sqrt(0.5) * before:
+        x = x - Q.T @ (Q @ x)
+        norm = float(np.linalg.norm(x))
+    if not norm > 0.0:
+        raise LanczosBreakdown(
+            f"Golub-Kahan-Lanczos broke down after {len(Q)} vectors: its "
+            "Krylov space is invariant before the leading singular values "
+            "settled")
+    return norm, x / norm
+
+
+def _triangular_inverse(R: np.ndarray) -> np.ndarray:
+    """Inverse of an upper-triangular R by halves: the inverse of
+    [[P, W], [0, S]] is [[inv(P), -inv(P) W inv(S)], [0, inv(S)]], so
+    everything but the inverses of diagonal blocks of order below
+    TRIANGULAR_LEAF is GEMM work.  A zero on the diagonal raises numpy's
+    ``LinAlgError``."""
+    n = len(R)
+    if n < TRIANGULAR_LEAF:
+        return np.linalg.inv(R)
+    h = n // 2
+    P, S = _triangular_inverse(R[:h, :h]), _triangular_inverse(R[h:, h:])
+    X = np.zeros_like(R)
+    X[:h, :h], X[h:, h:] = P, S
+    X[:h, h:] = -(P @ R[:h, h:]) @ S
+    return X
+
+
+def top_singular_values(A: np.ndarray, k: int) -> np.ndarray:
+    """The k largest singular values of A, in decreasing order, by
+    Golub-Kahan-Lanczos bidiagonalisation (Golub & Kahan, 1965).
+
+    From a fixed start vector, step j adds one column to V and U, with
+    A V = U B for upper-bidiagonal B, using one product with A and one
+    with A.T; both bases are kept orthonormal in full (``_orthonormalise``).
+    Every LANCZOS_CHECK steps the k largest singular values of B are
+    taken; the loop returns them once they moved by at most LANCZOS_TOL
+    times the largest since the last check, or once B has min(m, n)
+    columns, when they are A's own.  A zero matrix returns zeros.  Raises
+    ``LanczosBreakdown`` if a new column has norm 0 before that.
+    """
+    m, n = A.shape
+    k = min(k, m, n)
+    if not A.any():
+        return np.zeros(k)
+    steps = min(m, n)
+    U, V = np.empty((steps, m)), np.empty((steps, n))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    v = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    V[0] = v / np.linalg.norm(v)
+    prev = None
+    for j in range(steps):
+        u = A @ V[j]
+        if j:
+            u -= beta[j - 1] * U[j - 1]
+        alpha[j], U[j] = _orthonormalise(u, U[:j])
+        last = j + 1 == steps
+        if j + 1 >= k and ((j + 1 - k) % LANCZOS_CHECK == 0 or last):
+            B = np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1)
+            theta = np.linalg.svd(B, compute_uv=False)[:k]
+            if last or (prev is not None and np.abs(theta - prev).max()
+                        <= LANCZOS_TOL * theta[0]):
+                return theta
+            prev = theta
+        beta[j], V[j + 1] = _orthonormalise(A.T @ U[j] - alpha[j] * V[j],
+                                            V[:j + 1])
 
 
 @dataclass
@@ -60,14 +153,31 @@ class BdieSystem:
         return self.matrix.shape[0]
 
     def _singular_values(self) -> np.ndarray:
+        """(sigma_max, sigma_min) of the matrix, computed once.
+
+        sigma_max is the top singular value of A and sigma_min = 1 /
+        sigma_max(inv(R)), both by ``top_singular_values``, for R of the QR
+        factorisation A = QR: Q is orthogonal, so inv(R) = inv(A) Q has the
+        singular values of inv(A).  numpy keeps no LU factors to apply
+        inv(A) by, and its explicit inverse spends most of its time in
+        triangular solves against n right-hand sides; the QR and
+        ``_triangular_inverse`` cost less.  An exact zero on R's diagonal,
+        as from a zero column of A, gives sigma_min = 0."""
         if self._svals is None:
-            self._svals = np.linalg.svd(self.matrix, compute_uv=False)
+            A = self.matrix
+            try:
+                inv_norm = top_singular_values(
+                    _triangular_inverse(np.linalg.qr(A, mode="r")), 1)[0]
+            except np.linalg.LinAlgError:
+                inv_norm = np.inf
+            self._svals = np.array([top_singular_values(A, 1)[0],
+                                    1.0 / inv_norm])
         return self._svals
 
     @property
     def cond(self) -> float:
         s = self._singular_values()
-        return float(s[0] / s[-1])
+        return float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
 
     @property
     def sigma_min(self) -> float:

@@ -19,7 +19,8 @@ matches n=1024 Kress rows to about 1.5e-14.  The tanh-sinh rule is a short
 numpy one (``_tanh_sinh``), vectorised over every target of an operator;
 the six calls of ``identity_suite`` on a disk r=0.4 at 128/32x12 take
 about 12 ms on a 2-vCPU VM.  Everything here runs on numpy alone, the
-SVDs, the dense solves and ``fd_oracle``'s blocks on ``numpy.linalg``.
+SVDs, the dense solves and ``fd_oracle``'s blocks on ``numpy.linalg``;
+the remainder spectrum and block norm use ``solver.top_singular_values``.
 """
 
 from __future__ import annotations
@@ -392,66 +393,103 @@ def _tanh_sinh(integrand, n: int, name: str) -> np.ndarray:
         f"{TANH_SINH_LEVELS} ({len(live)} of {2 * n} half-intervals)")
 
 
-def _log_integrals(grid: DomainGrid, targets, density) -> np.ndarray:
-    """(1/2pi) int log|x - y| density(x) dx at each target y.
+def _log_integrals(grid: DomainGrid, targets, columns) -> np.ndarray:
+    """(1/2pi) int log|x - y| v(x) / d(x) dx at each target y, for each
+    (values, divisor) of ``columns``: v is the grid interpolant of the
+    nodal values, d the divisor callable of points, or 1 where it is None.
+    Returns one column per entry, one row per target.
 
     The targets' polar rules are built in one ``polar_rules`` call, with
     1.25 times the angular count and two more than the radial order of the
     volume pipeline's rules, so the result shares no node, cardinal matrix
-    or row with the production path.  The density is evaluated on one
-    rule's nodes at a time, so a target's value does not depend on the
-    rest of the set: on all nodes at once, the interpolation GEMM rounds
-    differently.
+    or row with the production path.  Per rule, every column is
+    interpolated by one ``grid.interpolate`` call: one cardinal evaluation
+    and one GEMM.  Rules are taken one at a time, so a target's value does
+    not depend on the rest of the set: on all nodes at once, the
+    interpolation GEMM rounds differently.
     """
     base, n_r = potentials._rule_params(grid)
     rules = polar_rules(grid.spec, targets, base=5 * base // 4, n_r=n_r + 2)
-    out = np.empty(len(rules))
+    values = np.column_stack([v for v, _ in columns])
+    out = np.empty((len(rules), len(columns)))
     for i, (y, rule) in enumerate(zip(targets, rules)):
         pts, w = rule.nodes()
         g = 0.5 * np.log(((pts - y) ** 2).sum(1)) / TWO_PI
-        out[i] = w @ (g * density(pts))
+        vals = grid.interpolate(values, pts)
+        for c, (_, div) in enumerate(columns):
+            v = vals[:, c] if div is None else vals[:, c] / div(pts)
+            out[i, c] = w @ (g * v)
+    return out
+
+
+def _volume_oracles(grid: DomainGrid, coeff: Coefficient, field: DomainField,
+                    targets, families=potentials.FAMILIES,
+                    kinds="PR") -> dict:
+    """Oracle values, keyed (kind, family), of the volume potential ("P")
+    and the remainder potential ("R") of ``field`` at the targets.
+
+    P divides by the coefficient analytically, at the quadrature nodes
+    (family "x") or at the target ("y"), instead of folding it into the
+    gridded density.  R is the remainder's divergence form: log potentials
+    of coefficient-weighted densities, differentiated by central
+    differences of step RELATION_STEP at the target, instead of the
+    explicit remainder kernel.  Every log potential at one target set (the
+    targets, and for R the targets moved by +-RELATION_STEP along each
+    axis) comes from one ``_log_integrals`` call.
+    """
+    for fam in families:
+        potentials._check_family(fam)
+    tg = as_points(targets)
+    h = np.eye(2) * RELATION_STEP
+    sets = {"": tg, "+x": tg + h[0], "-x": tg - h[0], "+y": tg + h[1],
+            "-y": tg - h[1]}
+    columns = {name: {} for name in sets}       # label: (values, divisor)
+    for fam in families:
+        if "P" in kinds:
+            columns[""]["P" + fam] = (field.values,
+                                      coeff.a if fam == "x" else None)
+        if "R" in kinds:
+            grad = coeff.grad_ln_a if fam == "x" else coeff.grad_a
+            comp = field.values[:, None] * grad(grid.points)
+            for name in list(sets)[1:]:
+                columns[name]["R" + fam] = (comp[:, "xy".index(name[1])], None)
+            if fam == "x":
+                columns[""]["L"] = (
+                    field.values * coeff.laplacian_ln_a(grid.points), None)
+    log = {}
+    for name, cols in columns.items():
+        if cols:
+            vals = _log_integrals(grid, sets[name], list(cols.values()))
+            log.update(((name, label), vals[:, i])
+                       for i, label in enumerate(cols))
+    out = {}
+    for fam in families:
+        if "P" in kinds:
+            p = log["", "P" + fam]
+            out["P", fam] = p if fam == "x" else p / coeff.a(tg)
+        if "R" in kinds:
+            div = np.zeros(len(tg))
+            for axis in "xy":
+                div += (log["+" + axis, "R" + fam] - log["-" + axis, "R" + fam]
+                        ) / (2 * RELATION_STEP)
+            out["R", fam] = (div - log["", "L"] if fam == "x"
+                             else -div / coeff.a(tg))
     return out
 
 
 def volume_potential_direct(grid: DomainGrid, coeff: Coefficient, family: str,
                             field: DomainField, targets) -> np.ndarray:
-    """Oracle for ``potentials.volume_potential``.
-
-    The coefficient factor is evaluated analytically at the quadrature
-    nodes instead of being folded into the gridded density.
-    """
-    potentials._check_family(family)
-    tg = as_points(targets)
-    if family == "x":
-        return _log_integrals(grid, tg, lambda p: field.at(p) / coeff.a(p))
-    return _log_integrals(grid, tg, field.at) / coeff.a(tg)
+    """Oracle for ``potentials.volume_potential`` (``_volume_oracles``)."""
+    return _volume_oracles(grid, coeff, field, targets, (family,),
+                           "P")["P", family]
 
 
 def remainder_via_relation(grid: DomainGrid, coeff: Coefficient, family: str,
                            field: DomainField, targets) -> np.ndarray:
-    """Oracle for ``potentials.remainder_potential``: its divergence form.
-
-    Differentiates log potentials of coefficient-weighted densities by
-    central differences at the target, instead of integrating the explicit
-    remainder kernel.
-    """
-    potentials._check_family(family)
-    tg = as_points(targets)
-
-    def log_potential(values, at):
-        return _log_integrals(grid, at,
-                              lambda p: grid.interpolate(values, p))
-
-    grad = coeff.grad_ln_a if family == "x" else coeff.grad_a
-    comp = field.values[:, None] * grad(grid.points)
-    div = np.zeros(len(tg))
-    for axis, e in enumerate(np.eye(2) * RELATION_STEP):
-        div += (log_potential(comp[:, axis], tg + e)
-                - log_potential(comp[:, axis], tg - e)) / (2 * RELATION_STEP)
-    if family == "x":
-        return div - log_potential(
-            field.values * coeff.laplacian_ln_a(grid.points), tg)
-    return -div / coeff.a(tg)
+    """Oracle for ``potentials.remainder_potential``: its divergence form
+    (``_volume_oracles``)."""
+    return _volume_oracles(grid, coeff, field, targets, (family,),
+                           "R")["R", family]
 
 
 def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
@@ -464,6 +502,9 @@ def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     consistency sweep for all operators of both families.  The volume
     checks carry fixed tolerances, so they run on an internally refined
     grid whenever the supplied grid is below certification resolution.
+    Their oracles for both families come from one ``_volume_oracles``
+    call: one rule build and cardinal evaluation per target set, five
+    sets in all.
     """
     rng = np.random.default_rng(SUITE_SEED)
     rep = SuiteReport()
@@ -539,6 +580,9 @@ def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     dens = dens_fn(curve.t)
     check_nodes = [1, curve.n // 4]
     probe = c + np.array([[0.21, -0.08], [-0.05, 0.17]]) * diam
+    fld = DomainField(vol_grid, np.cos(vol_grid.points[:, 0] + 0.3)
+                      * (1.0 + vol_grid.points[:, 1]))
+    oracle = _volume_oracles(vol_grid, coeff, fld, probe)
     for fam in potentials.FAMILIES:
         off_ref = {}
         for kind, off in (("V", probe), ("W", probe), ("Wp", ())):
@@ -555,15 +599,13 @@ def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
             rep.add(f"relation_{kind}_offboundary_{fam}",
                     np.abs(got - off_ref[kind]).max(), 1e-8)
 
-        fld = DomainField(vol_grid, np.cos(vol_grid.points[:, 0] + 0.3)
-                          * (1.0 + vol_grid.points[:, 1]))
         # the remainder pass also stores the log rows the volume term reads
         rv = potentials.remainder_potential(vol_grid, coeff, fam, fld, probe)
         pv = potentials.volume_potential(vol_grid, coeff, fam, fld, probe)
-        pd = volume_potential_direct(vol_grid, coeff, fam, fld, probe)
-        rep.add(f"relation_P_{fam}", np.abs(pv - pd).max(), 1e-6)
-        rr = remainder_via_relation(vol_grid, coeff, fam, fld, probe)
-        rep.add(f"relation_R_{fam}", np.abs(rv - rr).max(), 1e-6)
+        rep.add(f"relation_P_{fam}", np.abs(pv - oracle["P", fam]).max(),
+                1e-6)
+        rep.add(f"relation_R_{fam}", np.abs(rv - oracle["R", fam]).max(),
+                1e-6)
 
     return rep
 
@@ -702,32 +744,36 @@ def remainder_spectrum_decay(grid: DomainGrid, coeff: Coefficient,
     """Leading singular values of the discrete remainder block.
 
     A rapidly decaying spectrum is the finite-dimensional face of the
-    operator's compactness; reported qualitatively, no threshold.
+    operator's compactness; reported qualitatively, no threshold.  The
+    SPECTRUM_HEAD largest values come from Golub-Kahan-Lanczos
+    (``solver.top_singular_values``), not from a dense SVD.
     """
     if coeff.constant:
         return {"sigma": [0.0], "decay_ratio": 0.0}
     R = potentials.remainder_rows(grid, coeff, family, grid.points)
-    s = np.linalg.svd(R, compute_uv=False)
-    k = min(SPECTRUM_HEAD, len(s))
-    return {"sigma": s[:k].tolist(),
-            "decay_ratio": float(s[k - 1] / s[0]) if s[0] > 0 else 0.0}
+    s = solver.top_singular_values(R, SPECTRUM_HEAD)
+    return {"sigma": s.tolist(),
+            "decay_ratio": float(s[-1] / s[0]) if s[0] > 0 else 0.0}
 
 
 def fredholm_diagnostic(sol: solver.DirichletSolution) -> dict:
     """Effect of dropping the compact-like blocks on the solved field.
 
     Re-solves with the remainder blocks zeroed and reports the change
-    together with the block norm; reported, not asserted.
+    together with the blocks' 2-norm, from Golub-Kahan-Lanczos
+    (``solver.top_singular_values``); 0 for a constant coefficient, whose
+    remainder blocks are zero.  Reported, not asserted.  With them zeroed
+    the matrix is [[I, X], [0, Y]], so the re-solve is a solve with Y, the
+    boundary block (bordered on the projected system), and one product.
     """
     sys = sol.system
     n_h = sys.n_h
-    A0 = sys.matrix.copy()
+    A, b = sys.matrix, sys.rhs
     stop = n_h + sys.n_b
-    R_norm = float(np.linalg.norm(
-        sys.matrix[:stop, :n_h] - np.eye(stop, n_h), 2))
-    A0[:n_h, :n_h] = np.eye(n_h)
-    A0[n_h:stop, :n_h] = 0.0
-    z = np.linalg.solve(A0, sys.rhs)
-    delta = float(np.abs(z[:n_h] - sol.u.values).max())
+    R_norm = float(solver.top_singular_values(
+        A[:stop, :n_h] - np.eye(stop, n_h), 1)[0])
+    rest = np.linalg.solve(A[n_h:, n_h:], b[n_h:])
+    delta = float(np.abs(b[:n_h] - A[:n_h, n_h:] @ rest
+                         - sol.u.values).max())
     return {"remainder_block_norm": R_norm, "solution_delta": delta,
             "bound": R_norm * sys.cond * max(1.0, float(np.abs(sol.u.values).max()))}

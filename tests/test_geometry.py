@@ -182,6 +182,18 @@ class TestDomainGrid:
         got = grid.interpolate(vals, pts)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
+    def test_interpolate_columns_match_one_vector_at_a_time(self):
+        grid = build_domain_grid(STAR, 24, 10)
+        rng = np.random.default_rng(4)
+        vals = rng.standard_normal((grid.n_nodes, 3))
+        pts = 0.1 * rng.standard_normal((40, 2))
+        got = grid.interpolate(vals, pts)
+        assert got.shape == (40, 3)
+        for c in range(3):
+            ref = grid.interpolate(vals[:, c], pts)
+            assert np.abs(got[:, c] - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert grid.interpolate(vals, np.zeros((0, 2))).shape == (0, 3)
+
     def test_star_grid_nodes_inside_by_winding_oracle(self):
         grid = build_domain_grid(STAR, 32, 12)
         tt = np.linspace(0, 2 * np.pi, 4096, endpoint=False)

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from test_verification import convex_domains
 
 from bdies2d import geometry, potentials, solver
-from bdies2d.coefficient import make_preset
+from bdies2d.coefficient import Coefficient, make_preset
 from bdies2d.geometry import DomainSpec, GeometryError, build_curve, build_domain_grid
 from bdies2d.potentials import BoundaryDensity, DomainField, delta_near
-from bdies2d.solver import (DiameterError, assemble_rhs, assemble_system,
-                            solve_bvp, solve_dirichlet, third_green_residual)
+from bdies2d.solver import (DiameterError, LanczosBreakdown, assemble_rhs,
+                            assemble_system, solve_bvp, solve_dirichlet,
+                            third_green_residual, top_singular_values)
 
 DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
 A_ONE = make_preset("constant", value=1.0)
@@ -133,6 +134,106 @@ class TestSolve:
             sols.append(solve_dirichlet(sys))
         gap = np.abs(sols[0].u.values - sols[1].u.values).max()
         assert gap <= 2 * eps * sys.cond
+
+
+def _radial_coefficient():
+    """a = 1 + |x|^2: rotation invariant about the disk's center."""
+    def a(p):
+        return 1.0 + (np.atleast_2d(p) ** 2).sum(1)
+    return Coefficient(
+        name="radial", a=a, grad_a=lambda p: 2.0 * np.atleast_2d(p),
+        grad_ln_a=lambda p: 2.0 * np.atleast_2d(p) / a(p)[:, None],
+        laplacian_ln_a=lambda p: 4.0 / a(p) ** 2)
+
+
+def _assert_top_values(A, k):
+    """Check the k largest against the dense SVD; return all of its values."""
+    got = top_singular_values(A, k)
+    ref = np.linalg.svd(A, compute_uv=False)
+    assert got.shape == ref[:k].shape
+    assert np.abs(got - ref[:k]).max() <= 1e-10 * ref[0]
+    return ref
+
+
+STAR_SPEC = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.03))
+SPECTRAL_SYSTEMS = {
+    "disk-64/16x8": (DISK, (64, 16, 8), False),
+    "disk-96/24x10": (DISK, (96, 24, 10), False),
+    "disk-128/32x12": (DISK, (128, 32, 12), False),
+    "star-64/16x8": (STAR_SPEC, (64, 16, 8), False),
+    "bordered-disk-0.6": (DomainSpec("disk", center=(0.0, 0.0), radius=0.6),
+                          (96, 24, 10), True),
+}
+
+
+class TestTopSingularValues:
+    @pytest.mark.parametrize("name", SPECTRAL_SYSTEMS)
+    def test_system_values_match_the_dense_svd(self, name):
+        spec, (nb, nt, ns), bordered = SPECTRAL_SYSTEMS[name]
+        sys = assemble_system(build_curve(spec, nb),
+                              build_domain_grid(spec, nt, ns), A_EXP, "x",
+                              allow_large_domain=bordered)
+        s = _assert_top_values(sys.matrix, 6)
+        smax, smin = sys._singular_values()
+        assert abs(smax - s[0]) <= 1e-10 * s[0]
+        assert abs(smin - s[-1]) <= 1e-10 * s[-1]
+        assert abs(sys.cond - s[0] / s[-1]) <= 1e-10 * s[0] / s[-1]
+
+    @pytest.mark.parametrize("family", ["x", "y"])
+    @pytest.mark.parametrize("spec", [DISK, STAR_SPEC], ids=["disk", "star"])
+    def test_remainder_block_values_match_the_dense_svd(self, spec, family):
+        grid = build_domain_grid(spec, 32, 12)
+        R = potentials.remainder_rows(grid, A_EXP, family, grid.points)
+        _assert_top_values(R, 24)
+        # the Fredholm diagnostic's block: remainder rows over the trace rows
+        curve = build_curve(spec, 128)
+        trace = potentials.remainder_rows(grid, A_EXP, family, curve.points)
+        _assert_top_values(np.vstack([R, trace]), 1)
+
+    @pytest.mark.parametrize("family", ["x", "y"])
+    @pytest.mark.parametrize("res", [(16, 8), (32, 12)], ids=str)
+    def test_both_copies_of_each_pair(self, res, family):
+        # a radial coefficient on the disk makes the remainder block commute
+        # with the grid's rotations, so its singular values come in exact
+        # pairs; a single-vector Krylov space sees one copy of each in exact
+        # arithmetic, and rounding must bring the second one in
+        grid = build_domain_grid(DISK, *res)
+        R = potentials.remainder_rows(grid, _radial_coefficient(), family,
+                                      grid.points)
+        ref = _assert_top_values(R, 24)[:24]
+        pairs = np.abs(np.diff(ref)) <= 1e-12 * ref[0]
+        assert pairs.sum() >= 8
+
+    def test_zero_matrix_gives_zeros(self):
+        # a constant coefficient's remainder block
+        assert np.all(top_singular_values(np.zeros((6, 4)), 3) == 0.0)
+
+    def test_k_is_capped_by_the_matrix(self):
+        A = np.arange(1.0, 7.0).reshape(3, 2)
+        assert len(top_singular_values(A, 5)) == 2
+        _assert_top_values(A, 5)
+
+    def test_breakdown_raises_named_error(self):
+        # rank one: the second left vector is exactly the first one again
+        with pytest.raises(LanczosBreakdown, match="broke down"):
+            top_singular_values(np.diag([1.0, 0.0, 0.0, 0.0]), 2)
+
+    @pytest.mark.parametrize("n", [5, 63, 64, 150, 257])
+    def test_triangular_inverse_matches_the_dense_inverse(self, n):
+        rng = np.random.default_rng(n)
+        R = np.triu(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
+        X = solver._triangular_inverse(R)
+        ref = np.linalg.inv(R)
+        assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.all(np.tril(X, -1) == 0.0)
+
+    def test_zero_pivot_reports_a_singular_system(self, geo):
+        curve, grid = geo
+        sys = assemble_system(curve, grid, A_EXP, "x")
+        sys.matrix = sys.matrix.copy()
+        sys.matrix[:, 3] = 0.0
+        assert sys.sigma_min == 0.0
+        assert sys.cond == np.inf
 
 
 @pytest.fixture(scope="module")

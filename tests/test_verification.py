@@ -418,6 +418,17 @@ class TestDiagnostics:
             grid, make_preset("constant", value=2.0), "x")
         assert decay["decay_ratio"] == 0.0
 
+    def test_fredholm_diagnostic_constant_coefficient(self):
+        # the remainder blocks are zero: the norm is exactly 0, with no
+        # warning from a zero division inside the Lanczos loop
+        curve = build_curve(DISK, 32)
+        grid = build_domain_grid(DISK, 8, 4)
+        case = V.manufactured_case("const_one")
+        sol = V.solve_case(case, curve, grid, "x")[0]
+        diag = V.fredholm_diagnostic(sol)
+        assert diag["remainder_block_norm"] == 0.0
+        assert diag["bound"] == 0.0
+
     def test_fredholm_diagnostic_bound(self):
         from bdies2d.potentials import BoundaryDensity, DomainField
         from bdies2d.solver import solve_dirichlet

@@ -6,6 +6,10 @@ assembly and solve seconds, peak RSS, ``err_u_max``, ``err_psi_max``, the
 trace defect, the number of polar rules the volume pipeline built and
 their node total, plus the seconds taken to import bdies2d (numpy already
 loaded) and the ``scipy.*`` subpackages loaded by the end of the run.
+After the solve it records the spectral diagnostics of ``bdies2d solve``
+and their seconds: ``cond`` and ``cond_s`` for the system's condition
+number, ``remainder_block_norm`` and ``fredholm_s`` for
+``verification.fredholm_diagnostic``; peak RSS is read before them.
 
 One call can record several source trees, each into its own named
 section of a JSON file, next to the machine it ran on and the tree's
@@ -49,8 +53,8 @@ CONFIGS = [("disk", DISK, (64, 16, 8)), ("disk", DISK, (128, 32, 12)),
            ("disk", DISK, (2048, 32, 12))]
 FAMILIES = ("x", "y")
 #: Columns that vary from run to run; a row holds their medians.
-VARYING = ("build_s", "assemble_s", "solve_s", "peak_rss_mb",
-           "import_bdies2d_s")
+VARYING = ("build_s", "assemble_s", "solve_s", "cond_s", "fredholm_s",
+           "peak_rss_mb", "import_bdies2d_s")
 
 
 def run_one(domain: dict, resolution, family: str) -> dict:
@@ -63,7 +67,7 @@ def run_one(domain: dict, resolution, family: str) -> dict:
     t_import = time.perf_counter()
     from bdies2d.geometry import DomainSpec, build_curve, build_domain_grid
     from bdies2d.solver import assemble_system, solve_dirichlet
-    from bdies2d.verification import manufactured_case
+    from bdies2d.verification import fredholm_diagnostic, manufactured_case
     import_s = time.perf_counter() - t_import
 
     nb, nt, ns = resolution
@@ -77,14 +81,18 @@ def run_one(domain: dict, resolution, family: str) -> dict:
     phi0 = case.phi0_on(curve)
     sol = solve_dirichlet(system.with_data(case.f_field_on(grid), phi0))
     t3 = time.perf_counter()
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    cond = sol.system.cond
+    t4 = time.perf_counter()
+    fredholm = fredholm_diagnostic(sol)
+    t5 = time.perf_counter()
 
     u_ex = case.u(grid.points)
     rules = [v for k, v in grid._cache.items()
              if isinstance(k, tuple) and k[0] == "rule"]
     return {
         "build_s": t1 - t0, "assemble_s": t2 - t1, "solve_s": t3 - t2,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        / 1024.0,
+        "cond_s": t4 - t3, "fredholm_s": t5 - t4, "peak_rss_mb": peak_rss_mb,
         "err_u_max": float(np.abs(sol.u.values - u_ex).max()
                            / np.abs(u_ex).max()),
         "err_psi_max": float(np.abs(sol.psi.values
@@ -93,6 +101,8 @@ def run_one(domain: dict, resolution, family: str) -> dict:
                                      - phi0.values).max()),
         "rules": len(rules),
         "rule_nodes": sum(len(r.nodes()[1]) for r in rules),
+        "cond": cond,
+        "remainder_block_norm": fredholm["remainder_block_norm"],
         "import_bdies2d_s": import_s,
         "scipy_modules": sorted({".".join(m.split(".")[:2])
                                  for m in sys.modules
