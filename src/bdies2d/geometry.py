@@ -1,8 +1,10 @@
 """Domains, boundary curves, interior grids and polar quadrature rules.
 
 The domains handled here are star-shaped with respect to a center point:
-disks, and regions bounded by a smooth positive radial profile given as a
-cosine series.  Everything downstream (layer operators, volume potentials)
+regions bounded by a smooth positive radial profile given as a cosine
+series.  A disk is the one-mode star, its series ``[radius]``: its
+diameter, boundary distance and polar rules take the same path as any
+star's.  Everything downstream (layer operators, volume potentials)
 consumes the objects built in this module and treats them as immutable.
 
 Domains, curves and grids each keep a private ``_cache`` of values that
@@ -13,8 +15,8 @@ them, here and downstream, converts them once with it, so bad points
 raise ``GeometryError`` at the call and an empty set gives an empty result.
 
 Polar rules are built per target set (``polar_rules``): one level check,
-then per block of consecutive targets one angle table and, on a star, one
-segment scan of all of the block's rays (``_scan``), whose crossings
+then per block of consecutive targets one angle table and one segment
+scan of all of the block's rays (``_scan``), whose crossings
 queue for one Newton loop per group of blocks (``_ray_segments``).  The
 volume pipeline and the verification oracles both build their rules this
 way; ``polar_rule_for_target`` is the one-target case.  ``rule_nodes``
@@ -185,8 +187,6 @@ class DomainSpec:
         return bool(self.level(_as_point(point))[0] < 1.0)
 
     def diameter(self) -> float:
-        if self.kind == "disk":
-            return 2.0 * self.radius
         return cached(self, "diameter", self._sampled_diameter)
 
     def _sampled_diameter(self) -> float:
@@ -215,9 +215,9 @@ class DomainSpec:
         r = np.sqrt(_squared_distances(x, y, *self.center))
         keep = r + r.max() >= bound
         x, y = x[keep], y[keep]
-        # row blocks of 64 against the later points within reach of them
-        for i in range(0, len(x), 64):
-            bx, by = x[i:i + 64, None], y[i:i + 64, None]
+        # row blocks of 32 against the later points within reach of them
+        for i in range(0, len(x), 32):
+            bx, by = x[i:i + 32, None], y[i:i + 32, None]
             mx, my = bx.mean(), by.mean()
             reach = np.sqrt(_squared_distances(bx, by, mx, my).max())
             near = np.sqrt(_squared_distances(x[i:], y[i:], mx, my)) >= (
@@ -304,20 +304,19 @@ class BoundaryCurve:
                       lambda: self._distance(pts))
 
     def _distance(self, pts: np.ndarray) -> np.ndarray:
-        if self.spec.kind == "disk":
-            r = np.linalg.norm(pts - self.spec.center, axis=1)
-            return np.abs(self.spec.radius - r)
         m = max(8 * self.n, 512)
         tt = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
-        bp = self.spec.boundary_point(tt)
+        bx, by = self.spec.boundary_point(tt).T
+        px, py = pts.T
         j = np.empty(len(pts), dtype=int)
         f = np.empty((len(pts), 3))     # squared distances at j - 1, j, j + 1
-        # row blocks keep the temporary at 64 x m x 2
-        for i in range(0, len(pts), 64):
-            d2 = ((pts[i:i + 64, None, :] - bp[None, :, :]) ** 2).sum(-1)
-            j[i:i + 64] = d2.argmin(axis=1)
-            f[i:i + 64] = np.take_along_axis(
-                d2, (j[i:i + 64, None] + np.arange(-1, 2)) % m, axis=1)
+        # row blocks keep the temporaries at 32 x m
+        for i in range(0, len(pts), 32):
+            d2 = _squared_distances(px[i:i + 32, None], py[i:i + 32, None],
+                                    bx, by)
+            j[i:i + 32] = d2.argmin(axis=1)
+            f[i:i + 32] = np.take_along_axis(
+                d2, (j[i:i + 32, None] + np.arange(-1, 2)) % m, axis=1)
         fm, f0, fp = f.T
         # parabolic refinement in the parameter around the sampled minimum
         denom = fm - 2 * f0 + fp
@@ -688,17 +687,6 @@ def _ray_segments(spec: DomainSpec, scans) -> list:
     return segments
 
 
-def _disk_extents(spec: DomainSpec, y: np.ndarray,
-                  dirs: np.ndarray) -> np.ndarray:
-    """First boundary crossing along each unit direction from y (disk)."""
-    d = y - spec.center
-    de = dirs @ d
-    disc = spec.radius**2 - d @ d + de**2
-    if (disc < -1e-14).any():
-        raise GeometryError("target outside the disk")
-    return np.maximum(-de + np.sqrt(np.maximum(disc, 0.0)), 0.0)
-
-
 def _smoothstep(v):
     """Quintic smoothstep; derivative vanishes quadratically at 0 and 1."""
     return v**3 * (10.0 - 15.0 * v + 6.0 * v * v), 30.0 * v * v * (1.0 - v) ** 2
@@ -810,24 +798,24 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
     of their radial extent shrinks like sqrt(1 - level) toward the
     boundary, so their angular count is THETA_COUNT_COEFF / sqrt(1 - level),
     at least ``base``, at most THETA_COUNT_CAP, rounded up to even.
-    Boundary targets get width-pi angular windows of ``base`` nodes about
-    the interior normal, with a smoothstep substitution clustered at the
-    tangential directions; their extent function is smooth again.  Either
-    way, a rotation about the center that maps the domain onto itself maps
-    y's rule onto its image's rule.  On star profiles every ray is
-    integrated over all of its inside segments, so regions not visible
-    from the target along a first crossing are still covered.
+    Boundary targets get two width-pi angular windows of ``base`` nodes,
+    about the interior normal and about the exterior one, with a
+    smoothstep substitution clustered at the tangential directions; their
+    extent function is smooth again.  Either way, a rotation about the
+    center that maps the domain onto itself maps y's rule onto its image's
+    rule.  Every ray is integrated over all of its inside segments, so
+    regions not visible from the target along a first crossing are still
+    covered; a disk, the one-mode star, takes the same path.
 
     The set is built together: one level check, then per block of
-    consecutive targets (``block_bounds``) one table of their angles and,
-    on a star, one segment scan (``_scan``).  A block's scan samples, its
-    rays times its longest ladder, fit in ``BLOCK_ENTRIES``; on a disk its
-    rays do.  The scans' bracketed crossings queue, and one Newton loop
-    (``_ray_segments``) refines each group of consecutive blocks whose
-    queue, eight entries a crossing, fits in ``BLOCK_ENTRIES``: one loop
-    per target set at the benchmark's sizes.  Every array operation is
-    elementwise per ray or per crossing, so each rule equals the one its
-    target gets alone, bitwise.
+    consecutive targets (``block_bounds``) one table of their angles and
+    one segment scan (``_scan``).  A block's scan samples, its rays times
+    its longest ladder, fit in ``BLOCK_ENTRIES``.  The scans' bracketed
+    crossings queue, and one Newton loop (``_ray_segments``) refines each
+    group of consecutive blocks whose queue, eight entries a crossing,
+    fits in ``BLOCK_ENTRIES``: one loop per target set at the benchmark's
+    sizes.  Every array operation is elementwise per ray or per crossing,
+    so each rule equals the one its target gets alone, bitwise.
     """
     y = as_points(targets)
     lev = spec.level(y)
@@ -836,8 +824,7 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
     inner = lev < 1.0 - BOUNDARY_LEVEL_TOL
     d = y - spec.center
     phi = np.arctan2(d[:, 1], d[:, 0])
-    star = spec.kind == "star"
-    n = np.full(len(y), base * (2 if star else 1))      # rays per target
+    n = np.full(len(y), 2 * base)       # rays per target: two windows
     n[inner] = np.minimum(THETA_COUNT_CAP, np.maximum(base, np.ceil(
         THETA_COUNT_COEFF / np.sqrt(1.0 - lev[inner]))))
     n[inner] += n[inner] % 2
@@ -845,14 +832,11 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
     if not inner.all():
         nin = -spec.boundary_normal(phi[~inner])
         alpha[~inner] = np.arctan2(nin[:, 1], nin[:, 0])
-    if star:
-        rmax = 2.1 * spec.max_rho() + np.array(
-            [np.linalg.norm(v) for v in d], dtype=float)
-        lengths = _scan_lengths(spec, d, rmax)
-    else:
-        lengths = np.ones(len(y), dtype=int)
+    rmax = 2.1 * spec.max_rho() + np.array(
+        [np.linalg.norm(v) for v in d], dtype=float)
+    lengths = _scan_lengths(spec, d, rmax)
 
-    rules, pending = [], []     # pending: scanned star blocks
+    rules, pending = [], []     # pending: scanned blocks
     for lo, hi in block_bounds(n.tolist(), lengths.tolist()):
         # the block's angle table: each target's rays after the previous
         # target's, target lo + j on rays edges[j]:edges[j + 1]
@@ -867,38 +851,27 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
         if not ray_in.all():
             edge = alpha[lo:hi][~inner[lo:hi], None]
             th, wt = _window_angles(edge, base)
-            if star:
-                th = np.concatenate(
-                    [th, _window_angles(edge + np.pi, base)[0]], axis=1)
-                wt = np.concatenate([wt, wt])
+            th = np.concatenate(
+                [th, _window_angles(edge + np.pi, base)[0]], axis=1)
             theta[~ray_in] = th.ravel()
-            wtheta[~ray_in] = np.tile(wt, len(th))
+            wtheta[~ray_in] = np.tile(np.concatenate([wt, wt]), len(th))
         dirs = np.empty((len(theta), 2))
         dirs[:, 0], dirs[:, 1] = np.cos(theta), np.sin(theta)
         table = (range(lo, hi), edges, theta, wtheta, dirs)
-
-        if not star:
-            segments = []
-            for i, first, last in zip(range(lo, hi), edges, edges[1:]):
-                L = _disk_extents(spec, y[i], dirs[first:last])
-                ray = np.flatnonzero(L > 0.0)
-                segments.append((ray, np.zeros(len(ray)), L[ray]))
-            rules += _block_rules(y, table, segments, n_r)
-            continue
         scan = _scan(spec, d[owner], dirs, rmax[owner], lengths[owner])
         queued = sum(bracket.size for _, (_, _, bracket), _ in pending)
         if pending and queued + scan[2].size > BLOCK_ENTRIES:
-            rules += _star_rules(spec, y, pending, rmax, n_r)
+            rules += _scanned_rules(spec, y, pending, rmax, n_r)
             pending = []
         pending.append((table, scan, owner))
     if pending:
-        rules += _star_rules(spec, y, pending, rmax, n_r)
+        rules += _scanned_rules(spec, y, pending, rmax, n_r)
     return rules
 
 
-def _star_rules(spec: DomainSpec, y, blocks, rmax, n_r: int) -> list:
-    """Rules of scanned star blocks (angle table, ``_scan``, ray owners),
-    their crossings refined in one ``_ray_segments`` loop."""
+def _scanned_rules(spec: DomainSpec, y, blocks, rmax, n_r: int) -> list:
+    """Rules of scanned blocks (angle table, ``_scan``, ray owners), their
+    crossings refined in one ``_ray_segments`` loop."""
     rules = []
     segs = _ray_segments(spec, [scan for _, scan, _ in blocks])
     for (table, _, owner), (ray, a, b) in zip(blocks, segs):
@@ -908,28 +881,18 @@ def _star_rules(spec: DomainSpec, y, blocks, rmax, n_r: int) -> list:
         # the level function on a boundary target's window-edge rays
         keep = b > 1e-7 * rm
         ray, a, b = ray[keep], a[keep], b[keep]
-        edges = table[1]
+        targets, edges, theta, wtheta, dirs = table
         cuts = np.searchsorted(ray, edges)
-        rules += _block_rules(y, table, [
-            (ray[s:e] - first, a[s:e], b[s:e])
-            for first, s, e in zip(edges, cuts[:-1], cuts[1:])], n_r)
-    return rules
-
-
-def _block_rules(y, table, segments, n_r: int) -> list:
-    """The rules of one block's targets from its angle table (targets,
-    ray edges, theta, wtheta, dirs) and their segment tables."""
-    targets, edges, theta, wtheta, dirs = table
-    rules = []
-    for i, first, last, (ray, a, b) in zip(targets, edges, edges[1:],
-                                           segments):
-        if not len(ray):
-            raise GeometryError(
-                "polar rule is empty: no ray enters the domain")
-        rules.append(PolarRule(
-            target=y[i], theta=theta[first:last],
-            wtheta=wtheta[first:last], dirs=dirs[first:last],
-            seg_ray=ray, seg_ends=np.stack([a, b], axis=1), n_r=n_r))
+        for i, first, last, s, e in zip(targets, edges, edges[1:], cuts,
+                                        cuts[1:]):
+            if s == e:
+                raise GeometryError(
+                    "polar rule is empty: no ray enters the domain")
+            rules.append(PolarRule(
+                target=y[i], theta=theta[first:last],
+                wtheta=wtheta[first:last], dirs=dirs[first:last],
+                seg_ray=ray[s:e] - first,
+                seg_ends=np.stack([a[s:e], b[s:e]], axis=1), n_r=n_r))
     return rules
 
 

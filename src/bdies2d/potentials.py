@@ -203,8 +203,10 @@ def _rule_params(grid: DomainGrid):
     gets p radial points, one at or near it 2p (``PolarRule``).
     """
     base = max(12, 2 * round(0.375 * grid.n_t))
-    if grid.spec.kind == "star":
-        base *= 3           # star extent functions carry richer angular content
+    if grid.spec.cos_coeffs[1:].any():
+        # a nonzero mode k >= 1 gives the ray extents richer angular
+        # content than a disk's, whose profile is its one mode k = 0
+        base *= 3
     p = min(10, max(4, grid.n_s // 2))
     return base, p
 

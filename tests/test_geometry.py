@@ -45,6 +45,35 @@ def winding_number_inside(poly, pts):
     return np.array(out)
 
 
+def _disk_extents(disk, y, dirs):
+    """Distance from y, inside the disk, to its boundary along each unit
+    direction: the positive root of |y - c + r d|^2 = R^2."""
+    d = y - disk.center
+    de = dirs @ d
+    return -de + np.sqrt(disk.radius**2 - d @ d + de**2)
+
+
+def _stacked_distance(curve, pts):
+    """Reference for ``BoundaryCurve._distance``: each block's squared
+    distances summed over the last axis of a (64, m, 2) offset array."""
+    m = max(8 * curve.n, 512)
+    tt = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
+    bp = curve.spec.boundary_point(tt)
+    j = np.empty(len(pts), dtype=int)
+    f = np.empty((len(pts), 3))
+    for i in range(0, len(pts), 64):
+        d2 = ((pts[i:i + 64, None, :] - bp[None, :, :]) ** 2).sum(-1)
+        j[i:i + 64] = d2.argmin(axis=1)
+        f[i:i + 64] = np.take_along_axis(
+            d2, (j[i:i + 64, None] + np.arange(-1, 2)) % m, axis=1)
+    fm, f0, fp = f.T
+    denom = fm - 2 * f0 + fp
+    shift = np.where(np.abs(denom) > 1e-300, 0.5 * (fm - fp) / np.where(
+        denom == 0, 1, denom), 0.0)
+    bref = curve.spec.boundary_point(tt[j] + shift * (2 * np.pi / m))
+    return np.minimum(np.sqrt(f0), np.linalg.norm(pts - bref, axis=1))
+
+
 class TestBoundaryCurve:
     def test_disk_nodes_equispaced_on_circle(self):
         curve = build_curve(DISK, 16)
@@ -110,10 +139,42 @@ class TestBoundaryCurve:
         with pytest.raises(GeometryError):
             DomainSpec("star", center=(0, 0), cos_coeffs=(0.1, 0.0, 0.2))
 
-    def test_distance_to_boundary_disk(self):
-        curve = build_curve(DISK, 32)
-        d = curve.distance_to([[0.3, 0.0], [0.0, 0.0], [0.5, 0.0]])
-        np.testing.assert_allclose(d, [0.1, 0.4, 0.1], atol=1e-12)
+    @settings(max_examples=30, deadline=None)
+    @given(center=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+           radius=st.floats(0.2, 0.35), n=st.sampled_from([8, 32, 64, 128]),
+           polar=st.lists(st.tuples(st.floats(0.0, 2.0),
+                                    st.floats(0.0, 2 * np.pi)),
+                          min_size=1, max_size=80))
+    @example(center=(0.0, 0.0), radius=0.4, n=32,
+             polar=[(0.75, 0.0), (0.0, 0.0), (1.25, 0.0)])
+    @example(center=(0.0, 0.0), radius=0.25, n=8, polar=[(1.0, 1.0)])
+    def test_distance_to_boundary_disk(self, center, radius, n, polar):
+        # the sampled path, inside and outside: |R - |y - c|| to 1e-12
+        # from 1e-3 R off the circle.  Nearer, the parabolic step's
+        # parameter error, at most h^3 / 60 at sample spacing h, adds up
+        # to R h^3 / 60; the result is a distance to a boundary point, so
+        # never below the exact one
+        disk = DomainSpec("disk", center=center, radius=radius)
+        s, phi = np.array(polar).T
+        pts = disk.center + radius * s[:, None] * np.stack(
+            [np.cos(phi), np.sin(phi)], axis=1)
+        exact = np.abs(radius - np.hypot(*(pts - disk.center).T))
+        err = build_curve(disk, n).distance_to(pts) - exact
+        h = 2 * np.pi / max(8 * n, 512)
+        assert -1e-12 <= err.min() and err.max() <= 1e-12 + radius * h**3 / 60
+        assert np.abs(err[exact >= 1e-3 * radius]).max(initial=0.0) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=convex_domains(), n=st.sampled_from([16, 64, 96, 128]))
+    @example(spec=NONCONVEX_STAR, n=128)
+    def test_distance_matches_stacked_offsets(self, spec, n):
+        # grid, curve and outside points, over several row blocks
+        curve = build_curve(spec, n)
+        pts = np.concatenate([build_domain_grid(spec, 16, 8).points,
+                              curve.points,
+                              spec.center + 1.5 * (curve.points - spec.center)])
+        np.testing.assert_array_equal(curve.distance_to(pts),
+                                      _stacked_distance(curve, pts))
 
     @pytest.mark.parametrize("spec", [DISK, STAR], ids=["disk", "star"])
     def test_distance_is_computed_once_per_point_set(self, spec,
@@ -282,36 +343,32 @@ class TestPolarRule:
         assert rays_with_gaps > 0
 
     def test_circle_star_segments_match_disk_extents(self):
-        # a circle written as a star: its crossings have a closed form
-        star = DomainSpec("star", center=(0.1, -0.2), cos_coeffs=[0.4])
+        # a disk is the one-mode star: its crossings have a closed form
         disk = DomainSpec("disk", center=(0.1, -0.2), radius=0.4)
         th = 2 * np.pi * np.arange(64) / 64 + 0.1
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
         for off in ([0.0, 0.0], [0.15, -0.1], 0.4 * (1 - 1e-6)
                     * np.array([np.cos(2.0), np.sin(2.0)])):
-            y = star.center + off
+            y = disk.center + off
             # the scan on 64 fixed rays: every exit within 1e-14
             p0 = np.broadcast_to(np.asarray(off, dtype=float), (64, 2))
-            rmax = np.full(64, 2.1 * star.max_rho() + np.linalg.norm(off))
-            (ray, a, b), = geometry._ray_segments(star, [geometry._scan(
-                star, p0, dirs, rmax, geometry._scan_lengths(star, p0, rmax))])
+            rmax = np.full(64, 2.1 * disk.max_rho() + np.linalg.norm(off))
+            (ray, a, b), = geometry._ray_segments(disk, [geometry._scan(
+                disk, p0, dirs, rmax, geometry._scan_lengths(disk, p0, rmax))])
             np.testing.assert_array_equal(ray, np.arange(64))
             np.testing.assert_array_equal(a, 0.0)
-            np.testing.assert_allclose(
-                b, geometry._disk_extents(disk, y, dirs), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(b, _disk_extents(disk, y, dirs),
+                                       rtol=0, atol=1e-14)
 
-            # the rule's own rays against the disk rule's
-            got, want = (polar_rule_for_target(spec, y, 64, 10)
-                         for spec in (star, disk))
-            np.testing.assert_array_equal(got.dirs, want.dirs)
-            np.testing.assert_array_equal(got.seg_ray,
-                                          np.arange(len(got.dirs)))
-            np.testing.assert_array_equal(want.seg_ray, got.seg_ray)
-            np.testing.assert_array_equal(got.seg_ends[:, 0], 0.0)
-            end = want.seg_ends[:, 1]
-            err = np.abs(got.seg_ends[:, 1] - end)
-            exit_offset = y - disk.center + end[:, None] * want.dirs
-            incidence = (exit_offset * want.dirs).sum(1) / disk.radius
+            # the rule's own rays: one segment each, from the target
+            rule = polar_rule_for_target(disk, y, 64, 10)
+            np.testing.assert_array_equal(rule.seg_ray,
+                                          np.arange(len(rule.dirs)))
+            np.testing.assert_array_equal(rule.seg_ends[:, 0], 0.0)
+            end = _disk_extents(disk, y, rule.dirs)
+            err = np.abs(rule.seg_ends[:, 1] - end)
+            exit_offset = off + end[:, None] * rule.dirs
+            incidence = (exit_offset * rule.dirs).sum(1) / disk.radius
             steep = incidence >= 0.1
             assert np.all(err[steep] <= 1e-14)
             # a crossing at grazing incidence moves by a rounding error
@@ -472,8 +529,7 @@ class TestPolarRules:
 
             mp.setattr(geometry, "_scan", counted)
             rules = polar_rules(spec, targets, 24, 6)
-        if spec.kind == "star":
-            assert 1 < len(scans) < len(targets) and max(scans) > 1
+        assert 1 < len(scans) < len(targets) and max(scans) > 1
         assert len(rules) == len(targets)
         pts, wts, counts = rule_nodes(rules)
         at = np.cumsum(counts)
@@ -550,9 +606,10 @@ class TestQueries:
         assert not DISK.contains((0.41, 0.0))
 
     @settings(max_examples=20, deadline=None)
-    @given(spec=convex_domains().filter(lambda s: s.kind == "star"))
+    @given(spec=convex_domains())
     @example(spec=BENCH_STAR)
     @example(spec=NONCONVEX_STAR)
+    @example(spec=DISK)
     def test_star_diameter_below_bound(self, spec):
         # the pruned pair search returns the brute-force maximum over the
         # same 2048 samples, bitwise
