@@ -14,17 +14,18 @@ depend only on their geometry; ``cached`` is the one way to fill it.
 them, here and downstream, converts them once with it, so bad points
 raise ``GeometryError`` at the call and an empty set gives an empty result.
 
-Polar rules are built per target set (``polar_rules``): one level check,
-then per block of consecutive targets one angle table and one segment
-scan of all of the block's rays (``_scan``), whose crossings
-queue for one Newton loop per group of blocks (``_ray_segments``).  The
-volume pipeline and the verification oracles both build their rules this
-way; ``polar_rule_for_target`` is the one-target case.  ``rule_nodes``
-expands the segment tables of several rules in one pass.
-``BLOCK_ENTRIES`` caps each block's largest temporary and each group's
-queue; every operation is elementwise per ray, per crossing or per
-segment, so a rule does not depend on the block or group it was built
-in, bitwise.
+Polar rules are built per target set (``polar_rules``).  A ray from a
+target y meets the boundary wherever y's sight line x(t) - y points along
+it, so each target samples the angle of its sight lines over the boundary
+parameter t (``_sight_angles``), on one table of x(t) shared by the set;
+consecutive samples bracket every crossing, and a safeguarded Newton loop
+refines it (``_block_segments``).  The volume pipeline and the
+verification oracles both build their rules this way;
+``polar_rule_for_target`` is the one-target case.  ``rule_nodes`` expands
+the segment tables of several rules in one pass.  ``BLOCK_ENTRIES`` caps
+each block's largest temporary; every operation is elementwise per
+target, per ray or per crossing, so a rule does not depend on the block
+it was built in, bitwise.
 """
 
 from __future__ import annotations
@@ -93,13 +94,6 @@ def _count(n, name: str) -> int:
     if n < low or (even and n % 2):
         raise GeometryError(f"{name} must be {'even and ' * even}at least {low}")
     return n
-
-
-def _polar(px, py):
-    """|p| and cos, sin of the polar angle of offsets (px, py); 0 at p = 0."""
-    r = np.sqrt(px * px + py * py)
-    safe = np.where(r > 0.0, r, 1.0)
-    return r, px / safe, py / safe
 
 
 def _clenshaw(a, x):
@@ -180,8 +174,8 @@ class DomainSpec:
     def level(self, points) -> np.ndarray:
         """Star level function: <1 inside, 1 on the boundary, >1 outside."""
         p = as_points(points) - self.center
-        r, cos, _ = _polar(p[:, 0], p[:, 1])
-        return r / self.profile(cos)
+        r = np.sqrt(p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1])
+        return r / self.profile(p[:, 0] / np.where(r > 0.0, r, 1.0))
 
     def contains(self, point) -> bool:
         return bool(self.level(_as_point(point))[0] < 1.0)
@@ -322,6 +316,16 @@ class BoundaryCurve:
         denom = fm - 2 * f0 + fp
         shift = np.where(np.abs(denom) > 1e-300, 0.5 * (fm - fp) / np.where(denom == 0, 1, denom), 0.0)
         tref = tt[j] + shift * (2 * np.pi / m)
+        # the parabola misses by up to 0.016 h^3 at spacing h; a Newton
+        # step on (x(t) - p) . x'(t) = 0 squares that, unless the derivative
+        # is not positive: then no minimum is near, and t stays
+        cos, sin = np.cos(tref), np.sin(tref)
+        rho, drho = self.spec.profile(cos, sin)
+        e, n = np.stack([cos, sin]), np.stack([-sin, cos])
+        off, v = rho * e + (self.spec.center - pts).T, drho * e + rho * n
+        acc = (self.spec.ddrho(tref) - rho) * e + 2 * drho * n
+        f, df = (off * v).sum(0), (v * v + off * acc).sum(0)
+        tref = tref - np.where(df > 0, f / np.where(df > 0, df, 1.0), 0.0)
         bref = self.spec.boundary_point(tref)
         return np.minimum(np.sqrt(f0), np.linalg.norm(pts - bref, axis=1))
 
@@ -533,13 +537,19 @@ BOUNDARY_LEVEL_TOL = 1e-9
 THETA_COUNT_COEFF = 14.0
 THETA_COUNT_CAP = 768
 #: Cap, in float64 entries, on the largest temporary of a block of polar
-#: rules: the segment scan's samples (rays times ladder radii) of a block
-#: of targets in ``polar_rules`` and the crossing queue of a group of such
-#: blocks, and the angular cardinals (nodes times n_t) of a block of rules
-#: in ``potentials``.  At 2^15 (256 KiB) the benchmark star's volume
-#: passes at 64/16x8 run as fast as at 2^16 with a sixth of the extra
-#: memory.
+#: rules: the sight-line samples (targets times the uniform and graded
+#: samples) of a block of targets in ``polar_rules``, and the angular
+#: cardinals (nodes times n_t) of a block of rules in ``potentials``.  At
+#: 2^15 (256 KiB) the benchmark star's volume passes at 64/16x8 run as fast
+#: as at 2^16 with a sixth of the extra memory.
 BLOCK_ENTRIES = 2**15
+#: Uniform boundary-parameter samples of a target's sight lines per cosine
+#: mode k >= 1 of the profile (a disk's one mode, k = 0, counts as one):
+#: their angle folds where they are tangent to the boundary, at most 4K
+#: times for K modes.  END_SAMPLES more are graded toward the target's own
+#: parameter at each end of the turn.
+SIGHT_SAMPLES_PER_MODE = 256
+END_SAMPLES = 48
 
 
 @lru_cache(maxsize=32)
@@ -551,16 +561,6 @@ def _graded_unit_rule(p: int):
     r, w = x**4, 4 * x**3 * w
     r.flags.writeable = w.flags.writeable = False
     return r, w
-
-
-@lru_cache(maxsize=1)
-def _unit_ladder() -> np.ndarray:
-    """Radial sample ladder on (0, 1], scaled by rmax: log-spaced near 0 to
-    catch short segments; shared and read-only."""
-    rr = np.concatenate([np.geomspace(1e-9, 1 / 112, 48, endpoint=False),
-                         np.linspace(1 / 112, 1.0, 112)])
-    rr.flags.writeable = False
-    return rr
 
 
 def block_bounds(widths, lengths, cap=None):
@@ -580,111 +580,159 @@ def block_bounds(widths, lengths, cap=None):
     return bounds
 
 
-def _scan_lengths(spec: DomainSpec, p0: np.ndarray,
-                  rmax: np.ndarray) -> np.ndarray:
-    """Ladder samples each origin's scan needs: every radius rmax * ladder
-    up to the first one past its reach |p0| + sum |cos_coeffs| (no
-    boundary point is farther from the origin), that one included; p0 are
-    offsets from the center."""
-    ladder = _unit_ladder()
-    reach = np.hypot(p0[:, 0], p0[:, 1]) + np.abs(spec.cos_coeffs).sum()
-    below = (rmax[:, None] * ladder < reach[:, None]).sum(1)
-    return np.minimum(below + 1, len(ladder))
+def _sight(spec: DomainSpec, s, rho_s, dip, u):
+    """The sight line v = (x(s + u) - y) / (2 sin(u/2)) for 0 < u < 2pi
+    from the target y = x(s) - dip, given rho_s = rho(s), and its
+    u-derivative (x'(s + u) - cos(u/2) v) / (2 sin(u/2)).
 
-
-def _scan(spec: DomainSpec, p0: np.ndarray, dirs: np.ndarray,
-          rmax: np.ndarray, n_samples: np.ndarray):
-    """Bracketed boundary crossings of rays c + p0 + r dirs, each with its
-    own offset p0 from the center c, radius scale rmax and ladder sample
-    count (``_scan_lengths``), for ``_ray_segments`` to refine.
-
-    A scan of the level function over ``_unit_ladder`` times rmax, up to
-    the first radius past |p0| + sum |cos_coeffs| (no boundary point is
-    farther from the origin), brackets every boundary crossing; segments
-    shorter than the scan resolution near rmax can be missed, but the
-    ladder is logarithmic near 0 where short entering segments matter.
-    All rays are scanned together, up to the largest sample count: a
-    ray's samples past its own count lie past its reach, outside, so they
-    add no crossing.
-
-    Returns (ray, entering, bracket): crossing k lies on ray[k], enters
-    the domain where entering[k], and ``bracket[k]`` holds its bracket
-    (lo, hi), the scan's secant guess, its ray's origin offset and
-    direction, and its tolerance 1e-15 rmax; crossings are sorted by ray
-    and then by radius.
+    It is formed free of cancellation: with m = s + u/2, e(s + u) - e(s)
+    is 2 sin(u/2) (-sin m, cos m), and rho(s + u) - rho(s) is
+    -2 sum_k c_k sin(k m) sin(k u/2), where sin(k u/2) / sin(u/2) =
+    U_{k-1}(cos(u/2)).  On the boundary (dip = 0) v is the chord, with
+    limits x'(s) at u = 0 and -x'(s) at 2pi; from an interior target, with
+    dip along e(s), it turns from e(s) at u = 0 once around to e(s) at 2pi.
     """
-    k = int(n_samples.max(initial=1))
-    rr = rmax[:, None] * _unit_ladder()[:k]
-    R, cos, _ = _polar(p0[:, :1] + dirs[:, :1] * rr,
-                       p0[:, 1:] + dirs[:, 1:] * rr)
-    lev = R / spec.profile(cos)
-    inside = (lev < 1.0) & (np.arange(k) < n_samples[:, None])
-    if inside[np.arange(len(rr)), n_samples - 1].any():
-        raise GeometryError("radial segment scan failed: ray never leaves domain")
-
-    flips = inside[:, :-1] != inside[:, 1:]
-    di, ki = np.nonzero(flips)
-    entering = ~inside[di, ki]          # outside -> inside across the flip
-    lo, hi = rr[di, ki], rr[di, ki + 1]
-    l0, l1 = lev[di, ki], lev[di, ki + 1]
-    bracket = np.empty((len(di), 8))
-    bracket[:, 0], bracket[:, 1] = lo, hi
-    bracket[:, 2] = lo + (hi - lo) * (1.0 - l0) / (l1 - l0)
-    bracket[:, 3:5], bracket[:, 5:7] = p0[di], dirs[di]
-    bracket[:, 7] = 1e-15 * rmax[di]
-    return di, entering, bracket
+    ch, sh = np.cos(0.5 * u), np.sin(0.5 * u)
+    cm, sm = np.cos(s + 0.5 * u), np.sin(s + 0.5 * u)
+    # drho = (rho(s + u) - rho(s)) / (2 sin(u/2)), from sin(k m) and
+    # U_{k-1}(cos(u/2)) by their three-term recurrences
+    drho, skm, skm1, uk, uk1 = 0.0, sm, 0.0, 1.0, 0.0
+    for ck in spec.cos_coeffs[1:]:
+        drho = drho - ck * skm * uk
+        skm, skm1 = 2.0 * cm * skm - skm1, skm
+        uk, uk1 = 2.0 * ch * uk - uk1, uk
+    ct, st = cm * ch - sm * sh, sm * ch + cm * sh       # at s + u
+    rho, dr = spec.profile(ct, st)
+    vx = drho * ct - rho_s * sm + dip[..., 0] / (2 * sh)
+    vy = drho * st + rho_s * cm + dip[..., 1] / (2 * sh)
+    return (vx, vy), ((dr * ct - rho * st - ch * vx) / (2 * sh),
+                      (dr * st + rho * ct - ch * vy) / (2 * sh))
 
 
-def _ray_segments(spec: DomainSpec, scans) -> list:
-    """Inside segments of the rays of each scan (``_scan``): per scan, the
-    arrays (ray, start, end), segment k covering [start[k], end[k]] along
-    ray[k], with 0 <= start < end, sorted by ray and then by radius.
+def _radii(spec: DomainSpec, s, rho_s, dip, d, u, lo, hi, rising):
+    """Radii 2 sin(u/2) v . d along unit directions d of the roots of
+    v x d, v the sight line ``_sight(spec, s, rho_s, dip, u)``, one in
+    each bracket (lo, hi) of u, from first guesses u inside; v x d goes
+    from negative to positive across the root where ``rising``.
 
-    Inside a bracket the crossing is a simple root of g(r) = |p| -
-    rho(theta(p)), p = p0 + r dir, found by safeguarded Newton iteration
-    from the scan's secant guess: every iterate shrinks the bracket, and a
-    step that leaves it is replaced by the bracket's midpoint.  The
-    crossings of all the scans run through one loop; each takes the same
-    steps, with its own ray's origin and tolerance, so each ray's segments
-    are those of its own scan bitwise.
+    Safeguarded Newton iteration: every iterate shrinks its bracket, and a
+    step that leaves it by more than tol = 4 eps u is replaced by its
+    midpoint.  A root is done once |v x d| is at most 4 eps |v|_1, or its
+    step or its bracket at most tol.  Every operation is elementwise per
+    root.
     """
-    entering = np.concatenate([e for _, e, _ in scans])
-    lo, hi, cross, px, py, dx, dy, tol = np.concatenate(
-        [b for _, _, b in scans]).T
-    todo = np.arange(len(cross))
+    eps, geo = 4 * np.finfo(float).eps, (s, rho_s, dip)
+    tol, todo = eps * u, np.arange(len(u))
     for _ in range(60):                 # a backstop: a few steps suffice
         if not todo.size:
             break
-        r, ux, uy = cross[todo], dx[todo], dy[todo]
-        R, cos, sin = _polar(px[todo] + r * ux, py[todo] + r * uy)
-        rho, drho = spec.profile(cos, sin)
-        g = R - rho                     # < 0 where the level is < 1
+        x, dk, tk = u[todo], d[todo], tol[todo]
         with np.errstate(divide="ignore", invalid="ignore"):
-            # g' = e . d - rho'(theta) theta', theta' = (e x d) / R
-            dg = cos * ux + sin * uy - drho * (cos * uy - sin * ux) / R
-            step = g / dg
-        past = (g < 0.0) == entering[todo]
-        lo[todo] = a = np.where(past, lo[todo], r)
-        hi[todo] = b = np.where(past, r, hi[todo])
-        new = r - step
-        new = np.where((a < new) & (new < b), new, 0.5 * (a + b))
-        done = ((np.abs(g) <= 4 * np.finfo(float).eps * R)
-                | (np.abs(step) <= tol[todo]) | (b - a <= tol[todo]))
-        cross[todo] = np.where(done, r, new)
+            (vx, vy), (dx, dy) = _sight(spec, *(a[todo] for a in geo), x)
+            g = vx * dk[:, 1] - vy * dk[:, 0]
+            step = g / (dx * dk[:, 1] - dy * dk[:, 0])
+        left = (g < 0.0) == rising[todo]        # x lies left of the root
+        lo[todo] = a = np.where(left, x, lo[todo])
+        hi[todo] = b = np.where(left, hi[todo], x)
+        u[todo] = np.where((a - tk <= x - step) & (x - step <= b + tk),
+                           np.clip(x - step, a, b), 0.5 * (a + b))
+        done = ((np.abs(g) <= eps * (np.abs(vx) + np.abs(vy)))
+                | (np.abs(step) <= tk) | (b - a <= tk))
         todo = todo[~done]
+    (vx, vy), _ = _sight(spec, s, rho_s, dip, u)
+    return 2 * np.sin(0.5 * u) * (vx * d[:, 0] + vy * d[:, 1])
 
-    # crossings alternate along a ray, and every ray ends outside, so each
-    # exit closes the segment opened by the previous crossing on its ray,
-    # or by the ray's origin itself when the ray starts inside
-    segments, at = [], 0
-    for di, entering, _ in scans:
-        x = cross[at:at + len(di)]
-        at += len(di)
-        exits = np.flatnonzero(~entering)
-        opened = (exits > 0) & (di[exits - 1] == di[exits])
-        segments.append((di[exits], np.where(opened, x[exits - 1], 0.0),
-                         x[exits]))
-    return segments
+
+def _sight_angles(spec: DomainSpec, E, s, q, rho_s, dip, inner, w0):
+    """Parameter offsets u (B, M) and unwrapped angles w (B, M), from w0,
+    of a block of B targets' sight lines x(s + u) - y, y = c + q.
+
+    The samples are u = 0; END_SAMPLES log-spaced fractions from 1e-8 of
+    the gap up to the first uniform parameter past s, which lies 1/2 to
+    3/2 spacings on; the uniform parameters 2pi (j + 1/2) / N of the table
+    E (x - c at them, N = len(E)) up to 2pi; the same grading of the last
+    gap; and 2pi.  The half spacing keeps the parameters off the grid's
+    and the curve's angles, where a symmetric target's ray can cross the
+    boundary exactly at a sample, the end of two brackets.  The graded
+    samples use ``_sight``.  An interior target sees the boundary wind
+    once around it, from w = 0 along its radial ray to 2pi; a boundary
+    target sees its chord turn from the tangent x'(s) at w = 0 to -x'(s)
+    at pi.  Both ends are pinned exactly.
+    """
+    g, N, turn = END_SAMPLES, len(E), 2 * np.pi
+    grade = np.geomspace(1e-8, 1.0, g, endpoint=False)
+    j = np.ceil(s * (N / turn)).astype(int)[:, None] + np.arange(N - 1)
+    mid = (turn / N) * (j + 0.5) - s[:, None]
+    u = np.pad(np.concatenate([mid[:, :1] * grade, mid, turn - (
+        turn - mid[:, -1:]) * grade[::-1]], axis=1), ((0, 0), (1, 1)),
+               constant_values=(0.0, turn))
+    ends = np.r_[1:g + 1, N + g:N + 2 * g]      # the graded samples
+    (vx, vy), _ = _sight(spec, s[:, None], rho_s[:, None], dip[:, None],
+                         u[:, ends])
+    w = np.zeros(u.shape)
+    w[:, ends] = np.arctan2(vy, vx)
+    w[:, g + 1:N + g] = np.arctan2(E[j % N, 1] - q[:, 1:],
+                                   E[j % N, 0] - q[:, :1])
+    w[:, 1:-1] -= w0[:, None]
+    # unwrap by whole turns; the far end is pinned
+    w[:, 1:-1] -= turn * np.cumsum(np.rint(np.diff(w[:, :-1]) / turn), axis=1)
+    w[:, -1] = np.where(inner, turn, np.pi)
+    return u, w
+
+
+def _block_segments(spec: DomainSpec, E, levels, block, dirs, edges, start):
+    """Inside segments (ray, start, end) of a block of targets' rays, ray
+    indexing the block's angle table (target b on rays edges[b] to
+    edges[b + 1]; rays ``start`` start inside), sorted by ray and then by
+    radius.
+
+    ``block`` holds each target's parameter s, offset q from the center,
+    rho(s), offset dip = x(s) - y, interior flag, ray count n and angle
+    w0 of its rays' origin (``polar_rules``).  A ray at angle
+    w0 + L meets the boundary wherever the sight-line angle w
+    (``_sight_angles``) passes L plus whole turns: L = 2pi k / n on an
+    interior target's ray k, by index arithmetic, and ``levels`` on a
+    boundary target's.  Consecutive samples bracket each crossing, and
+    ``_radii`` refines it.  Pinning w's ends makes the count of each ray's
+    crossings odd where the ray starts inside (an interior target's, or
+    on a boundary target's window about its interior normal, the first
+    half of ``levels``) and even where it starts outside.  So with a
+    crossing at radius 0 added where a ray starts inside, each ray's
+    crossings, sorted by radius, pair into its segments.
+    """
+    s, q, rho_s, dip, inner, n, w0 = block
+    u, w = _sight_angles(spec, E, s, q, rho_s, dip, inner, w0)
+    # below[b, i]: the levels at most w[b, i], counted across turns, each
+    # turn's in order; a nondecreasing function of w
+    period = np.where(inner, n, len(levels))
+    turns = np.floor(w / (2 * np.pi))
+    rem, below = w - 2 * np.pi * turns, turns * period[:, None]
+    below[inner] += np.floor(rem[inner] * (n[inner, None] / (2 * np.pi))) + 1
+    below[~inner] += np.searchsorted(levels, rem[~inner], side="right")
+    count = np.abs(np.diff(below.astype(int), axis=1)).ravel()
+    at = np.repeat(np.arange(count.size), count)    # each crossing's bracket
+    level = (np.minimum(below[:, :-1], below[:, 1:]).ravel()[at].astype(int)
+             + np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count))
+    b, i = np.divmod(at, w.shape[1] - 1)
+    turn, ray = np.divmod(level, period[b])
+    angle = np.where(inner[b], 2 * np.pi * level / n[b], 2 * np.pi * turn
+                     + levels[np.where(inner[b], 0, ray)])
+    # the secant guess in each bracket; the radial ray's crossing at the
+    # pinned end is x(s) itself, at u = 2pi
+    lo, hi, wa, wb = u[b, i], u[b, i + 1], w[b, i], w[b, i + 1]
+    guess = lo + (angle - wa) / (wb - wa) * (hi - lo)
+    guess = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
+    pinned = inner[b] & (i == u.shape[1] - 2) & (level == n[b])
+    # free the sample tables before the Newton loop's temporaries
+    del u, w, turns, rem, below, count, at, level, turn, angle
+    lo[pinned] = guess[pinned] = 2 * np.pi
+    ray += edges[b]
+    r = _radii(spec, s[b], rho_s[b], dip[b], dirs[ray], guess, lo, hi,
+               wb < wa)
+    ray, r = np.concatenate([ray, start]), np.concatenate([r, 0.0 * start])
+    order = np.lexsort((r, ray))
+    ray, lo, hi = ray[order[0::2]], r[order[0::2]], r[order[1::2]]
+    return ray[hi > lo], lo[hi > lo], hi[hi > lo]
 
 
 def _smoothstep(v):
@@ -776,16 +824,6 @@ def rule_nodes(rules):
     return pts, wts, counts
 
 
-def _window_angles(alpha, n_theta: int):
-    """Width-pi angular window about direction alpha, with a smoothstep
-    substitution whose derivative vanishes quadratically at the edges;
-    alpha of shape (m, 1) gives m windows."""
-    xg, wg = gauss_01(n_theta)
-    sstep, dstep = _smoothstep(xg)
-    theta = alpha - np.pi / 2 + np.pi * sstep
-    return theta, np.pi * dstep * wg
-
-
 def polar_rules(spec: DomainSpec, targets, base: int = 48,
                 n_r: int = 10) -> list:
     """Polar quadrature rules centered at targets (interior or on the
@@ -798,101 +836,79 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
     of their radial extent shrinks like sqrt(1 - level) toward the
     boundary, so their angular count is THETA_COUNT_COEFF / sqrt(1 - level),
     at least ``base``, at most THETA_COUNT_CAP, rounded up to even.
-    Boundary targets get two width-pi angular windows of ``base`` nodes,
-    about the interior normal and about the exterior one, with a
-    smoothstep substitution clustered at the tangential directions; their
-    extent function is smooth again.  Either way, a rotation about the
-    center that maps the domain onto itself maps y's rule onto its image's
-    rule.  Every ray is integrated over all of its inside segments, so
-    regions not visible from the target along a first crossing are still
-    covered; a disk, the one-mode star, takes the same path.
+    Boundary targets (level within BOUNDARY_LEVEL_TOL of 1) get two
+    width-pi angular windows of ``base`` nodes, about the interior normal
+    and about the exterior one, with a quintic smoothstep substitution
+    clustered at the tangential directions; their extent function is
+    smooth again.  Their rays start from the boundary point on the radial
+    line through them.  Either way, a rotation about the center that maps
+    the domain onto itself maps y's rule onto its image's rule.  Every ray
+    is integrated over all of its inside segments, so regions not visible
+    from the target along a first crossing are still covered.
 
-    The set is built together: one level check, then per block of
-    consecutive targets (``block_bounds``) one table of their angles and
-    one segment scan (``_scan``).  A block's scan samples, its rays times
-    its longest ladder, fit in ``BLOCK_ENTRIES``.  The scans' bracketed
-    crossings queue, and one Newton loop (``_ray_segments``) refines each
-    group of consecutive blocks whose queue, eight entries a crossing,
-    fits in ``BLOCK_ENTRIES``: one loop per target set at the benchmark's
-    sizes.  Every array operation is elementwise per ray or per crossing,
-    so each rule equals the one its target gets alone, bitwise.
+    The set is built together: one level check and one table of x(t) at
+    the uniform parameters of the sight lines (SIGHT_SAMPLES_PER_MODE per
+    cosine mode k >= 1, or for a disk), then per block of consecutive
+    targets (``block_bounds``), whose sight-line samples fit in
+    BLOCK_ENTRIES, one angle table and one ``_block_segments`` call.
+    Every array operation is elementwise per target, per ray or per
+    crossing, so each rule equals the one its target gets alone, bitwise.
     """
     y = as_points(targets)
     lev = spec.level(y)
     if (lev > 1.0 + BOUNDARY_LEVEL_TOL).any():
         raise GeometryError("polar rule target lies outside the domain")
     inner = lev < 1.0 - BOUNDARY_LEVEL_TOL
-    d = y - spec.center
-    phi = np.arctan2(d[:, 1], d[:, 0])
+    q = y - spec.center
+    s = np.arctan2(q[:, 1], q[:, 0])
     n = np.full(len(y), 2 * base)       # rays per target: two windows
     n[inner] = np.minimum(THETA_COUNT_CAP, np.maximum(base, np.ceil(
         THETA_COUNT_COEFF / np.sqrt(1.0 - lev[inner]))))
     n[inner] += n[inner] % 2
-    alpha = np.zeros(len(y))    # a boundary target's interior normal angle
-    if not inner.all():
-        nin = -spec.boundary_normal(phi[~inner])
-        alpha[~inner] = np.arctan2(nin[:, 1], nin[:, 0])
-    rmax = 2.1 * spec.max_rho() + np.array(
-        [np.linalg.norm(v) for v in d], dtype=float)
-    lengths = _scan_lengths(spec, d, rmax)
+    # w0: the angle of each target's first ray, its radial one inside, the
+    # tangent x'(s) on the boundary, where q becomes x(s) - c
+    cos, sin = np.cos(s), np.sin(s)
+    rho, drho = spec.profile(cos, sin)
+    w0 = np.where(inner, s, np.arctan2(drho * sin + rho * cos,
+                                       drho * cos - rho * sin))
+    e = np.stack([cos, sin], axis=1)
+    dip = np.where(inner, rho - np.hypot(q[:, 0], q[:, 1]), 0.0)[:, None] * e
+    q[~inner] = (rho[:, None] * e)[~inner]
+    # the windows' angles from w0 and weights, interior window first
+    sstep, dstep = _smoothstep(gauss_01(base)[0])
+    levels = np.pi * np.concatenate([sstep, 1.0 + sstep])
+    wlevels = np.pi * np.tile(dstep * gauss_01(base)[1], 2)
+    N = SIGHT_SAMPLES_PER_MODE * max(1, len(spec.cos_coeffs) - 1)
+    t = (2 * np.pi / N) * (np.arange(N) + 0.5)
+    E = spec.boundary_point(t) - spec.center
 
-    rules, pending = [], []     # pending: scanned blocks
-    for lo, hi in block_bounds(n.tolist(), lengths.tolist()):
+    rules = []
+    # per target: its sight-line samples, and its rays, about one crossing
+    # each on a convex domain
+    width = N + 2 * END_SAMPLES + 1 + n
+    for lo, hi in block_bounds(width.tolist(), [1] * len(y)):
         # the block's angle table: each target's rays after the previous
         # target's, target lo + j on rays edges[j]:edges[j + 1]
         edges = np.concatenate([[0], np.cumsum(n[lo:hi])])
         owner = np.repeat(np.arange(lo, hi), n[lo:hi])
-        ray_in = inner[owner]
-        own = owner[ray_in]
-        theta, wtheta = np.empty(edges[-1]), np.empty(edges[-1])
-        k = np.flatnonzero(ray_in) - edges[own - lo]
-        theta[ray_in] = phi[own] + 2 * np.pi * k / n[own]
-        wtheta[ray_in] = 2 * np.pi / n[own]
-        if not ray_in.all():
-            edge = alpha[lo:hi][~inner[lo:hi], None]
-            th, wt = _window_angles(edge, base)
-            th = np.concatenate(
-                [th, _window_angles(edge + np.pi, base)[0]], axis=1)
-            theta[~ray_in] = th.ravel()
-            wtheta[~ray_in] = np.tile(np.concatenate([wt, wt]), len(th))
-        dirs = np.empty((len(theta), 2))
-        dirs[:, 0], dirs[:, 1] = np.cos(theta), np.sin(theta)
-        table = (range(lo, hi), edges, theta, wtheta, dirs)
-        scan = _scan(spec, d[owner], dirs, rmax[owner], lengths[owner])
-        queued = sum(bracket.size for _, (_, _, bracket), _ in pending)
-        if pending and queued + scan[2].size > BLOCK_ENTRIES:
-            rules += _scanned_rules(spec, y, pending, rmax, n_r)
-            pending = []
-        pending.append((table, scan, owner))
-    if pending:
-        rules += _scanned_rules(spec, y, pending, rmax, n_r)
-    return rules
-
-
-def _scanned_rules(spec: DomainSpec, y, blocks, rmax, n_r: int) -> list:
-    """Rules of scanned blocks (angle table, ``_scan``, ray owners), their
-    crossings refined in one ``_ray_segments`` loop."""
-    rules = []
-    segs = _ray_segments(spec, [scan for _, scan, _ in blocks])
-    for (table, _, owner), (ray, a, b) in zip(blocks, segs):
-        rm = rmax[owner[ray]]
-        a = np.where(a <= 1e-11 * rm, 0.0, a)   # starts at the target
-        # segments ending this close to the target are rounding noise of
-        # the level function on a boundary target's window-edge rays
-        keep = b > 1e-7 * rm
-        ray, a, b = ray[keep], a[keep], b[keep]
-        targets, edges, theta, wtheta, dirs = table
+        k = np.arange(edges[-1]) - edges[owner - lo]
+        ang, wtheta = 2 * np.pi * k / n[owner], 2 * np.pi / n[owner]
+        win = ~inner[owner]
+        ang[win], wtheta[win] = levels[k[win]], wlevels[k[win]]
+        theta = w0[owner] + ang
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        block = [a[lo:hi] for a in (s, q, rho, dip, inner, n, w0)]
+        start = np.flatnonzero(~win | (2 * k < len(levels)))
+        ray, a, b = _block_segments(spec, E, levels, block, dirs, edges,
+                                    start)
         cuts = np.searchsorted(ray, edges)
-        for i, first, last, s, e in zip(targets, edges, edges[1:], cuts,
-                                        cuts[1:]):
-            if s == e:
-                raise GeometryError(
-                    "polar rule is empty: no ray enters the domain")
+        for i, first, last, c0, c1 in zip(range(lo, hi), edges, edges[1:],
+                                          cuts, cuts[1:]):
             rules.append(PolarRule(
                 target=y[i], theta=theta[first:last],
                 wtheta=wtheta[first:last], dirs=dirs[first:last],
-                seg_ray=ray[s:e] - first,
-                seg_ends=np.stack([a[s:e], b[s:e]], axis=1), n_r=n_r))
+                seg_ray=ray[c0:c1] - first,
+                seg_ends=np.stack([a[c0:c1], b[c0:c1]], axis=1), n_r=n_r))
     return rules
 
 

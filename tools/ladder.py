@@ -48,6 +48,7 @@ CONFIGS = [("disk", DISK, (64, 16, 8)), ("disk", DISK, (128, 32, 12)),
            ("disk", DISK, (256, 64, 24)), ("star", STAR, (128, 32, 12)),
            ("star", STAR, (256, 64, 24)),
            ("nonconvex_star", NONCONVEX, (128, 32, 12)),
+           ("nonconvex_star", NONCONVEX, (256, 64, 24)),
            # memory against n_boundary: the Laplace blocks dominate here
            ("disk", DISK, (512, 32, 12)), ("disk", DISK, (1024, 32, 12)),
            ("disk", DISK, (2048, 32, 12))]
