@@ -563,18 +563,17 @@ def _graded_unit_rule(p: int):
     return r, w
 
 
-def block_bounds(widths, lengths, cap=None):
-    """(start, stop) of consecutive blocks of items whose temporary, the
-    sum of their widths times the largest of their lengths, stays within
-    ``cap`` float64 entries (``BLOCK_ENTRIES`` unless given); an item over
-    it is a block alone."""
+def block_bounds(widths, cap=None):
+    """(start, stop) of consecutive blocks of items whose widths sum to at
+    most ``cap`` float64 entries (``BLOCK_ENTRIES`` unless given); an item
+    over it is a block alone."""
     cap = BLOCK_ENTRIES if cap is None else cap
-    bounds, lo, width, length = [], 0, 0, 0
-    for i, (w, n) in enumerate(zip(widths, lengths)):
-        width, length = width + w, max(length, n)
-        if i > lo and width * length > cap:
+    bounds, lo, width = [], 0, 0
+    for i, w in enumerate(widths):
+        width += w
+        if i > lo and width > cap:
             bounds.append((lo, i))
-            lo, width, length = i, w, n
+            lo, width = i, w
     if len(widths):
         bounds.append((lo, len(widths)))
     return bounds
@@ -874,10 +873,13 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
     e = np.stack([cos, sin], axis=1)
     dip = np.where(inner, rho - np.hypot(q[:, 0], q[:, 1]), 0.0)[:, None] * e
     q[~inner] = (rho[:, None] * e)[~inner]
-    # the windows' angles from w0 and weights, interior window first
-    sstep, dstep = _smoothstep(gauss_01(base)[0])
-    levels = np.pi * np.concatenate([sstep, 1.0 + sstep])
-    wlevels = np.pi * np.tile(dstep * gauss_01(base)[1], 2)
+    # the windows' angles from w0 and weights, interior window first; a
+    # set without boundary targets reads only the tables' length
+    levels = wlevels = np.zeros(2 * base)
+    if not inner.all():
+        sstep, dstep = _smoothstep(gauss_01(base)[0])
+        levels = np.pi * np.concatenate([sstep, 1.0 + sstep])
+        wlevels = np.pi * np.tile(dstep * gauss_01(base)[1], 2)
     N = SIGHT_SAMPLES_PER_MODE * max(1, len(spec.cos_coeffs) - 1)
     t = (2 * np.pi / N) * (np.arange(N) + 0.5)
     E = spec.boundary_point(t) - spec.center
@@ -886,7 +888,7 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
     # per target: its sight-line samples, and its rays, about one crossing
     # each on a convex domain
     width = N + 2 * END_SAMPLES + 1 + n
-    for lo, hi in block_bounds(width.tolist(), [1] * len(y)):
+    for lo, hi in block_bounds(width.tolist()):
         # the block's angle table: each target's rays after the previous
         # target's, target lo + j on rays edges[j]:edges[j + 1]
         edges = np.concatenate([[0], np.cumsum(n[lo:hi])])

@@ -16,15 +16,17 @@ member's row is the representative's contraction re-indexed along the
 grid's angular axis: j -> j - shift for a rotation, j -> shift - j with
 the mirror.  On the benchmark star (0.3, 0, 0.03) at 64/16x8 that is 40
 rules for the 128 grid targets and 17 for the 64 curve targets (64 and
-32 with the rotations alone).  A target set's missing representative
-rules are built in one ``geometry.polar_rules`` call, and their nodes and
-cardinals per block of representatives (``geometry.BLOCK_ENTRIES``).  A
-block's orbit members then form one member table, evaluated and
-contracted in chunks whose node pairs times n_s fit in the block's own
-(A, S) entry count (``_volume_pass``).  The Laplace blocks, the polar
-rules and the log-kernel rows depend only on the geometry, so
-``geometry.cached`` keeps each with its curve or grid, built once and
-read-only: log rows as one block per target set.
+32 with the rotations alone).  A target set's representative rules are
+built in one ``geometry.polar_rules`` call, and their nodes and cardinals
+per block of representatives (``geometry.BLOCK_ENTRIES``).  A block's
+orbit members then form one member table, evaluated and contracted in
+chunks whose node pairs times n_s fit in the block's own (A, S) entry
+count (``_volume_pass``).  The Laplace blocks, the polar rules and the
+log-kernel rows depend only on the geometry, so ``geometry.cached`` keeps
+each with its curve or grid, built once and read-only.  On the grid, a
+volume target set has one entry (``_target_set``), keyed by its
+coordinates: its orbits, its representatives' rules and, after its first
+pass, its log-kernel rows; dropping the set is one delete.
 The independent oracles for the volume operators live only in
 ``verification``; nothing here serves them.
 """
@@ -211,20 +213,6 @@ def _rule_params(grid: DomainGrid):
     return base, p
 
 
-def _rules(grid: DomainGrid, ys: np.ndarray) -> list:
-    """The polar rules of targets ys, each built once per grid under the
-    key ("rule", y.tobytes()): the missing ones in one ``polar_rules`` call."""
-    keys = [("rule", y.tobytes()) for y in ys]
-    missing = {key: y for key, y in zip(keys, ys) if key not in grid._cache}
-    if missing:
-        base, p = _rule_params(grid)
-        built = polar_rules(grid.spec, np.array(list(missing.values())),
-                            base=base, n_r=p)
-        for key, rule in zip(missing, built):
-            cached(grid, key, lambda rule=rule: rule)
-    return [grid._cache[key] for key in keys]
-
-
 #: Distance, relative to the domain's largest radius, within which a target
 #: counts as the image of its orbit's representative.
 ORBIT_TOL = 1e-13
@@ -260,16 +248,16 @@ def _orbits(grid: DomainGrid, tg: np.ndarray):
     sector |angle| <= pi / order, then mirrored (f) if it lies below the
     horizontal axis there.  Targets whose folded offsets agree to
     1e3 * ORBIT_TOL share an orbit, and the first of them represents it.
-    Yields (rep, members, shifts, flips): target ``members[i]`` is target
-    ``rep``, mirrored where ``flips[i]``, then rotated by ``shifts[i]``
-    grid angular steps, to ORBIT_TOL; from the two foldings, flip =
-    f xor f_rep and shift = s - (-1)^flip s_rep.  Targets that are no
-    exact image of their representative are grouped again among
+    Returns flat arrays (reps, members, shifts, flips, sizes): orbit o is
+    represented by target ``reps[o]`` and has ``sizes[o]`` members, the
+    next run of ``members``, orbit after orbit.  Target ``members[i]`` is
+    its representative mirrored where ``flips[i]``, then rotated by
+    ``shifts[i]`` grid angular steps, to ORBIT_TOL; from the two foldings,
+    flip = f xor f_rep and shift = s - (-1)^flip s_rep.  Targets that are
+    no exact image of their representative are grouped again among
     themselves, until each has an orbit (a representative is its own
     exact image, so every round settles at least one target).
     """
-    if not len(tg):
-        return
     n, n_t = len(tg), grid.n_t
     v = tg - grid.spec.center
     tol = ORBIT_TOL * grid.spec.max_rho()
@@ -295,10 +283,9 @@ def _orbits(grid: DomainGrid, tg: np.ndarray):
         done = todo[exact]
         rep[done], rel[done], flip[done] = r[exact], k[exact], fl[exact]
         todo = todo[~exact]
-    by_rep = np.argsort(rep, kind="stable")
-    cuts = np.flatnonzero(np.diff(rep[by_rep])) + 1
-    for members in np.split(by_rep, cuts):
-        yield rep[members[0]], members, rel[members], flip[members]
+    members = np.argsort(rep, kind="stable")
+    reps, sizes = np.unique(rep, return_counts=True)
+    return reps, members, rel[members], flip[members], sizes
 
 
 def _reindex(grid: DomainGrid, rows, shifts, flips, src=None):
@@ -312,21 +299,35 @@ def _reindex(grid: DomainGrid, rows, shifts, flips, src=None):
     return rows[src[:, None], j].reshape(len(j), -1)
 
 
-def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None, logs=True):
-    """One pass over the dihedral orbits of the targets.
+def _target_set(grid: DomainGrid, tg: np.ndarray) -> dict:
+    """The volume geometry of target set tg, one grid entry keyed by the
+    set's bytes: its dihedral orbits ("orbits", ``_orbits``), its
+    representatives' polar rules ("rules", one ``polar_rules`` call) and,
+    once a pass has built them, its read-only log-kernel rows ("logs")."""
+    def build():
+        orbits = _orbits(grid, tg)
+        base, p = _rule_params(grid)
+        return {"orbits": orbits, "logs": None, "rules": polar_rules(
+            grid.spec, tg[orbits[0]], base=base, n_r=p)}
+    return cached(grid, tg.tobytes(), build)
+
+
+def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None):
+    """One pass over the dihedral orbits of the targets, read with their
+    rules from the set's grid entry (``_target_set``).
 
     Per orbit, the representative's polar rule and cardinals (A, S) are
     built once; a member's rule is the representative's mirrored (when
     flipped) and rotated.  A rotation of the points rolls the columns of
     A, and a mirror sends column j to -j since the trigonometric cardinal
-    is even; S is unchanged by both.  The representatives' missing rules
-    are built in one ``polar_rules`` call; their nodes are expanded and
+    is even; S is unchanged by both.  The rules' nodes are expanded and
     their cardinals evaluated per block of consecutive representatives
     whose A, nodes times n_t, fits in ``geometry.BLOCK_ENTRIES``
-    (``block_bounds``), one block at a time.  Returns the log-kernel rows
-    of the targets if ``logs`` (else None): per block, the
-    representatives' contractions, re-indexed for every member at once,
-    since the log kernel is invariant under both maps.
+    (``block_bounds``), one block at a time.  Returns the set's log-kernel
+    rows, built by the first pass over the set and stored in its entry:
+    per block, the representatives' contractions, re-indexed for every
+    member at once, since the log kernel is invariant under both maps.
+    Without a kernel and with the rows stored, there is no pass.
 
     Given ``kernel(y, d, owner)`` (targets (k, 2), node offsets (P, 2) of
     target ``owner``), it also returns the matrix of the kernel's rows at
@@ -339,23 +340,24 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None, logs=True):
     its (A, S) in one GEMM, and the chunk's rows are re-indexed at once.
     Every step is elementwise per pair, so no row depends on its chunk.
     """
-    logs = np.empty((len(tg), grid.n_nodes)) if logs else None
+    entry = _target_set(grid, tg)
+    if kernel is None and entry["logs"] is not None:
+        return entry["logs"], None
+    logs = None if entry["logs"] is not None else np.empty(
+        (len(tg), grid.n_nodes))
     rows = None if kernel is None else np.empty((len(tg), grid.n_nodes))
-    orbits = list(_orbits(grid, tg))
-    reps = tg[[rep for rep, *_ in orbits]]
-    rules = _rules(grid, reps)
-    sizes = [rule.n_nodes for rule in rules]
-    for lo, hi in block_bounds(sizes, [grid.n_t] * len(sizes)):
+    reps, *table, sizes = entry["orbits"]
+    rules = entry["rules"]
+    first = np.concatenate([[0], np.cumsum(sizes)])  # each orbit's members
+    for lo, hi in block_bounds([rule.n_nodes * grid.n_t for rule in rules]):
         pts_b, w_b, counts = rule_nodes(rules[lo:hi])
         A_b, S_b = grid.cardinal_matrices(pts_b)
-        d_b = pts_b - np.repeat(reps[lo:hi], counts, axis=0)   # node offsets
+        d_b = pts_b - np.repeat(tg[reps[lo:hi]], counts, axis=0)  # offsets
         at = [slice(a - c, a) for a, c in zip(np.cumsum(counts), counts)]
-        # the member table: target, rotation and mirror of each member,
-        # the members of each representative consecutive
-        members, shifts, flips = (np.concatenate(col) for col in
-                                  list(zip(*orbits[lo:hi]))[1:])
-        n_members = [len(m) for _, m, _, _ in orbits[lo:hi]]
-        rep = np.repeat(np.arange(hi - lo), n_members)
+        # the block's member table: target, rotation and mirror of each
+        # member, the members of each representative consecutive
+        members, shifts, flips = (col[first[lo]:first[hi]] for col in table)
+        rep = np.repeat(np.arange(hi - lo), sizes[lo:hi])
         if logs is not None:
             g_b = laplace.layer_kernel_values("s", d_b[:, 0], d_b[:, 1])
             row0 = np.stack([grid.interpolation_row(-w_b[r] * g_b[r],
@@ -372,8 +374,8 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None, logs=True):
         c, s = np.cos(ang), np.sin(ang)
         cf, sf = c * sign, s * sign
         cap = len(pts_b) * (grid.n_t + grid.n_s)
-        bounds = np.cumsum([0] + n_members).tolist()
-        for b, e in block_bounds(pairs, [grid.n_s] * len(pairs), cap):
+        bounds = (first[lo:hi + 1] - first[lo]).tolist()
+        for b, e in block_bounds(pairs * grid.n_s, cap):
             # the chunk's members i:j (in the table) of representative r
             runs = [(r, max(b, bounds[r]), min(e, bounds[r + 1]))
                     for r in range(rep[b], rep[e - 1] + 1)]
@@ -395,7 +397,10 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None, logs=True):
                     S_b[at[r]])
             rows[members[b:e]] = _reindex(grid, out, shifts[b:e],
                                           flips[b:e])
-    return logs, rows
+    if logs is not None:
+        logs.flags.writeable = False
+        entry["logs"] = logs
+    return entry["logs"], rows
 
 
 def _remainder_kernel(y, d, owner, coeff: Coefficient, family: str):
@@ -428,8 +433,7 @@ def volume_potential(grid: DomainGrid, coeff: Coefficient, family: str,
     tg = as_points(targets)
     if not np.any(field.values != 0.0):
         return np.zeros(len(tg))
-    logs = cached(grid, ("log", tg.tobytes()),
-                  lambda: _volume_pass(grid, tg)[0])
+    logs = _volume_pass(grid, tg)[0]
     if family == "x":
         return logs @ (field.values / coeff.a(grid.points))
     return logs @ field.values / coeff.a(tg)
@@ -441,21 +445,15 @@ def remainder_rows(grid: DomainGrid, coeff: Coefficient, family: str,
 
     Each row integrates the explicit remainder kernel against the grid
     interpolant; boundary targets are allowed (trace of the operator).  A
-    constant coefficient has no remainder: its rows are zero.  The same
-    pass stores the targets' log-kernel rows on the grid, unless a pass
-    stored them before.
+    constant coefficient has no remainder: its rows are zero.  The first
+    pass over a target set also builds its log-kernel rows.
     """
     _check_family(family)
     tg = as_points(targets)
     if coeff.constant:
         return np.zeros((len(tg), grid.n_nodes))
-    key = ("log", tg.tobytes())
-    logs, rows = _volume_pass(
-        grid, tg, lambda y, d, owner: _remainder_kernel(
-            y, d, owner, coeff, family), logs=key not in grid._cache)
-    if logs is not None:
-        cached(grid, key, lambda: logs)
-    return rows
+    return _volume_pass(grid, tg, lambda y, d, owner: _remainder_kernel(
+        y, d, owner, coeff, family))[1]
 
 
 def remainder_potential(grid: DomainGrid, coeff: Coefficient, family: str,

@@ -198,9 +198,10 @@ def _rows(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
     """(R, V): the remainder and single-layer rows at targets ``tg``, or
     their traces at the curve nodes when ``tg`` is None.
 
-    Call it before ``_data`` at the same targets: the remainder pass also
-    stores the log rows that the volume potential reads, which the reverse
-    order would build twice."""
+    Calling it before ``_data`` at the same targets costs least: the
+    remainder pass then builds the log rows that the volume potential
+    reads from the same cardinal evaluation, where the reverse order
+    evaluates the cardinals twice."""
     V = potentials.layer_rows(curve, coeff, family, "V", tg)
     R = potentials.remainder_rows(grid, coeff, family,
                                   curve.points if tg is None else tg)
@@ -211,7 +212,7 @@ def _data(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
           family: str, f: DomainField, phi0: BoundaryDensity, tg=None):
     """P f - W g at targets ``tg``, or its trace at the curve nodes when
     ``tg`` is None, where the interior jump trace(W g) = W_dir g - g/2
-    adds g/2.  Call ``_rows`` first (see there)."""
+    adds g/2.  Cheapest after ``_rows`` (see there)."""
     pf = potentials.volume_potential(grid, coeff, family, f,
                                      curve.points if tg is None else tg)
     if tg is None:

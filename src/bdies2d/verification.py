@@ -152,7 +152,8 @@ def fd_oracle(case: ManufacturedCase, spec: DomainSpec, n_r: int = 128,
     """Solve the Dirichlet problem on a disk with a polar flux scheme.
 
     Completely independent of the integral-equation pipeline; used only to
-    cross-check solved fields.  Disks only, n_r >= 2 rings, n_theta >= 3
+    cross-check solved fields.  Disks only (any one-mode profile, whose
+    radius is its one cosine coefficient), n_r >= 2 rings, n_theta >= 3
     angles.  Each interior ring is one periodic tridiagonal block, coupled
     to its neighbours by diagonal matrices and to the center by a column,
     so block elimination solves the system: an inward sweep of
@@ -160,11 +161,11 @@ def fd_oracle(case: ManufacturedCase, spec: DomainSpec, n_r: int = 128,
     back-substitution outward.  The stored n_theta x n_theta blocks take
     O(n_r n_theta^2) memory, about 17 MB at 128x128.
     """
-    if spec.kind != "disk":
+    if spec.cos_coeffs[1:].any():
         raise ValueError("the finite-difference oracle supports disks only")
     c = spec.center
     M, N = _count(n_r, "n_r"), _count(n_theta, "n_theta")
-    h, ht = spec.radius / M, TWO_PI / N
+    h, ht = spec.cos_coeffs[0] / M, TWO_PI / N
     r = h * np.arange(1, M)[:, None]                 # ring radii, (M - 1, 1)
     th = ht * np.arange(N)
 
@@ -599,7 +600,8 @@ def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
             rep.add(f"relation_{kind}_offboundary_{fam}",
                     np.abs(got - off_ref[kind]).max(), 1e-8)
 
-        # the remainder pass also stores the log rows the volume term reads
+        # remainder first: its pass also builds the log rows the volume
+        # term reads, from the same cardinal evaluation
         rv = potentials.remainder_potential(vol_grid, coeff, fam, fld, probe)
         pv = potentials.volume_potential(vol_grid, coeff, fam, fld, probe)
         rep.add(f"relation_P_{fam}", np.abs(pv - oracle["P", fam]).max(),
@@ -720,16 +722,18 @@ def invertibility_report(curve: BoundaryCurve, grid: DomainGrid,
 
     Reports sigma_min of the direct single-layer matrix, of its
     restriction to the zero-mean subspace, and of the interior
-    single-layer map (zero-mean densities to interior values).
+    single-layer map (zero-mean densities to interior values) at 24
+    probes on the level-0.45 curve, c + 0.45 rho(theta) e(theta), inside
+    every star.
     """
     V = potentials.single_layer_direct_matrix(curve, coeff, family)
     Z = zero_mean_basis(curve)
     sv = np.linalg.svd(V, compute_uv=False)
     svz = np.linalg.svd(V @ Z, compute_uv=False)
     spec = curve.spec
-    rr = 0.45 * spec.diameter() / 2
     th = TWO_PI * np.arange(24) / 24
-    targets = spec.center + rr * np.stack([np.cos(th), np.sin(th)], axis=1)
+    targets = spec.center + (0.45 * spec.rho(th))[:, None] * np.stack(
+        [np.cos(th), np.sin(th)], axis=1)
     G = potentials.single_layer_matrix_at_targets(curve, coeff, family, targets)
     sgz = np.linalg.svd(G @ Z, compute_uv=False)
     return {

@@ -557,7 +557,46 @@ def _rule_fields(rule):
             rule.seg_ends)
 
 
+class TestBlockBounds:
+    @settings(max_examples=100, deadline=None)
+    @given(widths=st.lists(st.integers(0, 50), max_size=30),
+           cap=st.integers(0, 120))
+    @example(widths=[], cap=10)
+    def test_blocks_tile_in_order_and_fill_up(self, widths, cap):
+        bounds = geometry.block_bounds(widths, cap)
+        edges = [0] + [hi for _, hi in bounds]
+        assert [lo for lo, _ in bounds] == edges[:-1]
+        assert edges[-1] == len(widths)
+        for k, (lo, hi) in enumerate(bounds):
+            total = sum(widths[lo:hi])
+            assert hi > lo
+            # over the cap only as a single item
+            assert total <= cap or hi - lo == 1
+            # every block but the last is full: the next item overflows it
+            if k + 1 < len(bounds):
+                assert total + widths[hi] > cap
+
+    def test_default_cap_is_block_entries(self):
+        cap = geometry.BLOCK_ENTRIES
+        assert geometry.block_bounds([cap - 1, 1, 1]) == [(0, 2), (2, 3)]
+
+
 class TestPolarRules:
+    def test_interior_sets_build_no_window_tables(self, monkeypatch):
+        grid = build_domain_grid(BENCH_STAR, 8, 4)
+        targets = np.concatenate([grid.points, BENCH_STAR.boundary_point(
+            np.array([0.7]))])
+        want = polar_rules(BENCH_STAR, targets, 24, 6)[:-1]
+
+        def refuse(*args):
+            raise AssertionError("window tables built")
+
+        monkeypatch.setattr(geometry, "_smoothstep", refuse)
+        got = polar_rules(BENCH_STAR, grid.points, 24, 6)
+        for rule, ref in zip(got, want, strict=True):
+            for a, b in zip(_rule_fields(rule), _rule_fields(ref)):
+                np.testing.assert_array_equal(a, b)
+
     @settings(max_examples=20, deadline=None)
     @given(spec=st.one_of(convex_domains(), st.just(NONCONVEX_STAR)),
            s=st.lists(st.floats(0.0, 0.9), min_size=1, max_size=6),

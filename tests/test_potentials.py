@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from bdies2d import geometry, laplace, potentials, verification
+from bdies2d import geometry, laplace, potentials, solver, verification
 from bdies2d.coefficient import Coefficient, make_preset
 from bdies2d.geometry import (BOUNDARY_LEVEL_TOL, DomainSpec, GeometryError,
                               build_curve, build_domain_grid,
@@ -209,21 +209,66 @@ class TestTargetCache:
              "star-boundary"])
     def test_cached_rule_equals_fresh_rule(self, spec, y):
         grid = build_domain_grid(spec, 16, 8)
-        y = np.array(y)
-        cached = potentials._rules(grid, y[None, :])[0]
-        assert potentials._rules(grid, y[None, :])[0] is cached
+        y = np.array(y)[None, :]
+        entry = potentials._target_set(grid, y)
+        assert potentials._target_set(grid, y.copy()) is entry
+        cached = entry["rules"][0]
         base, n_r = potentials._rule_params(grid)
-        fresh = polar_rule_for_target(spec, y, base=base, n_r=n_r)
+        fresh = polar_rule_for_target(spec, y[0], base=base, n_r=n_r)
         assert np.array_equal(cached.points, fresh.points)
         assert np.array_equal(cached.weights, fresh.weights)
 
 
+    def test_one_entry_and_one_orbit_search_per_target_set(self,
+                                                           monkeypatch):
+        # the benchmark star at 64/16x8: family x, then family y, then
+        # evaluation of both solutions at fresh point sets
+        spec = DomainSpec("star", center=(0.0, 0.0),
+                          cos_coeffs=(0.3, 0.0, 0.03))
+        curve, grid = build_curve(spec, 64), build_domain_grid(spec, 16, 8)
+        case = verification.manufactured_case("exp_saddle")
+        f, phi0 = case.f_field_on(grid), case.phi0_on(curve)
+        searched = []
+        search = potentials._orbits
+
+        def counted(grid, tg):
+            searched.append(tg.tobytes())
+            return search(grid, tg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("family y rebuilt rules or log rows")
+
+        monkeypatch.setattr(potentials, "_orbits", counted)
+        sols = [solver.solve_bvp(curve, grid, case.coeff, "x", f, phi0)]
+        with monkeypatch.context() as mp:
+            table = laplace.layer_kernel_values
+            mp.setattr(laplace, "layer_kernel_values",
+                       lambda kind, *args: refuse() if kind == "s"
+                       else table(kind, *args))
+            mp.setattr(potentials, "polar_rules", refuse)
+            sols.append(solver.solve_bvp(curve, grid, case.coeff, "y", f,
+                                         phi0))
+        assert len(grid._cache) == len(searched) == 2
+        rng, k = np.random.default_rng(11), 3
+        for _ in range(k):
+            th = rng.uniform(0.0, 2 * np.pi, 64)
+            r = 0.6 * np.sqrt(rng.uniform(0.0, 1.0, 64)) * spec.rho(th)
+            pts = r[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+            for sol in sols:
+                assert np.isfinite(sol.evaluate(pts)).all()
+        assert len(grid._cache) == k + 2
+        assert len(searched) == len(set(searched)) == k + 2
+
+
 def _einsum_log_potential(grid, values, targets):
-    """Reference: contract each rule's cardinals with the nodal data."""
+    """Reference: contract each target's own rule's cardinals with the
+    nodal data."""
     U = np.asarray(values, dtype=float).reshape(grid.n_t, grid.n_s)
+    base, n_r = potentials._rule_params(grid)
     out = []
     for y in targets:
-        pts, w = potentials._rules(grid, y[None, :])[0].nodes()
+        pts, w = polar_rule_for_target(grid.spec, y, base=base,
+                                       n_r=n_r).nodes()
         r2 = ((pts - y) ** 2).sum(1)
         kv = w * 0.5 * np.log(r2) / (2 * np.pi)
         A, S = grid.cardinal_matrices(pts)
@@ -269,7 +314,7 @@ class TestVolumeRows:
                 grid, tg, lambda y, d, owner: potentials._remainder_kernel(
                     y, d, owner, A_QUAD, "x"))
             calls.append(None)
-        n_orbits = len(list(potentials._orbits(grid, tg)))
+        n_orbits = len(potentials._orbits(grid, tg)[0])
         assert calls.index(None) == n_orbits and len(calls) == n_orbits + 3
         for small, large in zip(passes[1], passes[2**22]):
             np.testing.assert_array_equal(small, large)
@@ -278,9 +323,8 @@ class TestVolumeRows:
         grid = build_domain_grid(DISK, 16, 8)
         tg = grid.points[:5]
         potentials.remainder_rows(grid, A_QUAD, "x", tg)
-        key = ("log", tg.tobytes())
-        assert set(grid._cache) == {("rule", y.tobytes()) for y in tg} | {key}
-        block = grid._cache[key]
+        assert list(grid._cache) == [tg.tobytes()]    # one entry per set
+        block = potentials._target_set(grid, tg)["logs"]
         assert block.shape == (len(tg), grid.n_nodes)
         with pytest.raises(ValueError):
             block[0, 0] = 1.0
@@ -289,21 +333,24 @@ class TestVolumeRows:
         assert np.array_equal(potentials._volume_pass(fresh, tg)[0], block)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("log rows rebuilt")
+            raise AssertionError("set geometry or log rows rebuilt")
 
-        # the other family keeps the stored block and builds no log rows
-        # (its remainder kernel reads only the table's "gs"), and the
-        # volume term reads it without another pass
+        # the other family keeps the stored block, builds no orbits, rules
+        # or log rows (its remainder kernel reads only the table's "gs"),
+        # and the volume term reads the block without a pass
         table = laplace.layer_kernel_values
         monkeypatch.setattr(laplace, "layer_kernel_values",
                             lambda kind, *args: refuse() if kind == "s"
                             else table(kind, *args))
+        monkeypatch.setattr(potentials, "_orbits", refuse)
+        monkeypatch.setattr(potentials, "polar_rules", refuse)
         potentials.remainder_rows(grid, A_QUAD, "y", tg)
-        assert grid._cache[key] is block
-        monkeypatch.setattr(potentials, "_volume_pass", refuse)
+        assert potentials._target_set(grid, tg)["logs"] is block
+        monkeypatch.setattr(potentials, "rule_nodes", refuse)
         f = DomainField(grid, np.cos(grid.points[:, 0]))
         np.testing.assert_array_equal(
             volume_potential(grid, A_ONE, "x", f, tg), block @ f.values)
+        assert list(grid._cache) == [tg.tobytes()]
 
 
 def _anchored_reference(grid, coeff, targets):
@@ -334,6 +381,15 @@ ORBIT_SPECS = {
     "star-nonconvex": DomainSpec("star", center=(0.0, 0.0),
                                  cos_coeffs=(0.3, 0.05, 0.0, 0.0, 0.0, 0.08)),
 }
+
+
+def _orbit_list(grid, tg):
+    """``potentials._orbits`` split per orbit: (rep, members, shifts,
+    flips) for each."""
+    reps, members, shifts, flips, sizes = potentials._orbits(grid, tg)
+    cuts = np.cumsum(sizes)[:-1]
+    return list(zip(reps, *(np.split(col, cuts)
+                            for col in (members, shifts, flips))))
 
 
 def _image(v, k, n_t, flip):
@@ -420,7 +476,7 @@ def _chunked_pass(name, family, cap):
         logs, rows = potentials._volume_pass(
             grid, tg, lambda y, d, owner: potentials._remainder_kernel(
                 y, d, owner, A_QUAD, family))
-    return logs, rows, sum(gemms), len(list(potentials._orbits(grid, tg)))
+    return logs, rows, sum(gemms), len(potentials._orbits(grid, tg)[0])
 
 
 class TestMemberChunks:
@@ -454,7 +510,7 @@ class TestOrbits:
         tg = spec.center + np.concatenate([v, images])
         orbit = np.empty(len(tg), dtype=int)
         tol = potentials.ORBIT_TOL * spec.max_rho()
-        for rep, members, shifts, fl in potentials._orbits(grid, tg):
+        for rep, members, shifts, fl in _orbit_list(grid, tg):
             orbit[members] = rep
             for i, k, f in zip(members, shifts, fl):
                 mapped = spec.center + _image(tg[rep] - spec.center, k,
@@ -467,7 +523,7 @@ class TestOrbits:
         spec = ORBIT_SPECS[name]
         grid, curve = build_domain_grid(spec, 16, 8), build_curve(spec, 32)
         tg = np.concatenate([grid.points, curve.points])
-        orbits = list(potentials._orbits(grid, tg))
+        orbits = _orbit_list(grid, tg)
         n_orbits = _brute_force_orbit_count(grid, tg)
         assert len(orbits) == n_orbits
         if spec.kind == "star":
@@ -478,10 +534,12 @@ class TestOrbits:
         for family, ref in refs.items():
             got = potentials.remainder_rows(grid, A_QUAD, family, tg)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        logs = grid._cache[("log", tg.tobytes())]
+        # the first pass stored the log rows: this one reads them back
+        logs = potentials._volume_pass(grid, tg)[0]
         assert np.abs(logs - ref_log).max() <= 1e-12 * np.abs(ref_log).max()
-        kinds = sorted(k[0] for k in grid._cache)
-        assert kinds == ["log"] + ["rule"] * n_orbits
+        # one grid entry for the set, holding one rule per orbit
+        assert list(grid._cache) == [tg.tobytes()]
+        assert len(potentials._target_set(grid, tg)["rules"]) == n_orbits
 
     @pytest.mark.parametrize("name", list(ORBIT_SPECS))
     def test_member_rule_is_rotated_representative_rule(self, name):
@@ -493,12 +551,14 @@ class TestOrbits:
         turns = np.arange(0, grid.n_t, step)
         y = potentials._rotate(np.array([0.13, 0.05]), turns, grid.n_t)
         tg = np.concatenate([grid.points[5::8], spec.center + y])
-        orbits = list(potentials._orbits(grid, tg))
+        orbits = _orbit_list(grid, tg)
         assert len(orbits) == _brute_force_orbit_count(grid, tg)
         assert len(orbits) < len(tg)
         base, n_r = potentials._rule_params(grid)
-        for rep, members, shifts, flips in orbits:
-            p0, w0 = potentials._rules(grid, tg[[rep]])[0].nodes()
+        rules = potentials._target_set(grid, tg)["rules"]
+        for rule, (rep, members, shifts, flips) in zip(rules, orbits):
+            assert np.array_equal(rule.target, tg[rep])
+            p0, w0 = rule.nodes()
             for i, k, f in zip(members, shifts, flips):
                 own, w = polar_rule_for_target(spec, tg[i], base=base,
                                                n_r=n_r).nodes()
@@ -519,8 +579,7 @@ class TestOrbits:
         grid = build_domain_grid(spec, 8, 4)
         y = np.array([[0.11875, 0.0], [0.11875, 1.1875e-12]])
         tg = spec.center + np.concatenate([y, y])
-        orbits = {rep: list(m) for rep, m, _, _ in
-                  potentials._orbits(grid, tg)}
+        orbits = {rep: list(m) for rep, m, _, _ in _orbit_list(grid, tg)}
         assert orbits == {0: [0, 2], 1: [1, 3]}
 
     def test_no_targets_give_no_rows(self):

@@ -1,0 +1,34 @@
+"""The benchmark record tool ``tools/ladder.py``, run as a script."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from test_cli import fresh_env
+
+from bdies2d import potentials
+from bdies2d.geometry import DomainSpec, build_curve, build_domain_grid
+
+LADDER = Path(__file__).resolve().parents[1] / "tools" / "ladder.py"
+
+
+def test_ladder_counts_the_rules_of_the_grid_and_curve_sets():
+    disk = {"kind": "disk", "center": [0.0, 0.0], "radius": 0.4}
+    job = {"domain": disk, "resolution": [32, 8, 4], "family": "x"}
+    out = subprocess.run(
+        [sys.executable, str(LADDER), "--one", json.dumps(job)],
+        env=fresh_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+        text=True, check=True)
+    row = json.loads(out.stdout)
+    # the solve's two volume target sets: the grid nodes and curve nodes
+    spec = DomainSpec(**disk)
+    curve, grid = build_curve(spec, 32), build_domain_grid(spec, 8, 4)
+    sets = [potentials._target_set(grid, tg)
+            for tg in (grid.points, curve.points)]
+    n_orbits = sum(len(s["orbits"][0]) for s in sets)
+    assert n_orbits > grid.n_s
+    assert row["rules"] == n_orbits
+    assert row["rule_nodes"] == sum(rule.n_nodes for s in sets
+                                    for rule in s["rules"])
+    assert row["err_u_max"] < 1e-2

@@ -78,9 +78,20 @@ class TestFdOracle:
         assert rate > 1.7
 
     def test_non_disk_rejected(self):
-        star = DomainSpec("star", center=(0, 0), cos_coeffs=(0.3,))
         with pytest.raises(ValueError, match="disk"):
-            V.fd_oracle(V.manufactured_case("const_one"), star, 16, 16)
+            V.fd_oracle(V.manufactured_case("const_one"), BENCH_STAR, 16, 16)
+
+    @pytest.mark.parametrize("coeffs", [(0.4,), (0.4, 0.0, 0.0)],
+                             ids=["one-term", "zero-modes"])
+    def test_one_mode_star_is_the_disk(self, coeffs):
+        # a one-mode profile is a disk of radius cos_coeffs[0], whatever
+        # its kind says
+        case = V.manufactured_case("exp_saddle")
+        star = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=coeffs)
+        ref, got = V.fd_oracle(case, DISK, 16, 16), V.fd_oracle(case, star,
+                                                                 16, 16)
+        assert np.array_equal(got.points, ref.points)
+        assert np.array_equal(got.values, ref.values)
 
     @pytest.mark.parametrize("n_r, n_theta, message", [
         (0, 8, "n_r must be at least 2"), (1, 8, "n_r must be at least 2"),
@@ -164,7 +175,7 @@ class TestVolumeOracles:
             raise AssertionError("oracle entered the production path")
 
         monkeypatch.setattr(potentials, "_volume_pass", refuse)
-        monkeypatch.setattr(potentials, "_rules", refuse)
+        monkeypatch.setattr(potentials, "_target_set", refuse)
         spec = DomainSpec("star", center=(0.0, 0.0),
                           cos_coeffs=(0.3, 0.0, 0.03))
         grid = build_domain_grid(spec, 16, 8)
@@ -181,6 +192,9 @@ class TestVolumeOracles:
 BENCH_STAR = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.03))
 NONCONVEX_STAR = DomainSpec("star", center=(0.0, 0.0),
                             cos_coeffs=(0.3, 0.05, 0.0, 0.0, 0.0, 0.08))
+#: A strongly non-convex star, its cosine tail at 0.88 of its mean radius.
+STRETCHED_STAR = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(
+    0.2483, -0.0716, -0.0193, -0.0708, -0.0569))
 DIRECT_OPS = {"V": potentials.single_layer_direct_matrix,
               "W": potentials.double_layer_direct_matrix,
               "Wp": potentials.wprime_direct_matrix}
@@ -401,6 +415,27 @@ class TestDiagnostics:
         assert rep["sigma_min_single_layer"] > 1e-8
         assert rep["sigma_min_single_layer_zero_mean"] > 0
         assert rep["sigma_min_interior_map_zero_mean"] > 0
+
+    @pytest.mark.parametrize("spec", [DISK, BENCH_STAR, NONCONVEX_STAR,
+                                      STRETCHED_STAR],
+                             ids=["disk", "star", "nonconvex", "stretched"])
+    def test_invertibility_probes_lie_inside(self, spec, monkeypatch):
+        # the interior map's probes: on the stretched star, a circle of
+        # 0.225 diameters about the center reaches level 4.9
+        seen = []
+        rows = potentials.single_layer_matrix_at_targets
+
+        def capture(curve, coeff, family, targets):
+            seen.append(np.array(targets))
+            return rows(curve, coeff, family, targets)
+
+        monkeypatch.setattr(potentials, "single_layer_matrix_at_targets",
+                            capture)
+        V.invertibility_report(build_curve(spec, 64),
+                               build_domain_grid(spec, 8, 4), A_EXP, "x")
+        (targets,) = seen
+        assert len(targets) == 24
+        assert spec.level(targets).max() < 1.0
 
     def test_remainder_spectrum_decays(self):
         # qualitative only: the spectrum is reported, nonincreasing, and

@@ -4,8 +4,9 @@ Every config solves the manufactured problem ``exp_saddle`` once per
 family, each in a fresh subprocess with one BLAS thread, and records:
 assembly and solve seconds, peak RSS, ``err_u_max``, ``err_psi_max``, the
 trace defect, the number of polar rules the volume pipeline built and
-their node total, plus the seconds taken to import bdies2d (numpy already
-loaded) and the ``scipy.*`` subpackages loaded by the end of the run.
+their node total (counted where ``potentials`` calls ``polar_rules``),
+plus the seconds taken to import bdies2d (numpy already loaded) and the
+``scipy.*`` subpackages loaded by the end of the run.
 After the solve it records the spectral diagnostics of ``bdies2d solve``
 and their seconds: ``cond`` and ``cond_s`` for the system's condition
 number, ``remainder_block_norm`` and ``fredholm_s`` for
@@ -66,10 +67,21 @@ def run_one(domain: dict, resolution, family: str) -> dict:
     import numpy as np
 
     t_import = time.perf_counter()
+    from bdies2d import potentials
     from bdies2d.geometry import DomainSpec, build_curve, build_domain_grid
     from bdies2d.solver import assemble_system, solve_dirichlet
     from bdies2d.verification import fredholm_diagnostic, manufactured_case
     import_s = time.perf_counter() - t_import
+
+    # every rule the volume pipeline builds comes from this one call
+    rules, build_rules = [], potentials.polar_rules
+
+    def counted(*args, **kwargs):
+        built = build_rules(*args, **kwargs)
+        rules.extend(built)
+        return built
+
+    potentials.polar_rules = counted
 
     nb, nt, ns = resolution
     spec = DomainSpec(**domain)
@@ -89,8 +101,6 @@ def run_one(domain: dict, resolution, family: str) -> dict:
     t5 = time.perf_counter()
 
     u_ex = case.u(grid.points)
-    rules = [v for k, v in grid._cache.items()
-             if isinstance(k, tuple) and k[0] == "rule"]
     return {
         "build_s": t1 - t0, "assemble_s": t2 - t1, "solve_s": t3 - t2,
         "cond_s": t4 - t3, "fredholm_s": t5 - t4, "peak_rss_mb": peak_rss_mb,
