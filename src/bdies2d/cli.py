@@ -110,8 +110,12 @@ def load_config(path) -> RunConfig:
         if case is None:
             raise ConfigError(f"command {command!r} needs a manufactured 'case' "
                               "providing exact data")
-    if command == "validate" and coefficient is None and case is None:
-        raise ConfigError("validate needs a 'coefficient' preset or a 'case'")
+        if coefficient is not None:
+            raise ConfigError(f"command {command!r} takes no 'coefficient': "
+                              "its manufactured 'case' fixes it")
+    if command == "validate" and (coefficient is None) == (case is None):
+        raise ConfigError("validate needs exactly one of a 'coefficient' "
+                          "preset and a 'case'")
 
     resolutions = raw.get("resolutions", [])
     if isinstance(resolutions, dict):
@@ -178,12 +182,8 @@ def _check_diameter(cfg: RunConfig):
 def _coefficient(c: dict):
     from .coefficient import make_preset
     with _library_check("coefficient"):
-        kwargs = {}
-        if "value" in c:
-            kwargs["value"] = float(c["value"])
-        if "direction" in c:
-            kwargs["direction"] = tuple(c["direction"])
-        return make_preset(c.get("preset"), **kwargs)
+        return make_preset(c.get("preset"), value=c.get("value"),
+                           direction=c.get("direction"))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def _run_validate(cfg: RunConfig):
     report.add("coefficient_derivative_dev",
                max(deriv.max_rel_grad_dev, deriv.max_rel_lap_dev),
                DERIVATIVE_TOL)
-    inv = verification.invertibility_report(curve, grid, coeff, cfg.family)
+    inv = verification.invertibility_report(curve, coeff, cfg.family)
     report.add("sigma_min_single_layer_above_floor",
                1e-8 - inv["sigma_min_single_layer"], 0.0)
     decay = verification.remainder_spectrum_decay(grid, coeff, cfg.family)

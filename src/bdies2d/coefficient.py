@@ -30,15 +30,29 @@ class Coefficient:
     constant: bool = False
 
 
-def make_preset(name: str, *, value: float = 1.0, direction=(1.0, 1.0)) -> Coefficient:
+#: The parameters each preset takes.
+_PRESET_PARAMS = {"constant": ("value",), "exponential": ("direction",),
+                  "quadratic": ()}
+
+
+def make_preset(name: str, *, value: float | None = None,
+                direction=None) -> Coefficient:
     """Built-in coefficient presets.
 
-    constant    a = value (value > 0)
-    exponential a = exp(d . x) for direction d
+    constant    a = value (value > 0, 1 by default)
+    exponential a = exp(d . x) for direction d ((1, 1) by default)
     quadratic   a = 1 + x1^2
+
+    A parameter given to a preset that does not take it raises
+    ``CoefficientError``.
     """
-    c = float(value)
-    d = np.asarray(direction, dtype=float)
+    if name not in _PRESET_PARAMS:
+        raise CoefficientError(f"unknown coefficient preset {name!r}")
+    for param, given in (("value", value), ("direction", direction)):
+        if given is not None and param not in _PRESET_PARAMS[name]:
+            raise CoefficientError(f"the {name} preset takes no {param!r}")
+    c = 1.0 if value is None else float(value)
+    d = np.asarray((1.0, 1.0) if direction is None else direction, dtype=float)
     if not (np.isfinite(c) and np.isfinite(d).all()):
         raise CoefficientError("coefficient value and direction must be finite")
     if name == "constant":
@@ -67,31 +81,30 @@ def make_preset(name: str, *, value: float = 1.0, direction=(1.0, 1.0)) -> Coeff
                 d, np.atleast_2d(np.asarray(p, float)).shape).copy(),
             laplacian_ln_a=lambda p: np.zeros(np.atleast_2d(p).shape[0]),
         )
-    if name == "quadratic":
-        def a(p):
-            p = np.atleast_2d(np.asarray(p, float))
-            return 1.0 + p[:, 0] ** 2
 
-        def grad_a(p):
-            p = np.atleast_2d(np.asarray(p, float))
-            g = np.zeros_like(p)
-            g[:, 0] = 2.0 * p[:, 0]
-            return g
+    def a(p):
+        p = np.atleast_2d(np.asarray(p, float))
+        return 1.0 + p[:, 0] ** 2
 
-        def grad_ln_a(p):
-            p = np.atleast_2d(np.asarray(p, float))
-            g = np.zeros_like(p)
-            g[:, 0] = 2.0 * p[:, 0] / (1.0 + p[:, 0] ** 2)
-            return g
+    def grad_a(p):
+        p = np.atleast_2d(np.asarray(p, float))
+        g = np.zeros_like(p)
+        g[:, 0] = 2.0 * p[:, 0]
+        return g
 
-        def laplacian_ln_a(p):
-            p = np.atleast_2d(np.asarray(p, float))
-            x2 = p[:, 0] ** 2
-            return (2.0 - 2.0 * x2) / (1.0 + x2) ** 2
+    def grad_ln_a(p):
+        p = np.atleast_2d(np.asarray(p, float))
+        g = np.zeros_like(p)
+        g[:, 0] = 2.0 * p[:, 0] / (1.0 + p[:, 0] ** 2)
+        return g
 
-        return Coefficient(name="quadratic", a=a, grad_a=grad_a,
-                           grad_ln_a=grad_ln_a, laplacian_ln_a=laplacian_ln_a)
-    raise CoefficientError(f"unknown coefficient preset {name!r}")
+    def laplacian_ln_a(p):
+        p = np.atleast_2d(np.asarray(p, float))
+        x2 = p[:, 0] ** 2
+        return (2.0 - 2.0 * x2) / (1.0 + x2) ** 2
+
+    return Coefficient(name="quadratic", a=a, grad_a=grad_a,
+                       grad_ln_a=grad_ln_a, laplacian_ln_a=laplacian_ln_a)
 
 
 #: Largest relative deviation from finite differences that

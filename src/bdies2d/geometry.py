@@ -14,18 +14,20 @@ depend only on their geometry; ``cached`` is the one way to fill it.
 them, here and downstream, converts them once with it, so bad points
 raise ``GeometryError`` at the call and an empty set gives an empty result.
 
-Polar rules are built per target set (``polar_rules``).  A ray from a
-target y meets the boundary wherever y's sight line x(t) - y points along
-it, so each target samples the angle of its sight lines over the boundary
+Polar rules are built per target set (``polar_rules``), as one segment
+table (``PolarRules``): per inside segment of a ray, its direction,
+angular weight and ends, target after target.  A ray from a target y
+meets the boundary wherever y's sight line x(t) - y points along it, so
+each target samples the angle of its sight lines over the boundary
 parameter t (``_sight_angles``), on one table of x(t) shared by the set;
 consecutive samples bracket every crossing, and a safeguarded Newton loop
 refines it (``_block_segments``).  The volume pipeline and the
 verification oracles both build their rules this way;
-``polar_rule_for_target`` is the one-target case.  ``rule_nodes`` expands
-the segment tables of several rules in one pass.  ``BLOCK_ENTRIES`` caps
+``polar_rule_for_target`` is the one-target table.  ``rule_nodes``
+expands any run of a table's targets in one pass.  ``BLOCK_ENTRIES`` caps
 each block's largest temporary; every operation is elementwise per
-target, per ray or per crossing, so a rule does not depend on the block
-it was built in, bitwise.
+target, per ray or per crossing, so a target's rule does not depend on
+the block it was built in, bitwise.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 import numpy.polynomial.legendre  # numpy 2 loads it lazily, at first use
@@ -740,97 +741,91 @@ def _smoothstep(v):
 
 
 @dataclass(frozen=True, eq=False)
-class PolarRule:
-    """Quadrature for integrals over the domain, centered at a target point.
+class PolarRules:
+    """Quadrature for integrals over the domain centered at each of a set
+    of targets, held as one segment table.
 
-    Held as a segment table: per angular node a direction and an angular
-    weight, and per inside segment its ray index and its start and end
-    radius, sorted by ray and then by radius.  ``nodes()`` expands a
-    segment that starts nearer the target than its own length (start 0
-    included) with ``_graded_unit_rule(n_r)``, 2 n_r Gauss points under
-    r = x^4 clustered at its start, and every other segment with n_r
-    Gauss-Legendre points.  The weights include the polar Jacobian r,
-    which cancels 1/r kernel singularities at the target; the
+    Target i owns segments ``cuts[i]:cuts[i + 1]``, sorted by ray and then
+    by radius; per segment the table holds its ray's unit direction (dx,
+    dy), the ray's angular weight and the segment's start and end radius,
+    each column a 1-d array: ``polar_rules`` joins its blocks' pieces one
+    column at a time, so the join holds a fifth of the table twice, not
+    all of it.
+    ``rule_nodes`` expands a segment that starts nearer the target than
+    its own length (start 0 included) with ``_graded_unit_rule(n_r)``, 2
+    n_r Gauss points under r = x^4 clustered at its start, and every other
+    segment with n_r Gauss-Legendre points.  The weights include the polar
+    Jacobian r, which cancels 1/r kernel singularities at the target; the
     substitution absorbs log(r) factors, also on a segment that re-enters
     the domain just past the target.
     """
 
-    target: np.ndarray
-    theta: np.ndarray
-    wtheta: np.ndarray
-    dirs: np.ndarray
-    seg_ray: np.ndarray          # (m,) ray index of each segment
-    seg_ends: np.ndarray         # (m, 2) its start and end radius
+    targets: np.ndarray          # (m, 2)
+    cuts: np.ndarray             # (m + 1,) each target's first segment
+    dx: np.ndarray               # (S,) per segment: its ray's direction,
+    dy: np.ndarray
+    wtheta: np.ndarray           # that ray's angular weight,
+    start: np.ndarray            # and its start and end radius
+    end: np.ndarray
     n_r: int
 
     @property
-    def n_nodes(self) -> int:
-        """Number of quadrature points, without expanding them."""
-        a, b = self.seg_ends.T
-        return self.n_r * (len(a) + int((a < b - a).sum()))
-
-    def nodes(self):
-        """Quadrature points (N, 2) and weights (N,); see ``rule_nodes``."""
-        return rule_nodes([self])[:2]
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.nodes()[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.nodes()[1]
-
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        pts, wts = self.nodes()
-        return float(wts @ f(pts))
+    def counts(self) -> np.ndarray:
+        """Quadrature points per target, without expanding them."""
+        a, b = self.start, self.end
+        size = np.where(a < b - a, 2 * self.n_r, self.n_r)
+        return np.diff(np.concatenate([[0], np.cumsum(size)])[self.cuts])
 
 
-def rule_nodes(rules):
-    """Quadrature points (N, 2), weights (N,) and per-rule node counts of
-    rules of one radial order n_r, expanded in one pass, rule after rule.
+def rule_nodes(rules: PolarRules, lo: int = 0, hi: int | None = None):
+    """Quadrature points (N, 2), weights (N,) and per-target node counts of
+    targets lo:hi (all by default) of a rule table, expanded in one pass,
+    target after target.
 
-    Each rule's nodes are its graded segments (start a < length b - a)
+    Each target's nodes are its graded segments (start a < length b - a)
     first, then the others, each in table order.  A segment [a, a + h]
-    along ray k with unit rule (x, wx) has nodes r = a + h x and weights
-    h wx r wtheta_k, formed as h^2 wtheta_k (wx x) + h a wtheta_k wx.
+    along a ray of weight wtheta with unit rule (x, wx) has nodes r = a +
+    h x and weights h wx r wtheta, formed as h^2 wtheta (wx x) + h a
+    wtheta wx.  Every operation is elementwise per segment, so a target's
+    nodes do not depend on the others expanded with it, bitwise.
     """
-    n_r = rules[0].n_r
-    owner = np.repeat(np.arange(len(rules)), [len(r.seg_ray) for r in rules])
-    ends = np.concatenate([r.seg_ends for r in rules])
-    dirs = np.concatenate([r.dirs[r.seg_ray] for r in rules])
-    wtheta = np.concatenate([r.wtheta[r.seg_ray] for r in rules])
-    a, b = ends.T
+    n_r, cuts = rules.n_r, rules.cuts
+    hi = len(rules.targets) if hi is None else hi
+    seg = slice(cuts[lo], cuts[hi])
+    a, b, wtheta = rules.start[seg], rules.end[seg], rules.wtheta[seg]
+    dx, dy = rules.dx[seg], rules.dy[seg]
+    owner = np.repeat(np.arange(hi - lo), np.diff(cuts[lo:hi + 1]))
     graded = a < b - a
     size = np.where(graded, 2 * n_r, n_r)
-    counts = np.bincount(owner, size, len(rules)).astype(int)
-    # node offset of each segment, with a rule's graded segments first
+    counts = np.bincount(owner, size, hi - lo).astype(int)
+    # node offset of each segment, with a target's graded segments first
     order = np.argsort(2 * owner + ~graded, kind="stable")
     first = np.empty_like(size)
     first[order] = np.cumsum(size[order]) - size[order]
-    pts = np.repeat(np.stack([r.target for r in rules]), counts, axis=0)
+    pts = np.repeat(rules.targets[lo:hi], counts, axis=0)
     wts = np.empty(len(pts))
     for sel, (x, wx) in ((graded, _graded_unit_rule(n_r)),
                          (~graded, gauss_01(n_r))):
         if not sel.any():
             continue
-        a, b = ends[sel, :1], ends[sel, 1:]
-        h, wt = b - a, wtheta[sel][:, None]
-        r = a + h * x
+        a0, h = a[sel, None], (b - a)[sel, None]
+        wt = wtheta[sel, None]
+        r = a0 + h * x
         at = (first[sel][:, None] + np.arange(len(x))).ravel()
-        pts[at] += (r[:, :, None] * dirs[sel][:, None, :]).reshape(-1, 2)
-        wts[at] = ((h**2 * wt) * (wx * x) + (h * a * wt) * wx).ravel()
+        pts[at, 0] += (r * dx[sel, None]).ravel()
+        pts[at, 1] += (r * dy[sel, None]).ravel()
+        wts[at] = ((h**2 * wt) * (wx * x) + (h * a0 * wt) * wx).ravel()
     return pts, wts, counts
 
 
 def polar_rules(spec: DomainSpec, targets, base: int = 48,
-                n_r: int = 10) -> list:
+                n_r: int = 10) -> PolarRules:
     """Polar quadrature rules centered at targets (interior or on the
-    boundary), one per target, in order; no targets give [].
+    boundary), one table for the set, targets in order.
 
     ``n_r`` is the radial Gauss order: n_r points on a segment away from
     the target, 2 n_r substituted ones on a segment at or near it (see
-    ``PolarRule``).  Interior targets get equispaced angles
+    ``PolarRules``).  Interior targets get equispaced angles
     anchored at y's polar angle about the center.  The analyticity width
     of their radial extent shrinks like sqrt(1 - level) toward the
     boundary, so their angular count is THETA_COUNT_COEFF / sqrt(1 - level),
@@ -843,15 +838,17 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
     line through them.  Either way, a rotation about the center that maps
     the domain onto itself maps y's rule onto its image's rule.  Every ray
     is integrated over all of its inside segments, so regions not visible
-    from the target along a first crossing are still covered.
+    from the target along a first crossing are still covered; a ray with
+    none has no entry in the table.
 
     The set is built together: one level check and one table of x(t) at
     the uniform parameters of the sight lines (SIGHT_SAMPLES_PER_MODE per
     cosine mode k >= 1, or for a disk), then per block of consecutive
     targets (``block_bounds``), whose sight-line samples fit in
-    BLOCK_ENTRIES, one angle table and one ``_block_segments`` call.
-    Every array operation is elementwise per target, per ray or per
-    crossing, so each rule equals the one its target gets alone, bitwise.
+    BLOCK_ENTRIES, one angle table and one ``_block_segments`` call, whose
+    segments are appended to the set's table.  Every array operation is
+    elementwise per target, per ray or per crossing, so each target's
+    segments equal the ones it gets alone, bitwise.
     """
     y = as_points(targets)
     lev = spec.level(y)
@@ -884,7 +881,10 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
     t = (2 * np.pi / N) * (np.arange(N) + 0.5)
     E = spec.boundary_point(t) - spec.center
 
-    rules = []
+    # the table's columns, one piece per block
+    table = {key: [np.empty(0)] for key in ("dx", "dy", "wtheta", "start",
+                                            "end")}
+    table["cuts"] = [np.zeros(1, dtype=int)]
     # per target: its sight-line samples, and its rays, about one crossing
     # each on a convex domain
     width = N + 2 * END_SAMPLES + 1 + n
@@ -903,18 +903,19 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
         start = np.flatnonzero(~win | (2 * k < len(levels)))
         ray, a, b = _block_segments(spec, E, levels, block, dirs, edges,
                                     start)
-        cuts = np.searchsorted(ray, edges)
-        for i, first, last, c0, c1 in zip(range(lo, hi), edges, edges[1:],
-                                          cuts, cuts[1:]):
-            rules.append(PolarRule(
-                target=y[i], theta=theta[first:last],
-                wtheta=wtheta[first:last], dirs=dirs[first:last],
-                seg_ray=ray[c0:c1] - first,
-                seg_ends=np.stack([a[c0:c1], b[c0:c1]], axis=1), n_r=n_r))
-    return rules
+        # per segment its ray's direction and weight and its ends; per
+        # target its last segment, past the previous blocks'
+        pieces = (dirs[ray, 0], dirs[ray, 1], wtheta[ray], a, b,
+                  np.searchsorted(ray, edges[1:]) + table["cuts"][-1][-1])
+        for column, piece in zip(table.values(), pieces):
+            column.append(piece)
+    # one column at a time: only its pieces and their copy coexist
+    for key in table:
+        table[key] = np.concatenate(table[key])
+    return PolarRules(targets=y, n_r=n_r, **table)
 
 
 def polar_rule_for_target(spec: DomainSpec, y, base: int = 48,
-                          n_r: int = 10) -> PolarRule:
+                          n_r: int = 10) -> PolarRules:
     """Polar quadrature rule centered at y: ``polar_rules`` of one target."""
-    return polar_rules(spec, _as_point(y)[None, :], base, n_r)[0]
+    return polar_rules(spec, _as_point(y)[None, :], base, n_r)

@@ -17,7 +17,8 @@ grid's angular axis: j -> j - shift for a rotation, j -> shift - j with
 the mirror.  On the benchmark star (0.3, 0, 0.03) at 64/16x8 that is 40
 rules for the 128 grid targets and 17 for the 64 curve targets (64 and
 32 with the rotations alone).  A target set's representative rules are
-built in one ``geometry.polar_rules`` call, and their nodes and cardinals
+one segment table (``geometry.PolarRules``) from one
+``geometry.polar_rules`` call, and their nodes and cardinals are built
 per block of representatives (``geometry.BLOCK_ENTRIES``).  A block's
 orbit members then form one member table, evaluated and contracted in
 chunks whose node pairs times n_s fit in the block's own (A, S) entry
@@ -25,8 +26,8 @@ count (``_volume_pass``).  The Laplace blocks, the polar rules and the
 log-kernel rows depend only on the geometry, so ``geometry.cached`` keeps
 each with its curve or grid, built once and read-only.  On the grid, a
 volume target set has one entry (``_target_set``), keyed by its
-coordinates: its orbits, its representatives' rules and, after its first
-pass, its log-kernel rows; dropping the set is one delete.
+coordinates: its orbits, its representatives' rule table and, after its
+first pass, its log-kernel rows; dropping the set is one delete.
 The independent oracles for the volume operators live only in
 ``verification``; nothing here serves them.
 """
@@ -202,7 +203,7 @@ def _rule_params(grid: DomainGrid):
     follows the grid's angular count and the radial Gauss order p follows
     the radial node count, so refining the grid refines every quadrature
     in the pipeline at matching rates.  A segment away from its target
-    gets p radial points, one at or near it 2p (``PolarRule``).
+    gets p radial points, one at or near it 2p (``geometry.PolarRules``).
     """
     base = max(12, 2 * round(0.375 * grid.n_t))
     if grid.spec.cos_coeffs[1:].any():
@@ -302,7 +303,7 @@ def _reindex(grid: DomainGrid, rows, shifts, flips, src=None):
 def _target_set(grid: DomainGrid, tg: np.ndarray) -> dict:
     """The volume geometry of target set tg, one grid entry keyed by the
     set's bytes: its dihedral orbits ("orbits", ``_orbits``), its
-    representatives' polar rules ("rules", one ``polar_rules`` call) and,
+    representatives' rule table ("rules", one ``polar_rules`` call) and,
     once a pass has built them, its read-only log-kernel rows ("logs")."""
     def build():
         orbits = _orbits(grid, tg)
@@ -320,10 +321,11 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None):
     built once; a member's rule is the representative's mirrored (when
     flipped) and rotated.  A rotation of the points rolls the columns of
     A, and a mirror sends column j to -j since the trigonometric cardinal
-    is even; S is unchanged by both.  The rules' nodes are expanded and
-    their cardinals evaluated per block of consecutive representatives
-    whose A, nodes times n_t, fits in ``geometry.BLOCK_ENTRIES``
-    (``block_bounds``), one block at a time.  Returns the set's log-kernel
+    is even; S is unchanged by both.  The table's nodes are expanded
+    (``rule_nodes``) and their cardinals evaluated per block of
+    consecutive representatives whose A, nodes times n_t, fits in
+    ``geometry.BLOCK_ENTRIES`` (``block_bounds`` on the table's per-target
+    node counts), one block at a time.  Returns the set's log-kernel
     rows, built by the first pass over the set and stored in its entry:
     per block, the representatives' contractions, re-indexed for every
     member at once, since the log kernel is invariant under both maps.
@@ -349,8 +351,8 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None):
     reps, *table, sizes = entry["orbits"]
     rules = entry["rules"]
     first = np.concatenate([[0], np.cumsum(sizes)])  # each orbit's members
-    for lo, hi in block_bounds([rule.n_nodes * grid.n_t for rule in rules]):
-        pts_b, w_b, counts = rule_nodes(rules[lo:hi])
+    for lo, hi in block_bounds((rules.counts * grid.n_t).tolist()):
+        pts_b, w_b, counts = rule_nodes(rules, lo, hi)
         A_b, S_b = grid.cardinal_matrices(pts_b)
         d_b = pts_b - np.repeat(tg[reps[lo:hi]], counts, axis=0)  # offsets
         at = [slice(a - c, a) for a, c in zip(np.cumsum(counts), counts)]

@@ -37,14 +37,15 @@ import numpy.random  # numpy 2 loads it lazily, at first use
 from . import potentials, solver
 from .coefficient import Coefficient, make_preset
 from .geometry import (BoundaryCurve, DomainGrid, DomainSpec, _count,
-                       as_points, build_curve, build_domain_grid, polar_rules)
+                       as_points, build_curve, build_domain_grid, polar_rules,
+                       rule_nodes)
 from .laplace import QuadratureError
 from .potentials import BoundaryDensity, DomainField
 
 TWO_PI = 2.0 * np.pi
 #: Seed of the identity suite's random densities.
 SUITE_SEED = 7
-#: Central-difference step of ``remainder_via_relation``.
+#: Central-difference step of the remainder oracle (``_volume_oracles``).
 RELATION_STEP = 1e-4
 #: Leading singular values reported by ``remainder_spectrum_decay``.
 SPECTRUM_HEAD = 24
@@ -403,18 +404,21 @@ def _log_integrals(grid: DomainGrid, targets, columns) -> np.ndarray:
     The targets' polar rules are built in one ``polar_rules`` call, with
     1.25 times the angular count and two more than the radial order of the
     volume pipeline's rules, so the result shares no node, cardinal matrix
-    or row with the production path.  Per rule, every column is
-    interpolated by one ``grid.interpolate`` call: one cardinal evaluation
-    and one GEMM.  Rules are taken one at a time, so a target's value does
-    not depend on the rest of the set: on all nodes at once, the
-    interpolation GEMM rounds differently.
+    or row with the production path.  The table is expanded once; per
+    target, every column is interpolated on its slice of the nodes by one
+    ``grid.interpolate`` call: one cardinal evaluation and one GEMM.
+    Targets are taken one at a time, so a target's value does not depend
+    on the rest of the set: on all nodes at once, the interpolation GEMM
+    rounds differently.
     """
     base, n_r = potentials._rule_params(grid)
     rules = polar_rules(grid.spec, targets, base=5 * base // 4, n_r=n_r + 2)
+    nodes, weights, counts = rule_nodes(rules)
     values = np.column_stack([v for v, _ in columns])
-    out = np.empty((len(rules), len(columns)))
-    for i, (y, rule) in enumerate(zip(targets, rules)):
-        pts, w = rule.nodes()
+    out = np.empty((len(counts), len(columns)))
+    stops = np.cumsum(counts)
+    for i, (y, a, b) in enumerate(zip(rules.targets, stops - counts, stops)):
+        pts, w = nodes[a:b], weights[a:b]
         g = 0.5 * np.log(((pts - y) ** 2).sum(1)) / TWO_PI
         vals = grid.interpolate(values, pts)
         for c, (_, div) in enumerate(columns):
@@ -424,10 +428,11 @@ def _log_integrals(grid: DomainGrid, targets, columns) -> np.ndarray:
 
 
 def _volume_oracles(grid: DomainGrid, coeff: Coefficient, field: DomainField,
-                    targets, families=potentials.FAMILIES,
-                    kinds="PR") -> dict:
+                    targets) -> dict:
     """Oracle values, keyed (kind, family), of the volume potential ("P")
-    and the remainder potential ("R") of ``field`` at the targets.
+    and the remainder potential ("R") of ``field`` at the targets, for
+    both families: the oracles of ``potentials.volume_potential`` and
+    ``potentials.remainder_potential``.
 
     P divides by the coefficient analytically, at the quadrature nodes
     (family "x") or at the target ("y"), instead of folding it into the
@@ -438,59 +443,37 @@ def _volume_oracles(grid: DomainGrid, coeff: Coefficient, field: DomainField,
     targets, and for R the targets moved by +-RELATION_STEP along each
     axis) comes from one ``_log_integrals`` call.
     """
-    for fam in families:
-        potentials._check_family(fam)
     tg = as_points(targets)
     h = np.eye(2) * RELATION_STEP
     sets = {"": tg, "+x": tg + h[0], "-x": tg - h[0], "+y": tg + h[1],
             "-y": tg - h[1]}
     columns = {name: {} for name in sets}       # label: (values, divisor)
-    for fam in families:
-        if "P" in kinds:
-            columns[""]["P" + fam] = (field.values,
-                                      coeff.a if fam == "x" else None)
-        if "R" in kinds:
-            grad = coeff.grad_ln_a if fam == "x" else coeff.grad_a
-            comp = field.values[:, None] * grad(grid.points)
-            for name in list(sets)[1:]:
-                columns[name]["R" + fam] = (comp[:, "xy".index(name[1])], None)
-            if fam == "x":
-                columns[""]["L"] = (
-                    field.values * coeff.laplacian_ln_a(grid.points), None)
+    for fam in potentials.FAMILIES:
+        columns[""]["P" + fam] = (field.values,
+                                  coeff.a if fam == "x" else None)
+        grad = coeff.grad_ln_a if fam == "x" else coeff.grad_a
+        comp = field.values[:, None] * grad(grid.points)
+        for name in list(sets)[1:]:
+            columns[name]["R" + fam] = (comp[:, "xy".index(name[1])], None)
+        if fam == "x":
+            columns[""]["L"] = (
+                field.values * coeff.laplacian_ln_a(grid.points), None)
     log = {}
     for name, cols in columns.items():
-        if cols:
-            vals = _log_integrals(grid, sets[name], list(cols.values()))
-            log.update(((name, label), vals[:, i])
-                       for i, label in enumerate(cols))
+        vals = _log_integrals(grid, sets[name], list(cols.values()))
+        log.update(((name, label), vals[:, i])
+                   for i, label in enumerate(cols))
     out = {}
-    for fam in families:
-        if "P" in kinds:
-            p = log["", "P" + fam]
-            out["P", fam] = p if fam == "x" else p / coeff.a(tg)
-        if "R" in kinds:
-            div = np.zeros(len(tg))
-            for axis in "xy":
-                div += (log["+" + axis, "R" + fam] - log["-" + axis, "R" + fam]
-                        ) / (2 * RELATION_STEP)
-            out["R", fam] = (div - log["", "L"] if fam == "x"
-                             else -div / coeff.a(tg))
+    for fam in potentials.FAMILIES:
+        p = log["", "P" + fam]
+        out["P", fam] = p if fam == "x" else p / coeff.a(tg)
+        div = np.zeros(len(tg))
+        for axis in "xy":
+            div += (log["+" + axis, "R" + fam] - log["-" + axis, "R" + fam]
+                    ) / (2 * RELATION_STEP)
+        out["R", fam] = (div - log["", "L"] if fam == "x"
+                         else -div / coeff.a(tg))
     return out
-
-
-def volume_potential_direct(grid: DomainGrid, coeff: Coefficient, family: str,
-                            field: DomainField, targets) -> np.ndarray:
-    """Oracle for ``potentials.volume_potential`` (``_volume_oracles``)."""
-    return _volume_oracles(grid, coeff, field, targets, (family,),
-                           "P")["P", family]
-
-
-def remainder_via_relation(grid: DomainGrid, coeff: Coefficient, family: str,
-                           field: DomainField, targets) -> np.ndarray:
-    """Oracle for ``potentials.remainder_potential``: its divergence form
-    (``_volume_oracles``)."""
-    return _volume_oracles(grid, coeff, field, targets, (family,),
-                           "R")["R", family]
 
 
 def identity_suite(curve: BoundaryCurve, grid: DomainGrid, coeff: Coefficient,
@@ -716,8 +699,8 @@ def zero_mean_basis(curve: BoundaryCurve) -> np.ndarray:
     return np.linalg.svd(curve.weights[None, :])[2][1:].T
 
 
-def invertibility_report(curve: BoundaryCurve, grid: DomainGrid,
-                         coeff: Coefficient, family: str) -> dict:
+def invertibility_report(curve: BoundaryCurve, coeff: Coefficient,
+                         family: str) -> dict:
     """Smallest singular values backing the unique-solvability claims.
 
     Reports sigma_min of the direct single-layer matrix, of its

@@ -142,7 +142,7 @@ def test_criterion_7_invertibility():
     grid = build_domain_grid(DISK, 32, 12)
     sys = assemble_system(curve, grid, A_EXP, "x")
     sigma_ok = sys.sigma_min > 1e-8
-    inv = V.invertibility_report(curve, grid, A_EXP, "x")
+    inv = V.invertibility_report(curve, A_EXP, "x")
     sl_ok = inv["sigma_min_single_layer"] > 1e-8
 
     zero = solve_dirichlet(sys.with_data(

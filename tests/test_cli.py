@@ -84,6 +84,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="case"):
             load_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize("command", ["solve", "study", "compare"])
+    def test_case_commands_refuse_a_coefficient(self, tmp_path, command):
+        # the manufactured case fixes the coefficient: one given beside it
+        # would be echoed into results.json and never used
+        bad = dict(MINIMAL_SOLVE, command=command, resolutions=RUNGS,
+                   coefficient={"preset": "exponential"})
+        with pytest.raises(ConfigError, match="takes no 'coefficient'"):
+            load_config(write_config(tmp_path, bad))
+
+    def test_validate_refuses_a_case_beside_a_coefficient(self, tmp_path):
+        # validate would run on the coefficient and ignore the case
+        bad = dict(MINIMAL_SOLVE, command="validate",
+                   coefficient={"preset": "exponential"})
+        with pytest.raises(ConfigError, match="exactly one"):
+            load_config(write_config(tmp_path, bad))
+        del bad["case"]
+        assert load_config(write_config(tmp_path, bad)).case is None
+
     def test_study_needs_three_resolutions(self, tmp_path):
         bad = dict(MINIMAL_SOLVE, command="study",
                    resolutions=[{"n_boundary": 32, "n_t": 12, "n_s": 6}])
@@ -362,6 +380,15 @@ def _resolution(nb=64, nt=16, ns=8):
     return {"resolutions": {"n_boundary": nb, "n_t": nt, "n_s": ns}}
 
 
+def _with(change):
+    """MINIMAL_SOLVE with ``change``; a validate config keeps its case only
+    if the change names one, so a coefficient is its one refused value."""
+    cfg = dict(MINIMAL_SOLVE, **change)
+    if cfg["command"] == "validate" and "case" not in change:
+        del cfg["case"]
+    return cfg
+
+
 _DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
 _BIG_DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.6)
 # a config change, and the library call that refuses the same value
@@ -379,6 +406,13 @@ LIBRARY_REFUSALS = {
     "preset-missing": ({"command": "validate",
                         "coefficient": {"value": 2.0}},
                        lambda: make_preset(None, value=2.0)),
+    "quadratic-value": ({"command": "validate",
+                         "coefficient": {"preset": "quadratic", "value": 7.0}},
+                        lambda: make_preset("quadratic", value=7.0)),
+    "constant-direction": ({"command": "validate",
+                            "coefficient": {"preset": "constant",
+                                            "direction": [3, 0]}},
+                           lambda: make_preset("constant", direction=(3, 0))),
     "disk-0.6": ({"domain": {"kind": "disk", "radius": 0.6}},
                  lambda: assemble_system(
                      build_curve(_BIG_DISK, 8),
@@ -451,14 +485,27 @@ class TestMain:
                     "cos_coeffs": [0.2, 0.1]}},
         {"domain": {"kind": "star", "radius": 0.4,
                     "cos_coeffs": [0.3, 0.0, 0.03]}},
+        {"command": "validate",
+         "coefficient": {"preset": "exponential", "value": 7.0}},
+        {"command": "validate",
+         "coefficient": {"preset": "quadratic", "value": 7.0}},
+        {"command": "validate",
+         "coefficient": {"preset": "quadratic", "direction": [3, 0]}},
+        {"command": "validate",
+         "coefficient": {"preset": "constant", "direction": [3, 0]}},
+        {"coefficient": {"preset": "exponential"}},
+        {"command": "validate", "case": "exp_saddle",
+         "coefficient": {"preset": "exponential"}},
     ], ids=["center-string", "coeffs-string", "radius-nan", "center-inf",
             "coeffs-nan", "resolution-int", "resolutions-string",
             "count-float", "flag-string", "value-string", "value-negative",
             "value-nan", "direction-short", "direction-string",
             "direction-inf", "n_t-odd", "n_boundary-small", "n_s-small",
-            "disk-cos_coeffs", "star-radius"])
+            "disk-cos_coeffs", "star-radius", "exponential-value",
+            "quadratic-value", "quadratic-direction", "constant-direction",
+            "solve-coefficient", "validate-case-and-coefficient"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, change):
-        cfg = dict(MINIMAL_SOLVE, **change)
+        cfg = _with(change)
         p = write_config(tmp_path, cfg)
         assert main([cfg["command"], "--config", str(p),
                      "--out", str(tmp_path / "o")]) == 2
@@ -471,7 +518,7 @@ class TestMain:
         with pytest.raises(ValueError) as refused:
             library_call()
         message = str(refused.value)
-        cfg = dict(MINIMAL_SOLVE, **change)
+        cfg = _with(change)
         p = write_config(tmp_path, cfg)
         with pytest.raises(ConfigError) as err:
             load_config(p)

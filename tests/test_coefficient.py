@@ -41,6 +41,26 @@ class TestPresets:
         with pytest.raises(CoefficientError):
             make_preset("cubic")
 
+    @pytest.mark.parametrize("name,kwargs", [
+        ("exponential", {"value": 2.0}),
+        ("quadratic", {"value": 7.0}),
+        ("quadratic", {"direction": (3, 0)}),
+        ("quadratic", {"value": 7.0, "direction": (3, 0)}),
+        ("constant", {"direction": (3, 0)}),
+    ], ids=["exponential-value", "quadratic-value", "quadratic-direction",
+            "quadratic-both", "constant-direction"])
+    def test_parameter_the_preset_does_not_take_rejected(self, name, kwargs):
+        param = "value" if "value" in kwargs else "direction"
+        with pytest.raises(CoefficientError,
+                           match=f"{name} preset takes no '{param}'"):
+            make_preset(name, **kwargs)
+
+    def test_defaults(self):
+        assert np.all(make_preset("constant").a(SAMPLES) == 1.0)
+        np.testing.assert_array_equal(make_preset("exponential").a(SAMPLES),
+                                      np.exp(SAMPLES.sum(1)))
+        assert make_preset("exponential").name == "exponential(1.0,1.0)"
+
 
 class TestValidation:
     def test_constant_zero_deviation(self):

@@ -8,7 +8,7 @@ from test_verification import BENCH_STAR, NONCONVEX_STAR, convex_domains
 
 from bdies2d import geometry, potentials
 from bdies2d.coefficient import make_preset
-from bdies2d.geometry import (DomainSpec, GeometryError, PolarRule,
+from bdies2d.geometry import (DomainSpec, GeometryError, PolarRules,
                               build_curve, build_domain_grid, gauss_01,
                               polar_rule_for_target, polar_rules, rule_nodes,
                               trig_cardinal_rows)
@@ -58,19 +58,47 @@ def _reach(spec, y):
     return np.linalg.norm(y - spec.center) + np.abs(spec.cos_coeffs).sum()
 
 
-def _level_mismatches(spec, rule, samples=4096, margin=1e-6):
+def _segments(rules, i=0):
+    """Target i's segments in a rule table: the index of each one's ray
+    among the target's rays that hold segments, those rays' directions,
+    and each segment's start and end radius.  Segments on one ray are
+    consecutive and carry its direction bitwise."""
+    seg = slice(rules.cuts[i], rules.cuts[i + 1])
+    d = np.stack([rules.dx[seg], rules.dy[seg]], axis=1)
+    new = np.r_[True, (d[1:] != d[:-1]).any(1)]
+    return np.cumsum(new) - 1, d[new], (rules.start[seg], rules.end[seg])
+
+
+def _equispaced_fan(dirs):
+    """Whether unit directions are one full turn of equispaced rays, in
+    order: every step turns by 2pi / len(dirs)."""
+    nxt = np.roll(dirs, -1, axis=0)
+    turn = np.arctan2(dirs[:, 0] * nxt[:, 1] - dirs[:, 1] * nxt[:, 0],
+                      (dirs * nxt).sum(1))
+    return np.abs(turn - 2 * np.pi / len(dirs)).max() <= 1e-12
+
+
+def _level_mismatches(spec, rules, i, samples=4096, margin=1e-6):
     """(sample, ray) pairs where the level at ``samples`` equispaced radii
-    up to the target's reach, farther than ``margin`` from every segment
-    end on the ray, disagrees with the rule's segments: inside a segment
-    but not below 1, or outside every segment but below 1."""
-    y, dirs = rule.target, rule.dirs
+    up to target i's reach, farther than ``margin`` from every segment end
+    on the ray, disagrees with its segments: inside a segment but not
+    below 1, or outside every segment but below 1.  The rays are those
+    holding segments and, for a boundary target, the opposite of each:
+    its exterior window, whose rays may hold none, is its interior window
+    turned by pi."""
+    y = rules.targets[i]
+    ray, dirs, (a, b) = _segments(rules, i)
+    if spec.level(y)[0] >= 1.0 - geometry.BOUNDARY_LEVEL_TOL:
+        opp = -dirs
+        held = np.abs(opp[:, None] - dirs[None]).max(2).min(1) <= 1e-12
+        dirs = np.concatenate([dirs, opp[~held]])
     reach = _reach(spec, y)
     r = reach * np.arange(1, samples + 1) / samples
     inside = spec.level((y + r[:, None, None] * dirs).reshape(-1, 2)).reshape(
         samples, len(dirs)) < 1.0
     # rays laid end to end, 2 reach apart: one sorted key for all of them
     key = np.arange(len(dirs)) * 2 * reach + r[:, None]
-    a, b = (rule.seg_ray * 2 * reach + rule.seg_ends.T)
+    a, b = ray * 2 * reach + a, ray * 2 * reach + b
     covered = np.searchsorted(a, key) > np.searchsorted(b, key)
     ends = np.sort(np.concatenate([a, b]))
     at = np.searchsorted(ends, key)
@@ -312,39 +340,60 @@ class TestDomainGrid:
             build_domain_grid(DISK, *counts)
 
 
+def _integrate(rules, f):
+    """Integral of f, a callable of (N, 2) points, by a one-target table."""
+    pts, wts, _ = rule_nodes(rules)
+    return float(wts @ f(pts))
+
+
+def _one_segment(a, b, n_r):
+    """A one-target table: the segment [a, b] along the x axis from the
+    origin, of angular weight 1."""
+    return PolarRules(targets=np.zeros((1, 2)), cuts=np.array([0, 1]),
+                      dx=np.ones(1), dy=np.zeros(1), wtheta=np.ones(1),
+                      start=np.array([a]), end=np.array([b]), n_r=n_r)
+
+
 class TestPolarRule:
     def test_center_extents_and_log_integral(self):
         rule = polar_rule_for_target(DISK, [0.0, 0.0], 48, 10)
-        np.testing.assert_array_equal(rule.seg_ray, np.arange(48))
-        np.testing.assert_array_equal(rule.seg_ends[:, 0], 0.0)
-        np.testing.assert_allclose(rule.seg_ends[:, 1], 0.4, atol=1e-13)
+        ray, dirs, (a, b) = _segments(rule)
+        # one segment on each of 48 rays, from the target to the boundary
+        th = 2 * np.pi * np.arange(48) / 48
+        np.testing.assert_array_equal(ray, np.arange(48))
+        np.testing.assert_array_equal(dirs, np.stack([np.cos(th),
+                                                      np.sin(th)], axis=1))
+        np.testing.assert_array_equal(a, 0.0)
+        np.testing.assert_allclose(b, 0.4, atol=1e-13)
         # closed form: integral of log|x| over the disk = pi r^2 (log r - 1/2)
         exact = np.pi * 0.16 * (np.log(0.4) - 0.5)
-        got = rule.integrate(lambda p: np.log(np.linalg.norm(p, axis=1)))
+        got = _integrate(rule, lambda p: np.log(np.linalg.norm(p, axis=1)))
         assert abs(got - exact) < 1e-8 * abs(exact)
 
     def test_constant_integrates_to_area(self):
         for y in ([0.0, 0.0], [0.2, 0.1], [0.38, 0.0]):
             rule = polar_rule_for_target(DISK, y, 64, 10)
-            assert abs(rule.weights.sum() - np.pi * 0.16) < 1e-8 * np.pi * 0.16
+            weights = rule_nodes(rule)[1]
+            assert abs(weights.sum() - np.pi * 0.16) < 1e-8 * np.pi * 0.16
 
     def test_boundary_target_covers_area(self):
-        rule = polar_rule_for_target(DISK, [0.4, 0.0], 48, 10)
+        points, weights, _ = rule_nodes(
+            polar_rule_for_target(DISK, [0.4, 0.0], 48, 10))
         area = np.pi * 0.16
-        assert abs(rule.weights.sum() - area) < 1e-6 * area
+        assert abs(weights.sum() - area) < 1e-6 * area
         # interior-normal window: all points strictly inside
-        assert DISK.level(rule.points).max() <= 1.0 + 1e-12
+        assert DISK.level(points).max() <= 1.0 + 1e-12
 
     def test_all_points_inside_closure(self):
         for spec, y in ((DISK, [0.3, 0.1]), (STAR, [0.05, -0.02])):
-            rule = polar_rule_for_target(spec, y, 64, 10)
-            assert spec.level(rule.points).max() <= 1.0 + 1e-10
+            points = rule_nodes(polar_rule_for_target(spec, y, 64, 10))[0]
+            assert spec.level(points).max() <= 1.0 + 1e-10
 
     def test_star_boundary_target_covers_area(self):
         # multi-segment coverage keeps the valley lobes visible
         y = STAR.boundary_point(np.pi / 3)
-        rule = polar_rule_for_target(STAR, y, 192, 10)
-        assert abs(rule.weights.sum() - STAR.area()) < 1e-3 * STAR.area()
+        weights = rule_nodes(polar_rule_for_target(STAR, y, 192, 10))[1]
+        assert abs(weights.sum() - STAR.area()) < 1e-3 * STAR.area()
 
     def test_exterior_target_rejected(self):
         with pytest.raises(GeometryError):
@@ -358,12 +407,12 @@ class TestPolarRule:
             spec.boundary_point(2 * np.pi * np.arange(8) / 8)])
         rays_with_gaps = 0
         for y in targets:
-            rule = polar_rule_for_target(spec, y, 96, 10)
-            ray, (a, b) = rule.seg_ray, rule.seg_ends.T
+            ray, dirs, (a, b) = _segments(polar_rule_for_target(spec, y, 96,
+                                                                10))
             assert np.all((0.0 <= a) & (a < b))
 
             def level(r, k):
-                return spec.level(y + r[:, None] * rule.dirs[k])
+                return spec.level(y + r[:, None] * dirs[k])
 
             # a window-edge chord of a boundary target can be far shorter
             # (test_star_boundary_rules_keep_window_edge_chords), too short
@@ -388,23 +437,23 @@ class TestPolarRule:
                    0.4 * np.array([np.cos(-2.5), np.sin(-2.5)])]
         for off in offsets:
             y = disk.center + off
-            rule = polar_rule_for_target(disk, y, 64, 10)
-            end = _disk_extents(disk, y, rule.dirs)
+            ray, dirs, (a, b) = _segments(polar_rule_for_target(disk, y, 64,
+                                                                10))
+            end = _disk_extents(disk, y, dirs)
+            # one segment per ray, from the target
+            np.testing.assert_array_equal(ray, np.arange(len(dirs)))
+            np.testing.assert_array_equal(a, 0.0)
             if disk.level(y)[0] < 1.0 - geometry.BOUNDARY_LEVEL_TOL:
-                # one segment on every ray, from the target
-                rays = np.arange(len(rule.dirs))
+                # on every ray of a full turn
+                assert _equispaced_fan(dirs)
             else:
-                # one chord on each ray of the interior window, none on the
+                # a chord on each ray of the interior window, none on the
                 # exterior window's
-                rays = np.arange(64)
-                assert np.all(rule.dirs[rays] @ off < 0.0)
-                assert np.all(rule.dirs[64:] @ off > 0.0)
-            np.testing.assert_array_equal(rule.seg_ray, rays)
-            np.testing.assert_array_equal(rule.seg_ends[:, 0], 0.0)
-            end = end[rays]
-            err = np.abs(rule.seg_ends[:, 1] - end)
-            exit_offset = off + end[:, None] * rule.dirs[rays]
-            incidence = (exit_offset * rule.dirs[rays]).sum(1) / disk.radius
+                assert len(dirs) == 64
+                assert np.all(dirs @ off < 0.0)
+            err = np.abs(b - end)
+            exit_offset = off + end[:, None] * dirs
+            incidence = (exit_offset * dirs).sum(1) / disk.radius
             steep = incidence >= 0.1
             assert np.all(err[steep] <= 1e-14)
             # a crossing at grazing incidence moves by a rounding error
@@ -425,14 +474,16 @@ class TestPolarRule:
             [np.cos(phi), np.sin(phi)])
         for y, is_interior in ((interior, True),
                                (star.boundary_point(t), False)):
-            rule = polar_rule_for_target(star, y, 48, 10)
-            ray, (a, b) = rule.seg_ray, rule.seg_ends.T
+            ray, dirs, (a, b) = _segments(polar_rule_for_target(star, y, 48,
+                                                                10))
             ends = np.concatenate([a[a > 0], b])
             on = np.concatenate([ray[a > 0], ray])
-            lev = star.level(y + ends[:, None] * rule.dirs[on])
+            lev = star.level(y + ends[:, None] * dirs[on])
             assert np.all(np.abs(lev - 1.0) <= 1e-13)
             if is_interior:
-                np.testing.assert_array_equal(ray, np.arange(len(rule.dirs)))
+                # one segment, from the target, on every ray of a full turn
+                np.testing.assert_array_equal(ray, np.arange(len(dirs)))
+                assert _equispaced_fan(dirs)
                 np.testing.assert_array_equal(a, 0.0)
 
     def test_star_rule_profile_evaluations_stay_few(self, monkeypatch):
@@ -473,7 +524,7 @@ class TestPolarRule:
         lev = spec.level((y + r[:, None, None] * dirs).reshape(-1, 2))
         assert lev.min() > 1.0
         rule = polar_rule_for_target(spec, y, 24, 4)
-        assert rule.seg_ends.max() <= reach * (1.0 + 4 * np.finfo(float).eps)
+        assert rule.end.max() <= reach * (1.0 + 4 * np.finfo(float).eps)
 
     @pytest.mark.parametrize("n_t, n_s", [(16, 8), (32, 12)])
     def test_star_boundary_rules_keep_window_edge_chords(self, n_t, n_s):
@@ -487,22 +538,22 @@ class TestPolarRule:
         base, n_r = potentials._rule_params(build_domain_grid(spec, n_t, n_s))
         curve = build_curve(spec, 64)
         rules = polar_rules(spec, curve.points, base, n_r)
-        for y, t, kappa, rule in zip(curve.points, curve.t, curve.curvatures,
-                                     rules):
-            ray, (a, b) = rule.seg_ray, rule.seg_ends.T
+        for i, (y, t, kappa) in enumerate(zip(curve.points, curve.t,
+                                              curve.curvatures)):
+            ray, dirs, (a, b) = _segments(rules, i)
             short = b < 1e-6
             assert 2 <= short.sum() and np.all(a[short] == 0.0)
             tangent = spec.boundary_velocity(t)
-            d = rule.dirs[ray[short]]
+            d = dirs[ray[short]]
             eps = np.arcsin(np.abs(d[:, 0] * tangent[1] - d[:, 1] * tangent[0])
                             / np.linalg.norm(tangent))
             # the Newton residual leaves each chord's angle uncertain by a
             # few 1e-16 radians
             np.testing.assert_allclose(b[short], 2 * np.sin(eps) / kappa,
                                        rtol=1e-6, atol=1e-15)
-            lev = spec.level(y + b[short, None] * rule.dirs[ray[short]])
+            lev = spec.level(y + b[short, None] * d)
             assert np.all(np.abs(lev - 1.0) <= 1e-15)
-        counts = [rule.n_nodes for rule in rules]
+        counts = rules.counts.tolist()
         assert counts[:32] == counts[32:]
 
     def test_star_boundary_rules_cover_area(self):
@@ -510,8 +561,8 @@ class TestPolarRule:
                           cos_coeffs=(0.3, 0.0, 0.03))
         base, n_r = potentials._rule_params(build_domain_grid(spec, 64, 24))
         for y in build_curve(spec, 64).points:
-            rule = polar_rule_for_target(spec, y, base, n_r)
-            assert abs(rule.weights.sum() - spec.area()) <= 1e-14
+            weights = rule_nodes(polar_rule_for_target(spec, y, base, n_r))[1]
+            assert abs(weights.sum() - spec.area()) <= 1e-14
 
     @pytest.mark.parametrize("a", [0.0, 1e-9, 1e-6, 1e-3])
     def test_segment_near_the_target_is_graded(self, a):
@@ -525,20 +576,15 @@ class TestPolarRule:
 
         exact = antiderivative(b) - antiderivative(a)
         for n_r, tol in ((4, 1e-7), (6, 1e-9), (10, 1e-12)):
-            rule = PolarRule(target=np.zeros(2), theta=np.zeros(1),
-                             wtheta=np.ones(1), dirs=np.array([[1.0, 0.0]]),
-                             seg_ray=np.zeros(1, dtype=int),
-                             seg_ends=np.array([[a, b]]), n_r=n_r)
-            assert len(rule.points) == 2 * n_r
-            got = rule.integrate(lambda p: np.log(np.abs(p[:, 0])))
+            rule = _one_segment(a, b, n_r)
+            assert rule.counts.tolist() == [len(rule_nodes(rule)[1])] == [
+                2 * n_r]
+            got = _integrate(rule, lambda p: np.log(np.abs(p[:, 0])))
             assert abs(got - exact) <= tol * abs(exact), n_r
 
     def test_segment_far_from_the_target_is_plain_gauss(self):
-        rule = PolarRule(target=np.zeros(2), theta=np.zeros(1),
-                         wtheta=np.ones(1), dirs=np.array([[1.0, 0.0]]),
-                         seg_ray=np.zeros(1, dtype=int),
-                         seg_ends=np.array([[0.05, 0.1]]), n_r=4)
-        np.testing.assert_array_equal(rule.points[:, 0],
+        rule = _one_segment(0.05, 0.1, 4)
+        np.testing.assert_array_equal(rule_nodes(rule)[0][:, 0],
                                       0.05 + 0.05 * gauss_01(4)[0])
 
     def test_agrees_with_grid_rule_on_cubics(self):
@@ -548,13 +594,21 @@ class TestPolarRule:
                   lambda p: p[:, 0] * p[:, 1] ** 2,
                   lambda p: 1.0 + p[:, 1] ** 3):
             a = grid.weights @ f(grid.points)
-            b = rule.integrate(f)
+            b = _integrate(rule, f)
             assert abs(a - b) < 1e-8
 
 
-def _rule_fields(rule):
-    return (rule.target, rule.theta, rule.wtheta, rule.dirs, rule.seg_ray,
-            rule.seg_ends)
+def _assert_tables_equal(got, want, lo=0, hi=None):
+    """Table ``got`` equals targets lo:hi of table ``want``, bitwise."""
+    hi = len(want.targets) if hi is None else hi
+    seg = slice(want.cuts[lo], want.cuts[hi])
+    np.testing.assert_array_equal(got.targets, want.targets[lo:hi])
+    np.testing.assert_array_equal(got.cuts, want.cuts[lo:hi + 1]
+                                  - want.cuts[lo])
+    for name in ("dx", "dy", "wtheta", "start", "end"):
+        np.testing.assert_array_equal(getattr(got, name),
+                                      getattr(want, name)[seg])
+    assert got.n_r == want.n_r
 
 
 class TestBlockBounds:
@@ -586,16 +640,14 @@ class TestPolarRules:
         grid = build_domain_grid(BENCH_STAR, 8, 4)
         targets = np.concatenate([grid.points, BENCH_STAR.boundary_point(
             np.array([0.7]))])
-        want = polar_rules(BENCH_STAR, targets, 24, 6)[:-1]
+        want = polar_rules(BENCH_STAR, targets, 24, 6)
 
         def refuse(*args):
             raise AssertionError("window tables built")
 
         monkeypatch.setattr(geometry, "_smoothstep", refuse)
         got = polar_rules(BENCH_STAR, grid.points, 24, 6)
-        for rule, ref in zip(got, want, strict=True):
-            for a, b in zip(_rule_fields(rule), _rule_fields(ref)):
-                np.testing.assert_array_equal(a, b)
+        _assert_tables_equal(got, want, 0, grid.n_nodes)
 
     @settings(max_examples=20, deadline=None)
     @given(spec=st.one_of(convex_domains(), st.just(NONCONVEX_STAR)),
@@ -612,11 +664,13 @@ class TestPolarRules:
         targets = np.concatenate([build_domain_grid(spec, 8, 4).points,
                                   build_curve(spec, 16).points, evals])
         alone = [polar_rule_for_target(spec, y, 24, 6) for y in targets]
-        # a block's entries: per target, its samples and its rays
+        # a block's entries: per target, its samples and its rays, all
+        # holding segments inside, 2 x 24 on the boundary
         samples = (geometry.SIGHT_SAMPLES_PER_MODE
                    * max(1, len(spec.cos_coeffs) - 1)
                    + 2 * geometry.END_SAMPLES + 1)
-        widest = samples + max(len(rule.dirs) for rule in alone)
+        widest = samples + max(2 * 24, *(len(_segments(rule)[1])
+                                         for rule in alone))
         blocks = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "BLOCK_ENTRIES", per_block * widest)
@@ -629,16 +683,49 @@ class TestPolarRules:
             mp.setattr(geometry, "_block_segments", counted)
             rules = polar_rules(spec, targets, 24, 6)
         assert 1 < len(blocks) < len(targets) and max(blocks) > 1
-        assert len(rules) == len(targets)
+        assert len(rules.targets) == len(targets)
         pts, wts, counts = rule_nodes(rules)
+        np.testing.assert_array_equal(counts, rules.counts)
         at = np.cumsum(counts)
-        for rule, alone, stop, count in zip(rules, alone, at, counts):
-            for got, want in zip(_rule_fields(rule), _rule_fields(alone)):
-                np.testing.assert_array_equal(got, want)
-            p, w = alone.nodes()
-            assert count == len(w) == rule.n_nodes
+        for i, (own, stop, count) in enumerate(zip(alone, at, counts)):
+            _assert_tables_equal(own, rules, i, i + 1)
+            p, w, _ = rule_nodes(own)
+            assert count == len(w)
             np.testing.assert_array_equal(pts[stop - count:stop], p)
             np.testing.assert_array_equal(wts[stop - count:stop], w)
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=st.sampled_from([BENCH_STAR, NONCONVEX_STAR]),
+           s=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=5),
+           phi=st.floats(0.0, 2 * np.pi), t=st.floats(0.0, 2 * np.pi),
+           cut=st.tuples(st.integers(0, 12), st.integers(0, 12)))
+    def test_node_runs_equal_the_set_and_one_target_tables(self, spec, s,
+                                                           phi, t, cut):
+        # interior and boundary targets, with the volume pipeline's rule
+        # parameters at 64/16x8: targets lo:hi expanded alone are that run
+        # of the whole table's nodes, and each target's nodes are those of
+        # its one-target table
+        s = np.array(s)
+        th = phi + 2 * np.pi * np.arange(len(s)) / len(s)
+        targets = np.concatenate([
+            spec.center + (s * spec.rho(th))[:, None] * np.stack(
+                [np.cos(th), np.sin(th)], axis=1),
+            spec.boundary_point(t + np.array([0.0, 2.0, 4.0])),
+            build_domain_grid(spec, 16, 8).points[::37]])
+        base, n_r = potentials._rule_params(build_domain_grid(spec, 16, 8))
+        rules = polar_rules(spec, targets, base, n_r)
+        lo, hi = sorted(min(c, len(targets)) for c in cut)
+        pts, wts, counts = rule_nodes(rules)
+        at = np.concatenate([[0], np.cumsum(counts)])
+        run = rule_nodes(rules, lo, hi)
+        np.testing.assert_array_equal(run[0], pts[at[lo]:at[hi]])
+        np.testing.assert_array_equal(run[1], wts[at[lo]:at[hi]])
+        np.testing.assert_array_equal(run[2], counts[lo:hi])
+        for i in range(lo, hi):
+            own = rule_nodes(polar_rule_for_target(spec, targets[i], base,
+                                                   n_r))
+            np.testing.assert_array_equal(own[0], pts[at[i]:at[i + 1]])
+            np.testing.assert_array_equal(own[1], wts[at[i]:at[i + 1]])
 
     @settings(max_examples=15, deadline=None)
     @given(spec=st.one_of(convex_domains(), st.just(NONCONVEX_STAR)),
@@ -665,14 +752,18 @@ class TestPolarRules:
             [np.cos(phi), np.sin(phi)])
         targets = np.stack([grid.points[pick[0] % grid.n_nodes],
                             curve.points[pick[1] % curve.n], y])
-        for rule in polar_rules(spec, targets,
-                                *potentials._rule_params(grid)):
-            assert len(_level_mismatches(spec, rule)) == 0
+        rules = polar_rules(spec, targets, *potentials._rule_params(grid))
+        for i in range(len(targets)):
+            assert len(_level_mismatches(spec, rules, i)) == 0
 
     @pytest.mark.parametrize("spec", [DISK, STAR], ids=["disk", "star"])
     def test_no_targets_give_no_rules(self, spec):
-        assert polar_rules(spec, np.zeros((0, 2))) == []
-        assert polar_rules(spec, []) == []
+        for targets in (np.zeros((0, 2)), []):
+            rules = polar_rules(spec, targets)
+            assert rules.targets.shape == (0, 2)
+            assert rules.cuts.tolist() == [0] and len(rules.end) == 0
+            pts, wts, counts = rule_nodes(rules)
+            assert pts.shape == (0, 2) and len(wts) == len(counts) == 0
 
     @pytest.mark.parametrize("spec", [DISK, STAR], ids=["disk", "star"])
     def test_one_outside_target_fails_the_set(self, spec):
@@ -681,9 +772,10 @@ class TestPolarRules:
             polar_rules(spec, targets)
 
     def test_large_set_memory_is_bounded(self):
-        # every grid target of the benchmark star at 64x24: the rules hold
-        # about 14 MB; one unblocked block of sight lines would peak about
-        # 94 MB above that
+        # every grid target of the benchmark star at 64x24: the rule table
+        # holds about 9 MB, and joining its blocks' pieces one 1-d column at
+        # a time adds 1.8 MB; one unblocked block of sight lines would peak
+        # about 94 MB above that
         spec = DomainSpec("star", center=(0.0, 0.0),
                           cos_coeffs=(0.3, 0.0, 0.03))
         grid = build_domain_grid(spec, 64, 24)
@@ -695,7 +787,7 @@ class TestPolarRules:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(rules) == grid.n_nodes
+        assert len(rules.targets) == grid.n_nodes
         assert held < 18e6 and peak - held < 4e6
 
 

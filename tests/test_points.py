@@ -57,9 +57,9 @@ ENTRIES = {
         lambda p: V.direct_boundary_values(CURVE, A, "x", "V", np.cos,
                                            points=p), (0,)),
     "volume_potential_direct": (
-        lambda p: V.volume_potential_direct(GRID, A, "y", F, p), (0,)),
+        lambda p: V._volume_oracles(GRID, A, F, p)["P", "y"], (0,)),
     "remainder_via_relation": (
-        lambda p: V.remainder_via_relation(GRID, A, "x", F, p), (0,)),
+        lambda p: V._volume_oracles(GRID, A, F, p)["R", "x"], (0,)),
     "case-u": (CASE.u, (0,)),
     "case-grad_u": (CASE.grad_u, (0, 2)),
     "case-f": (CASE.f, (0,)),

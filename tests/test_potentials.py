@@ -1,6 +1,7 @@
 """Parametrix-level operators: relation algebra, volume rules, remainders."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from bdies2d import geometry, laplace, potentials, solver, verification
 from bdies2d.coefficient import Coefficient, make_preset
 from bdies2d.geometry import (BOUNDARY_LEVEL_TOL, DomainSpec, GeometryError,
                               build_curve, build_domain_grid,
-                              polar_rule_for_target)
+                              polar_rule_for_target, rule_nodes)
 from bdies2d.potentials import (FAMILIES, BoundaryDensity, DomainField,
                                 double_layer_direct_matrix, layer_rows,
                                 remainder_potential,
@@ -212,12 +213,38 @@ class TestTargetCache:
         y = np.array(y)[None, :]
         entry = potentials._target_set(grid, y)
         assert potentials._target_set(grid, y.copy()) is entry
-        cached = entry["rules"][0]
+        cached = rule_nodes(entry["rules"])
         base, n_r = potentials._rule_params(grid)
-        fresh = polar_rule_for_target(spec, y[0], base=base, n_r=n_r)
-        assert np.array_equal(cached.points, fresh.points)
-        assert np.array_equal(cached.weights, fresh.weights)
+        fresh = rule_nodes(polar_rule_for_target(spec, y[0], base=base,
+                                                 n_r=n_r))
+        assert np.array_equal(cached[0], fresh[0])
+        assert np.array_equal(cached[1], fresh[1])
 
+
+    def test_fresh_point_set_entry_is_small(self):
+        # the benchmark star at 16x8: a fresh 64-point evaluation set's
+        # entry, its orbits and its representatives' rule table before any
+        # log rows, holds about 98 KB
+        spec = DomainSpec("star", center=(0.0, 0.0),
+                          cos_coeffs=(0.3, 0.0, 0.03))
+        grid = build_domain_grid(spec, 16, 8)
+        rng = np.random.default_rng(11)
+
+        def points():
+            th = rng.uniform(0.0, 2 * np.pi, 64)
+            r = 0.6 * np.sqrt(rng.uniform(0.0, 1.0, 64)) * spec.rho(th)
+            return r[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+
+        potentials._target_set(grid, points())     # fills shared caches
+        pts = points()
+        tracemalloc.start()
+        try:
+            entry = potentials._target_set(grid, pts)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 128 * 1024
+        assert entry["logs"] is None and len(entry["rules"].targets) == 64
 
     def test_one_entry_and_one_orbit_search_per_target_set(self,
                                                            monkeypatch):
@@ -267,8 +294,8 @@ def _einsum_log_potential(grid, values, targets):
     base, n_r = potentials._rule_params(grid)
     out = []
     for y in targets:
-        pts, w = polar_rule_for_target(grid.spec, y, base=base,
-                                       n_r=n_r).nodes()
+        pts, w, _ = rule_nodes(polar_rule_for_target(grid.spec, y, base=base,
+                                                     n_r=n_r))
         r2 = ((pts - y) ** 2).sum(1)
         kv = w * 0.5 * np.log(r2) / (2 * np.pi)
         A, S = grid.cardinal_matrices(pts)
@@ -359,8 +386,8 @@ def _anchored_reference(grid, coeff, targets):
     base, n_r = potentials._rule_params(grid)
     rows, logs = {family: [] for family in FAMILIES}, []
     for y in targets:
-        pts, w = polar_rule_for_target(grid.spec, y, base=base,
-                                       n_r=n_r).nodes()
+        pts, w, _ = rule_nodes(polar_rule_for_target(grid.spec, y, base=base,
+                                                     n_r=n_r))
         A, S = grid.cardinal_matrices(pts)
         for family in FAMILIES:
             ker = potentials._remainder_kernel(
@@ -539,7 +566,8 @@ class TestOrbits:
         assert np.abs(logs - ref_log).max() <= 1e-12 * np.abs(ref_log).max()
         # one grid entry for the set, holding one rule per orbit
         assert list(grid._cache) == [tg.tobytes()]
-        assert len(potentials._target_set(grid, tg)["rules"]) == n_orbits
+        rules = potentials._target_set(grid, tg)["rules"]
+        assert len(rules.targets) == n_orbits
 
     @pytest.mark.parametrize("name", list(ORBIT_SPECS))
     def test_member_rule_is_rotated_representative_rule(self, name):
@@ -556,12 +584,13 @@ class TestOrbits:
         assert len(orbits) < len(tg)
         base, n_r = potentials._rule_params(grid)
         rules = potentials._target_set(grid, tg)["rules"]
-        for rule, (rep, members, shifts, flips) in zip(rules, orbits):
-            assert np.array_equal(rule.target, tg[rep])
-            p0, w0 = rule.nodes()
+        assert len(rules.targets) == len(orbits)
+        for o, (rep, members, shifts, flips) in enumerate(orbits):
+            assert np.array_equal(rules.targets[o], tg[rep])
+            p0, w0, _ = rule_nodes(rules, o, o + 1)
             for i, k, f in zip(members, shifts, flips):
-                own, w = polar_rule_for_target(spec, tg[i], base=base,
-                                               n_r=n_r).nodes()
+                own, w, _ = rule_nodes(polar_rule_for_target(
+                    spec, tg[i], base=base, n_r=n_r))
                 mapped = spec.center + _image(p0 - spec.center, k,
                                               grid.n_t, f)
                 if not f:
@@ -647,7 +676,7 @@ class TestRemainder:
         tg = np.array([[0.1, 0.05], [-0.12, 0.2]])
         for fam in ("x", "y"):
             a = remainder_potential(grid, A_QUAD, fam, f, tg)
-            b = verification.remainder_via_relation(grid, A_QUAD, fam, f, tg)
+            b = verification._volume_oracles(grid, A_QUAD, f, tg)["R", fam]
             assert np.abs(a - b).max() < 1e-6
 
 

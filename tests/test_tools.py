@@ -29,6 +29,5 @@ def test_ladder_counts_the_rules_of_the_grid_and_curve_sets():
     n_orbits = sum(len(s["orbits"][0]) for s in sets)
     assert n_orbits > grid.n_s
     assert row["rules"] == n_orbits
-    assert row["rule_nodes"] == sum(rule.n_nodes for s in sets
-                                    for rule in s["rules"])
+    assert row["rule_nodes"] == sum(s["rules"].counts.sum() for s in sets)
     assert row["err_u_max"] < 1e-2

@@ -162,12 +162,11 @@ class TestVolumeOracles:
         tg = spec.center + np.concatenate([v, v * [1.0, -1.0]])
         grid = build_domain_grid(spec, 32, 12)
         f = _smooth_field(grid)
+        oracle = V._volume_oracles(grid, A_EXP, f, tg)
         pv = potentials.volume_potential(grid, A_EXP, family, f, tg)
-        pd = V.volume_potential_direct(grid, A_EXP, family, f, tg)
-        assert np.abs(pv - pd).max() <= 1e-6
+        assert np.abs(pv - oracle["P", family]).max() <= 1e-6
         rv = potentials.remainder_potential(grid, A_EXP, family, f, tg)
-        rr = V.remainder_via_relation(grid, A_EXP, family, f, tg)
-        assert np.abs(rv - rr).max() <= 1e-6
+        assert np.abs(rv - oracle["R", family]).max() <= 1e-6
 
     def test_oracles_share_nothing_with_the_production_path(self,
                                                             monkeypatch):
@@ -181,11 +180,10 @@ class TestVolumeOracles:
         grid = build_domain_grid(spec, 16, 8)
         f = _smooth_field(grid)
         tg = np.array([[0.05, 0.1], [-0.1, 0.0]])
+        oracle = V._volume_oracles(grid, A_EXP, f, tg)
         for fam in FAMILIES:
-            assert np.isfinite(
-                V.volume_potential_direct(grid, A_EXP, fam, f, tg)).all()
-            assert np.isfinite(
-                V.remainder_via_relation(grid, A_EXP, fam, f, tg)).all()
+            assert np.isfinite(oracle["P", fam]).all()
+            assert np.isfinite(oracle["R", fam]).all()
         assert grid._cache == {}
 
 
@@ -408,8 +406,7 @@ class TestDiagnostics:
 
     def test_invertibility_report(self):
         curve = build_curve(DISK, 64)
-        grid = build_domain_grid(DISK, 16, 8)
-        rep = V.invertibility_report(curve, grid,
+        rep = V.invertibility_report(curve,
                                      make_preset("exponential",
                                                  direction=(1, 1)), "x")
         assert rep["sigma_min_single_layer"] > 1e-8
@@ -431,8 +428,7 @@ class TestDiagnostics:
 
         monkeypatch.setattr(potentials, "single_layer_matrix_at_targets",
                             capture)
-        V.invertibility_report(build_curve(spec, 64),
-                               build_domain_grid(spec, 8, 4), A_EXP, "x")
+        V.invertibility_report(build_curve(spec, 64), A_EXP, "x")
         (targets,) = seen
         assert len(targets) == 24
         assert spec.level(targets).max() < 1.0

@@ -4,7 +4,8 @@ Every config solves the manufactured problem ``exp_saddle`` once per
 family, each in a fresh subprocess with one BLAS thread, and records:
 assembly and solve seconds, peak RSS, ``err_u_max``, ``err_psi_max``, the
 trace defect, the number of polar rules the volume pipeline built and
-their node total (counted where ``potentials`` calls ``polar_rules``),
+their node total (from the per-target node counts of the rule tables
+``potentials`` gets from ``polar_rules``),
 plus the seconds taken to import bdies2d (numpy already loaded) and the
 ``scipy.*`` subpackages loaded by the end of the run.
 After the solve it records the spectral diagnostics of ``bdies2d solve``
@@ -73,12 +74,13 @@ def run_one(domain: dict, resolution, family: str) -> dict:
     from bdies2d.verification import fredholm_diagnostic, manufactured_case
     import_s = time.perf_counter() - t_import
 
-    # every rule the volume pipeline builds comes from this one call
-    rules, build_rules = [], potentials.polar_rules
+    # every rule the volume pipeline builds comes from this one call, one
+    # table per target set
+    tables, build_rules = [], potentials.polar_rules
 
     def counted(*args, **kwargs):
         built = build_rules(*args, **kwargs)
-        rules.extend(built)
+        tables.append(built)
         return built
 
     potentials.polar_rules = counted
@@ -101,6 +103,9 @@ def run_one(domain: dict, resolution, family: str) -> dict:
     t5 = time.perf_counter()
 
     u_ex = case.u(grid.points)
+    # per-target node counts; rule_nodes also takes a source tree's list
+    # of rules from before the tables
+    counts = [potentials.rule_nodes(t)[2] for t in tables]
     return {
         "build_s": t1 - t0, "assemble_s": t2 - t1, "solve_s": t3 - t2,
         "cond_s": t4 - t3, "fredholm_s": t5 - t4, "peak_rss_mb": peak_rss_mb,
@@ -110,8 +115,8 @@ def run_one(domain: dict, resolution, family: str) -> dict:
                                     - case.psi_on(curve)).max()),
         "trace_defect": float(np.abs(sol.u.at(curve.points)
                                      - phi0.values).max()),
-        "rules": len(rules),
-        "rule_nodes": sum(len(r.nodes()[1]) for r in rules),
+        "rules": sum(len(c) for c in counts),
+        "rule_nodes": int(sum(c.sum() for c in counts)),
         "cond": cond,
         "remainder_block_norm": fredholm["remainder_block_norm"],
         "import_bdies2d_s": import_s,
