@@ -24,7 +24,11 @@ consecutive samples bracket every crossing, and a safeguarded Newton loop
 refines it (``_block_segments``).  The volume pipeline and the
 verification oracles both build their rules this way;
 ``polar_rule_for_target`` is the one-target table.  ``rule_nodes``
-expands any run of a table's targets in one pass.  ``BLOCK_ENTRIES`` caps
+expands any run of a table's targets in one pass, each segment by one of
+three radial rules: n_r generalized Gaussian points (``gauss_log_01``,
+exact for r^k and r^(k+1) log r) on a segment that starts at its target,
+2 n_r points graded by r = x^4 on one that starts near it, and n_r
+Gauss-Legendre points on any other.  ``BLOCK_ENTRIES`` caps
 each block's largest temporary; every operation is elementwise per
 target, per ray or per crossing, so a target's rule does not depend on
 the block it was built in, bitwise.
@@ -38,6 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial.legendre  # numpy 2 loads it lazily, at first use
+
+from .gauss_log_rules import GAUSS_LOG_RULES
 
 
 class GeometryError(ValueError):
@@ -189,12 +195,19 @@ class DomainSpec:
         without visiting most pairs.
 
         The longest antipodal pair, tightened by two farthest-point steps,
-        is a lower bound; a pair whose triangle-inequality upper bound (via
-        the center, then via a block's mean) falls below it cannot be the
-        longest, so it is skipped.  The bound keeps a 1e-12 relative
-        margin against rounding, so the result equals the brute-force
-        maximum bitwise.
+        is a lower bound.  The samples fall into blocks of 16 consecutive
+        ones, each with its largest radius R about the center and the arc
+        of its directions.  Two samples at radii r <= R and r' <= R' whose
+        directions differ by at most delta <= pi are at most
+        max(R, R', sqrt(R^2 + R'^2 - 2 R R' cos delta)) apart (the law of
+        cosines, largest at a corner of the radii's box), so a pair of
+        blocks whose bound falls below the lower bound holds no longer
+        pair and is skipped; only blocks with nearly antipodal arcs and
+        large radii remain.  The bound keeps a 1e-12 relative margin
+        against rounding, so the result equals the brute-force maximum
+        bitwise.
         """
+        m = 16
         pts = self.boundary_point(
             np.linspace(0.0, 2 * np.pi, 2048, endpoint=False))
         x, y = pts[:, 0], pts[:, 1]
@@ -207,19 +220,32 @@ class DomainSpec:
             a = int(d2.argmax())
             d2max = max(d2max, d2[a])
         bound = np.sqrt(d2max) * (1.0 - 1e-12)
-        r = np.sqrt(_squared_distances(x, y, *self.center))
-        keep = r + r.max() >= bound
-        x, y = x[keep], y[keep]
-        # row blocks of 32 against the later points within reach of them
-        for i in range(0, len(x), 32):
-            bx, by = x[i:i + 32, None], y[i:i + 32, None]
-            mx, my = bx.mean(), by.mean()
-            reach = np.sqrt(_squared_distances(bx, by, mx, my).max())
-            near = np.sqrt(_squared_distances(x[i:], y[i:], mx, my)) >= (
-                bound - reach)
-            if near.any():
-                d2max = max(d2max, _squared_distances(
-                    bx, by, x[i:][near], y[i:][near]).max())
+        # the blocks whose largest radius reaches the bound with the
+        # farthest one; per block the half-width of its arc of directions
+        # about the direction of its middle parameter
+        nb = len(x) // m
+        v = (pts - self.center).reshape(nb, m, 2)
+        r = np.hypot(v[..., 0], v[..., 1]).max(1)
+        k = np.flatnonzero(r + r.max() >= bound)
+        r, v = r[k], v[k]
+        mid = (2 * np.pi / nb) * (k + (m - 1) / (2 * m))
+        phi = np.arctan2(v[..., 1], v[..., 0]) - mid[:, None]
+        arc = np.abs((phi + np.pi) % (2 * np.pi) - np.pi).max(1)
+        # the largest angle between two of their directions
+        gap = np.abs(k[:, None] - k)
+        delta = np.minimum(np.pi, (2 * np.pi / nb) * np.minimum(gap, nb - gap)
+                           + arc[:, None] + arc)
+        R, Rc = r[:, None], r[None, :]
+        reach2 = np.maximum(np.maximum(R, Rc) ** 2,
+                            R * R + Rc * Rc - 2 * R * Rc * np.cos(delta))
+        rows, cols = np.nonzero(np.triu(reach2 >= bound * bound))
+        # the surviving block pairs, a few hundred at a time
+        xb, yb = x.reshape(nb, m), y.reshape(nb, m)
+        for i in range(0, len(rows), 256):
+            b, c = k[rows[i:i + 256]], k[cols[i:i + 256]]
+            d2max = max(d2max, _squared_distances(
+                xb[b, :, None], yb[b, :, None], xb[c, None, :],
+                yb[c, None, :]).max())
         return float(np.sqrt(d2max))
 
     def max_rho(self) -> float:
@@ -564,6 +590,36 @@ def _graded_unit_rule(p: int):
     return r, w
 
 
+@lru_cache(maxsize=None)
+def gauss_log_01(q: int):
+    """The q-point generalized Gaussian rule on [0, 1]: nodes and positive
+    weights exact for x^k and x^(k+1) log x, k < q (Ma, Rokhlin &
+    Wandzura, 1996), from the tables of ``gauss_log_rules``; shared and
+    read-only."""
+    if q not in GAUSS_LOG_RULES:
+        raise GeometryError(
+            f"radial order n_r must be one of {min(GAUSS_LOG_RULES)}.."
+            f"{max(GAUSS_LOG_RULES)}, the orders of the generalized "
+            f"Gaussian radial rules, got {q!r}")
+    x, w = (np.array(a) for a in GAUSS_LOG_RULES[q])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _radial_units(n_r: int):
+    """Unit rules on [0, 1] of a segment that starts at its target, of one
+    that starts nearer it than its own length, and of any other (see
+    ``PolarRules``)."""
+    return gauss_log_01(n_r), _graded_unit_rule(n_r), gauss_01(n_r)
+
+
+def _segment_sizes(a, b, units):
+    """Each segment [a, b]'s index into ``units`` (at, near, away; see
+    ``_radial_units``) and its node count."""
+    kind = np.where(a == 0, 0, np.where(a < b - a, 1, 2))
+    return kind, np.array([len(x) for x, _ in units])[kind]
+
+
 def block_bounds(widths, cap=None):
     """(start, stop) of consecutive blocks of items whose widths sum to at
     most ``cap`` float64 entries (``BLOCK_ENTRIES`` unless given); an item
@@ -751,13 +807,22 @@ class PolarRules:
     each column a 1-d array: ``polar_rules`` joins its blocks' pieces one
     column at a time, so the join holds a fifth of the table twice, not
     all of it.
-    ``rule_nodes`` expands a segment that starts nearer the target than
-    its own length (start 0 included) with ``_graded_unit_rule(n_r)``, 2
-    n_r Gauss points under r = x^4 clustered at its start, and every other
-    segment with n_r Gauss-Legendre points.  The weights include the polar
-    Jacobian r, which cancels 1/r kernel singularities at the target; the
-    substitution absorbs log(r) factors, also on a segment that re-enters
-    the domain just past the target.
+    ``rule_nodes`` expands each segment by one of three unit rules
+    (``_radial_units``), chosen by where it starts:
+
+    - at the target (start 0; the one segment of each ray of an interior
+      target, and every ray of a boundary window): the n_r-point
+      generalized Gaussian rule ``gauss_log_01(n_r)``, exact for r^k and
+      r^(k+1) log r, k < n_r, which with the polar Jacobian hold the
+      log kernel, its scale and the gradient kernel times smooth data;
+    - nearer the target than its own length, but not at it (a ray that
+      re-enters the domain just past the target): ``_graded_unit_rule``,
+      2 n_r Gauss points under r = x^4 clustered at its start, whose
+      substitution absorbs a log singularity just before the segment;
+    - any other: n_r Gauss-Legendre points.
+
+    The weights include the polar Jacobian r, which cancels 1/r kernel
+    singularities at the target.
     """
 
     targets: np.ndarray          # (m, 2)
@@ -772,40 +837,45 @@ class PolarRules:
     @property
     def counts(self) -> np.ndarray:
         """Quadrature points per target, without expanding them."""
-        a, b = self.start, self.end
-        size = np.where(a < b - a, 2 * self.n_r, self.n_r)
+        size = _segment_sizes(self.start, self.end,
+                              _radial_units(self.n_r))[1]
         return np.diff(np.concatenate([[0], np.cumsum(size)])[self.cuts])
 
 
-def rule_nodes(rules: PolarRules, lo: int = 0, hi: int | None = None):
+def rule_nodes(rules: PolarRules, lo: int = 0, hi: int | None = None,
+               units=None):
     """Quadrature points (N, 2), weights (N,) and per-target node counts of
     targets lo:hi (all by default) of a rule table, expanded in one pass,
     target after target.
 
-    Each target's nodes are its graded segments (start a < length b - a)
-    first, then the others, each in table order.  A segment [a, a + h]
-    along a ray of weight wtheta with unit rule (x, wx) has nodes r = a +
-    h x and weights h wx r wtheta, formed as h^2 wtheta (wx x) + h a
-    wtheta wx.  Every operation is elementwise per segment, so a target's
-    nodes do not depend on the others expanded with it, bitwise.
+    ``units`` replaces the three unit rules, at, near and away from the
+    target, that ``rules.n_r`` selects (``PolarRules``); the verification
+    oracles pass their own.  Each target's nodes are its segments at or
+    near it (start a < length b - a) first, then the others, each in
+    table order.  A segment [a, a + h] along a ray of weight wtheta with
+    unit rule (x, wx) has nodes r = a + h x and weights h wx r wtheta,
+    formed as h^2 wtheta (wx x) + h a wtheta wx.  Every operation is
+    elementwise per segment, so a target's nodes do not depend on the
+    others expanded with it, bitwise.
     """
-    n_r, cuts = rules.n_r, rules.cuts
+    units = _radial_units(rules.n_r) if units is None else units
+    cuts = rules.cuts
     hi = len(rules.targets) if hi is None else hi
     seg = slice(cuts[lo], cuts[hi])
     a, b, wtheta = rules.start[seg], rules.end[seg], rules.wtheta[seg]
     dx, dy = rules.dx[seg], rules.dy[seg]
     owner = np.repeat(np.arange(hi - lo), np.diff(cuts[lo:hi + 1]))
-    graded = a < b - a
-    size = np.where(graded, 2 * n_r, n_r)
+    kind, size = _segment_sizes(a, b, units)
     counts = np.bincount(owner, size, hi - lo).astype(int)
-    # node offset of each segment, with a target's graded segments first
-    order = np.argsort(2 * owner + ~graded, kind="stable")
+    # node offset of each segment, with a target's segments at or near it
+    # first
+    order = np.argsort(2 * owner + (kind == 2), kind="stable")
     first = np.empty_like(size)
     first[order] = np.cumsum(size[order]) - size[order]
     pts = np.repeat(rules.targets[lo:hi], counts, axis=0)
     wts = np.empty(len(pts))
-    for sel, (x, wx) in ((graded, _graded_unit_rule(n_r)),
-                         (~graded, gauss_01(n_r))):
+    for k, (x, wx) in enumerate(units):
+        sel = kind == k
         if not sel.any():
             continue
         a0, h = a[sel, None], (b - a)[sel, None]
@@ -823,12 +893,14 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
     """Polar quadrature rules centered at targets (interior or on the
     boundary), one table for the set, targets in order.
 
-    ``n_r`` is the radial Gauss order: n_r points on a segment away from
-    the target, 2 n_r substituted ones on a segment at or near it (see
-    ``PolarRules``).  Interior targets get equispaced angles
-    anchored at y's polar angle about the center.  The analyticity width
-    of their radial extent shrinks like sqrt(1 - level) toward the
-    boundary, so their angular count is THETA_COUNT_COEFF / sqrt(1 - level),
+    ``n_r`` is the radial order: n_r generalized Gaussian points on a
+    segment at the target, 2 n_r substituted ones on a segment near it and
+    n_r Gauss points on any other (see ``PolarRules``); an order without a
+    generalized Gaussian table raises ``GeometryError``.  Interior targets
+    get equispaced angles anchored at y's polar angle about the center.
+    The analyticity width of their radial extent shrinks like
+    sqrt(1 - level) toward the boundary, so their angular count is
+    THETA_COUNT_COEFF / sqrt(1 - level),
     at least ``base``, at most THETA_COUNT_CAP, rounded up to even.
     Boundary targets (level within BOUNDARY_LEVEL_TOL of 1) get two
     width-pi angular windows of ``base`` nodes, about the interior normal
@@ -850,6 +922,7 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
     elementwise per target, per ray or per crossing, so each target's
     segments equal the ones it gets alone, bitwise.
     """
+    gauss_log_01(n_r)           # refuses an order without a table
     y = as_points(targets)
     lev = spec.level(y)
     if (lev > 1.0 + BOUNDARY_LEVEL_TOL).any():

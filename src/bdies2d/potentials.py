@@ -202,8 +202,10 @@ def _rule_params(grid: DomainGrid):
     The volume rules are the volume discretization: their angular count
     follows the grid's angular count and the radial Gauss order p follows
     the radial node count, so refining the grid refines every quadrature
-    in the pipeline at matching rates.  A segment away from its target
-    gets p radial points, one at or near it 2p (``geometry.PolarRules``).
+    in the pipeline at matching rates.  A segment that starts at its
+    target gets p generalized Gaussian points, one that starts near it 2p
+    graded ones and any other p Gauss points (``geometry.PolarRules``); p
+    stays within 4..10, the orders of ``geometry.gauss_log_01``.
     """
     base = max(12, 2 * round(0.375 * grid.n_t))
     if grid.spec.cos_coeffs[1:].any():

@@ -37,8 +37,8 @@ import numpy.random  # numpy 2 loads it lazily, at first use
 from . import potentials, solver
 from .coefficient import Coefficient, make_preset
 from .geometry import (BoundaryCurve, DomainGrid, DomainSpec, _count,
-                       as_points, build_curve, build_domain_grid, polar_rules,
-                       rule_nodes)
+                       _graded_unit_rule, as_points, build_curve,
+                       build_domain_grid, gauss_01, polar_rules, rule_nodes)
 from .laplace import QuadratureError
 from .potentials import BoundaryDensity, DomainField
 
@@ -402,9 +402,12 @@ def _log_integrals(grid: DomainGrid, targets, columns) -> np.ndarray:
     Returns one column per entry, one row per target.
 
     The targets' polar rules are built in one ``polar_rules`` call, with
-    1.25 times the angular count and two more than the radial order of the
-    volume pipeline's rules, so the result shares no node, cardinal matrix
-    or row with the production path.  The table is expanded once; per
+    1.25 times the angular count of the volume pipeline's rules, and
+    expanded with radial unit rules of their own: two more than its radial
+    order, with the r = x^4 graded rule on every segment at or near the
+    target where the pipeline uses the generalized Gaussian one at it.  So
+    the result shares no node, cardinal matrix or row with the production
+    path.  The table is expanded once; per
     target, every column is interpolated on its slice of the nodes by one
     ``grid.interpolate`` call: one cardinal evaluation and one GEMM.
     Targets are taken one at a time, so a target's value does not depend
@@ -412,8 +415,10 @@ def _log_integrals(grid: DomainGrid, targets, columns) -> np.ndarray:
     rounds differently.
     """
     base, n_r = potentials._rule_params(grid)
-    rules = polar_rules(grid.spec, targets, base=5 * base // 4, n_r=n_r + 2)
-    nodes, weights, counts = rule_nodes(rules)
+    rules = polar_rules(grid.spec, targets, base=5 * base // 4, n_r=n_r)
+    graded = _graded_unit_rule(n_r + 2)
+    nodes, weights, counts = rule_nodes(
+        rules, units=(graded, graded, gauss_01(n_r + 2)))
     values = np.column_stack([v for v, _ in columns])
     out = np.empty((len(counts), len(columns)))
     stops = np.cumsum(counts)

@@ -8,6 +8,7 @@ from test_verification import BENCH_STAR, NONCONVEX_STAR, convex_domains
 
 from bdies2d import geometry, potentials
 from bdies2d.coefficient import make_preset
+from bdies2d.gauss_log_rules import GAUSS_LOG_RULES
 from bdies2d.geometry import (DomainSpec, GeometryError, PolarRules,
                               build_curve, build_domain_grid, gauss_01,
                               polar_rule_for_target, polar_rules, rule_nodes,
@@ -568,7 +569,9 @@ class TestPolarRule:
     def test_segment_near_the_target_is_graded(self, a):
         # a ray that re-enters the domain at a < b - a from the target: the
         # log kernel is singular just before the segment starts, and plain
-        # Gauss-Legendre would miss r log r by 3e-6..2e-5 here
+        # Gauss-Legendre would miss r log r by 3e-6..2e-5 here; a segment
+        # at the target gets the n_r-point generalized Gaussian rule, one
+        # near it 2 n_r graded points
         b = 0.1
 
         def antiderivative(r):        # of r log r
@@ -578,9 +581,33 @@ class TestPolarRule:
         for n_r, tol in ((4, 1e-7), (6, 1e-9), (10, 1e-12)):
             rule = _one_segment(a, b, n_r)
             assert rule.counts.tolist() == [len(rule_nodes(rule)[1])] == [
-                2 * n_r]
+                n_r if a == 0 else 2 * n_r]
             got = _integrate(rule, lambda p: np.log(np.abs(p[:, 0])))
             assert abs(got - exact) <= tol * abs(exact), n_r
+
+    @pytest.mark.parametrize("length", [0.05, 0.3])
+    def test_segment_at_the_target_is_generalized_gauss(self, length):
+        # int_0^R r log r e^(cr) dr and int_0^R r e^(cr) dr from the series
+        # of e^(cr): int_0^R r^(n+1) log r dr = R^(n+2) (log R / (n+2)
+        # - 1 / (n+2)^2)
+        c, n = 1.3, np.arange(40)
+        term = (c * length) ** n / np.cumprod(np.maximum(n, 1)) * length**2
+        log_exact = (term * (np.log(length) / (n + 2)
+                             - 1.0 / (n + 2) ** 2)).sum()
+        exact = (term / (n + 2)).sum()
+        rule = _one_segment(0.0, length, 10)
+        assert rule.counts.tolist() == [10]
+        got = _integrate(rule, lambda p: np.log(p[:, 0]) * np.exp(c * p[:, 0]))
+        assert abs(got - log_exact) <= 1e-13 * abs(log_exact)
+        got = _integrate(rule, lambda p: np.exp(c * p[:, 0]))
+        assert abs(got - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("n_r", [3, 11])
+    def test_radial_order_without_a_table_rejected(self, n_r):
+        with pytest.raises(GeometryError, match=r"one of 4\.\.10"):
+            polar_rules(DISK, [[0.1, 0.0]], 16, n_r)
+        with pytest.raises(GeometryError, match=r"one of 4\.\.10"):
+            polar_rule_for_target(DISK, [0.1, 0.0], 16, n_r)
 
     def test_segment_far_from_the_target_is_plain_gauss(self):
         rule = _one_segment(0.05, 0.1, 4)
@@ -596,6 +623,21 @@ class TestPolarRule:
             a = grid.weights @ f(grid.points)
             b = _integrate(rule, f)
             assert abs(a - b) < 1e-8
+
+
+@pytest.mark.parametrize("q", sorted(GAUSS_LOG_RULES))
+def test_generalized_gauss_tables(q):
+    x, w = geometry.gauss_log_01(q)
+    assert len(x) == len(w) == q
+    k = np.arange(q)[:, None]
+    # exact moments: int_0^1 x^k = 1/(k+1), int_0^1 x^(k+1) log x =
+    # -1/(k+2)^2
+    np.testing.assert_allclose((x**k) @ w, 1.0 / (k[:, 0] + 1),
+                               rtol=0, atol=5e-14)
+    np.testing.assert_allclose((x ** (k + 1) * np.log(x)) @ w,
+                               -1.0 / (k[:, 0] + 2) ** 2, rtol=0, atol=5e-14)
+    assert (w > 0).all()
+    assert 0 < x[0] and (np.diff(x) > 0).all() and x[-1] < 1
 
 
 def _assert_tables_equal(got, want, lo=0, hi=None):

@@ -1,16 +1,21 @@
-"""The benchmark record tool ``tools/ladder.py``, run as a script."""
+"""The scripts under ``tools/``: the benchmark record tool ``ladder.py``,
+run as a script, and the writer of the generalized Gaussian tables."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 from test_cli import fresh_env
 
 from bdies2d import potentials
+from bdies2d.gauss_log_rules import GAUSS_LOG_RULES
 from bdies2d.geometry import DomainSpec, build_curve, build_domain_grid
 
-LADDER = Path(__file__).resolve().parents[1] / "tools" / "ladder.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+LADDER = TOOLS / "ladder.py"
 
 
 def test_ladder_counts_the_rules_of_the_grid_and_curve_sets():
@@ -31,3 +36,14 @@ def test_ladder_counts_the_rules_of_the_grid_and_curve_sets():
     assert row["rules"] == n_orbits
     assert row["rule_nodes"] == sum(s["rules"].counts.sum() for s in sets)
     assert row["err_u_max"] < 1e-2
+
+
+def test_table_writer_rebuilds_the_stored_rule():
+    spec = importlib.util.spec_from_file_location(
+        "gauss_log_rules_tool", TOOLS / "gauss_log_rules.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    x, w, err = tool.build(4)
+    assert err <= tool.TOL
+    np.testing.assert_allclose(x, GAUSS_LOG_RULES[4][0], rtol=1e-14)
+    np.testing.assert_allclose(w, GAUSS_LOG_RULES[4][1], rtol=1e-14)
