@@ -8,7 +8,9 @@ star's.  Everything downstream (layer operators, volume potentials)
 consumes the objects built in this module and treats them as immutable.
 
 Domains, curves and grids each keep a private ``_cache`` of values that
-depend only on their geometry; ``cached`` is the one way to fill it.
+depend only on their geometry; ``cached`` is the one way to fill it, apart
+from a curve's ``fine_nodes``, one entry that grows to the largest count
+asked for.
 
 ``as_points`` is the one gate for caller points: every function taking
 them, here and downstream, converts them once with it, so bad points
@@ -19,9 +21,11 @@ table (``PolarRules``): per inside segment of a ray, its direction,
 angular weight and ends, target after target.  A ray from a target y
 meets the boundary wherever y's sight line x(t) - y points along it, so
 each target samples the angle of its sight lines over the boundary
-parameter t (``_sight_angles``), on one table of x(t) shared by the set;
-consecutive samples bracket every crossing, and a safeguarded Newton loop
-refines it (``_block_segments``).  The volume pipeline and the
+parameter t (``_sight_angles``): coarsely, on one table of x(t) and its
+first two derivatives shared by the set, and more densely only where a
+certificate cannot rule out a fold between two samples.  So consecutive
+samples bracket every crossing, and a safeguarded Newton loop refines it
+(``_block_segments``).  The volume pipeline and the
 verification oracles both build their rules this way;
 ``polar_rule_for_target`` is the one-target table.  ``rule_nodes``
 expands any run of a table's targets in one pass, each segment by one of
@@ -188,7 +192,9 @@ class DomainSpec:
         return bool(self.level(_as_point(point))[0] < 1.0)
 
     def diameter(self) -> float:
-        return cached(self, "diameter", self._sampled_diameter)
+        # squared distances overflow past about 1e154: then it is infinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cached(self, "diameter", self._sampled_diameter)
 
     def _sampled_diameter(self) -> float:
         """Largest distance between 2048 boundary samples, found exactly
@@ -270,6 +276,13 @@ class DomainSpec:
         r, dr = self.profile(cos, sin)
         return np.stack([dr * cos - r * sin, dr * sin + r * cos], axis=-1)
 
+    def boundary_acceleration(self, t):
+        cos, sin = np.cos(t), np.sin(t)
+        r, dr = self.profile(cos, sin)
+        a = self.ddrho(t) - r
+        return np.stack([a * cos - 2 * dr * sin, a * sin + 2 * dr * cos],
+                        axis=-1)
+
     def boundary_speed(self, t):
         return np.hypot(*self.profile(np.cos(t), np.sin(t)))
 
@@ -316,6 +329,26 @@ class BoundaryCurve:
     def max_speed(self) -> float:
         t = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
         return float(self.spec.boundary_speed(t).max())
+
+    def fine_nodes(self, N: int):
+        """Points (N, 2), outward normals (N, 2) and speeds (N,) at the N =
+        n 2^k equispaced parameters 2pi j / N, read-only.
+
+        The curve keeps one entry, at the largest N asked for so far, and
+        a smaller N reads it with a stride, since the lattices nest.  The
+        stride is a power of two, so 2pi (2^k j) / (2^k N) rounds as 2pi j
+        / N and a strided view equals the direct evaluation bitwise.
+        """
+        top = self._cache.get("fine_nodes")
+        if top is None or len(top[2]) < N:
+            t = 2 * np.pi * np.arange(N) / N
+            top = (self.spec.boundary_point(t), self.spec.boundary_normal(t),
+                   self.spec.boundary_speed(t))
+            for a in top:
+                a.flags.writeable = False
+            self._cache["fine_nodes"] = top
+        k = len(top[2]) // N
+        return tuple(a[::k] for a in top)
 
     def distance_to(self, points) -> np.ndarray:
         """Distance from points to the boundary (sampled minimum, refined),
@@ -564,19 +597,23 @@ BOUNDARY_LEVEL_TOL = 1e-9
 THETA_COUNT_COEFF = 14.0
 THETA_COUNT_CAP = 768
 #: Cap, in float64 entries, on the largest temporary of a block of polar
-#: rules: the sight-line samples (targets times the uniform and graded
-#: samples) of a block of targets in ``polar_rules``, and the angular
-#: cardinals (nodes times n_t) of a block of rules in ``potentials``.  At
-#: 2^15 (256 KiB) the benchmark star's volume passes at 64/16x8 run as fast
-#: as at 2^16 with a sixth of the extra memory.
+#: rules: a block of targets' sight-line samples and crossings in
+#: ``polar_rules``, and the angular cardinals (nodes times n_t) of a block
+#: of rules in ``potentials``.  At 2^15 (256 KiB) the benchmark star's
+#: volume passes at 64/16x8 run as fast as at 2^16 with a sixth of the
+#: extra memory.
 BLOCK_ENTRIES = 2**15
 #: Uniform boundary-parameter samples of a target's sight lines per cosine
-#: mode k >= 1 of the profile (a disk's one mode, k = 0, counts as one):
-#: their angle folds where they are tangent to the boundary, at most 4K
-#: times for K modes.  END_SAMPLES more are graded toward the target's own
-#: parameter at each end of the turn.
-SIGHT_SAMPLES_PER_MODE = 256
-END_SAMPLES = 48
+#: mode k >= 1 of the profile (a disk's one mode, k = 0, counts as one).
+#: Their angle folds where they are tangent to the boundary, at most 4K
+#: times for K modes; ``_sight_angles`` adds samples wherever a fold could
+#: hide between two of them, so this count sets the cost, not what is
+#: found: 16 to 256 per mode give the same segments on the benchmark's
+#: target sets and the ladder's top rungs, and 24 to 48 build them fastest.
+SIGHT_SAMPLES_PER_MODE = 32
+#: Radians by which a sight line may turn past both ends of an interval
+#: that ``_sight_angles`` could not certify: its quartering stops there.
+FOLD_TOL = 1e-13
 
 
 @lru_cache(maxsize=32)
@@ -665,126 +702,305 @@ def _sight(spec: DomainSpec, s, rho_s, dip, u):
                       (dr * st + rho * ct - ch * vy) / (2 * sh))
 
 
-def _radii(spec: DomainSpec, s, rho_s, dip, d, u, lo, hi, rising):
-    """Radii 2 sin(u/2) v . d along unit directions d of the roots of
-    v x d, v the sight line ``_sight(spec, s, rho_s, dip, u)``, one in
-    each bracket (lo, hi) of u, from first guesses u inside; v x d goes
-    from negative to positive across the root where ``rising``.
+def _sight_bounds(spec: DomainSpec):
+    """Bounds (F1, F2, F3) on the first three u-derivatives of the f of
+    ``_sight_angles``, x(s + u) - y from an interior target, then of the
+    chord (x(s + u) - x(s)) / (2 sin(u/2)) of a boundary target.
 
-    Safeguarded Newton iteration: every iterate shrinks its bracket, and a
-    step that leaves it by more than tol = 4 eps u is replaced by its
-    midpoint.  A root is done once |v x d| is at most 4 eps |v|_1, or its
-    step or its bracket at most tol.  Every operation is elementwise per
-    root.
+    As a complex number x(t) - c is sum_m a_m e^(imt): c_0 gives a_1, and
+    c_k, k >= 1, gives half of itself to m = k + 1 and half to m = 1 - k.
+    So |x^(p)| <= sum |a_m| |m|^p.  The chord is sum_m i a_m e^(ims) times
+    sum_{l < |m|} e^(+-i(l + 1/2)u), signed as m, so its p-th derivative is
+    at most sum |a_m| sum_{l < |m|} (l + 1/2)^p: |m|^2 / 2, |m| (4 m^2 -
+    1) / 12 and m^2 (2 m^2 - 1) / 8 times |a_m| for p = 1, 2, 3.
     """
-    eps, geo = 4 * np.finfo(float).eps, (s, rho_s, dip)
-    tol, todo = eps * u, np.arange(len(u))
-    for _ in range(60):                 # a backstop: a few steps suffice
+    c = np.abs(spec.cos_coeffs)
+    k = np.arange(1.0, len(c))
+    m = np.concatenate([[1.0], k + 1.0, np.abs(1.0 - k)])
+    a = np.concatenate([c[:1], 0.5 * c[1:], 0.5 * c[1:]])
+    m2 = m * m
+    return ((a * m).sum(), (a * m2).sum(), (a * m2 * m).sum()), (
+        (a * m2).sum() / 2, (a * m * (4 * m2 - 1)).sum() / 12,
+        (a * m2 * (2 * m2 - 1)).sum() / 8)
+
+
+def _turning(D, D1, D2):
+    """dw/du and d^2w/du^2 of the angle w of a plane curve D(u), from D
+    and its first two u-derivatives, each an (x, y) pair: w' = D x D' /
+    |D|^2 and w'' = D x D'' / |D|^2 - 2 w' (D . D') / |D|^2."""
+    (x, y), (x1, y1), (x2, y2) = D, D1, D2
+    r2 = x * x + y * y
+    w1 = (x * y1 - y * x1) / r2
+    return w1, ((x * y2 - y * x2) - 2 * w1 * (x * x1 + y * y1)) / r2
+
+
+def _hermite_guess(angle, lo, hi, wlo, whi, dlo, dhi):
+    """Where in each bracket [lo, hi] of u the sight line's angle w, lo to
+    whi with u-derivatives dlo and dhi at the ends, passes ``angle``: the
+    inverse cubic Hermite interpolant, u as the cubic in w through both
+    ends with slopes 1 / dlo and 1 / dhi, off by the fourth power of the
+    bracket's width where w is monotone (``_sight_angles``).  Where that
+    cubic leaves the bracket the guess is the secant's, and the midpoint
+    where that does too."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h, dw = hi - lo, whi - wlo
+        t = (angle - wlo) / dw
+        m0, m1 = dw / (h * dlo), dw / (h * dhi)
+        p = t * (1.0 - t) * ((1.0 - t) * m0 - t * m1) + t * t * (3 - 2 * t)
+    return lo + h * np.where((0.0 < p) & (p < 1.0), p,
+                             np.where((0.0 < t) & (t < 1.0), t, 0.5))
+
+
+def _radii(spec: DomainSpec, geo, d, u, lo, hi, rising):
+    """Radii 2 sin(u/2) v . d along unit directions d of the roots of
+    v x d, v the sight line ``_sight(spec, *geo, u)``, one in each bracket
+    (lo, hi) of u, from first guesses u inside (``_hermite_guess``); v x d
+    goes from negative to positive across the root where ``rising``.
+
+    Safeguarded Newton iteration: every iterate shrinks its bracket.  A
+    step that does not land inside it goes to the end it passes if that end
+    has not been evaluated (a crossing can lie on a sample, the end of its
+    bracket), else to the Illinois secant of the bracket's ends, else to
+    the midpoint; so near a fold, where v x d is flat, and in the two-cycle
+    between the ends that rounding in v x d can set up, the bracket still
+    shrinks fast.  A root is done once |v x d| is at most 4 eps |v|_1, its
+    step or its bracket at most tol = 4 eps u, or, after Newton steps of
+    sizes p and s, the next one's size s^3 / p^2 at most tol / 64; its
+    radius at its Newton iterate is then read off that last evaluation to
+    first order, with no further ``_sight`` call.  Every operation is
+    elementwise per root.
+    """
+    eps = 4 * np.finfo(float).eps
+    tol, todo, r = eps * u, np.arange(len(u)), np.empty(len(u))
+    # v x d at each bracket's ends once evaluated there; the end the last
+    # iterate replaced (1 lo, 2 hi); the size of the last Newton step taken
+    glo, ghi = np.full(len(u), np.nan), np.full(len(u), np.nan)
+    last, prev = np.zeros(len(u), dtype=np.int8), np.zeros(len(u))
+    for it in range(60):                # a backstop: a few steps suffice
         if not todo.size:
             break
-        x, dk, tk = u[todo], d[todo], tol[todo]
+        # views, not copies, while every root is open
+        sel = todo if len(todo) < len(u) else slice(None)
+        x, dk, tk = u[todo], d[sel], tol[sel]
         with np.errstate(divide="ignore", invalid="ignore"):
-            (vx, vy), (dx, dy) = _sight(spec, *(a[todo] for a in geo), x)
+            (vx, vy), (dx, dy) = _sight(spec, *(a[sel] for a in geo), x)
             g = vx * dk[:, 1] - vy * dk[:, 0]
             step = g / (dx * dk[:, 1] - dy * dk[:, 0])
-        left = (g < 0.0) == rising[todo]        # x lies left of the root
-        lo[todo] = a = np.where(left, x, lo[todo])
-        hi[todo] = b = np.where(left, hi[todo], x)
-        u[todo] = np.where((a - tk <= x - step) & (x - step <= b + tk),
-                           np.clip(x - step, a, b), 0.5 * (a + b))
-        done = ((np.abs(g) <= eps * (np.abs(vx) + np.abs(vy)))
-                | (np.abs(step) <= tk) | (b - a <= tk))
-        todo = todo[~done]
-    (vx, vy), _ = _sight(spec, s, rho_s, dip, u)
-    return 2 * np.sin(0.5 * u) * (vx * d[:, 0] + vy * d[:, 1])
+        left = (g < 0.0) == rising[sel]         # x lies left of the root
+        lo[todo] = a = np.where(left, x, lo[sel])
+        hi[todo] = b = np.where(left, hi[sel], x)
+        # Illinois: the value at an end kept twice in a row is halved
+        side = np.where(left, 1, 2).astype(np.int8)
+        half = np.where(last[sel] == side, 0.5, 1.0)
+        glo[todo] = ga = np.where(left, g, glo[sel] * half)
+        ghi[todo] = gb = np.where(left, ghi[sel] * half, g)
+        last[todo] = side
+        # Newton's iterate inside the bracket; else an end past which it
+        # lies and which has not been evaluated; else the secant of the
+        # ends, or the midpoint
+        un = x - step
+        inside = (a < un) & (un < b)
+        out = np.flatnonzero(~inside)
+        ao, bo, gao, gbo, uo = (c[out] for c in (a, b, ga, gb, un))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sec = ao + (bo - ao) * (gao / (gao - gbo))
+        un[out] = np.where((uo <= ao) & np.isnan(gao), ao, np.where(
+            (uo >= bo) & np.isnan(gbo), bo, np.where(
+                (ao < sec) & (sec < bo), sec, 0.5 * (ao + bo))))
+        u[todo] = un
+        # the next Newton step would be about s^3 / p^2 after steps of sizes
+        # p and s (quadratic convergence)
+        s = np.abs(step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast = inside & (64 * s**3 <= tk * prev[sel]**2)
+        done = np.flatnonzero((np.abs(g) <= eps * (np.abs(vx) + np.abs(vy)))
+                              | (s <= tk) | (b - a <= tk) | fast | (it == 59))
+        prev[todo] = np.where(inside, s, 0.0)
+        # a finished root's radius at its Newton iterate, to first order
+        # from x: the u-derivative of 2 sin(u/2) v is x'(s + u) = cos(u/2)
+        # v + 2 sin(u/2) v'
+        x, dk, vx, vy, dx, dy = (c[done] for c in (x, dk, vx, vy, dx, dy))
+        sh, vd = 2 * np.sin(0.5 * x), vx * dk[:, 0] + vy * dk[:, 1]
+        r[todo[done]] = sh * vd - np.where(inside[done], step[done], 0.0) * (
+            np.cos(0.5 * x) * vd + sh * (dx * dk[:, 0] + dy * dk[:, 1]))
+        todo = np.delete(todo, done)
+    return r
 
 
-def _sight_angles(spec: DomainSpec, E, s, q, rho_s, dip, inner, w0):
-    """Parameter offsets u (B, M) and unwrapped angles w (B, M), from w0,
-    of a block of B targets' sight lines x(s + u) - y, y = c + q.
+def _sight_angles(spec: DomainSpec, table, block, bounds):
+    """Samples of a block of B targets' sight lines x(s + u) - y, y = c +
+    q, flat and ordered by target and then by u: each sample's target b,
+    its u, the unwrapped angle w of the sight line from w0, and dw/du.
 
-    The samples are u = 0; END_SAMPLES log-spaced fractions from 1e-8 of
-    the gap up to the first uniform parameter past s, which lies 1/2 to
-    3/2 spacings on; the uniform parameters 2pi (j + 1/2) / N of the table
-    E (x - c at them, N = len(E)) up to 2pi; the same grading of the last
-    gap; and 2pi.  The half spacing keeps the parameters off the grid's
-    and the curve's angles, where a symmetric target's ray can cross the
-    boundary exactly at a sample, the end of two brackets.  The graded
-    samples use ``_sight``.  An interior target sees the boundary wind
-    once around it, from w = 0 along its radial ray to 2pi; a boundary
-    target sees its chord turn from the tangent x'(s) at w = 0 to -x'(s)
-    at pi.  Both ends are pinned exactly.
+    The base samples are u = 0; the uniform parameters 2pi (j + 1/2) / N
+    of ``table`` (x - c, x' and x'' at them, N of each) past s, which lie
+    1/2 to 3/2 spacings apart from it at both ends; and 2pi.  The half
+    spacing keeps them off the grid's and the curve's angles, where a
+    symmetric target's ray can cross the boundary exactly at a sample, the
+    end of two brackets.  An interior target sees the boundary wind once
+    around it, from w = 0 along its radial ray to 2pi; a boundary target
+    sees its chord turn from the tangent x'(s) at w = 0 to -x'(s) at pi.
+    Both ends are pinned exactly, with w' from ``block``.
+
+    A certificate then clears each interval [a, a + h] between two
+    consecutive samples of any fold, a zero of w' where the angle turns
+    back.  Let f be the sight line, x(s + u) - y inside and the chord on
+    the boundary, and F1, F2, F3 the profile's bounds on its first three
+    u-derivatives (``_sight_bounds``).  On the interval |f| >= L = (|f(a)|
+    + |f(a + h)| - F1 h) / 2, so |w''| <= |f''| / |f| + |f'|^2 / |f|^2 <=
+    F2 / L + (F1 / L)^2; and the third derivative of w is at most M3 = F3
+    / L + 3 F1 F2 / L^2 + 2 (F1 / L)^3, so also |w''| <= (|w''(a)| +
+    |w''(a + h)| + M3 h) / 2, far the tighter bound on a short interval.
+    M is the smaller bound (the first alone next to a pinned end, where
+    w'' is not formed).  Where L > 0, w' has one sign at both ends and
+    |w'(a)| + |w'(a + h)| > M h, w' has no zero inside: w is monotone
+    there, its samples bracket every crossing in the interval exactly, and
+    it turns by less than a radian, so unwrapping by whole turns holds.
+    Where M h^2 / 8 is at most FOLD_TOL, a fold inside turns w past its
+    ends by at most that.  Every other interval is quartered with
+    ``_sight``, all of a block's at once, until each piece is cleared: near
+    a fold pair until it is split, near a fold until it is that short, and
+    near the target's own parameter until the spacing matches its distance
+    from the boundary.  Every operation is elementwise per target or per
+    interval, and each interval's pieces keep its place.
     """
-    g, N, turn = END_SAMPLES, len(E), 2 * np.pi
-    grade = np.geomspace(1e-8, 1.0, g, endpoint=False)
+    s, q, rho_s, dip, inner, n, w0, d0, f0 = block
+    E, V, A = table
+    N, turn, B = len(E), 2 * np.pi, len(s)
     j = np.ceil(s * (N / turn)).astype(int)[:, None] + np.arange(N - 1)
-    mid = (turn / N) * (j + 0.5) - s[:, None]
-    u = np.pad(np.concatenate([mid[:, :1] * grade, mid, turn - (
-        turn - mid[:, -1:]) * grade[::-1]], axis=1), ((0, 0), (1, 1)),
+    u = np.pad((turn / N) * (j + 0.5) - s[:, None], ((0, 0), (1, 1)),
                constant_values=(0.0, turn))
-    ends = np.r_[1:g + 1, N + g:N + 2 * g]      # the graded samples
-    (vx, vy), _ = _sight(spec, s[:, None], rho_s[:, None], dip[:, None],
-                         u[:, ends])
-    w = np.zeros(u.shape)
-    w[:, ends] = np.arctan2(vy, vx)
-    w[:, g + 1:N + g] = np.arctan2(E[j % N, 1] - q[:, 1:],
-                                   E[j % N, 0] - q[:, :1])
-    w[:, 1:-1] -= w0[:, None]
-    # unwrap by whole turns; the far end is pinned
-    w[:, 1:-1] -= turn * np.cumsum(np.rint(np.diff(w[:, :-1]) / turn), axis=1)
-    w[:, -1] = np.where(inner, turn, np.pi)
-    return u, w
+    j %= N
+    D = E[j, 0] - q[:, :1], E[j, 1] - q[:, 1:]
+    psi = np.empty(u.shape)
+    psi[:, 0] = psi[:, -1] = w0
+    psi[:, 1:-1] = np.arctan2(D[1], D[0])
+    # per sample: w', w'' and |f|; at the ends w'' is left unknown
+    rates = np.empty((3,) + u.shape)
+    rates[:2, :, 1:-1] = _turning(D, (V[j, 0], V[j, 1]), (A[j, 0], A[j, 1]))
+    rates[2, :, 1:-1] = np.hypot(*D)
+    rates[2, ~inner, 1:-1] /= 2 * np.sin(0.5 * u[~inner, 1:-1])
+    rates[:, :, 0] = rates[:, :, -1] = np.stack([d0, np.full(B, np.inf),
+                                                 f0])
+    F = np.where(inner, *np.array(bounds)[:, :, None])   # (F1, F2, F3) x B
+    # the intervals still open: each one's base interval g = b N + i, its
+    # ends, and the rates there
+    g = np.arange(B * N)
+    ua, ub = u[:, :-1].ravel(), u[:, 1:].ravel()
+    ra, rb = rates[:, :, :-1].reshape(3, -1), rates[:, :, 1:].reshape(3, -1)
+    added = []
+    for _ in range(64):                 # a backstop: 4^-64 of a spacing
+        (F1, F2, F3), h = F[:, g // N], ub - ua
+        (da, dda, fa), (db, ddb, fb) = ra, rb
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            iL = np.where(fa + fb > F1 * h, 2.0 / (fa + fb - F1 * h), np.inf)
+            M3 = iL * (F3 + iL * F1 * (3.0 * F2 + 2.0 * iL * F1 * F1))
+            M = np.minimum(iL * (F2 + iL * F1 * F1),
+                           0.5 * (np.abs(dda) + np.abs(ddb) + M3 * h))
+            open_ = ~(((da * db > 0.0) & (np.abs(da) + np.abs(db) > M * h))
+                      | (M * h * h <= 8 * FOLD_TOL))
+        g, ua, ub, ra, rb = g[open_], ua[open_], ub[open_], ra[:, open_], rb[
+            :, open_]
+        if not g.size:
+            break
+        # quartered: half the rounds of bisection, which cost more than
+        # the extra samples
+        um = (ua + (ub - ua) * np.array([[0.25], [0.5], [0.75]])).ravel()
+        k = np.tile(g // N, 3)
+        (vx, vy), (dx, dy) = _sight(spec, s[k], rho_s[k], dip[k], um)
+        ch, sh = np.cos(0.5 * um), 2 * np.sin(0.5 * um)
+        acc = spec.boundary_acceleration(s[k] + um)
+        rm = np.stack([*_turning((sh * vx, sh * vy), (
+            ch * vx + sh * dx, ch * vy + sh * dy), (acc[:, 0], acc[:, 1])),
+                       np.hypot(vx, vy) * np.where(inner[k], sh, 1.0)])
+        added.append((np.tile(g, 3), um, np.arctan2(vy, vx), rm[0]))
+        g = np.tile(g, 4)
+        ua, ub = np.concatenate([ua, um]), np.concatenate([um, ub])
+        ra, rb = np.concatenate([ra, rm], 1), np.concatenate([rm, rb], 1)
+    dpsi = rates[0]
+    b = np.repeat(np.arange(B), N + 1)
+    u, psi, dpsi = u.ravel(), psi.ravel(), dpsi.ravel()
+    if added:
+        # each added sample goes after its base interval's first sample,
+        # b (N + 1) + i, in order of u
+        g, um, pm, dm = (np.concatenate(c) for c in zip(*added))
+        order = np.lexsort((um, g))
+        g = g[order]
+        at = g + g // N + 1
+        b, u = np.insert(b, at, g // N), np.insert(u, at, um[order])
+        psi, dpsi = np.insert(psi, at, pm[order]), np.insert(dpsi, at,
+                                                             dm[order])
+    # unwrap by whole turns within each target; the far end is pinned
+    first = np.r_[True, b[1:] != b[:-1]]
+    w = psi - w0[b]
+    wraps = np.rint(np.diff(w) / turn)
+    wraps[first[1:]] = 0.0
+    wraps = np.r_[0.0, np.cumsum(wraps)]
+    w -= turn * (wraps - wraps[np.flatnonzero(first)][b])
+    last = np.r_[first[1:], True]
+    w[last] = np.where(inner, turn, np.pi)
+    return b, u, w, dpsi
 
 
-def _block_segments(spec: DomainSpec, E, levels, block, dirs, edges, start):
+def _block_segments(spec: DomainSpec, table, levels, block, dirs, edges,
+                    start, bounds):
     """Inside segments (ray, start, end) of a block of targets' rays, ray
     indexing the block's angle table (target b on rays edges[b] to
     edges[b + 1]; rays ``start`` start inside), sorted by ray and then by
     radius.
 
     ``block`` holds each target's parameter s, offset q from the center,
-    rho(s), offset dip = x(s) - y, interior flag, ray count n and angle
-    w0 of its rays' origin (``polar_rules``).  A ray at angle
-    w0 + L meets the boundary wherever the sight-line angle w
-    (``_sight_angles``) passes L plus whole turns: L = 2pi k / n on an
-    interior target's ray k, by index arithmetic, and ``levels`` on a
-    boundary target's.  Consecutive samples bracket each crossing, and
-    ``_radii`` refines it.  Pinning w's ends makes the count of each ray's
-    crossings odd where the ray starts inside (an interior target's, or
-    on a boundary target's window about its interior normal, the first
-    half of ``levels``) and even where it starts outside.  So with a
-    crossing at radius 0 added where a ray starts inside, each ray's
-    crossings, sorted by radius, pair into its segments.
+    rho(s), offset dip = x(s) - y, interior flag, ray count n, angle w0 of
+    its rays' origin, and its sight line's angular speed and size at both
+    ends (``polar_rules``).  A ray at angle w0 + L meets the boundary
+    wherever the sight-line angle w (``_sight_angles``) passes L plus whole
+    turns: L = 2pi k / n on an interior target's ray k, by index
+    arithmetic, and ``levels`` on a boundary target's.  Consecutive
+    samples bracket each crossing, and ``_radii`` refines it from an
+    inverse Hermite guess (``_hermite_guess``).  Pinning w's
+    ends makes the count of each ray's crossings odd where the ray starts
+    inside (an interior target's, or on a boundary target's window about
+    its interior normal, the first half of ``levels``) and even where it
+    starts outside.  So with a crossing at radius 0 added where a ray
+    starts inside, each ray's crossings, sorted by radius, pair into its
+    segments.
     """
-    s, q, rho_s, dip, inner, n, w0 = block
-    u, w = _sight_angles(spec, E, s, q, rho_s, dip, inner, w0)
-    # below[b, i]: the levels at most w[b, i], counted across turns, each
-    # turn's in order; a nondecreasing function of w
+    s, q, rho_s, dip, inner, n = block[:6]
+    b, u, w, dw = _sight_angles(spec, table, block, bounds)
+    # below[i]: the levels at most w[i], counted across turns, each turn's
+    # in order; a nondecreasing function of w along each target's samples
     period = np.where(inner, n, len(levels))
     turns = np.floor(w / (2 * np.pi))
-    rem, below = w - 2 * np.pi * turns, turns * period[:, None]
-    below[inner] += np.floor(rem[inner] * (n[inner, None] / (2 * np.pi))) + 1
-    below[~inner] += np.searchsorted(levels, rem[~inner], side="right")
-    count = np.abs(np.diff(below.astype(int), axis=1)).ravel()
-    at = np.repeat(np.arange(count.size), count)    # each crossing's bracket
-    level = (np.minimum(below[:, :-1], below[:, 1:]).ravel()[at].astype(int)
-             + np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count))
-    b, i = np.divmod(at, w.shape[1] - 1)
-    turn, ray = np.divmod(level, period[b])
-    angle = np.where(inner[b], 2 * np.pi * level / n[b], 2 * np.pi * turn
-                     + levels[np.where(inner[b], 0, ray)])
-    # the secant guess in each bracket; the radial ray's crossing at the
-    # pinned end is x(s) itself, at u = 2pi
-    lo, hi, wa, wb = u[b, i], u[b, i + 1], w[b, i], w[b, i + 1]
-    guess = lo + (angle - wa) / (wb - wa) * (hi - lo)
-    guess = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
-    pinned = inner[b] & (i == u.shape[1] - 2) & (level == n[b])
+    rem, below = w - 2 * np.pi * turns, turns * period[b]
+    ins = inner[b]
+    below[ins] += np.floor(rem[ins] * (n[b[ins]] / (2 * np.pi))) + 1
+    below[~ins] += np.searchsorted(levels, rem[~ins], side="right")
+    below = below.astype(int)
+    # the intervals between consecutive samples of one target, and each
+    # crossing's interval
+    i = np.flatnonzero(b[1:] == b[:-1])
+    count = np.abs(below[i + 1] - below[i])
+    k = np.repeat(np.arange(len(i)), count)
+    at = i[k]
+    level = (np.minimum(below[i], below[i + 1])[k] + np.arange(len(k))
+             - np.repeat(np.cumsum(count) - count, count))
+    bk = b[at]
+    turn, ray = np.divmod(level, period[bk])
+    angle = np.where(inner[bk], 2 * np.pi * level / n[bk], 2 * np.pi * turn
+                     + levels[np.where(inner[bk], 0, ray)])
+    lo, hi, wa, wb = u[at], u[at + 1], w[at], w[at + 1]
+    guess = _hermite_guess(angle, lo, hi, wa, wb, dw[at], dw[at + 1])
+    rising = wb < wa
+    # the radial ray's crossing at the pinned end is x(s) itself, at u = 2pi
+    pinned = inner[bk] & (level == n[bk]) & np.r_[b[1:] != b[:-1], True][
+        at + 1]
     # free the sample tables before the Newton loop's temporaries
-    del u, w, turns, rem, below, count, at, level, turn, angle
+    del b, u, w, dw, turns, rem, below, i, count, k, at, level, turn, angle
+    del wa, wb
     lo[pinned] = guess[pinned] = 2 * np.pi
-    ray += edges[b]
-    r = _radii(spec, s[b], rho_s[b], dip[b], dirs[ray], guess, lo, hi,
-               wb < wa)
+    ray += edges[bk]
+    r = _radii(spec, (s[bk], rho_s[bk], dip[bk]), dirs[ray], guess, lo, hi,
+               rising)
     ray, r = np.concatenate([ray, start]), np.concatenate([r, 0.0 * start])
     order = np.lexsort((r, ray))
     ray, lo, hi = ray[order[0::2]], r[order[0::2]], r[order[1::2]]
@@ -913,13 +1129,17 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
     from the target along a first crossing are still covered; a ray with
     none has no entry in the table.
 
-    The set is built together: one level check and one table of x(t) at
-    the uniform parameters of the sight lines (SIGHT_SAMPLES_PER_MODE per
-    cosine mode k >= 1, or for a disk), then per block of consecutive
-    targets (``block_bounds``), whose sight-line samples fit in
-    BLOCK_ENTRIES, one angle table and one ``_block_segments`` call, whose
-    segments are appended to the set's table.  Every array operation is
-    elementwise per target, per ray or per crossing, so each target's
+    The set is built together: one level check and one table of x(t),
+    x'(t) and x''(t) at the uniform parameters of the sight lines
+    (SIGHT_SAMPLES_PER_MODE per cosine mode k >= 1, or for a disk), then
+    per block of consecutive targets (``block_bounds``), whose sight-line
+    samples and crossings fit in BLOCK_ENTRIES, one angle table and one
+    ``_block_segments`` call, whose segments are appended to the set's
+    table.  The samples are certified to miss no fold of a sight line
+    (``_sight_angles``), so a ray's segments do not depend on the sample
+    count, and each crossing's Newton refinement starts from an inverse
+    Hermite guess (``_hermite_guess``, ``_radii``).  Every array operation
+    is elementwise per target, per ray or per crossing, so each target's
     segments equal the ones it gets alone, bitwise.
     """
     gauss_log_01(n_r)           # refuses an order without a table
@@ -941,8 +1161,16 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
     w0 = np.where(inner, s, np.arctan2(drho * sin + rho * cos,
                                        drho * cos - rho * sin))
     e = np.stack([cos, sin], axis=1)
-    dip = np.where(inner, rho - np.hypot(q[:, 0], q[:, 1]), 0.0)[:, None] * e
+    depth = np.where(inner, rho - np.hypot(q[:, 0], q[:, 1]), 0.0)
+    dip = depth[:, None] * e
     q[~inner] = (rho[:, None] * e)[~inner]
+    # the sight line's angular speed and size at both ends: dip x x'(s) /
+    # |dip|^2 = rho / |dip| and |dip| inside; on the boundary the chord's
+    # limit x'(s), turning at (x' x x'') / (2 |x'|^2)
+    speed2 = rho * rho + drho * drho
+    d0 = np.where(inner, rho / np.where(inner, depth, 1.0),
+                  (speed2 + drho * drho - rho * spec.ddrho(s)) / (2 * speed2))
+    f0 = np.where(inner, depth, np.sqrt(speed2))
     # the windows' angles from w0 and weights, interior window first; a
     # set without boundary targets reads only the tables' length
     levels = wlevels = np.zeros(2 * base)
@@ -952,15 +1180,20 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
         wlevels = np.pi * np.tile(dstep * gauss_01(base)[1], 2)
     N = SIGHT_SAMPLES_PER_MODE * max(1, len(spec.cos_coeffs) - 1)
     t = (2 * np.pi / N) * (np.arange(N) + 0.5)
-    E = spec.boundary_point(t) - spec.center
+    sights = (spec.boundary_point(t) - spec.center,
+              spec.boundary_velocity(t), spec.boundary_acceleration(t))
+    bounds = _sight_bounds(spec)
 
     # the table's columns, one piece per block
     table = {key: [np.empty(0)] for key in ("dx", "dy", "wtheta", "start",
                                             "end")}
     table["cuts"] = [np.zeros(1, dtype=int)]
     # per target: its sight-line samples, and its rays, about one crossing
-    # each on a convex domain
-    width = N + 2 * END_SAMPLES + 1 + n
+    # each on a convex domain, whose Newton loop holds about four times a
+    # sample's temporaries (at one weight per ray, the 1,536 grid targets
+    # of the benchmark star at 64x24 peak 9 MB above their table, at four
+    # 3 MB, as with the dense sampling)
+    width = N + 1 + 4 * n
     for lo, hi in block_bounds(width.tolist()):
         # the block's angle table: each target's rays after the previous
         # target's, target lo + j on rays edges[j]:edges[j + 1]
@@ -972,10 +1205,10 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
         ang[win], wtheta[win] = levels[k[win]], wlevels[k[win]]
         theta = w0[owner] + ang
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        block = [a[lo:hi] for a in (s, q, rho, dip, inner, n, w0)]
+        block = [a[lo:hi] for a in (s, q, rho, dip, inner, n, w0, d0, f0)]
         start = np.flatnonzero(~win | (2 * k < len(levels)))
-        ray, a, b = _block_segments(spec, E, levels, block, dirs, edges,
-                                    start)
+        ray, a, b = _block_segments(spec, sights, levels, block, dirs, edges,
+                                    start, bounds)
         # per segment its ray's direction and weight and its ends; per
         # target its last segment, past the previous blocks'
         pieces = (dirs[ray, 0], dirs[ray, 1], wtheta[ray], a, b,

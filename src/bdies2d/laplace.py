@@ -160,7 +160,10 @@ def layer_matrix_at_targets(curve: BoundaryCurve, kind: str,
     density equals applying its fold onto the n nodes: the fine row's
     modes |k| <= n/2, the Nyquist mode split.  Targets sharing N are
     tabled and folded together, min(n^2, ``NEAR_UPSAMPLE_CAP``) entries at
-    most (one direct block) at a time.  Gradient "gs" gives (m, n, 2).
+    most (one direct block) at a time.  The fine nodes are the curve's
+    ``fine_nodes``: one entry per curve, at the largest N used so far, of
+    at most max(n, ``NEAR_UPSAMPLE_CAP``) nodes.  Gradient "gs" gives
+    (m, n, 2).
     """
     tg = as_points(targets)
     n = curve.n
@@ -168,10 +171,9 @@ def layer_matrix_at_targets(curve: BoundaryCurve, kind: str,
     out = np.empty((len(tg), n, 2 if kind == "gs" else 1))
     # not np.unique, whose masked-array check would import numpy.ma here
     for N in sorted(set(counts.tolist())):
-        T = TWO_PI * np.arange(N) / N
-        px, py = curve.spec.boundary_point(T).T
-        normals = curve.spec.boundary_normal(T).T
-        w = curve.spec.boundary_speed(T) * (TWO_PI / N)
+        points, normals, speeds = curve.fine_nodes(N)
+        px, py = points.T
+        normals, w = normals.T, speeds * (TWO_PI / N)
         idx = np.flatnonzero(counts == N)
         step = max(min(n * n, NEAR_UPSAMPLE_CAP) // N, 1)
         for rows in np.split(idx, range(step, len(idx), step)):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -407,8 +407,12 @@ def _log_integrals(grid: DomainGrid, targets, columns) -> np.ndarray:
     order, with the r = x^4 graded rule on every segment at or near the
     target where the pipeline uses the generalized Gaussian one at it.  So
     the result shares no node, cardinal matrix or row with the production
-    path.  The table is expanded once; per
-    target, every column is interpolated on its slice of the nodes by one
+    path.  The table is expanded once, about the origin: its nodes are
+    the offsets r d from their targets, so log r is read off them, where
+    y + r d - y would round to 0 on the chords of a boundary target's
+    window edge (a few 1e-9 long, their first nodes about 1e-18 from y),
+    and the nodes are y + r d, as ``rule_nodes`` forms them.  Per target,
+    every column is interpolated on its slice of the nodes by one
     ``grid.interpolate`` call: one cardinal evaluation and one GEMM.
     Targets are taken one at a time, so a target's value does not depend
     on the rest of the set: on all nodes at once, the interpolation GEMM
@@ -417,14 +421,15 @@ def _log_integrals(grid: DomainGrid, targets, columns) -> np.ndarray:
     base, n_r = potentials._rule_params(grid)
     rules = polar_rules(grid.spec, targets, base=5 * base // 4, n_r=n_r)
     graded = _graded_unit_rule(n_r + 2)
-    nodes, weights, counts = rule_nodes(
-        rules, units=(graded, graded, gauss_01(n_r + 2)))
+    offsets, weights, counts = rule_nodes(
+        replace(rules, targets=np.zeros_like(rules.targets)),
+        units=(graded, graded, gauss_01(n_r + 2)))
     values = np.column_stack([v for v, _ in columns])
     out = np.empty((len(counts), len(columns)))
     stops = np.cumsum(counts)
     for i, (y, a, b) in enumerate(zip(rules.targets, stops - counts, stops)):
-        pts, w = nodes[a:b], weights[a:b]
-        g = 0.5 * np.log(((pts - y) ** 2).sum(1)) / TWO_PI
+        pts, w = y + offsets[a:b], weights[a:b]
+        g = 0.5 * np.log((offsets[a:b] ** 2).sum(1)) / TWO_PI
         vals = grid.interpolate(values, pts)
         for c, (_, div) in enumerate(columns):
             v = vals[:, c] if div is None else vals[:, c] / div(pts)

@@ -13,10 +13,14 @@ from bdies2d.geometry import (DomainSpec, GeometryError, PolarRules,
                               build_curve, build_domain_grid, gauss_01,
                               polar_rule_for_target, polar_rules, rule_nodes,
                               trig_cardinal_rows)
-from bdies2d.solver import DiameterError, assemble_system
+from bdies2d.solver import DiameterError, assemble_system, check_diameter
 
 DISK = DomainSpec("disk", center=(0.0, 0.0), radius=0.4)
 STAR = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(0.3, 0.0, 0.0, 0.06))
+#: A two-mode star with a grazing gap (test_segments_match_dense_level_
+#: sampling).
+GRAZING_STAR = DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(
+    0.25, -0.02115967129084601, -0.14457573756088488))
 
 
 @st.composite
@@ -257,6 +261,23 @@ class TestBoundaryCurve:
             d[0] = 1.0
         np.testing.assert_array_equal(curve.distance_to(pts[:2]), d[:2])
         assert calls == [3, 2]
+
+    @pytest.mark.parametrize("spec", [DISK, STAR], ids=["disk", "star"])
+    def test_fine_nodes_are_strided_views_of_one_entry(self, spec):
+        # each count n 2^k reads the one entry at the largest count asked
+        # for so far, bitwise the direct evaluation at its parameters
+        curve = build_curve(spec, 16)
+        top = 0
+        for N in (64, 256, 32, 1024, 16, 128):
+            t = 2 * np.pi * np.arange(N) / N
+            want = (spec.boundary_point(t), spec.boundary_normal(t),
+                    spec.boundary_speed(t))
+            for got, exact in zip(curve.fine_nodes(N), want):
+                np.testing.assert_array_equal(got, exact)
+                assert not got.flags.writeable
+            top = max(top, N)
+            assert len(curve._cache["fine_nodes"][2]) == top
+        assert [k for k in curve._cache if "fine" in str(k)] == ["fine_nodes"]
 
     def test_star_distance_memory_is_bounded(self):
         # one (targets x samples x 2) temporary would be ~72 MB here
@@ -706,16 +727,17 @@ class TestPolarRules:
         targets = np.concatenate([build_domain_grid(spec, 8, 4).points,
                                   build_curve(spec, 16).points, evals])
         alone = [polar_rule_for_target(spec, y, 24, 6) for y in targets]
-        # a block's entries: per target, its samples and its rays, all
-        # holding segments inside, 2 x 24 on the boundary
-        samples = (geometry.SIGHT_SAMPLES_PER_MODE
-                   * max(1, len(spec.cos_coeffs) - 1)
-                   + 2 * geometry.END_SAMPLES + 1)
-        widest = samples + max(2 * 24, *(len(_segments(rule)[1])
-                                         for rule in alone))
+        # a block's entries: each target's width as polar_rules sizes it
+        # for block_bounds
+        widths, block_bounds = [], geometry.block_bounds
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "block_bounds", lambda w, cap=None: (
+                widths.extend(w), block_bounds(w, cap))[1])
+            polar_rules(spec, targets, 24, 6)
+        assert len(widths) == len(targets)
         blocks = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "BLOCK_ENTRIES", per_block * widest)
+            mp.setattr(geometry, "BLOCK_ENTRIES", per_block * max(widths))
             segments = geometry._block_segments
 
             def counted(spec, E, levels, block, *args):
@@ -770,7 +792,8 @@ class TestPolarRules:
             np.testing.assert_array_equal(own[1], wts[at[i]:at[i + 1]])
 
     @settings(max_examples=15, deadline=None)
-    @given(spec=st.one_of(convex_domains(), st.just(NONCONVEX_STAR)),
+    @given(spec=st.one_of(convex_domains(), st.just(NONCONVEX_STAR),
+                          star_profiles()),
            res=st.sampled_from([(64, 16, 8), (128, 32, 12)]),
            pick=st.lists(st.integers(0, 10**6), min_size=3, max_size=3),
            s=st.floats(0.0, 1.0 - 1e-8), phi=st.floats(0.0, 2 * np.pi))
@@ -778,6 +801,10 @@ class TestPolarRules:
              phi=0.0)
     @example(spec=NONCONVEX_STAR, res=(128, 32, 12), pick=[0, 19, 0],
              s=1.0 - 1e-8, phi=1.0)
+    @example(spec=GRAZING_STAR, res=(128, 32, 12), pick=[0, 36, 0], s=0.5,
+             phi=0.0)
+    @example(spec=GRAZING_STAR, res=(128, 32, 12), pick=[0, 92, 0], s=0.5,
+             phi=0.0)
     def test_segments_match_dense_level_sampling(self, spec, res, pick, s,
                                                  phi):
         # a grid target, a curve target and an interior target at level s
@@ -786,7 +813,10 @@ class TestPolarRules:
         # with the segments away from their ends.  The examples are real
         # gaps that a radial ladder scan missed on the non-convex star: on
         # ray 76 of grid target 47 at 16x8, [0.01275, 0.01518], and on ray
-        # 55 of curve target 19 at 128/32x12, [0.05519, 0.06531]
+        # 55 of curve target 19 at 128/32x12, [0.05519, 0.06531]; and the
+        # grazing gap [0.38837, 0.38900] on the ray (-0.13195, -+0.99126)
+        # from curve targets 36 and 92 of 128 on GRAZING_STAR, a fold pair
+        # that 256 uniform sight-line samples per mode stepped over
         n_b, n_t, n_s = res
         grid = build_domain_grid(spec, n_t, n_s)
         curve = build_curve(spec, n_b)
@@ -797,6 +827,47 @@ class TestPolarRules:
         rules = polar_rules(spec, targets, *potentials._rule_params(grid))
         for i in range(len(targets)):
             assert len(_level_mismatches(spec, rules, i)) == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=st.one_of(convex_domains(), star_profiles()),
+           res=st.sampled_from([(64, 16, 8), (128, 32, 12)]),
+           s=st.floats(0.0, 1.0 - 1e-8), phi=st.floats(0.0, 2 * np.pi))
+    @example(spec=GRAZING_STAR, res=(128, 32, 12), s=0.5, phi=0.0)
+    def test_rules_equal_those_from_eight_times_the_samples(self, spec, res,
+                                                            s, phi):
+        # every 7th grid target, every 4th curve target and an interior
+        # one, with the volume pipeline's rule parameters: the certified
+        # sampler finds the same segments from SIGHT_SAMPLES_PER_MODE as
+        # from 8 times as many, and their ends differ by the Newton
+        # residual alone, a few 1e-16 along the boundary normal (a grazing
+        # crossing moves far more along its ray).  The example holds the
+        # curve targets 36 and 92 of test_segments_match_dense_level_
+        # sampling
+        n_b, n_t, n_s = res
+        grid = build_domain_grid(spec, n_t, n_s)
+        y = spec.center + s * spec.rho(phi) * np.array(
+            [np.cos(phi), np.sin(phi)])
+        targets = np.concatenate([grid.points[::7],
+                                  build_curve(spec, n_b).points[::4], [y]])
+        base, n_r = potentials._rule_params(grid)
+        rules = polar_rules(spec, targets, base, n_r)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "SIGHT_SAMPLES_PER_MODE",
+                       8 * geometry.SIGHT_SAMPLES_PER_MODE)
+            dense = polar_rules(spec, targets, base, n_r)
+        np.testing.assert_array_equal(rules.cuts, dense.cuts)
+        for key in ("dx", "dy", "wtheta"):
+            np.testing.assert_array_equal(getattr(rules, key),
+                                          getattr(dense, key))
+        d = np.stack([rules.dx, rules.dy], axis=1)
+        y = np.repeat(targets, np.diff(rules.cuts), axis=0)
+        for key in ("start", "end"):
+            r = getattr(rules, key)
+            p = y + r[:, None] * d - spec.center
+            normal = spec.boundary_normal(np.arctan2(p[:, 1], p[:, 0]))
+            incidence = np.abs((normal * d).sum(1))
+            assert np.all(np.abs(r - getattr(dense, key)) * incidence
+                          <= 4e-15)
 
     @pytest.mark.parametrize("spec", [DISK, STAR], ids=["disk", "star"])
     def test_no_targets_give_no_rules(self, spec):
@@ -866,6 +937,15 @@ class TestQueries:
         assert abs(DISK.area() - np.pi * 0.16) < 1e-15
         assert DISK.contains((0.39, 0.0))
         assert not DISK.contains((0.41, 0.0))
+
+    @pytest.mark.parametrize("radius", [6.7e153, 1e300])
+    def test_huge_domain_refused_without_overflow_warnings(self, radius):
+        # squared distances between boundary samples overflow here (the
+        # diameter is then infinite); the diameter check still refuses the
+        # domain, and no warning escapes
+        spec = DomainSpec("disk", center=(0.0, 0.0), radius=radius)
+        with pytest.raises(DiameterError):
+            check_diameter(spec)
 
     @settings(max_examples=20, deadline=None)
     @given(spec=convex_domains())

@@ -35,6 +35,8 @@ def test_ladder_counts_the_rules_of_the_grid_and_curve_sets():
     assert n_orbits > grid.n_s
     assert row["rules"] == n_orbits
     assert row["rule_nodes"] == sum(s["rules"].counts.sum() for s in sets)
+    # the rules are built while the system is assembled
+    assert 0.0 < row["rules_s"] < row["assemble_s"]
     assert row["err_u_max"] < 1e-2
 
 

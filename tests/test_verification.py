@@ -168,6 +168,19 @@ class TestVolumeOracles:
         rv = potentials.remainder_potential(grid, A_EXP, family, f, tg)
         assert np.abs(rv - oracle["R", family]).max() <= 1e-6
 
+    def test_log_integrals_hold_at_boundary_targets(self):
+        # (1/2pi) int log|x - y| dx over a disk of radius R is (R^2 / 2)
+        # log R for y on its circle.  Of the first four curve nodes, three
+        # have window-edge chords whose first nodes lie about 1e-18 from
+        # the target, where y + r d - y rounds to 0
+        R = 0.4
+        disk = DomainSpec("disk", center=(0.0, 0.0), radius=R)
+        grid = build_domain_grid(disk, 64, 24)
+        tg = build_curve(disk, 64).points[:4]
+        got = V._log_integrals(grid, tg, [(np.ones(grid.n_nodes), None)])
+        np.testing.assert_allclose(got[:, 0], R * R / 2 * np.log(R),
+                                   rtol=0.0, atol=1e-12)
+
     def test_oracles_share_nothing_with_the_production_path(self,
                                                             monkeypatch):
         def refuse(*args, **kwargs):

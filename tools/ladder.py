@@ -3,9 +3,10 @@
 Every config solves the manufactured problem ``exp_saddle`` once per
 family, each in a fresh subprocess with one BLAS thread, and records:
 assembly and solve seconds, peak RSS, ``err_u_max``, ``err_psi_max``, the
-trace defect, the number of polar rules the volume pipeline built and
-their node total (from the per-target node counts of the rule tables
-``potentials`` gets from ``polar_rules``),
+trace defect, the number of polar rules the volume pipeline built, their
+node total (from the per-target node counts of the rule tables
+``potentials`` gets from ``polar_rules``) and ``rules_s``, the seconds
+spent in those ``polar_rules`` calls,
 plus the seconds taken to import bdies2d (numpy already loaded) and the
 ``scipy.*`` subpackages loaded by the end of the run.
 After the solve it records the spectral diagnostics of ``bdies2d solve``
@@ -56,8 +57,8 @@ CONFIGS = [("disk", DISK, (64, 16, 8)), ("disk", DISK, (128, 32, 12)),
            ("disk", DISK, (2048, 32, 12))]
 FAMILIES = ("x", "y")
 #: Columns that vary from run to run; a row holds their medians.
-VARYING = ("build_s", "assemble_s", "solve_s", "cond_s", "fredholm_s",
-           "peak_rss_mb", "import_bdies2d_s")
+VARYING = ("build_s", "assemble_s", "rules_s", "solve_s", "cond_s",
+           "fredholm_s", "peak_rss_mb", "import_bdies2d_s")
 
 
 def run_one(domain: dict, resolution, family: str) -> dict:
@@ -75,11 +76,13 @@ def run_one(domain: dict, resolution, family: str) -> dict:
     import_s = time.perf_counter() - t_import
 
     # every rule the volume pipeline builds comes from this one call, one
-    # table per target set
-    tables, build_rules = [], potentials.polar_rules
+    # table per target set; rules_s is the time spent in it
+    tables, build_rules, rules_s = [], potentials.polar_rules, [0.0]
 
     def counted(*args, **kwargs):
+        t = time.perf_counter()
         built = build_rules(*args, **kwargs)
+        rules_s[0] += time.perf_counter() - t
         tables.append(built)
         return built
 
@@ -107,7 +110,8 @@ def run_one(domain: dict, resolution, family: str) -> dict:
     # of rules from before the tables
     counts = [potentials.rule_nodes(t)[2] for t in tables]
     return {
-        "build_s": t1 - t0, "assemble_s": t2 - t1, "solve_s": t3 - t2,
+        "build_s": t1 - t0, "assemble_s": t2 - t1, "rules_s": rules_s[0],
+        "solve_s": t3 - t2,
         "cond_s": t4 - t3, "fredholm_s": t5 - t4, "peak_rss_mb": peak_rss_mb,
         "err_u_max": float(np.abs(sol.u.values - u_ex).max()
                            / np.abs(u_ex).max()),
