@@ -25,8 +25,11 @@ parameter t (``_sight_angles``): coarsely, on one table of x(t) and its
 first two derivatives shared by the set, and more densely only where a
 certificate cannot rule out a fold between two samples.  So consecutive
 samples bracket every crossing, and a safeguarded Newton loop refines it
-(``_block_segments``).  The volume pipeline and the
-verification oracles both build their rules this way;
+(``_block_segments``).  A block of targets holds its rays' angles in one
+table, and one exact search of it (``_rays_at_or_below``) finds the rays
+between two samples, for interior and boundary targets alike.  The
+volume pipeline and the verification oracles both build their rules
+this way;
 ``polar_rule_for_target`` is the one-target table.  ``rule_nodes``
 expands any run of a table's targets in one pass, each segment by one of
 three radial rules: n_r generalized Gaussian points (``gauss_log_01``,
@@ -864,7 +867,7 @@ def _sight_angles(spec: DomainSpec, table, block, bounds):
     from the boundary.  Every operation is elementwise per target or per
     interval, and each interval's pieces keep its place.
     """
-    s, q, rho_s, dip, inner, n, w0, d0, f0 = block
+    s, q, rho_s, dip, inner, w0, d0, f0 = block
     E, V, A = table
     N, turn, B = len(E), 2 * np.pi, len(s)
     j = np.ceil(s * (N / turn)).astype(int)[:, None] + np.arange(N - 1)
@@ -942,40 +945,49 @@ def _sight_angles(spec: DomainSpec, table, block, bounds):
     return b, u, w, dpsi
 
 
-def _block_segments(spec: DomainSpec, table, levels, block, dirs, edges,
-                    start, bounds):
+def _rays_at_or_below(ang, edges, b, x):
+    """Per query i, how many of target b[i]'s ray angles, ang[edges[b[i]]:
+    edges[b[i] + 1]] in increasing order, are at most x[i], compared
+    exactly.  NumPy orders complex numbers by real and then imaginary part,
+    so the keys owner + i ang, formed without rounding, sort target by
+    target and one search places every query b + i x among them.  (Offsets
+    ang + 2pi owner would round, and could move a query past an angle it
+    lies within an ulp of.)"""
+    keys = np.repeat(np.arange(len(edges) - 1), np.diff(edges)) + 1j * ang
+    return np.searchsorted(keys, b + 1j * x, side="right") - edges[b]
+
+
+def _block_segments(spec: DomainSpec, table, block, ang, dirs, edges, start,
+                    bounds):
     """Inside segments (ray, start, end) of a block of targets' rays, ray
     indexing the block's angle table (target b on rays edges[b] to
-    edges[b + 1]; rays ``start`` start inside), sorted by ray and then by
-    radius.
+    edges[b + 1], at angles ``ang`` from its origin, increasing, and
+    directions ``dirs``; rays ``start`` start inside), sorted by ray and
+    then by radius.
 
     ``block`` holds each target's parameter s, offset q from the center,
-    rho(s), offset dip = x(s) - y, interior flag, ray count n, angle w0 of
-    its rays' origin, and its sight line's angular speed and size at both
-    ends (``polar_rules``).  A ray at angle w0 + L meets the boundary
-    wherever the sight-line angle w (``_sight_angles``) passes L plus whole
-    turns: L = 2pi k / n on an interior target's ray k, by index
-    arithmetic, and ``levels`` on a boundary target's.  Consecutive
-    samples bracket each crossing, and ``_radii`` refines it from an
-    inverse Hermite guess (``_hermite_guess``).  Pinning w's
-    ends makes the count of each ray's crossings odd where the ray starts
-    inside (an interior target's, or on a boundary target's window about
-    its interior normal, the first half of ``levels``) and even where it
-    starts outside.  So with a crossing at radius 0 added where a ray
+    rho(s), offset dip = x(s) - y, interior flag, angle w0 of its rays'
+    origin, and its sight line's angular speed and size at both ends
+    (``polar_rules``).  A ray at angle w0 + ang meets the boundary wherever
+    the sight-line angle w (``_sight_angles``) passes ang plus whole turns;
+    one search of the table (``_rays_at_or_below``) counts the rays below
+    each sample, for every target alike.  Consecutive samples bracket each
+    crossing, and ``_radii`` refines it from an inverse Hermite guess
+    (``_hermite_guess``).  Pinning w's ends makes the count of each ray's
+    crossings odd where the ray starts inside (an interior target's, or on
+    a boundary target's window about its interior normal) and even where
+    it starts outside.  So with a crossing at radius 0 added where a ray
     starts inside, each ray's crossings, sorted by radius, pair into its
     segments.
     """
-    s, q, rho_s, dip, inner, n = block[:6]
+    s, q, rho_s, dip, inner = block[:5]
+    n = np.diff(edges)
     b, u, w, dw = _sight_angles(spec, table, block, bounds)
-    # below[i]: the levels at most w[i], counted across turns, each turn's
+    # below[i]: the rays at most w[i], counted across turns, each turn's
     # in order; a nondecreasing function of w along each target's samples
-    period = np.where(inner, n, len(levels))
     turns = np.floor(w / (2 * np.pi))
-    rem, below = w - 2 * np.pi * turns, turns * period[b]
-    ins = inner[b]
-    below[ins] += np.floor(rem[ins] * (n[b[ins]] / (2 * np.pi))) + 1
-    below[~ins] += np.searchsorted(levels, rem[~ins], side="right")
-    below = below.astype(int)
+    below = (turns * n[b]).astype(int) + _rays_at_or_below(
+        ang, edges, b, w - 2 * np.pi * turns)
     # the intervals between consecutive samples of one target, and each
     # crossing's interval
     i = np.flatnonzero(b[1:] == b[:-1])
@@ -985,9 +997,9 @@ def _block_segments(spec: DomainSpec, table, levels, block, dirs, edges,
     level = (np.minimum(below[i], below[i + 1])[k] + np.arange(len(k))
              - np.repeat(np.cumsum(count) - count, count))
     bk = b[at]
-    turn, ray = np.divmod(level, period[bk])
-    angle = np.where(inner[bk], 2 * np.pi * level / n[bk], 2 * np.pi * turn
-                     + levels[np.where(inner[bk], 0, ray)])
+    turn, ray = np.divmod(level, n[bk])
+    ray += edges[bk]
+    angle = 2 * np.pi * turn + ang[ray]
     lo, hi, wa, wb = u[at], u[at + 1], w[at], w[at + 1]
     guess = _hermite_guess(angle, lo, hi, wa, wb, dw[at], dw[at + 1])
     rising = wb < wa
@@ -995,10 +1007,8 @@ def _block_segments(spec: DomainSpec, table, levels, block, dirs, edges,
     pinned = inner[bk] & (level == n[bk]) & np.r_[b[1:] != b[:-1], True][
         at + 1]
     # free the sample tables before the Newton loop's temporaries
-    del b, u, w, dw, turns, rem, below, i, count, k, at, level, turn, angle
-    del wa, wb
+    del b, u, w, dw, turns, below, i, count, k, at, level, turn, angle, wa, wb
     lo[pinned] = guess[pinned] = 2 * np.pi
-    ray += edges[bk]
     r = _radii(spec, (s[bk], rho_s[bk], dip[bk]), dirs[ray], guess, lo, hi,
                rising)
     ray, r = np.concatenate([ray, start]), np.concatenate([r, 0.0 * start])
@@ -1133,7 +1143,9 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
     x'(t) and x''(t) at the uniform parameters of the sight lines
     (SIGHT_SAMPLES_PER_MODE per cosine mode k >= 1, or for a disk), then
     per block of consecutive targets (``block_bounds``), whose sight-line
-    samples and crossings fit in BLOCK_ENTRIES, one angle table and one
+    samples and crossings fit in BLOCK_ENTRIES, one angle table (each
+    target's ray angles from its origin, increasing, after the previous
+    target's; all that ``_block_segments`` reads of the rays) and one
     ``_block_segments`` call, whose segments are appended to the set's
     table.  The samples are certified to miss no fold of a sight line
     (``_sight_angles``), so a ray's segments do not depend on the sample
@@ -1205,9 +1217,9 @@ def polar_rules(spec: DomainSpec, targets, base: int = 48,
         ang[win], wtheta[win] = levels[k[win]], wlevels[k[win]]
         theta = w0[owner] + ang
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        block = [a[lo:hi] for a in (s, q, rho, dip, inner, n, w0, d0, f0)]
+        block = [a[lo:hi] for a in (s, q, rho, dip, inner, w0, d0, f0)]
         start = np.flatnonzero(~win | (2 * k < len(levels)))
-        ray, a, b = _block_segments(spec, sights, levels, block, dirs, edges,
+        ray, a, b = _block_segments(spec, sights, block, ang, dirs, edges,
                                     start, bounds)
         # per segment its ray's direction and weight and its ends; per
         # target its last segment, past the previous blocks'

@@ -248,9 +248,13 @@ def _orbits(grid: DomainGrid, tg: np.ndarray):
     each with or without the mirror M about the horizontal line through
     the center, which every disk and cosine-series star has.  Each offset
     v is folded onto one canonical form: rotated by -s steps into the
-    sector |angle| <= pi / order, then mirrored (f) if it lies below the
-    horizontal axis there.  Targets whose folded offsets agree to
-    1e3 * ORBIT_TOL share an orbit, and the first of them represents it.
+    sector |angle| <= pi / order, then mirrored (f) if it lies more than
+    tol / 2 below the horizontal axis there, tol = ORBIT_TOL times the
+    largest radius.  So of an offset and its mirror image, at heights h
+    and -h there, one folds onto the other, or they lie 2 |h| <= tol
+    apart, exact images without the mirror.  Targets whose folded offsets
+    agree to 1e3 * ORBIT_TOL share an orbit, and the first of them
+    represents it.
     Returns flat arrays (reps, members, shifts, flips, sizes): orbit o is
     represented by target ``reps[o]`` and has ``sizes[o]`` members, the
     next run of ``members``, orbit after orbit.  Target ``members[i]`` is
@@ -269,7 +273,7 @@ def _orbits(grid: DomainGrid, tg: np.ndarray):
     phi = np.arctan2(v[:, 1], v[:, 0])
     s = (np.rint(phi * (order / (2 * np.pi))).astype(int) % order) * step
     u = _rotate(v, -s, n_t)
-    f = u[:, 1] < -tol
+    f = u[:, 1] < -0.5 * tol
     u[f] *= _MIRROR
     key = np.round(u / (1e3 * tol))
     rep, rel = np.empty(n, dtype=int), np.empty(n, dtype=int)

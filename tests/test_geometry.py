@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -698,6 +699,62 @@ class TestBlockBounds:
         assert geometry.block_bounds([cap - 1, 1, 1]) == [(0, 2), (2, 3)]
 
 
+@st.composite
+def ray_searches(draw):
+    """A block's ray-angle table as ``polar_rules`` lays it out, targets'
+    equispaced interior angles 2pi k / n and two-window smoothstep
+    boundary angles mixed, and queries (target, angle): at a table angle,
+    an ulp either side of one, 0, just below 2pi, or anywhere between."""
+    tables = []
+    for inner in draw(st.lists(st.booleans(), min_size=1, max_size=8)):
+        if inner:
+            n = 2 * draw(st.integers(2, 40))
+            tables.append(2 * np.pi * np.arange(n) / n)
+        else:
+            base = draw(st.integers(2, 24))
+            sstep = geometry._smoothstep(gauss_01(base)[0])[0]
+            tables.append(np.pi * np.concatenate([sstep, 1.0 + sstep]))
+    queries = []
+    for _ in range(draw(st.integers(1, 30))):
+        b = draw(st.integers(0, len(tables) - 1))
+        a = draw(st.sampled_from(tables[b]))
+        x = draw(st.one_of(
+            st.sampled_from([a, np.nextafter(a, -np.inf),
+                             np.nextafter(a, np.inf), 0.0,
+                             np.nextafter(2 * np.pi, 0.0)]),
+            st.floats(0.0, 2 * np.pi, exclude_max=True)))
+        queries.append((b, x))
+    return tables, queries
+
+
+class TestRaySearch:
+    @settings(max_examples=100, deadline=None)
+    @given(case=ray_searches())
+    def test_counts_equal_per_target_searches(self, case):
+        tables, queries = case
+        edges = np.cumsum([0] + [len(a) for a in tables])
+        b, x = (np.array(c) for c in zip(*queries))
+        got = geometry._rays_at_or_below(np.concatenate(tables), edges, b, x)
+        want = [np.searchsorted(tables[i], xi, side="right")
+                for i, xi in queries]
+        np.testing.assert_array_equal(got, want)
+
+    def test_exact_where_turn_offsets_round(self):
+        # target 63's angles offset by 2pi 63 lie on a grid of 5.7e-14, so
+        # an angle an ulp below one of its rays would count that ray
+        n, target = 48, 63
+        ang = np.tile(2 * np.pi * np.arange(n) / n, target + 1)
+        edges = n * np.arange(target + 2)
+        x = np.nextafter(ang[:n], -np.inf)[1:]
+        b = np.full(len(x), target)
+        got = geometry._rays_at_or_below(ang, edges, b, x)
+        np.testing.assert_array_equal(got, np.arange(1, n))
+        owner = np.repeat(np.arange(target + 1), n)
+        offset = np.searchsorted(ang + 2 * np.pi * owner,
+                                 x + 2 * np.pi * b, side="right") - edges[b]
+        assert (offset != got).any()
+
+
 class TestPolarRules:
     def test_interior_sets_build_no_window_tables(self, monkeypatch):
         grid = build_domain_grid(BENCH_STAR, 8, 4)
@@ -740,9 +797,9 @@ class TestPolarRules:
             mp.setattr(geometry, "BLOCK_ENTRIES", per_block * max(widths))
             segments = geometry._block_segments
 
-            def counted(spec, E, levels, block, *args):
+            def counted(spec, E, block, *args):
                 blocks.append(len(block[0]))
-                return segments(spec, E, levels, block, *args)
+                return segments(spec, E, block, *args)
 
             mp.setattr(geometry, "_block_segments", counted)
             rules = polar_rules(spec, targets, 24, 6)
@@ -757,6 +814,32 @@ class TestPolarRules:
             assert count == len(w)
             np.testing.assert_array_equal(pts[stop - count:stop], p)
             np.testing.assert_array_equal(wts[stop - count:stop], w)
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=st.one_of(convex_domains(), st.just(NONCONVEX_STAR),
+                          star_profiles()),
+           c=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+           s=st.lists(st.floats(0.1, 0.95), min_size=1, max_size=4),
+           phi=st.floats(0.0, 2 * np.pi))
+    def test_rules_are_translation_invariant(self, spec, c, s, phi):
+        # grid, curve and evaluation targets, moved with the center by c.
+        # A target's rays start at its polar angle about the center, which
+        # the move perturbs by about eps |c| / |y - center|, so evaluation
+        # targets keep a tenth of the radius from the center
+        s = np.array(s)
+        th = phi + 2 * np.pi * np.arange(len(s)) / len(s)
+        targets = np.concatenate([
+            build_domain_grid(spec, 8, 4).points, build_curve(spec, 16).points,
+            spec.center + (s * spec.rho(th))[:, None] * np.stack(
+                [np.cos(th), np.sin(th)], axis=1)])
+        moved = dataclasses.replace(spec, center=spec.center + c)
+        want = polar_rules(spec, targets, 24, 6)
+        got = polar_rules(moved, targets + c, 24, 6)
+        np.testing.assert_array_equal(got.cuts, want.cuts)
+        for name in ("dx", "dy", "wtheta", "start", "end"):
+            np.testing.assert_allclose(getattr(got, name),
+                                       getattr(want, name), rtol=0,
+                                       atol=1e-14, err_msg=name)
 
     @settings(max_examples=20, deadline=None)
     @given(spec=st.sampled_from([BENCH_STAR, NONCONVEX_STAR]),

@@ -528,6 +528,11 @@ class TestMemberChunks:
 class TestOrbits:
     @settings(max_examples=60, deadline=None)
     @given(case=orbit_cases())
+    # a mirror pair 4.0e-14 apart, at heights inside ORBIT_TOL * max_rho =
+    # 3.3e-14 of the axis but more than half of it
+    @example(case=(DomainSpec("star", center=(0.0, 0.0), cos_coeffs=(
+        0.3, -0.03125, 0.0, 0.0, 0.0, 0.0, 0.0)), 8,
+        np.array([[0.2015625, 2.015625e-14]]), [0], [True]))
     def test_images_share_their_preimage_orbit(self, case):
         spec, n_t, v, ks, flips = case
         grid = build_domain_grid(spec, n_t, 4)
