@@ -330,8 +330,10 @@ class BoundaryCurve:
         return self.length() / self.n
 
     def max_speed(self) -> float:
-        t = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
-        return float(self.spec.boundary_speed(t).max())
+        """Largest speed |x'(t)| over 1,024 equispaced parameters, sampled
+        once and kept with the curve."""
+        return cached(self, "max_speed", lambda: float(self.spec.boundary_speed(
+            np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)).max()))
 
     def fine_nodes(self, N: int):
         """Points (N, 2), outward normals (N, 2) and speeds (N,) at the N =

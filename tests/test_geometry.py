@@ -264,6 +264,25 @@ class TestBoundaryCurve:
         assert calls == [3, 2]
 
     @pytest.mark.parametrize("spec", [DISK, STAR], ids=["disk", "star"])
+    def test_max_speed_is_sampled_once_per_curve(self, spec, monkeypatch):
+        # every near-row build reads it; it is kept with the curve, bitwise
+        # the maximum over its 1,024 samples
+        curve = build_curve(spec, 32)
+        t = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
+        want = float(spec.boundary_speed(t).max())
+        calls = []
+        speed = DomainSpec.boundary_speed
+
+        def counted(self, t):
+            calls.append(len(t))
+            return speed(self, t)
+
+        monkeypatch.setattr(DomainSpec, "boundary_speed", counted)
+        assert curve.max_speed() == want
+        assert curve.max_speed() == want
+        assert calls == [1024]
+
+    @pytest.mark.parametrize("spec", [DISK, STAR], ids=["disk", "star"])
     def test_fine_nodes_are_strided_views_of_one_entry(self, spec):
         # each count n 2^k reads the one entry at the largest count asked
         # for so far, bitwise the direct evaluation at its parameters

@@ -40,11 +40,36 @@ def test_ladder_counts_the_rules_of_the_grid_and_curve_sets():
     assert row["err_u_max"] < 1e-2
 
 
-def test_table_writer_rebuilds_the_stored_rule():
-    spec = importlib.util.spec_from_file_location(
-        "gauss_log_rules_tool", TOOLS / "gauss_log_rules.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"{name}_tool",
+                                                  TOOLS / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_ladder_rows_hold_each_timing_minimum_beside_its_median():
+    # the star 256/64x24 rules_s repeats of one recorded job
+    ladder = _load("ladder")
+    rules_s = [0.114, 0.139, 0.112]
+    samples = [{**{k: 10.0 * i for k in ladder.VARYING}, "rules_s": r,
+                "rules": 7} for i, r in enumerate(rules_s)]
+    row = ladder.merge(samples)
+    timing = [k for k in ladder.VARYING if k.endswith("_s")]
+    assert "rules_s" in timing and "peak_rss_mb" not in timing
+    for k in timing:
+        keys = list(row)
+        assert keys[keys.index(k) + 1] == k + "_min"
+    assert (row["rules_s"], row["rules_s_min"]) == (0.114, 0.112)
+    assert (row["build_s"], row["build_s_min"]) == (10.0, 0.0)
+    assert row["peak_rss_mb"] == 10.0 and "peak_rss_mb_min" not in row
+    assert row["rules"] == 7
+    assert row["samples"]["rules_s"] == rules_s
+    assert set(row["samples"]) == set(ladder.VARYING)
+
+
+def test_table_writer_rebuilds_the_stored_rule():
+    tool = _load("gauss_log_rules")
     x, w, err = tool.build(4)
     assert err <= tool.TOL
     np.testing.assert_allclose(x, GAUSS_LOG_RULES[4][0], rtol=1e-14)

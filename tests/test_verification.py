@@ -177,9 +177,37 @@ class TestVolumeOracles:
         disk = DomainSpec("disk", center=(0.0, 0.0), radius=R)
         grid = build_domain_grid(disk, 64, 24)
         tg = build_curve(disk, 64).points[:4]
-        got = V._log_integrals(grid, tg, [(np.ones(grid.n_nodes), None)])
+        (got,) = V._log_integrals(grid, [(tg, [(np.ones(grid.n_nodes),
+                                                None)])])
         np.testing.assert_allclose(got[:, 0], R * R / 2 * np.log(R),
                                    rtol=0.0, atol=1e-12)
+
+    def test_one_rule_build_for_every_set(self, monkeypatch):
+        # one polar_rules call for the five probe sets, and values bitwise
+        # equal to a pass that builds each set's rules on their own
+        spec = DomainSpec("star", center=(0.0, 0.0),
+                          cos_coeffs=(0.3, 0.0, 0.03))
+        grid = build_domain_grid(spec, 16, 8)
+        f = _smooth_field(grid)
+        tg = np.array([[0.05, 0.1], [-0.1, 0.0]])
+        calls = []
+        rules = V.polar_rules
+
+        def counted(spec, targets, **kwargs):
+            calls.append(len(targets))
+            return rules(spec, targets, **kwargs)
+
+        monkeypatch.setattr(V, "polar_rules", counted)
+        oracle = V._volume_oracles(grid, A_EXP, f, tg)
+        assert calls == [5 * len(tg)]
+        log_integrals = V._log_integrals
+        monkeypatch.setattr(V, "_log_integrals", lambda grid, groups: [
+            log_integrals(grid, [group])[0] for group in groups])
+        per_set = V._volume_oracles(grid, A_EXP, f, tg)
+        assert len(calls) == 6
+        assert oracle.keys() == per_set.keys()
+        for key, vals in oracle.items():
+            assert np.array_equal(vals, per_set[key]), key
 
     def test_oracles_share_nothing_with_the_production_path(self,
                                                             monkeypatch):
@@ -258,6 +286,38 @@ class TestBoundaryOracle:
         with pytest.raises(QuadratureError, match="did not converge"):
             V.direct_boundary_values(curve, A_EXP, "x", "V", np.cos, [0])
 
+    @pytest.mark.parametrize("spec", [DISK, BENCH_STAR], ids=["disk", "star"])
+    def test_one_pass_equals_one_pass_per_operator(self, spec):
+        # identity_suite's request: every operator of both families at two
+        # nodes, V and W also at its two probes, Wp at the nodes alone
+        curve = build_curve(spec, 128)
+        dens_fn = V._random_trig(np.random.default_rng(5), degree=5)
+        nodes = [1, 32]
+        probe = spec.center + np.array([[0.21, -0.08],
+                                        [-0.05, 0.17]]) * spec.diameter()
+        both = V.direct_boundary_values(curve, A_EXP, FAMILIES,
+                                        tuple(DIRECT_OPS), dens_fn, nodes,
+                                        probe)
+        assert set(both) == {(kind, fam) for kind in DIRECT_OPS
+                             for fam in FAMILIES}
+        for (kind, fam), vals in both.items():
+            alone = V.direct_boundary_values(
+                curve, A_EXP, fam, kind, dens_fn, nodes,
+                () if kind == "Wp" else probe)
+            assert vals.shape == alone.shape == (
+                2 if kind == "Wp" else 4,)
+            np.testing.assert_allclose(vals, alone, rtol=0.0, atol=1e-16)
+
+    def test_non_convergence_names_every_operator(self, monkeypatch):
+        monkeypatch.setattr(V, "TANH_SINH_LEVELS", 1)
+        curve = build_curve(DISK, 32)
+        with pytest.raises(QuadratureError, match="did not converge") as err:
+            V.direct_boundary_values(curve, A_EXP, FAMILIES, ("V", "Wp"),
+                                     np.cos, [0, 8])
+        named = {op for op in ("V_x", "V_y", "Wp_x", "Wp_y", "W_x", "W_y")
+                 if op in str(err.value)}
+        assert named == {"V_x", "V_y", "Wp_x", "Wp_y"}
+
     def test_shares_nothing_with_the_production_path(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("oracle entered the production path")
@@ -327,6 +387,25 @@ class TestIdentitySuite:
         assemble_system(curve, grid, coeff, "x")
         V.identity_suite(curve, grid, coeff, "x")
         assert sorted(calls) == ["_sampled_diameter", "double_layer_matrix"]
+
+    def test_jump_relations_build_one_near_row_set_per_operator(
+            self, monkeypatch):
+        # per operator, its 3 nodes at 3 distances inside are one set of
+        # 9 targets: near-row blocks "s" (V), "d" (W) and "gs" (Wp)
+        sets = []
+        rows = laplace.layer_matrix_at_targets
+
+        def recorded(curve, kind, targets):
+            sets.append((kind, np.array(targets)))
+            return rows(curve, kind, targets)
+
+        monkeypatch.setattr(laplace, "layer_matrix_at_targets", recorded)
+        curve = build_curve(DISK, 64)
+        V.identity_suite(curve, build_domain_grid(DISK, 16, 8), A_EXP, "x")
+        reach = 0.02 * DISK.diameter() * (1 + 1e-12)
+        jumps = [(kind, len(tg)) for kind, tg in sets
+                 if curve.distance_to(tg).max() <= reach]
+        assert sorted(jumps) == [("d", 9), ("gs", 9), ("s", 9)]
 
     def test_constant_coefficient_reduction(self):
         curve = build_curve(DISK, 64)

@@ -20,9 +20,12 @@ section of a JSON file, next to the machine it ran on and the tree's
 The trees run interleaved: config by config and family by family, each
 repeat runs every tree once, in the given order on even repeats and
 reversed on odd ones, so host drift during the call reaches every tree
-alike.  A row holds the median of each timing column over the repeats
-and their samples under ``samples``; the other columns are those of the
-first repeat, and the call fails if a later repeat disagrees::
+alike.  A row holds the median of each varying column over the repeats
+and their samples under ``samples``, and beside each timing column's
+median its minimum (``rules_s_min`` after ``rules_s``): on a shared host
+a repeat is only ever slowed, so the minimum resolves changes that the
+median's spread hides.  The other columns are those of the first repeat,
+and the call fails if a later repeat disagrees::
 
     python tools/ladder.py --out BENCH.json --tree change=src \
         --tree parent=OTHER/src --repeats 3
@@ -182,15 +185,21 @@ def run_job(src: Path, job: dict) -> dict:
 
 def merge(samples: list) -> dict:
     """One row from the repeats of a config, family and tree: the medians
-    of the ``VARYING`` columns, their samples, and the first repeat's
-    other columns."""
+    of the ``VARYING`` columns, each timing column's minimum beside its
+    median, their samples, and the first repeat's other columns."""
     first = samples[0]
     for other in samples[1:]:
         moved = [k for k in first if k not in VARYING and other[k] != first[k]]
         if moved:
             raise RuntimeError(f"repeats disagree on {moved}")
-    row = {k: statistics.median(r[k] for r in samples) if k in VARYING
-           else v for k, v in first.items()}
+    row = {}
+    for k, v in first.items():
+        if k not in VARYING:
+            row[k] = v
+            continue
+        row[k] = statistics.median(r[k] for r in samples)
+        if k.endswith("_s"):
+            row[k + "_min"] = min(r[k] for r in samples)
     row["samples"] = {k: [r[k] for r in samples] for k in VARYING}
     return row
 
