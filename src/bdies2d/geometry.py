@@ -449,42 +449,77 @@ def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     return w / np.abs(w).max()
 
 
+def _column_sums(C: np.ndarray) -> np.ndarray:
+    """Column sums of C (n, m), each column summed the way NumPy sums one
+    contiguous vector: eight interleaved accumulators, combined pairwise,
+    then the n % 8 rest (halved first past 128 terms).
+
+    ``C.sum(0)`` would add rows top to bottom for m >= 2 but sum a lone
+    (n, 1) column pairwise, so a point's cardinals would round one way
+    alone and another within a set.  Here every column rounds as a lone
+    column does, whatever m is, and as NumPy sums a row of the transpose.
+    """
+    n = len(C)
+    if n > 128:
+        h = n // 2 - n // 2 % 8
+        return _column_sums(C[:h]) + _column_sums(C[h:])
+    if n < 8:
+        out = C[0].copy()
+        for row in C[1:]:
+            out += row
+        return out
+    q = n - n % 8
+    r = C[:8] if q == 8 else C[:8] + C[8:16]
+    for i in range(16, q, 8):
+        r += C[i:i + 8]
+    r = r[0::2] + r[1::2]                 # (r0 + r1), (r2 + r3), ...
+    out = (r[0] + r[1]) + (r[2] + r[3])
+    for row in C[q:]:
+        out += row
+    return out
+
+
 #: Angular distance from a node below which a point counts as on the node.
 ON_NODE_TOL = 1e-14
 
 
 def trig_cardinal_rows(theta, n: int) -> np.ndarray:
-    """Cardinal matrix A[m, j] = cardinal_j(theta_m) for n equispaced nodes.
+    """Cardinal matrix A[j, m] = cardinal_j(theta_m) for n equispaced nodes,
+    mode-major: one row per node, one column per point.
 
     The cardinal of node t_j is sin(n d/2) cot(d/2) / n with d = theta - t_j
     (n even).  This uses its barycentric cotangent form: A is the
-    row-normalized array of (-1)^j cot((theta_m - t_j)/2).  The
+    column-normalized array of (-1)^j cot((theta_m - t_j)/2).  The
     cotangent difference is expanded through the addition formula so the
     only transcendental work is one tangent per evaluation point, and the
-    sign rides in the numerator's cot(t_j/2) row: negation is exact, so
-    this equals the signed quotient bitwise.  A point within ON_NODE_TOL
-    of a node gets that node's unit row; only such points can overflow or
-    divide by zero below.
+    sign rides in the numerator's cot(t_j/2) factor: negation is exact, so
+    this equals the signed quotient bitwise.  A is filled one node row at
+    a time, each step a pass along the point axis with temporaries of one
+    row, and ``_column_sums`` normalizes each column as if it stood alone.
+    A point within ON_NODE_TOL of a node gets that node's unit column.
     """
     th = np.asarray(theta, dtype=float)
     k = np.rint(th * (n / (2 * np.pi)))
-    on_node = np.abs(th - (2 * np.pi / n) * k) <= ON_NODE_TOL
+    on_node = np.flatnonzero(np.abs(th - (2 * np.pi / n) * k) <= ON_NODE_TOL)
     half = 0.5 * th
-    sign = 1.0 - 2.0 * (np.arange(n) % 2)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cu = 1.0 / np.tan(half)                      # cot(theta_m / 2)
-        cv = 1.0 / np.tan(np.pi * np.arange(n) / n)  # cot(t_j / 2); j=0 -> inf
-        # (-1)^j cot(u - v) = (-1)^j (cu*cv + 1) / (cv - cu); the j = 0
-        # column is cot(u)
-        A = np.multiply.outer(cu, sign * cv)
-        A += sign
-        A[:, 0] = cu
-        den = cv - cu[:, None]
-        den[:, 0] = 1.0
-        A /= den
-        A /= A.sum(axis=1, keepdims=True)
-    A[on_node] = 0.0
-    A[on_node, k[on_node].astype(int) % n] = 1.0
+    # an on-node point's column is set last; until then it sits halfway
+    # between two nodes, where nothing below overflows or divides by zero
+    half[on_node] += np.pi / (2 * n)
+    sign = 1.0 - 2.0 * (np.arange(1, n) % 2)
+    cv = 1.0 / np.tan(np.pi * np.arange(1, n) / n)          # cot(t_j / 2)
+    A = np.empty((n, len(th)))
+    # row 0 is cot(u): cot(t_0 / 2) is infinite
+    cu = A[0] = 1.0 / np.tan(half)                          # cot(theta_m / 2)
+    num = np.empty_like(cu)
+    for row, s, sc, v in zip(A[1:], sign, sign * cv, cv):
+        # (-1)^j cot(u - v) = (-1)^j (cu*cv + 1) / (cv - cu)
+        np.multiply(cu, sc, out=num)
+        num += s
+        np.subtract(v, cu, out=row)
+        np.divide(num, row, out=row)
+    A /= _column_sums(A)
+    A[:, on_node] = 0.0
+    A[k[on_node].astype(int) % n, on_node] = 1.0
     return A
 
 
@@ -512,13 +547,15 @@ class DomainGrid:
         return self.n_t * self.n_s
 
     def cardinal_matrices(self, points):
-        """Angular and radial cardinal matrices (A, S) at arbitrary points.
+        """Angular and radial cardinal matrices (A, S) at arbitrary points,
+        mode-major: A is (n_t, m) and S is (n_s, m), one column per point.
 
         The interpolated value at point m of nodal data U (shape n_t x n_s)
-        is ``((A @ U) * S).sum(1)[m]``.  A rotation of the points by whole
-        grid angular steps that maps the domain onto itself rolls the
-        columns of A, the mirror theta -> -theta about the center sends
-        column j to -j (the cardinal is even), and neither changes S.
+        is ``((U.T @ A) * S).sum(0)[m]``.  A point's columns are bitwise
+        the same alone and within any set.  A rotation of the points by
+        whole grid angular steps that maps the domain onto itself rolls
+        the rows of A, the mirror theta -> -theta about the center sends
+        row j to -j (the cardinal is even), and neither changes S.
         """
         v = as_points(points) - self.spec.center
         th = np.arctan2(v[:, 1], v[:, 0])
@@ -528,47 +565,55 @@ class DomainGrid:
         return A, S
 
     def _radial_cardinal(self, s):
-        diff = s[:, None] - self.s_nodes[None, :]
+        """(n_s, m) barycentric Lagrange cardinals at levels s; a level
+        within 1e-15 of a node gets that node's unit column."""
+        diff = s - self.s_nodes[:, None]
         exact = np.abs(diff) < 1e-15
-        diff = np.where(exact, 1.0, diff)
-        C = self._bary_w[None, :] / diff
-        S = C / C.sum(axis=1, keepdims=True)
-        hit = exact.any(axis=1)
-        if hit.any():
-            S[hit] = 0.0
-            S[hit, np.argmax(exact[hit], axis=1)] = 1.0
-        return S
+        diff[exact] = 1.0
+        C = self._bary_w[:, None] / diff
+        C /= _column_sums(C)
+        hit = np.flatnonzero(exact.any(axis=0))
+        if hit.size:
+            C[:, hit] = 0.0
+            C[np.argmax(exact[:, hit], axis=0), hit] = 1.0
+        return C
 
     def interpolate(self, values, points) -> np.ndarray:
         """Evaluate the grid interpolant of nodal values at points.
 
         Values of shape (n_nodes, k) give k columns from one cardinal
-        evaluation and one GEMM; a column can differ from the same vector
+        evaluation and one GEMM, ``U @ A`` with U's rows the (column,
+        radial node) pairs; a column can differ from the same vector
         interpolated alone in the last bits, since the GEMM's rounding
-        depends on its width."""
+        depends on its height."""
         A, S = self.cardinal_matrices(points)
         v = np.asarray(values, dtype=float)
         U = v.reshape(self.n_t, self.n_s, -1)
-        n_s, k = self.n_s, U.shape[2]
-        M = A @ U.transpose(0, 2, 1).reshape(self.n_t, k * n_s)
-        out = np.stack([(M[:, c * n_s:(c + 1) * n_s] * S).sum(1)
-                        for c in range(k)], axis=-1)
-        return out.reshape((len(S),) + v.shape[1:])
+        k = U.shape[2]
+        M = U.transpose(2, 1, 0).reshape(k * self.n_s, self.n_t) @ A
+        out = (M.reshape(k, self.n_s, -1) * S).sum(1)
+        return out.T.reshape((A.shape[1],) + v.shape[1:])
 
     def interpolation_row(self, weighted_values, A, S) -> np.ndarray:
         """Contract quadrature data against cardinal matrices.
 
         Returns the length-n_nodes row r with r . u = sum_m weighted_values_m
-        * interp(u)(point_m), for the points behind (A, S).  Weighted values
-        of shape (k, m) give k rows, contracted in one GEMM
-        ``A.T @ (w * S)`` whose temporary has k * n_s columns.
+        * interp(u)(point_m), for the points behind (A, S) (mode-major,
+        one column per point; column slices of a larger pair serve).
+        Weighted values of shape (k, m) give k rows from one GEMM
+        ``B.T @ A.T``, B the weighted S, one product per entry, written
+        into a C-contiguous (m, k * n_s) array.  So laid out, a row rounds
+        as it does with other k (the member-chunk tests pin this);
+        ``A @ B`` does not: the first row's columns round differently once
+        a second row joins.
         """
-        kv = np.atleast_2d(weighted_values)
-        k, n_s = len(kv), S.shape[1]
-        B = (kv.T[:, :, None] * S[:, None, :]).reshape(len(S), k * n_s)
-        rows = (A.T @ B).reshape(self.n_t, k, n_s).transpose(1, 0, 2)
-        rows = rows.reshape(k, self.n_nodes)
-        return rows[0] if np.ndim(weighted_values) == 1 else rows
+        kv = np.asarray(weighted_values)
+        k = 1 if kv.ndim == 1 else len(kv)
+        n_s, m = S.shape
+        B = np.einsum("km,lm->mkl", kv.reshape(k, m), S,
+                      out=np.empty((m, k, n_s)))
+        rows = (B.reshape(m, k * n_s).T @ A.T).reshape(k, n_s, self.n_t)
+        return rows.transpose(0, 2, 1).reshape(kv.shape[:-1] + (-1,))
 
 
 def build_domain_grid(spec: DomainSpec, n_t: int, n_s: int) -> DomainGrid:

@@ -19,15 +19,19 @@ rules for the 128 grid targets and 17 for the 64 curve targets (64 and
 32 with the rotations alone).  A target set's representative rules are
 one segment table (``geometry.PolarRules``) from one
 ``geometry.polar_rules`` call, and their nodes and cardinals are built
-per block of representatives (``geometry.BLOCK_ENTRIES``).  A block's
-orbit members then form one member table, evaluated and contracted in
-chunks whose node pairs times n_s fit in the block's own (A, S) entry
-count (``_volume_pass``).  The Laplace blocks, the polar rules and the
+per block of representatives (``geometry.BLOCK_ENTRIES``).  The
+cardinals are mode-major, one column per node, so a representative's
+(A, S) are column slices of its block's.  A block's orbit members then
+form one member table, evaluated and contracted in chunks whose node
+pairs times n_s fit in the block's own (A, S) entry count
+(``_volume_pass``).  The Laplace blocks, the polar rules and the
 log-kernel rows depend only on the geometry, so ``geometry.cached`` keeps
 each with its curve or grid, built once and read-only.  On the grid, a
 volume target set has one entry (``_target_set``), keyed by its
 coordinates: its orbits, its representatives' rule table and, after its
-first pass, its log-kernel rows; dropping the set is one delete.
+first pass, its log-kernel rows (unless that pass is a remainder-only
+one, ``remainder_rows(..., logs=False)``); dropping the set is one
+delete.
 The independent oracles for the volume operators live only in
 ``verification``; nothing here serves them.
 """
@@ -319,23 +323,27 @@ def _target_set(grid: DomainGrid, tg: np.ndarray) -> dict:
     return cached(grid, tg.tobytes(), build)
 
 
-def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None):
+def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None,
+                 build_logs: bool = True):
     """One pass over the dihedral orbits of the targets, read with their
     rules from the set's grid entry (``_target_set``).
 
     Per orbit, the representative's polar rule and cardinals (A, S) are
     built once; a member's rule is the representative's mirrored (when
-    flipped) and rotated.  A rotation of the points rolls the columns of
-    A, and a mirror sends column j to -j since the trigonometric cardinal
-    is even; S is unchanged by both.  The table's nodes are expanded
+    flipped) and rotated.  A rotation of the points rolls the rows of A,
+    and a mirror sends row j to -j since the trigonometric cardinal is
+    even; S is unchanged by both.  The table's nodes are expanded
     (``rule_nodes``) and their cardinals evaluated per block of
     consecutive representatives whose A, nodes times n_t, fits in
     ``geometry.BLOCK_ENTRIES`` (``block_bounds`` on the table's per-target
-    node counts), one block at a time.  Returns the set's log-kernel
-    rows, built by the first pass over the set and stored in its entry:
+    node counts), one block at a time.  The block's (A, S) are mode-major,
+    one column per node, so a representative's nodes are one column slice
+    of each.  Returns the set's log-kernel rows, built by the first pass
+    over the set and stored in its entry, unless ``build_logs`` is False:
     per block, the representatives' contractions, re-indexed for every
     member at once, since the log kernel is invariant under both maps.
-    Without a kernel and with the rows stored, there is no pass.
+    Without a kernel there is no pass once the rows are stored, nor with
+    ``build_logs`` False.
 
     Given ``kernel(y, d, owner)`` (targets (k, 2), node offsets (P, 2) of
     target ``owner``), it also returns the matrix of the kernel's rows at
@@ -349,10 +357,10 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None):
     Every step is elementwise per pair, so no row depends on its chunk.
     """
     entry = _target_set(grid, tg)
-    if kernel is None and entry["logs"] is not None:
+    build_logs = build_logs and entry["logs"] is None
+    if kernel is None and not build_logs:
         return entry["logs"], None
-    logs = None if entry["logs"] is not None else np.empty(
-        (len(tg), grid.n_nodes))
+    logs = np.empty((len(tg), grid.n_nodes)) if build_logs else None
     rows = None if kernel is None else np.empty((len(tg), grid.n_nodes))
     reps, *table, sizes = entry["orbits"]
     rules = entry["rules"]
@@ -360,17 +368,19 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None):
     for lo, hi in block_bounds((rules.counts * grid.n_t).tolist()):
         pts_b, w_b, counts = rule_nodes(rules, lo, hi)
         A_b, S_b = grid.cardinal_matrices(pts_b)
-        d_b = pts_b - np.repeat(tg[reps[lo:hi]], counts, axis=0)  # offsets
+        # offsets from the representatives, one row per coordinate
+        d_b = np.empty((2, len(pts_b)))
+        np.subtract(pts_b.T, np.repeat(tg[reps[lo:hi]], counts, axis=0).T,
+                    out=d_b)
         at = [slice(a - c, a) for a, c in zip(np.cumsum(counts), counts)]
         # the block's member table: target, rotation and mirror of each
         # member, the members of each representative consecutive
         members, shifts, flips = (col[first[lo]:first[hi]] for col in table)
         rep = np.repeat(np.arange(hi - lo), sizes[lo:hi])
         if logs is not None:
-            g_b = laplace.layer_kernel_values("s", d_b[:, 0], d_b[:, 1])
-            row0 = np.stack([grid.interpolation_row(-w_b[r] * g_b[r],
-                                                    A_b[r], S_b[r])
-                             for r in at])
+            wg = -w_b * laplace.layer_kernel_values("s", *d_b)
+            row0 = np.stack([grid.interpolation_row(wg[r], A_b[:, r],
+                                                    S_b[:, r]) for r in at])
             logs[members] = _reindex(grid, row0, shifts, flips, rep)
         if kernel is None:
             continue
@@ -389,20 +399,20 @@ def _volume_pass(grid: DomainGrid, tg: np.ndarray, kernel=None):
                     for r in range(rep[b], rep[e - 1] + 1)]
             edges = np.cumsum([0] + [(j - i) * counts[r]
                                      for r, i, j in runs]).tolist()
-            d = np.empty((edges[-1], 2))
+            d = np.empty((2, edges[-1]))     # one row per coordinate
             for (r, i, j), p, q in zip(runs, edges, edges[1:]):
-                x, y = d_b[at[r]].T
-                v = d[p:q].reshape(j - i, -1, 2)
-                v[..., 0] = c[i:j] * x - sf[i:j] * y
-                v[..., 1] = s[i:j] * x + cf[i:j] * y
-            ker = kernel(tg[members[b:e]], d,
+                x, y = d_b[:, at[r]]
+                dx, dy = d[:, p:q].reshape(2, j - i, -1)
+                dx[...] = c[i:j] * x - sf[i:j] * y
+                dy[...] = s[i:j] * x + cf[i:j] * y
+            ker = kernel(tg[members[b:e]], d.T,
                          np.repeat(np.arange(e - b), pairs[b:e]))
             out = np.empty((e - b, grid.n_nodes))
             # one GEMM per representative
             for (r, i, j), p, q in zip(runs, edges, edges[1:]):
                 out[i - b:j - b] = grid.interpolation_row(
-                    w_b[at[r]] * ker[p:q].reshape(j - i, -1), A_b[at[r]],
-                    S_b[at[r]])
+                    w_b[at[r]] * ker[p:q].reshape(j - i, -1), A_b[:, at[r]],
+                    S_b[:, at[r]])
             rows[members[b:e]] = _reindex(grid, out, shifts[b:e],
                                           flips[b:e])
     if logs is not None:
@@ -415,7 +425,9 @@ def _remainder_kernel(y, d, owner, coeff: Coefficient, family: str):
     """Remainder kernel at nodes y[owner] + d (offsets d of shape (P, 2),
     ``owner`` the index of each offset's target in y), from the Laplace
     kernel table ("s" = -G, "gs" = -grad_y G)."""
-    pts = y.take(owner, axis=0) + d     # take: 2-d fancy indexing is slow
+    # take: 2-d fancy indexing is slow; the nodes are laid out row by row
+    # whatever d's layout, so the coefficient sees the same arrays
+    pts = np.add(y.take(owner, axis=0), d, order="C")
     dx, dy = d[:, 0], d[:, 1]
     if family == "x":
         gx, gy, s = laplace.layer_kernel_values("gs+s", dx, dy)
@@ -448,20 +460,22 @@ def volume_potential(grid: DomainGrid, coeff: Coefficient, family: str,
 
 
 def remainder_rows(grid: DomainGrid, coeff: Coefficient, family: str,
-                   targets) -> np.ndarray:
+                   targets, logs: bool = True) -> np.ndarray:
     """Remainder-operator matrix rows at the given targets.
 
     Each row integrates the explicit remainder kernel against the grid
     interpolant; boundary targets are allowed (trace of the operator).  A
     constant coefficient has no remainder: its rows are zero.  The first
-    pass over a target set also builds its log-kernel rows.
+    pass over a target set also builds and stores its log-kernel rows from
+    the same cardinal evaluation, unless ``logs`` is False: a caller that
+    will not read the volume potential at these targets skips them.
     """
     _check_family(family)
     tg = as_points(targets)
     if coeff.constant:
         return np.zeros((len(tg), grid.n_nodes))
     return _volume_pass(grid, tg, lambda y, d, owner: _remainder_kernel(
-        y, d, owner, coeff, family))[1]
+        y, d, owner, coeff, family), logs)[1]
 
 
 def remainder_potential(grid: DomainGrid, coeff: Coefficient, family: str,

@@ -802,11 +802,14 @@ def remainder_spectrum_decay(grid: DomainGrid, coeff: Coefficient,
     A rapidly decaying spectrum is the finite-dimensional face of the
     operator's compactness; reported qualitatively, no threshold.  The
     SPECTRUM_HEAD largest values come from Golub-Kahan-Lanczos
-    (``solver.top_singular_values``), not from a dense SVD.
+    (``solver.top_singular_values``), not from a dense SVD.  The pass
+    builds no log-kernel rows: nothing here reads the volume potential at
+    the grid nodes.
     """
     if coeff.constant:
         return {"sigma": [0.0], "decay_ratio": 0.0}
-    R = potentials.remainder_rows(grid, coeff, family, grid.points)
+    R = potentials.remainder_rows(grid, coeff, family, grid.points,
+                                  logs=False)
     s = solver.top_singular_values(R, SPECTRUM_HEAD)
     return {"sigma": s.tolist(),
             "decay_ratio": float(s[-1] / s[0]) if s[0] > 0 else 0.0}

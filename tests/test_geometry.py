@@ -342,7 +342,7 @@ class TestDomainGrid:
         pts = np.concatenate([grid.points[::5],
                               0.1 * rng.standard_normal((9, 2))])
         A, S = grid.cardinal_matrices(pts)
-        ref = np.einsum("mj,jk,mk->m", A, vals.reshape(16, 8), S)
+        ref = np.einsum("jm,jk,km->m", A, vals.reshape(16, 8), S)
         got = grid.interpolate(vals, pts)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -357,6 +357,63 @@ class TestDomainGrid:
             ref = grid.interpolate(vals[:, c], pts)
             assert np.abs(got[:, c] - ref).max() <= 1e-14 * np.abs(ref).max()
         assert grid.interpolate(vals, np.zeros((0, 2))).shape == (0, 3)
+
+    @pytest.mark.parametrize("m", [0, 1, 150])
+    @pytest.mark.parametrize("spec", [DISK, BENCH_STAR, NONCONVEX_STAR],
+                             ids=["disk", "star", "nonconvex"])
+    def test_cardinals_of_a_point_do_not_depend_on_its_set(self, spec, m):
+        # every step is elementwise per point and each column is summed as
+        # a lone column is, so a point's (A, S) are the same bitwise alone
+        # and within any set; grid nodes take the unit-column path
+        grid = build_domain_grid(spec, 32, 12)
+        rng = np.random.default_rng(m)
+        th = rng.uniform(0.0, 2 * np.pi, m)
+        s = np.sqrt(rng.uniform(0.0, 1.0, m)) * spec.rho(th)
+        pts = spec.center + s[:, None] * np.stack([np.cos(th), np.sin(th)],
+                                                  axis=1)
+        pts[::10] = grid.points[rng.integers(0, grid.n_nodes, len(pts[::10]))]
+        A, S = grid.cardinal_matrices(pts)
+        assert A.shape == (grid.n_t, m) and S.shape == (grid.n_s, m)
+        for i in range(m):
+            a, s_i = grid.cardinal_matrices(pts[i:i + 1])
+            np.testing.assert_array_equal(a, A[:, i:i + 1])
+            np.testing.assert_array_equal(s_i, S[:, i:i + 1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.one_of(convex_domains(), star_profiles()),
+           n_t=st.sampled_from([8, 12, 16, 24, 32]), n_s=st.integers(4, 12),
+           k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_interpolate_reproduces_band_limited_tensor_data(self, spec, n_t,
+                                                             n_s, k, seed):
+        # per column, a trigonometric polynomial in theta of degree below
+        # n_t / 2 times a polynomial in s of degree below n_s: the tensor
+        # interpolant reproduces it
+        rng = np.random.default_rng(seed)
+        grid = build_domain_grid(spec, n_t, n_s)
+        modes = np.arange(n_t // 2)
+        a, b = rng.standard_normal((2, len(modes), k))
+        c = rng.standard_normal((n_s, k))
+
+        def trig(theta):
+            ang = np.multiply.outer(theta, modes)
+            return np.cos(ang) @ a + np.sin(ang) @ b
+
+        def poly(s):
+            return np.vander(s, n_s, increasing=True) @ c
+
+        values = (trig(grid.theta)[:, None, :]
+                  * poly(grid.s_nodes)[None, :, :]).reshape(grid.n_nodes, k)
+        th = rng.uniform(0.0, 2 * np.pi, 50)
+        s = rng.uniform(0.0, 1.0, 50) * spec.rho(th)
+        pts = spec.center + s[:, None] * np.stack([np.cos(th), np.sin(th)],
+                                                  axis=1)
+        # the exact values at the angles and levels the grid reads off
+        v = pts - spec.center
+        want = (trig(np.arctan2(v[:, 1], v[:, 0]))
+                * poly(np.clip(spec.level(pts), 0.0, 1.0)))
+        got = grid.interpolate(values, pts)
+        assert got.shape == (50, k)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(values).max()
 
     def test_star_grid_nodes_inside_by_winding_oracle(self):
         grid = build_domain_grid(STAR, 32, 12)
@@ -1080,22 +1137,22 @@ class TestQueries:
 def _signed_quotient_rows(theta, n):
     """``trig_cardinal_rows`` as it was written before the sign moved into
     the numerator: the quotient of the cotangent addition formula, then
-    the sign, then the row normalization."""
+    the sign, then the column normalization (mode-major, (n, m))."""
     th = np.asarray(theta, dtype=float)
     k = np.rint(th * (n / (2 * np.pi)))
     on_node = np.abs(th - (2 * np.pi / n) * k) <= geometry.ON_NODE_TOL
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cu = 1.0 / np.tan(0.5 * th)
         cv = 1.0 / np.tan(np.pi * np.arange(n) / n)
-        num = cu[:, None] * cv[None, :] + 1.0
-        den = cv[None, :] - cu[:, None]
-        num[:, 0] = cu
-        den[:, 0] = 1.0
+        num = cv[:, None] * cu[None, :] + 1.0
+        den = cv[:, None] - cu[None, :]
+        num[0] = cu
+        den[0] = 1.0
         c = num / den
-        c *= 1.0 - 2.0 * (np.arange(n) % 2)[None, :]
-        A = c / c.sum(axis=1, keepdims=True)
-    A[on_node] = 0.0
-    A[on_node, k[on_node].astype(int) % n] = 1.0
+        c *= 1.0 - 2.0 * (np.arange(n) % 2)[:, None]
+        A = c / geometry._column_sums(c)
+    A[:, on_node] = 0.0
+    A[k[on_node].astype(int) % n, on_node] = 1.0
     return A
 
 
@@ -1107,8 +1164,9 @@ class TestCardinals:
         rng = np.random.default_rng(1)
         T = rng.uniform(0, 2 * np.pi, 200)
         A = trig_cardinal_rows(T, n)
+        assert A.shape == (n, len(T))
         exact = 1 + np.cos(3 * T) - 2 * np.sin(5 * T) + 0.5 * np.cos(8 * T)
-        assert np.abs(A @ g - exact).max() < 1e-12
+        assert np.abs(g @ A - exact).max() < 1e-12
 
     def test_trig_cardinal_rows_node_hits(self):
         n = 12
@@ -1118,8 +1176,8 @@ class TestCardinals:
 
     def test_trig_cardinal_rows_on_node_mask(self):
         # anchored rules put points on grid angles up to rounding: those
-        # get unit rows, also at subnormal angles where cot(theta/2)
-        # overflows; every other row is the closed-form cardinal
+        # get unit columns, also at subnormal angles where cot(theta/2)
+        # overflows; every other column is the closed-form cardinal
         n = 32
         t = 2 * np.pi * np.arange(n) / n
         on = np.concatenate([t, t + 4e-16, t - 4e-16,
@@ -1127,7 +1185,7 @@ class TestCardinals:
                               1e-310]])
         A = trig_cardinal_rows(on, n)
         want = np.concatenate([np.arange(n)] * 3 + [[0, 0, 0, 0]])
-        np.testing.assert_array_equal(A, np.eye(n)[want])
+        np.testing.assert_array_equal(A, np.eye(n)[:, want])
         rng = np.random.default_rng(7)
         j = rng.integers(0, n, 40)
         off = np.concatenate([
@@ -1135,11 +1193,11 @@ class TestCardinals:
             t[j] + rng.choice([-1, 1], 40) * 10.0 ** rng.uniform(-13, -1, 40),
             2 * np.pi * np.arange(24) / 24 + 1e-9])
         A = trig_cardinal_rows(off, n)
-        d = (off[:, None] - t[None, :] + np.pi) % (2 * np.pi) - np.pi
+        d = (off[None, :] - t[:, None] + np.pi) % (2 * np.pi) - np.pi
         with np.errstate(divide="ignore", invalid="ignore"):
             ref = np.sin(n * d / 2) / np.tan(d / 2) / n
         ref[d == 0] = 1.0
-        np.testing.assert_allclose(A.sum(1), 1.0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(A.sum(0), 1.0, rtol=0, atol=1e-13)
         assert np.abs(A - ref).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [8, 16, 64])

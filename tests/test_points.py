@@ -52,7 +52,7 @@ ENTRIES = {
     "level": (STAR.level, (0,)),
     "distance_to": (CURVE.distance_to, (0,)),
     "cardinal_matrices": (
-        lambda p: np.hstack(GRID.cardinal_matrices(p)), (0, 16 + 8)),
+        lambda p: np.vstack(GRID.cardinal_matrices(p)), (16 + 8, 0)),
     "direct_boundary_values": (
         lambda p: V.direct_boundary_values(CURVE, A, "x", "V", np.cos,
                                            points=p), (0,)),

@@ -299,7 +299,7 @@ def _einsum_log_potential(grid, values, targets):
         r2 = ((pts - y) ** 2).sum(1)
         kv = w * 0.5 * np.log(r2) / (2 * np.pi)
         A, S = grid.cardinal_matrices(pts)
-        out.append(np.einsum("mj,jk,mk->", A * kv[:, None], U, S))
+        out.append(np.einsum("jm,jk,km->", A * kv, U, S))
     return np.array(out)
 
 
@@ -378,6 +378,26 @@ class TestVolumeRows:
         np.testing.assert_array_equal(
             volume_potential(grid, A_ONE, "x", f, tg), block @ f.values)
         assert list(grid._cache) == [tg.tobytes()]
+
+    def test_remainder_only_pass_builds_no_log_rows(self, monkeypatch):
+        tg = build_domain_grid(DISK, 16, 8).points[::3]
+        ref = potentials.remainder_rows(build_domain_grid(DISK, 16, 8),
+                                        A_QUAD, "x", tg)
+        table = laplace.layer_kernel_values
+
+        def no_log_kernel(kind, *args):
+            assert kind != "s", "log kernel evaluated"
+            return table(kind, *args)
+
+        monkeypatch.setattr(laplace, "layer_kernel_values", no_log_kernel)
+        grid = build_domain_grid(DISK, 16, 8)
+        rows = potentials.remainder_rows(grid, A_QUAD, "x", tg, logs=False)
+        np.testing.assert_array_equal(rows, ref)
+        assert potentials._target_set(grid, tg)["logs"] is None
+        # without a kernel or log rows to build there is no pass
+        monkeypatch.setattr(potentials, "rule_nodes", None)
+        assert potentials._volume_pass(grid, tg, build_logs=False) == (
+            None, None)
 
 
 def _anchored_reference(grid, coeff, targets):

@@ -534,6 +534,9 @@ class TestDiagnostics:
         assert 0.0 < decay["decay_ratio"] < 1.0
         s = decay["sigma"]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(s, s[1:]))
+        # the pass builds the remainder rows alone: validate never reads
+        # the volume potential at the grid nodes
+        assert potentials._target_set(grid, grid.points)["logs"] is None
 
     def test_remainder_spectrum_constant_coefficient(self):
         grid = build_domain_grid(DISK, 16, 8)

@@ -6,9 +6,12 @@ assembly and solve seconds, peak RSS, ``err_u_max``, ``err_psi_max``, the
 trace defect, the number of polar rules the volume pipeline built, their
 node total (from the per-target node counts of the rule tables
 ``potentials`` gets from ``polar_rules``) and ``rules_s``, the seconds
-spent in those ``polar_rules`` calls,
-plus the seconds taken to import bdies2d (numpy already loaded) and the
-``scipy.*`` subpackages loaded by the end of the run.
+spent in those ``polar_rules`` calls, and the assembly's seconds in the
+two volume phases after them: ``cardinals_s`` in
+``DomainGrid.cardinal_matrices`` and ``contract_s`` in
+``DomainGrid.interpolation_row``.  It also records the seconds taken to
+import bdies2d (numpy already loaded) and the ``scipy.*`` subpackages
+loaded by the end of the run.
 After the solve it records the spectral diagnostics of ``bdies2d solve``
 and their seconds: ``cond`` and ``cond_s`` for the system's condition
 number, ``remainder_block_norm`` and ``fredholm_s`` for
@@ -60,8 +63,9 @@ CONFIGS = [("disk", DISK, (64, 16, 8)), ("disk", DISK, (128, 32, 12)),
            ("disk", DISK, (2048, 32, 12))]
 FAMILIES = ("x", "y")
 #: Columns that vary from run to run; a row holds their medians.
-VARYING = ("build_s", "assemble_s", "rules_s", "solve_s", "cond_s",
-           "fredholm_s", "peak_rss_mb", "import_bdies2d_s")
+VARYING = ("build_s", "assemble_s", "rules_s", "cardinals_s", "contract_s",
+           "solve_s", "cond_s", "fredholm_s", "peak_rss_mb",
+           "import_bdies2d_s")
 
 
 def run_one(domain: dict, resolution, family: str) -> dict:
@@ -73,7 +77,8 @@ def run_one(domain: dict, resolution, family: str) -> dict:
 
     t_import = time.perf_counter()
     from bdies2d import potentials
-    from bdies2d.geometry import DomainSpec, build_curve, build_domain_grid
+    from bdies2d.geometry import (DomainGrid, DomainSpec, build_curve,
+                                  build_domain_grid)
     from bdies2d.solver import assemble_system, solve_dirichlet
     from bdies2d.verification import fredholm_diagnostic, manufactured_case
     import_s = time.perf_counter() - t_import
@@ -91,6 +96,22 @@ def run_one(domain: dict, resolution, family: str) -> dict:
 
     potentials.polar_rules = counted
 
+    # the cardinal and contraction phases, timed the same way
+    phase_s = {"cardinal_matrices": 0.0, "interpolation_row": 0.0}
+
+    def timed(name):
+        method = getattr(DomainGrid, name)
+
+        def run(*args):
+            t = time.perf_counter()
+            out = method(*args)
+            phase_s[name] += time.perf_counter() - t
+            return out
+        return run
+
+    for name in phase_s:
+        setattr(DomainGrid, name, timed(name))
+
     nb, nt, ns = resolution
     spec = DomainSpec(**domain)
     case = manufactured_case("exp_saddle")
@@ -99,6 +120,7 @@ def run_one(domain: dict, resolution, family: str) -> dict:
     t1 = time.perf_counter()
     system = assemble_system(curve, grid, case.coeff, family)
     t2 = time.perf_counter()
+    assembly_phase_s = dict(phase_s)
     phi0 = case.phi0_on(curve)
     sol = solve_dirichlet(system.with_data(case.f_field_on(grid), phi0))
     t3 = time.perf_counter()
@@ -114,6 +136,8 @@ def run_one(domain: dict, resolution, family: str) -> dict:
     counts = [potentials.rule_nodes(t)[2] for t in tables]
     return {
         "build_s": t1 - t0, "assemble_s": t2 - t1, "rules_s": rules_s[0],
+        "cardinals_s": assembly_phase_s["cardinal_matrices"],
+        "contract_s": assembly_phase_s["interpolation_row"],
         "solve_s": t3 - t2,
         "cond_s": t4 - t3, "fredholm_s": t5 - t4, "peak_rss_mb": peak_rss_mb,
         "err_u_max": float(np.abs(sol.u.values - u_ex).max()
